@@ -25,6 +25,9 @@ QTYPE_A = 1
 RCODE_NOERROR = 0
 RCODE_REFUSED = 5
 
+# How often the receive loop looks for a shutdown request, in seconds.
+POLL_INTERVAL_S = 0.05
+
 
 @dataclass(frozen=True)
 class DnsQueryRecord:
@@ -204,7 +207,8 @@ class DnsResponder:
     def __init__(self, config: ZoneConfig, host: str = "127.0.0.1", port: int = 0):
         self.resolver = WildcardResolver(config)
         self.config = config
-        self._server = socketserver.ThreadingUDPServer((host, port), _UdpHandler)
+        # one receive loop: an answer costs microseconds, less than a thread
+        self._server = socketserver.UDPServer((host, port), _UdpHandler)
         self._server.responder = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
@@ -228,7 +232,9 @@ class DnsResponder:
         )
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:

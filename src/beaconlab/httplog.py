@@ -10,7 +10,7 @@ from __future__ import annotations
 import base64
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 Headers = tuple[tuple[str, str], ...]
@@ -75,9 +75,6 @@ class HttpExchange:
             if key.lower() == lowered:
                 return value
         return None
-
-    def with_body(self, body: bytes, response_headers: Headers) -> "HttpExchange":
-        return replace(self, response_body=body, response_headers=response_headers)
 
 
 @dataclass(frozen=True)

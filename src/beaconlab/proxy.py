@@ -6,16 +6,24 @@ passive mode observes and logs without altering anything. CONNECT tunnels
 are relayed opaque and logged as encrypted exchanges. A line-oriented
 control socket (STATUS / MODE PASSIVE / MODE ACTIVE / SNAPSHOT) stands in
 for the operator's command channel.
+
+Each relayed response leaves in one write on a TCP_NODELAY socket, so a
+keep-alive client never waits out Nagle's algorithm against its own
+delayed ACK (RFC 896, RFC 1122 4.2.3.2). Upstream connections are kept
+alive and reused per origin; a stale reused connection is retried once,
+for idempotent methods only (RFC 7230 6.3.1, RFC 7231 4.2.2).
 """
 
 from __future__ import annotations
 
 import csv
 import http.client
+import re
 import socket
 import socketserver
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -35,6 +43,18 @@ _HOP_BY_HOP = {
     "trailers",
     "upgrade",
 }
+
+# Methods a proxy may resend after a failed attempt (RFC 7231 4.2.2).
+_IDEMPOTENT = {"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"}
+
+# Idle upstream keep-alive connections kept across all origins; past this
+# the least recently used one is closed.
+MAX_IDLE_UPSTREAM = 32
+
+# How often the serving loops look for a shutdown request, in seconds.
+POLL_INTERVAL_S = 0.05
+
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 
 class ProxyConfigError(ValueError):
@@ -81,8 +101,57 @@ def parse_control_command(line: str) -> tuple[str, str | None]:
     raise ValueError(f"unknown command: {parts[0]}")
 
 
+def _content_length(headers) -> int | None:
+    """Request body length from Content-Length (RFC 7230 3.3.2): 0 if absent,
+    None if malformed or repeated with different values."""
+    values = {value.strip() for value in headers.get_all("Content-Length", [])}
+    if not values:
+        return 0
+    value = values.pop()
+    if values or not _CONTENT_LENGTH.fullmatch(value):
+        return None
+    return int(value)
+
+
+class _UpstreamPool:
+    """Idle keep-alive connections to origins, keyed by (host, port).
+
+    Holds at most MAX_IDLE_UPSTREAM connections, evicting the least
+    recently returned. The newest idle connection to an origin is reused
+    first, since it is the least likely to have been closed by the origin.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: OrderedDict[http.client.HTTPConnection, tuple[str, int]] = OrderedDict()
+
+    def take(self, key: tuple[str, int]) -> http.client.HTTPConnection | None:
+        with self._lock:
+            for conn in reversed(self._idle):
+                if self._idle[conn] == key:
+                    del self._idle[conn]
+                    return conn
+        return None
+
+    def give(self, key: tuple[str, int], conn: http.client.HTTPConnection) -> None:
+        evicted = None
+        with self._lock:
+            self._idle[conn] = key
+            if len(self._idle) > MAX_IDLE_UPSTREAM:
+                evicted, _ = self._idle.popitem(last=False)
+        if evicted is not None:
+            evicted.close()
+
+    def close_all(self) -> None:
+        with self._lock:
+            idle, self._idle = list(self._idle), OrderedDict()
+        for conn in idle:
+            conn.close()
+
+
 class _RelayHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     service: "ProxyService"  # bound per server instance
 
     def log_message(self, fmt, *args):  # silence stderr chatter
@@ -148,6 +217,7 @@ class ProxyService:
         self._control_server.daemon_threads = True
         self._control_server.service = self  # type: ignore[attr-defined]
         self._threads: list[threading.Thread] = []
+        self._upstream = _UpstreamPool()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -161,7 +231,9 @@ class ProxyService:
 
     def start(self) -> None:
         for server in (self._http_server, self._control_server):
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread = threading.Thread(
+                target=server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+            )
             thread.start()
             self._threads.append(thread)
 
@@ -172,6 +244,7 @@ class ProxyService:
         self._control_server.server_close()
         for thread in self._threads:
             thread.join(timeout=5)
+        self._upstream.close_all()
         with self._log_lock:
             self.exchange_log.close()
             self._tag_fh.close()
@@ -245,6 +318,36 @@ class ProxyService:
             self._exchange_seq += 1
         return f"x{seq:08d}", f"fl{seq:08d}"
 
+    def _fetch(
+        self, origin: tuple[str, int], method: str, selector: str, body: bytes, headers: dict
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request upstream, on an idle pooled connection if there is one.
+
+        A reused connection the origin has meanwhile closed fails before any
+        response arrives; an idempotent request is then sent once more on a
+        fresh connection, any other request fails.
+        """
+        conn = self._upstream.take(origin)
+        if conn is not None:
+            try:
+                return conn, self._send(conn, method, selector, body, headers)
+            except (ConnectionResetError, BrokenPipeError):  # incl. RemoteDisconnected
+                if method not in _IDEMPOTENT:
+                    raise
+        conn = http.client.HTTPConnection(*origin, timeout=self.config.upstream_timeout)
+        return conn, self._send(conn, method, selector, body, headers)
+
+    @staticmethod
+    def _send(
+        conn: http.client.HTTPConnection, method: str, selector: str, body: bytes, headers: dict
+    ) -> http.client.HTTPResponse:
+        try:
+            conn.request(method, selector, body=body or None, headers=headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
+
     def handle_request_socketless(self, handler: BaseHTTPRequestHandler) -> None:
         """Relay one absolute-URI proxy request and deliver the response."""
         url = handler.path
@@ -252,7 +355,13 @@ class ProxyService:
         if parts.scheme != "http" or not parts.hostname:
             handler.send_error(400, "proxy requires absolute http URLs")
             return
-        length = int(handler.headers.get("Content-Length") or 0)
+        length = _content_length(handler.headers)
+        if length is None:
+            self._log_error(
+                f"malformed Content-Length {handler.headers.get_all('Content-Length')!r} for {url}"
+            )
+            handler.send_error(400, "malformed Content-Length")
+            return
         request_body = handler.rfile.read(length) if length else b""
         request_headers = tuple(
             (name, value)
@@ -262,30 +371,35 @@ class ProxyService:
         selector = parts.path or "/"
         if parts.query:
             selector += "?" + parts.query
+        origin = (parts.hostname, parts.port or 80)
+        upstream_headers = {
+            name: value
+            for name, value in request_headers
+            if name.lower() not in ("host", "content-length")
+        }
         try:
-            conn = http.client.HTTPConnection(
-                parts.hostname, parts.port or 80, timeout=self.config.upstream_timeout
+            conn, upstream = self._fetch(
+                origin, handler.command, selector, request_body, upstream_headers
             )
-            upstream_headers = {
-                name: value
-                for name, value in request_headers
-                if name.lower() not in ("host", "content-length")
-            }
-            conn.request(handler.command, selector, body=request_body or None,
-                         headers=upstream_headers)
-            upstream = conn.getresponse()
-            body = upstream.read()
-            status = upstream.status
-            response_headers = tuple(
-                (name, value)
-                for name, value in upstream.getheaders()
-                if name.lower() not in _HOP_BY_HOP | {"content-length"}
-            ) + (("Content-Length", str(len(body))),)
-            conn.close()
-        except OSError as exc:
+            try:
+                body = upstream.read()
+            except BaseException:
+                conn.close()
+                raise
+        except (OSError, http.client.HTTPException) as exc:
             self._log_error(f"upstream {parts.hostname}: {exc}")
             handler.send_error(502, "upstream unreachable")
             return
+        if upstream.will_close:
+            conn.close()
+        else:
+            self._upstream.give(origin, conn)
+        status = upstream.status
+        response_headers = tuple(
+            (name, value)
+            for name, value in upstream.getheaders()
+            if name.lower() not in _HOP_BY_HOP | {"content-length"}
+        ) + (("Content-Length", str(len(body))),)
         exchange_id, flow_id = self._next_ids()
         exchange = HttpExchange(
             exchange_id=exchange_id,
@@ -302,13 +416,20 @@ class ProxyService:
         mode = self.current_mode()
         delivered, tags = self.process_response(exchange, mode)
         self._log_exchange(delivered, tags)
-        handler.send_response_only(delivered.response_status)
-        for name, value in delivered.response_headers:
-            handler.send_header(name, value)
-        handler.end_headers()
+        self._deliver(handler, delivered)
+
+    @staticmethod
+    def _deliver(handler: BaseHTTPRequestHandler, exchange: HttpExchange) -> None:
+        """Status line, headers and body in a single write."""
+        status = exchange.response_status
+        reason = handler.responses.get(status, ("",))[0]
+        head = f"{handler.protocol_version} {status} {reason}\r\n" + "".join(
+            f"{name}: {value}\r\n" for name, value in exchange.response_headers
+        )
+        payload = (head + "\r\n").encode("latin-1", "strict")
         if handler.command != "HEAD":
-            handler.wfile.write(delivered.response_body)
-        handler.wfile.flush()
+            payload += exchange.response_body
+        handler.wfile.write(payload)
 
     def handle_connect(self, handler: BaseHTTPRequestHandler) -> None:
         """Opaque tunnel: logged as an encrypted exchange, never rewritten."""

@@ -1,24 +1,31 @@
 import http.client
 import os
 import socket
+import statistics
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from beaconlab import proxy
 from beaconlab.httplog import read_exchange_log
 from beaconlab.inject import read_tag_log
 from beaconlab.proxy import (
     ACTIVE,
+    MAX_IDLE_UPSTREAM,
     PASSIVE,
     ProxyConfig,
     ProxyConfigError,
     ProxyService,
+    _UpstreamPool,
     parse_control_command,
 )
 
 HTML_PAGE = b"<html><head><title>t</title></head><body><p>hello</p></body></html>"
 GIF_BYTES = b"GIF89a\x01\x00\x01\x00"
+PAGE_4K = b"<html><head><title>4k</title></head><body><p>" + b"x" * 4040 + b"</p></body></html>"
 
 
 class _OriginHandler(BaseHTTPRequestHandler):
@@ -47,6 +54,76 @@ def origin():
     yield server.server_address
     server.shutdown()
     server.server_close()
+
+
+class _KeepAliveOriginHandler(BaseHTTPRequestHandler):
+    """Serves PAGE_4K in one write on a TCP_NODELAY socket, keeps connections
+    alive, and records on its server every connection and POST it sees."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.accepted += 1
+            self.server.open.add(self.connection)
+
+    def finish(self):
+        with self.server.lock:
+            self.server.open.discard(self.connection)
+        super().finish()
+
+    def _reply(self):
+        head = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: %d\r\n\r\n"
+        self.wfile.write(head % len(PAGE_4K) + PAGE_4K)
+
+    def do_GET(self):
+        self._reply()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        with self.server.lock:
+            self.server.posts += 1
+        self._reply()
+
+
+@pytest.fixture()
+def keepalive_origin():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveOriginHandler)
+    server.lock = threading.Lock()
+    server.accepted = server.posts = 0
+    server.open = set()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def close_idle_origin_connections(server):
+    """The origin drops every open connection, as an idle timeout would."""
+    with server.lock:
+        open_sockets = list(server.open)
+    for sock in open_sockets:
+        sock.shutdown(socket.SHUT_RDWR)
+    deadline = time.monotonic() + 5
+    while server.open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not server.open
+
+
+def raw_exchange(service, request: bytes) -> bytes:
+    """Send raw bytes to the proxy and read until it closes the connection."""
+    with socket.create_connection(service.listen_address, timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
 
 
 @pytest.fixture()
@@ -162,6 +239,140 @@ class TestRelay:
         _, passive_again = proxy_get(service, origin, "/page")
         assert passive_body == passive_again == HTML_PAGE
         assert active_body != HTML_PAGE
+
+
+class TestKeepAlive:
+    def test_keepalive_requests_do_not_stall(self, service, keepalive_origin):
+        control(service, "MODE ACTIVE")
+        url = "http://%s:%d/page" % keepalive_origin.server_address
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        latencies = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", url)
+                response = conn.getresponse()
+                body = response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert body.count(b"<img ") == 2
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020
+
+    def test_upstream_connection_reused(self, service, keepalive_origin):
+        url = "http://%s:%d/page" % keepalive_origin.server_address
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        try:
+            for _ in range(5):
+                conn.request("GET", url)
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.read() == PAGE_4K
+        finally:
+            conn.close()
+        assert keepalive_origin.accepted == 1
+
+    def test_stale_connection_retried_for_get(self, service, keepalive_origin):
+        assert proxy_get(service, keepalive_origin.server_address, "/page") == (200, PAGE_4K)
+        close_idle_origin_connections(keepalive_origin)
+        assert proxy_get(service, keepalive_origin.server_address, "/page") == (200, PAGE_4K)
+        assert keepalive_origin.accepted == 2
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_stale_connection_not_retried_for_post(self, service, keepalive_origin):
+        assert proxy_get(service, keepalive_origin.server_address, "/page")[0] == 200
+        close_idle_origin_connections(keepalive_origin)
+        host, port = service.listen_address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        conn.request("POST", "http://%s:%d/form" % keepalive_origin.server_address, body=b"a=1")
+        response = conn.getresponse()
+        response.read()
+        conn.close()
+        assert response.status == 502
+        assert keepalive_origin.posts == 0
+        assert keepalive_origin.accepted == 1
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 1
+
+    def test_stop_closes_pooled_connections(self, service, keepalive_origin):
+        assert proxy_get(service, keepalive_origin.server_address, "/page")[0] == 200
+        assert len(keepalive_origin.open) == 1
+        service.stop()
+        deadline = time.monotonic() + 5
+        while keepalive_origin.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not keepalive_origin.open
+
+
+class _FakeConn:
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class TestUpstreamPool:
+    def test_idle_connections_are_bounded(self):
+        pool = _UpstreamPool()
+        conns = [_FakeConn() for _ in range(MAX_IDLE_UPSTREAM + 3)]
+        for i, conn in enumerate(conns):
+            pool.give(("origin", i), conn)
+        # the three least recently returned were evicted and closed
+        assert [conn.closed for conn in conns[:4]] == [True, True, True, False]
+        assert pool.take(("origin", 0)) is None
+        assert pool.take(("origin", 3)) is conns[3]
+        pool.close_all()
+        assert all(conn.closed for conn in conns if conn is not conns[3])
+        assert pool.take(("origin", 4)) is None
+
+    def test_concurrent_take_and_give(self, monkeypatch):
+        monkeypatch.setattr(proxy, "MAX_IDLE_UPSTREAM", 2)
+        pool = _UpstreamPool()
+        in_use: set[int] = set()
+        lock = threading.Lock()
+        bad = []
+
+        def worker(key):
+            for _ in range(2000):
+                conn = pool.take(key) or _FakeConn()
+                with lock:
+                    if id(conn) in in_use or conn.closed:
+                        bad.append(conn)
+                    in_use.add(id(conn))
+                with lock:
+                    in_use.discard(id(conn))
+                pool.give(key, conn)
+
+        threads = [threading.Thread(target=worker, args=(("origin", i % 3),)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not bad  # no connection handed out twice at once or after eviction
+        assert len(pool._idle) <= 2
+
+
+class TestMalformedRequest:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_rejected(self, service, origin, length):
+        url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
+        reply = raw_exchange(
+            service,
+            b"POST " + url + b" HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 1
+        assert "Content-Length" in lines[0]
 
 
 class TestConnectTunnel:
