@@ -20,7 +20,7 @@ from typing import Iterable
 from urllib.parse import urlsplit
 
 from beaconlab.dnssim import DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name
-from beaconlab.httplog import HttpExchange
+from beaconlab.httplog import HttpExchange, read_csv_log
 from beaconlab.inject import DEFAULT_STATIC_LABEL, Injector, Tag
 
 HOME_PAGE_URL = "http://home.example/start"
@@ -146,15 +146,9 @@ def write_fetch_log(records: Iterable[FetchRecord], path: str) -> None:
 
 
 def read_fetch_log(path: str) -> list[FetchRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            records.append(FetchRecord(timestamp=float(row[0]), source=row[1], url=row[2]))
-    return records
+    return read_csv_log(
+        path, 3, lambda row: FetchRecord(timestamp=float(row[0]), source=row[1], url=row[2])
+    )
 
 
 class _ClientState:

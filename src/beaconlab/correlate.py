@@ -15,16 +15,17 @@ import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from beaconlab.clientsim import FetchRecord, read_fetch_log
 from beaconlab.dnssim import DnsQueryRecord, normalize_name, read_query_log
 from beaconlab.httplog import (
+    ExchangeView,
     HttpExchange,
     MimeDistribution,
     mime_distribution,
-    read_exchange_log,
+    read_exchange_views,
 )
 from beaconlab.inject import DYNAMIC, STATIC, Tag, read_tag_log
 from beaconlab.ua import (
@@ -32,9 +33,14 @@ from beaconlab.ua import (
     RatioSeries,
     UaRecord,
     VulnDb,
+    parse_user_agent,
     ratio_series,
     unique_ua_growth,
 )
+
+# Analysis reads each exchange-log line only as far as its ExchangeView;
+# build_report_from_dir reads the log through this name.
+read_exchange_log = read_exchange_views
 
 
 class MissingLogError(FileNotFoundError):
@@ -106,15 +112,48 @@ class CorrelationReport:
         }
 
 
-def _beacon_name(label: str, zone: str) -> str:
-    return f"{label}.{normalize_name(zone)}"
-
-
 def _label_of(name: str, zone: str) -> str | None:
     suffix = "." + normalize_name(zone)
     if name.endswith(suffix):
         return name[: -len(suffix)]
     return None
+
+
+class _DnsHits(NamedTuple):
+    """What one pass over the DNS log finds, keyed by in-zone label."""
+
+    static: int  # hits on the static beacon name
+    dynamic: dict[str, list[float]]  # issued dynamic label -> hit timestamps
+    anomalies: set[str]  # in-zone labels never issued (apex excluded)
+
+    def reappearances(self) -> list[Reappearance]:
+        return sorted(
+            (
+                Reappearance(subdomain=label, hit_count=len(stamps), timestamps=tuple(sorted(stamps)))
+                for label, stamps in self.dynamic.items()
+                if len(stamps) >= 2
+            ),
+            key=lambda r: r.subdomain,
+        )
+
+
+def _scan_dns(
+    dns_log: Iterable[DnsQueryRecord], issued_dynamic: set[str], static_label: str, zone: str
+) -> _DnsHits:
+    static = 0
+    dynamic: dict[str, list[float]] = defaultdict(list)
+    anomalies: set[str] = set()
+    for record in dns_log:
+        label = _label_of(record.name, zone)
+        if label is None:
+            continue
+        if label == static_label:
+            static += 1
+        elif label in issued_dynamic:
+            dynamic[label].append(record.timestamp)
+        else:
+            anomalies.add(label)
+    return _DnsHits(static, dict(dynamic), anomalies)
 
 
 def count_unique_users(
@@ -125,8 +164,7 @@ def count_unique_users(
     Counts raw query hits on the static name rather than distinct sources,
     so resolver aggregation cannot undercount lifetimes.
     """
-    target = _beacon_name(static_label, zone)
-    return sum(1 for record in dns_log if record.name == target)
+    return _scan_dns(dns_log, set(), static_label, zone).static
 
 
 def detect_reappearances(
@@ -141,45 +179,22 @@ def detect_reappearances(
     a cache-clearing event. In-zone hits on labels that were never issued
     (and are not the static label or the apex) are reported separately.
     """
-    issued = set(issued_dynamic)
-    hits: dict[str, list[float]] = defaultdict(list)
-    anomalies: set[str] = set()
-    for record in dns_log:
-        label = _label_of(record.name, zone)
-        if label is None or label == static_label:
-            continue
-        if label in issued:
-            hits[label].append(record.timestamp)
-        else:
-            anomalies.add(label)
-    reappearances = [
-        Reappearance(subdomain=label, hit_count=len(stamps), timestamps=tuple(sorted(stamps)))
-        for label, stamps in hits.items()
-        if len(stamps) >= 2
-    ]
-    reappearances.sort(key=lambda r: r.subdomain)
-    return reappearances, sorted(anomalies)
+    hits = _scan_dns(dns_log, set(issued_dynamic), static_label, zone)
+    return hits.reappearances(), sorted(hits.anomalies)
 
 
-def tag_accounting(
+def _issued_dynamic(tags: Iterable[Tag]) -> set[str]:
+    return {tag.subdomain for tag in tags if tag.kind == DYNAMIC}
+
+
+def _accounting(
     tags: Sequence[Tag],
-    dns_log: Iterable[DnsQueryRecord],
+    issued_dynamic: set[str],
+    dns_hits: _DnsHits,
     fetch_log: Iterable[FetchRecord],
     static_label: str,
     zone: str,
 ) -> TagAccounting:
-    """Issue and hit totals per tag kind, keyed by subdomain label."""
-    issued_dynamic = {tag.subdomain for tag in tags if tag.kind == DYNAMIC}
-    static_name = _beacon_name(static_label, zone)
-    static_dns = 0
-    dynamic_dns = 0
-    for record in dns_log:
-        if record.name == static_name:
-            static_dns += 1
-        else:
-            label = _label_of(record.name, zone)
-            if label in issued_dynamic:
-                dynamic_dns += 1
     static_obj = 0
     dynamic_obj = 0
     for record in fetch_log:
@@ -192,27 +207,47 @@ def tag_accounting(
     return TagAccounting(
         static_issued=sum(1 for tag in tags if tag.kind == STATIC),
         dynamic_issued=len(issued_dynamic),
-        static_dns_hits=static_dns,
-        dynamic_dns_hits=dynamic_dns,
+        static_dns_hits=dns_hits.static,
+        dynamic_dns_hits=sum(len(stamps) for stamps in dns_hits.dynamic.values()),
         static_object_hits=static_obj,
         dynamic_object_hits=dynamic_obj,
     )
 
 
-def ua_records_from_exchanges(exchanges: Iterable[HttpExchange]) -> list[UaRecord]:
+def tag_accounting(
+    tags: Sequence[Tag],
+    dns_log: Iterable[DnsQueryRecord],
+    fetch_log: Iterable[FetchRecord],
+    static_label: str,
+    zone: str,
+) -> TagAccounting:
+    """Issue and hit totals per tag kind, keyed by subdomain label."""
+    issued_dynamic = _issued_dynamic(tags)
+    dns_hits = _scan_dns(dns_log, issued_dynamic, static_label, zone)
+    return _accounting(tags, issued_dynamic, dns_hits, fetch_log, static_label, zone)
+
+
+def ua_records_from_exchanges(
+    exchanges: Iterable[HttpExchange | ExchangeView],
+) -> list[UaRecord]:
     """Observable user-agent stream: one record per non-encrypted exchange,
-    empty raw when the request carried no user-agent header."""
+    empty raw when the request carried no user-agent header. Each distinct
+    string is parsed once."""
+    tokens: dict[str, tuple] = {}
     records = []
     for exchange in exchanges:
         if exchange.is_encrypted:
             continue
-        raw = exchange.header("user-agent", which="request") or ""
-        records.append(UaRecord.from_raw(raw, exchange.timestamp))
+        raw = exchange.user_agent or ""
+        parsed = tokens.get(raw)
+        if parsed is None:
+            parsed = tokens[raw] = parse_user_agent(raw)
+        records.append(UaRecord(raw, exchange.timestamp, parsed))
     return records
 
 
 def build_report(
-    exchanges: Sequence[HttpExchange],
+    exchanges: Sequence[HttpExchange | ExchangeView],
     tags: Sequence[Tag],
     dns_log: Sequence[DnsQueryRecord],
     fetch_log: Sequence[FetchRecord],
@@ -221,14 +256,18 @@ def build_report(
     zone: str,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> CorrelationReport:
-    """Fuse all sources into one report. All logs must share one epoch."""
-    accounting = tag_accounting(tags, dns_log, fetch_log, static_label, zone)
-    issued_dynamic = [tag.subdomain for tag in tags if tag.kind == DYNAMIC]
-    reappearances, anomalies = detect_reappearances(dns_log, issued_dynamic, static_label, zone)
+    """Fuse all sources into one report. All logs must share one epoch.
+
+    The exchanges may be HttpExchanges or their ExchangeViews; the report
+    is the same. The DNS log is read in one pass.
+    """
+    issued_dynamic = _issued_dynamic(tags)
+    dns_hits = _scan_dns(dns_log, issued_dynamic, static_label, zone)
+    accounting = _accounting(tags, issued_dynamic, dns_hits, fetch_log, static_label, zone)
     ua_records = ua_records_from_exchanges(exchanges)
     return CorrelationReport(
-        unique_users=count_unique_users(dns_log, static_label, zone),
-        reappearances=tuple(reappearances),
+        unique_users=dns_hits.static,
+        reappearances=tuple(dns_hits.reappearances()),
         static_dns_hits=accounting.static_dns_hits,
         static_object_hits=accounting.static_object_hits,
         dynamic_tags_issued=accounting.dynamic_issued,
@@ -236,7 +275,7 @@ def build_report(
         mime_distribution=mime_distribution(exchanges),
         ratio_series=ratio_series(ua_records, db, window_seconds),
         ua_growth=tuple(unique_ua_growth(ua_records, window_seconds)),
-        anomalies=tuple(anomalies),
+        anomalies=tuple(sorted(dns_hits.anomalies)),
     )
 
 

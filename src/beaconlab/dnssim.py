@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
+from beaconlab.httplog import read_csv_log
+
 _NAME_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?$")
 
 QTYPE_A = 1
@@ -107,15 +109,9 @@ def write_query_log(log: Iterable[DnsQueryRecord], path: str) -> None:
 
 
 def read_query_log(path: str) -> list[DnsQueryRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            records.append(DnsQueryRecord(name=row[2], source=row[1], timestamp=float(row[0])))
-    return records
+    return read_csv_log(
+        path, 3, lambda row: DnsQueryRecord(name=row[2], source=row[1], timestamp=float(row[0]))
+    )
 
 
 # --- wire format -----------------------------------------------------------

@@ -3,15 +3,22 @@
 Every pipeline stage exchanges traffic through this one record type, so
 simulator output, live-proxy output, and correlator input are all
 file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
+The CSV logs of the other stages are read through read_csv_log here, so
+every log names a malformed line the same way (LogFormatError).
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
+import csv
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+
+T = TypeVar("T")
 
 Headers = tuple[tuple[str, str], ...]
 
@@ -29,10 +36,11 @@ _FIELDS = (
     "response_body",
     "is_encrypted",
 )
+_REQUIRED = frozenset(_FIELDS) - {"ground_truth_client"}
 
 
 class LogFormatError(ValueError):
-    """A malformed line in an exchange log. Carries the 1-based line number."""
+    """A malformed line in a log file. Carries the 1-based line number."""
 
     def __init__(self, path: str, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
@@ -70,11 +78,35 @@ class HttpExchange:
     def header(self, name: str, which: str = "response") -> str | None:
         """First header value matching ``name`` case-insensitively."""
         headers = self.request_headers if which == "request" else self.response_headers
-        lowered = name.lower()
-        for key, value in headers:
-            if key.lower() == lowered:
-                return value
-        return None
+        return _first_header(headers, name.lower())
+
+    @property
+    def user_agent(self) -> str | None:
+        return _first_header(self.request_headers, "user-agent")
+
+    @property
+    def content_type(self) -> str | None:
+        return _first_header(self.response_headers, "content-type")
+
+
+class ExchangeView(NamedTuple):
+    """The part of an exchange that analysis reads.
+
+    Has the attributes of HttpExchange that mime_distribution and the
+    user-agent stream use, so either record type can feed them.
+    """
+
+    timestamp: float
+    is_encrypted: bool
+    user_agent: str | None  # first request User-Agent header
+    content_type: str | None  # first response Content-Type header
+
+
+def _first_header(headers, lowered: str) -> str | None:
+    for key, value in headers:
+        if key.lower() == lowered:
+            return value
+    return None
 
 
 @dataclass(frozen=True)
@@ -90,7 +122,7 @@ class MimeDistribution:
         return 100.0 * self.counts.get(mime, 0) / self.total
 
 
-def mime_type(exchange: HttpExchange) -> str:
+def mime_type(exchange: HttpExchange | ExchangeView) -> str:
     """Media type of the response, or "unknown".
 
     Derived only from the Content-Type response header: first header wins,
@@ -99,14 +131,14 @@ def mime_type(exchange: HttpExchange) -> str:
     """
     if exchange.is_encrypted:
         return "unknown"
-    value = exchange.header("content-type")
+    value = exchange.content_type
     if value is None:
         return "unknown"
     media = value.split(";", 1)[0].strip().lower()
     return media or "unknown"
 
 
-def mime_distribution(exchanges: Iterable[HttpExchange]) -> MimeDistribution:
+def mime_distribution(exchanges: Iterable[HttpExchange | ExchangeView]) -> MimeDistribution:
     """Count every non-encrypted exchange once under its media type."""
     counts: Counter = Counter()
     total = 0
@@ -122,15 +154,47 @@ def _headers_to_json(headers: Headers) -> list:
     return [[name, value] for name, value in headers]
 
 
-def _headers_from_json(raw, what: str) -> Headers:
-    if not isinstance(raw, list):
-        raise ValueError(f"{what} must be a list of [name, value] pairs")
-    out = []
-    for pair in raw:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"{what} must be a list of [name, value] pairs")
-        out.append((str(pair[0]), str(pair[1])))
-    return tuple(out)
+def _check_headers(raw, what: str) -> None:
+    if isinstance(raw, list):
+        for pair in raw:
+            if not isinstance(pair, list) or len(pair) != 2:
+                break
+        else:
+            return
+    raise ValueError(f"{what} must be a list of [name, value] pairs")
+
+
+def _headers_from_json(raw: list) -> Headers:
+    return tuple((str(name), str(value)) for name, value in raw)
+
+
+def _first_json_header(raw: list, lowered: str) -> str | None:
+    """First value of a checked JSON header list, as HttpExchange.header finds it."""
+    for name, value in raw:
+        if str(name).lower() == lowered:
+            return str(value)
+    return None
+
+
+def _validate_record(obj) -> tuple[int, bytes]:
+    """Check one decoded log record; return its status and decoded body.
+
+    The one gate every exchange-log reader applies, so all of them reject
+    the same lines. Raises ValueError (or TypeError for a value of the
+    wrong JSON type) naming the first defect.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    if not _REQUIRED <= obj.keys():
+        missing = [f for f in _FIELDS if f in _REQUIRED and f not in obj]
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    _check_headers(obj["request_headers"], "request_headers")
+    status = int(obj["response_status"])
+    _check_headers(obj["response_headers"], "response_headers")
+    body = binascii.a2b_base64(obj["response_body"])
+    if obj["is_encrypted"] and body:
+        raise ValueError("encrypted exchanges carry no body")
+    return status, body
 
 
 def exchange_to_json(exchange: HttpExchange) -> str:
@@ -154,9 +218,7 @@ def exchange_to_json(exchange: HttpExchange) -> str:
 
 
 def exchange_from_json(obj: dict) -> HttpExchange:
-    missing = [f for f in _FIELDS if f != "ground_truth_client" and f not in obj]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
+    status, body = _validate_record(obj)
     extra = {k: v for k, v in obj.items() if k not in _FIELDS}
     return HttpExchange(
         exchange_id=str(obj["exchange_id"]),
@@ -165,13 +227,38 @@ def exchange_from_json(obj: dict) -> HttpExchange:
         ground_truth_client=obj.get("ground_truth_client"),
         method=str(obj["method"]),
         url=str(obj["url"]),
-        request_headers=_headers_from_json(obj["request_headers"], "request_headers"),
-        response_status=int(obj["response_status"]),
-        response_headers=_headers_from_json(obj["response_headers"], "response_headers"),
-        response_body=base64.b64decode(obj["response_body"]),
+        request_headers=_headers_from_json(obj["request_headers"]),
+        response_status=status,
+        response_headers=_headers_from_json(obj["response_headers"]),
+        response_body=body,
         is_encrypted=bool(obj["is_encrypted"]),
         extra=extra,
     )
+
+
+def view_from_json(obj: dict) -> ExchangeView:
+    """The ExchangeView of a record, accepting exactly what exchange_from_json accepts."""
+    _validate_record(obj)
+    user_agent = _first_json_header(obj["request_headers"], "user-agent")
+    content_type = _first_json_header(obj["response_headers"], "content-type")
+    return ExchangeView(
+        obj["timestamp"],
+        bool(obj["is_encrypted"]),
+        None if user_agent is None else sys.intern(user_agent),
+        None if content_type is None else sys.intern(content_type),
+    )
+
+
+def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                yield convert(json.loads(stripped))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise LogFormatError(path, line_no, str(exc)) from exc
 
 
 def iter_exchange_log(path: str) -> Iterator[HttpExchange]:
@@ -180,23 +267,46 @@ def iter_exchange_log(path: str) -> Iterator[HttpExchange]:
     Raises LogFormatError naming the 1-based line number. Callers that
     need all-or-nothing semantics should use read_exchange_log.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-                if not isinstance(obj, dict):
-                    raise ValueError("record is not an object")
-                yield exchange_from_json(obj)
-            except (ValueError, KeyError) as exc:
-                raise LogFormatError(path, line_no, str(exc)) from exc
+    return _iter_log(path, exchange_from_json)
 
 
 def read_exchange_log(path: str) -> list[HttpExchange]:
     """Read a whole log; a malformed line fails the read, no partial result."""
     return list(iter_exchange_log(path))
+
+
+def read_exchange_views(path: str) -> list[ExchangeView]:
+    """Read a whole log as ExchangeViews: every line is validated as
+    read_exchange_log validates it, but no HttpExchange is built and no
+    body is kept, so memory grows with the line count only."""
+    return list(_iter_log(path, view_from_json))
+
+
+def read_csv_log(path: str, columns: int, make: Callable[[list[str]], T]) -> list[T]:
+    """Records of a CSV log with a header row; blank rows are skipped.
+
+    A row with other than ``columns`` fields, or one ``make`` rejects with
+    ValueError, raises LogFormatError naming its line.
+    """
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader, None)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != columns:
+                    raise LogFormatError(
+                        path, reader.line_num, f"expected {columns} fields, got {len(row)}"
+                    )
+                try:
+                    records.append(make(row))
+                except ValueError as exc:
+                    raise LogFormatError(path, reader.line_num, str(exc)) from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise LogFormatError(path, reader.line_num, str(exc)) from exc
+    return records
 
 
 def write_exchange_log(exchanges: Iterable[HttpExchange], path: str) -> None:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from beaconlab.httplog import Headers, HttpExchange, mime_type
+from beaconlab.httplog import Headers, HttpExchange, mime_type, read_csv_log
 
 MARKER_BEGIN = "<!--bx:begin-->"
 MARKER_END = "<!--bx:end-->"
@@ -167,16 +167,9 @@ def write_tag_log(tags: Iterable[Tag], path: str) -> None:
 
 
 def read_tag_log(path: str) -> list[Tag]:
-    tags = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            kind, subdomain, url, exchange_id, injected_at = row
-            tags.append(Tag(kind, subdomain, url, exchange_id, float(injected_at)))
-    return tags
+    return read_csv_log(
+        path, 5, lambda row: Tag(row[0], row[1], row[2], row[3], float(row[4]))
+    )
 
 
 def rewrite_log(

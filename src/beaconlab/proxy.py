@@ -183,7 +183,9 @@ class ProxyService:
 
     The mode flag is read once per exchange, so a switch never applies to
     an exchange already past its injection decision. The injector and
-    each log writer are single-writer behind one lock.
+    each log writer are single-writer behind one lock. After stop(), a
+    client connection that is still open gets 503 with Connection: close
+    and nothing more is relayed or logged.
     """
 
     def __init__(self, config: ProxyConfig):
@@ -204,6 +206,7 @@ class ProxyService:
             self._tag_writer.writerow(["kind", "subdomain", "url", "exchange_id", "injected_at"])
             self._tag_fh.flush()
         self._error_fh = open(config.error_log_path, "a", encoding="utf-8")
+        self._stopped = False  # set under _log_lock; logs are closed once it is True
         self.exchanges_handled = 0
         self.tags_injected = 0
         self._exchange_seq = 0
@@ -238,6 +241,8 @@ class ProxyService:
             self._threads.append(thread)
 
     def stop(self) -> None:
+        with self._log_lock:
+            self._stopped = True
         self._http_server.shutdown()
         self._control_server.shutdown()
         self._http_server.server_close()
@@ -280,6 +285,8 @@ class ProxyService:
             return f"OK mode={argument.upper()}"
         # SNAPSHOT: flush everything and report file positions
         with self._log_lock:
+            if self._stopped:
+                return "ERR proxy stopped"
             self._tag_fh.flush()
             self._error_fh.flush()
             exchange_bytes = self.exchange_log.tell()
@@ -295,8 +302,11 @@ class ProxyService:
                 return self.injector.inject(exchange)
         return exchange, []
 
-    def _log_exchange(self, exchange: HttpExchange, tags: list[Tag]) -> None:
+    def _log_exchange(self, exchange: HttpExchange, tags: list[Tag]) -> bool:
+        """Log one exchange and its tags; False, logging nothing, once stopped."""
         with self._log_lock:
+            if self._stopped:
+                return False
             self.exchange_log.append(exchange)
             for tag in tags:
                 self._tag_writer.writerow(
@@ -306,9 +316,12 @@ class ProxyService:
                 self._tag_fh.flush()
             self.exchanges_handled += 1
             self.tags_injected += len(tags)
+        return True
 
     def _log_error(self, message: str) -> None:
         with self._log_lock:
+            if self._stopped:
+                return
             self._error_fh.write(f"{time.time():.3f} {message}\n")
             self._error_fh.flush()
 
@@ -350,6 +363,9 @@ class ProxyService:
 
     def handle_request_socketless(self, handler: BaseHTTPRequestHandler) -> None:
         """Relay one absolute-URI proxy request and deliver the response."""
+        if self._stopped:
+            handler.send_error(503, "proxy stopped")  # with Connection: close
+            return
         url = handler.path
         parts = urlsplit(url)
         if parts.scheme != "http" or not parts.hostname:
@@ -415,7 +431,9 @@ class ProxyService:
         )
         mode = self.current_mode()
         delivered, tags = self.process_response(exchange, mode)
-        self._log_exchange(delivered, tags)
+        if not self._log_exchange(delivered, tags):
+            handler.send_error(503, "proxy stopped")  # with Connection: close
+            return
         self._deliver(handler, delivered)
 
     @staticmethod
@@ -433,6 +451,9 @@ class ProxyService:
 
     def handle_connect(self, handler: BaseHTTPRequestHandler) -> None:
         """Opaque tunnel: logged as an encrypted exchange, never rewritten."""
+        if self._stopped:
+            handler.send_error(503, "proxy stopped")  # with Connection: close
+            return
         target = handler.path
         host, _, port = target.partition(":")
         try:
@@ -444,7 +465,7 @@ class ProxyService:
             handler.send_error(502, "upstream unreachable")
             return
         exchange_id, flow_id = self._next_ids()
-        self._log_exchange(
+        logged = self._log_exchange(
             HttpExchange(
                 exchange_id=exchange_id,
                 timestamp=time.time(),
@@ -459,6 +480,10 @@ class ProxyService:
             ),
             [],
         )
+        if not logged:
+            upstream.close()
+            handler.send_error(503, "proxy stopped")  # with Connection: close
+            return
         handler.send_response_only(200, "Connection Established")
         handler.end_headers()
         handler.wfile.flush()

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from beaconlab.httplog import read_csv_log
+
 DEFAULT_WINDOW_SECONDS = 900.0
 
 # Name/Version product tokens, e.g. "AcmeBrowser/3.2.1"
@@ -300,15 +302,7 @@ def unique_ua_growth(
 
 def read_ua_log(path: str) -> list[UaRecord]:
     """Line-delimited (timestamp, raw) observations, CSV with a header."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            records.append(UaRecord.from_raw(raw=row[1], first_seen=float(row[0])))
-    return records
+    return read_csv_log(path, 2, lambda row: UaRecord.from_raw(raw=row[1], first_seen=float(row[0])))
 
 
 def write_ua_log(records: Iterable[UaRecord], path: str) -> None:

@@ -116,6 +116,27 @@ class TestAnalyze:
         assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
         assert "tag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "log, damage",
+        [
+            ("dns_queries.csv", lambda row: row.rsplit(",", 1)[0]),  # truncated: 2 of 3 fields
+            ("fetches.csv", lambda row: "soon" + row[row.index(","):]),  # timestamp not a number
+            ("tags.csv", lambda row: row + ",extra"),  # 6 of 5 fields
+        ],
+        ids=["dns_queries", "fetches", "tags"],
+    )
+    def test_malformed_csv_row_is_named(self, tmp_path, sim_dir, capsys, log, damage):
+        path = os.path.join(sim_dir, log)
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\r\n")
+        lines[2] = damage(lines[2])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\r\n".join(lines))
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: " in err
+        assert "Traceback" not in err
+
     def test_passive_only_logs_zero_tags(self, tmp_path, sim_dir):
         open(os.path.join(sim_dir, "tags.csv"), "w").write(
             "kind,subdomain,url,exchange_id,injected_at\n"

@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import os
+from unittest import mock
 
 import pytest
 
+from beaconlab import correlate
 from beaconlab.clientsim import FetchRecord, calibrated_vuln_db, run_scenario
 from beaconlab.correlate import (
     MissingLogError,
@@ -13,10 +16,10 @@ from beaconlab.correlate import (
     tag_accounting,
     write_report,
 )
-from beaconlab.dnssim import DnsQueryRecord, write_query_log
-from beaconlab.httplog import write_exchange_log
-from beaconlab.inject import Tag, write_tag_log
-from beaconlab.clientsim import write_fetch_log
+from beaconlab.dnssim import DnsQueryRecord, read_query_log, write_query_log
+from beaconlab.httplog import read_exchange_log, write_exchange_log
+from beaconlab.inject import Tag, read_tag_log, write_tag_log
+from beaconlab.clientsim import read_fetch_log, write_fetch_log
 from tests.test_clientsim import small_config
 
 ZONE = "feedback.test"
@@ -25,6 +28,34 @@ DB = calibrated_vuln_db()
 
 def dns(name, ts, source="s1"):
     return DnsQueryRecord(name=name, source=source, timestamp=ts)
+
+
+def write_logs(result, log_dir):
+    os.makedirs(log_dir, exist_ok=True)
+    write_exchange_log(result.exchanges, os.path.join(log_dir, "exchanges.jsonl"))
+    write_tag_log(result.tags, os.path.join(log_dir, "tags.csv"))
+    write_query_log(result.dns_log, os.path.join(log_dir, "dns_queries.csv"))
+    write_fetch_log(result.fetch_log, os.path.join(log_dir, "fetches.csv"))
+
+
+def simulated_logs(config, log_dir):
+    write_logs(run_scenario(config), log_dir)
+
+
+def report_files(report, out_dir):
+    write_report(report, out_dir)
+    files = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+# A default and a churn-shaped (many restarts, few visits) small scenario.
+SCENARIOS = {
+    "default": small_config(),
+    "churn": small_config(client_count=60, visit_rate=0.002, restart_count=40),
+}
 
 
 class TestCountUniqueUsers:
@@ -160,17 +191,10 @@ class TestBuildReport:
 
 
 class TestFromDir:
-    def _write_logs(self, result, log_dir):
-        os.makedirs(log_dir, exist_ok=True)
-        write_exchange_log(result.exchanges, os.path.join(log_dir, "exchanges.jsonl"))
-        write_tag_log(result.tags, os.path.join(log_dir, "tags.csv"))
-        write_query_log(result.dns_log, os.path.join(log_dir, "dns_queries.csv"))
-        write_fetch_log(result.fetch_log, os.path.join(log_dir, "fetches.csv"))
-
     def test_round_trip_through_files(self, tmp_path):
         result = run_scenario(small_config())
         log_dir = str(tmp_path / "logs")
-        self._write_logs(result, log_dir)
+        write_logs(result, log_dir)
         report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=result.config.zone)
         assert report.unique_users == result.ground_truth["unique_user_lifetimes"]
         out_dir = str(tmp_path / "out")
@@ -181,8 +205,106 @@ class TestFromDir:
     def test_missing_log_names_the_source(self, tmp_path):
         result = run_scenario(small_config())
         log_dir = str(tmp_path / "logs")
-        self._write_logs(result, log_dir)
+        write_logs(result, log_dir)
         os.remove(os.path.join(log_dir, "dns_queries.csv"))
         with pytest.raises(MissingLogError) as excinfo:
             build_report_from_dir(log_dir, DB, static_label="pixel", zone=result.config.zone)
         assert excinfo.value.source == "dns"
+
+
+class TestExchangeViewsGiveTheSameReport:
+    @pytest.mark.parametrize("scenario", SCENARIOS.values(), ids=SCENARIOS.keys())
+    def test_from_dir_equals_full_exchanges(self, tmp_path, scenario):
+        log_dir = str(tmp_path / "logs")
+        simulated_logs(scenario, log_dir)
+        path = lambda name: os.path.join(log_dir, name)
+        from_dir = build_report_from_dir(log_dir, DB, static_label="pixel", zone=scenario.zone)
+        full = build_report(
+            read_exchange_log(path("exchanges.jsonl")),
+            read_tag_log(path("tags.csv")),
+            read_query_log(path("dns_queries.csv")),
+            read_fetch_log(path("fetches.csv")),
+            DB,
+            static_label="pixel",
+            zone=scenario.zone,
+        )
+        views = report_files(from_dir, str(tmp_path / "views"))
+        assert set(views) == {"report.json", "ratio_series.csv", "mime_distribution.csv", "ua_growth.csv"}
+        assert views == report_files(full, str(tmp_path / "full"))
+
+    def test_report_bytes_pinned(self, tmp_path):
+        # sha256 of report.json for this seeded scenario, the bytes that
+        # analysis over full HttpExchange records writes.
+        log_dir = str(tmp_path / "logs")
+        simulated_logs(SCENARIOS["default"], log_dir)
+        report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=SCENARIOS["default"].zone)
+        digest = hashlib.sha256(report_files(report, str(tmp_path / "out"))["report.json"]).hexdigest()
+        assert digest == "12af4c27f98f23662f577693beac353f32365a84e3d7272358a621c8f15db9c7"
+
+
+class TestOneDnsPass:
+    def test_build_report_iterates_dns_log_once(self):
+        class CountingList(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        result = run_scenario(SCENARIOS["churn"])
+        dns_log = CountingList(result.dns_log)
+        build_report(result.exchanges, result.tags, dns_log, result.fetch_log, DB,
+                     static_label="pixel", zone=result.config.zone)
+        assert dns_log.passes == 1
+
+
+# The names perfbench/offline.py patches on correlate's module globals to
+# trace an analysis (its traced stage fails if one is missing).
+BENCHMARK_HOOKS = (
+    "read_exchange_log",
+    "read_tag_log",
+    "read_query_log",
+    "read_fetch_log",
+    "tag_accounting",
+    "detect_reappearances",
+    "ua_records_from_exchanges",
+    "count_unique_users",
+    "mime_distribution",
+    "ratio_series",
+    "unique_ua_growth",
+    "write_report",
+)
+
+
+class TestBenchmarkHooks:
+    @pytest.mark.parametrize("name", BENCHMARK_HOOKS)
+    def test_correlate_exposes_hook(self, name):
+        assert callable(getattr(correlate, name))
+
+    @pytest.mark.parametrize(
+        "name", ["read_exchange_log", "read_query_log", "ua_records_from_exchanges"]
+    )
+    def test_build_report_from_dir_calls_through_module_globals(self, tmp_path, name):
+        log_dir = str(tmp_path / "logs")
+        config = SCENARIOS["default"]
+        simulated_logs(config, log_dir)
+        with mock.patch.object(correlate, name, wraps=getattr(correlate, name)) as spy:
+            build_report_from_dir(log_dir, DB, static_label="pixel", zone=config.zone)
+        spy.assert_called_once()
+
+    def test_ua_records_are_sized_and_carry_raw(self, tmp_path):
+        log_dir = str(tmp_path / "logs")
+        config = SCENARIOS["default"]
+        simulated_logs(config, log_dir)
+        kept = []
+        real = correlate.ua_records_from_exchanges
+
+        def keep(exchanges):
+            kept.append(real(exchanges))
+            return kept[-1]
+
+        with mock.patch.object(correlate, "ua_records_from_exchanges", keep):
+            build_report_from_dir(log_dir, DB, static_label="pixel", zone=config.zone)
+        (records,) = kept
+        assert len(records) > 0
+        assert all(isinstance(record.raw, str) for record in records)

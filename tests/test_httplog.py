@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconlab.httplog import (
+    ExchangeView,
     HttpExchange,
     LogFormatError,
     exchange_from_json,
@@ -12,6 +14,8 @@ from beaconlab.httplog import (
     mime_distribution,
     mime_type,
     read_exchange_log,
+    read_exchange_views,
+    view_from_json,
     write_exchange_log,
 )
 
@@ -187,3 +191,79 @@ class TestLogRoundTrip:
         dist = mime_distribution(exchanges)
         assert dist.total == sum(1 for e in exchanges if not e.is_encrypted)
         assert sum(dist.counts.values()) == dist.total
+
+
+def _record(**changes) -> dict:
+    obj = json.loads(exchange_to_json(make_exchange("text/html", body=b"<p>x</p>")))
+    obj.update(changes)
+    return obj
+
+
+# One line per check the exchange-log readers make; each is line 3 of its log.
+MALFORMED_LINES = {
+    "bad_base64_padding": json.dumps(_record(response_body="PHA+eDwvcD4")),
+    "encrypted_with_body": json.dumps(_record(is_encrypted=True)),
+    "missing_field": json.dumps({k: v for k, v in _record().items() if k != "url"}),
+    "headers_not_a_list": json.dumps(_record(request_headers="Host: example.test")),
+    "header_pair_of_three": json.dumps(_record(response_headers=[["a", "b", "c"]])),
+    "non_object": "[1, 2, 3]",
+    "status_not_a_number": json.dumps(_record(response_status="ok")),
+    "status_null": json.dumps(_record(response_status=None)),
+    "body_not_a_string": json.dumps(_record(response_body=5)),
+    "torn_last_line": '{"exchange_id": "x3", "timest',
+}
+
+
+class TestExchangeViews:
+    @pytest.mark.parametrize("bad_line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+    def test_rejects_what_the_full_reader_rejects(self, tmp_path, bad_line):
+        path = str(tmp_path / "log.jsonl")
+        write_exchange_log([make_exchange("text/html"), make_exchange("text/css")], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line)
+            if not bad_line.endswith("timest"):
+                fh.write("\n" + exchange_to_json(make_exchange("image/gif")) + "\n")
+        with pytest.raises(LogFormatError) as full:
+            read_exchange_log(path)
+        with pytest.raises(LogFormatError) as views:
+            read_exchange_views(path)
+        assert full.value.line_no == views.value.line_no == 3
+        assert views.value.path == path
+
+    def test_reads_what_the_full_reader_reads(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        exchanges = [
+            make_exchange("text/html", body=b"<p>a</p>", timestamp=1.0),
+            make_exchange(encrypted=True, timestamp=2.0),
+            make_exchange(timestamp=3.0),
+        ]
+        write_exchange_log(exchanges, path)
+        assert read_exchange_views(path) == [
+            ExchangeView(1.0, False, None, "text/html"),
+            ExchangeView(2.0, True, None, None),
+            ExchangeView(3.0, False, None, None),
+        ]
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["User-Agent", "user-agent", "Content-Type", "CONTENT-TYPE", "Host"]),
+                st.text(max_size=20),
+            ),
+            max_size=5,
+        ),
+        st.booleans(),
+    )
+    def test_view_matches_the_full_record(self, headers, encrypted):
+        exchange = dataclasses.replace(
+            make_exchange(encrypted=encrypted),
+            request_headers=tuple(headers),
+            response_headers=tuple(reversed(headers)),
+        )
+        obj = json.loads(exchange_to_json(exchange))
+        full = exchange_from_json(obj)
+        assert view_from_json(obj) == ExchangeView(
+            full.timestamp, full.is_encrypted, full.user_agent, full.content_type
+        )
+        assert mime_type(view_from_json(obj)) == mime_type(full)

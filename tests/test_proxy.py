@@ -375,6 +375,34 @@ class TestMalformedRequest:
         assert "Content-Length" in lines[0]
 
 
+class TestStop:
+    def test_open_connection_after_stop_is_refused(self, service, origin, capfd):
+        url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
+        request = b"GET " + url + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        config = service.config
+        logs = (config.exchange_log_path, config.tag_log_path, config.error_log_path)
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while not reply.endswith(HTML_PAGE):
+                reply += sock.recv(65536)
+            service.stop()
+            sizes = [os.path.getsize(path) for path in logs]
+            sock.sendall(request)  # same keep-alive connection, after stop()
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 503 ")
+        assert b"Connection: close" in reply
+        assert "Traceback" not in capfd.readouterr().err
+        assert [os.path.getsize(path) for path in logs] == sizes
+        assert len(read_exchange_log(config.exchange_log_path)) == 1
+
+    def test_snapshot_after_stop_is_an_error(self, service):
+        service.stop()
+        assert service.handle_control_line("SNAPSHOT") == "ERR proxy stopped"
+
+
 class TestConnectTunnel:
     def test_tunnel_relays_and_logs_encrypted(self, service):
         # plain TCP echo stands in for a TLS origin: the proxy must not care
