@@ -61,10 +61,11 @@ def cmd_simulate(args) -> int:
     result = clientsim.run_scenario(config)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    httplog.write_exchange_log(result.exchanges, os.path.join(out, "exchanges.jsonl"))
-    inject.write_tag_log(result.tags, os.path.join(out, "tags.csv"))
-    dnssim.write_query_log(result.dns_log, os.path.join(out, "dns_queries.csv"))
-    clientsim.write_fetch_log(result.fetch_log, os.path.join(out, "fetches.csv"))
+    logs = {source: os.path.join(out, name) for source, name in correlate.LOG_FILENAMES.items()}
+    httplog.write_exchange_log(result.exchanges, logs["exchange"])
+    inject.write_tag_log(result.tags, logs["tag"])
+    dnssim.write_query_log(result.dns_log, logs["dns"])
+    clientsim.write_fetch_log(result.fetch_log, logs["fetch"])
     with open(os.path.join(out, "ground_truth.json"), "w", encoding="utf-8") as fh:
         json.dump(result.ground_truth, fh, indent=2)
         fh.write("\n")
@@ -178,8 +179,8 @@ def cmd_proxy(args) -> int:
     host, port = _split_hostport(args.listen)
     control_host, control_port = _split_hostport(args.control)
     config = proxy.ProxyConfig(
-        exchange_log_path=os.path.join(out, "exchanges.jsonl"),
-        tag_log_path=os.path.join(out, "tags.csv"),
+        exchange_log_path=os.path.join(out, correlate.LOG_FILENAMES["exchange"]),
+        tag_log_path=os.path.join(out, correlate.LOG_FILENAMES["tag"]),
         error_log_path=os.path.join(out, "errors.log"),
         listen_host=host,
         listen_port=port,
@@ -226,7 +227,9 @@ def cmd_dns(args) -> int:
 
     def stop():
         responder.stop()
-        dnssim.write_query_log(responder.resolver.log, os.path.join(out, "dns_queries.csv"))
+        dnssim.write_query_log(
+            responder.resolver.log, os.path.join(out, correlate.LOG_FILENAMES["dns"])
+        )
 
     _run_until_signal(stop)
     return 0

@@ -11,17 +11,15 @@ later expected to recover.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import re
 from dataclasses import dataclass, field, asdict
-from typing import Iterable
 from urllib.parse import urlsplit
 
 from beaconlab.dnssim import DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name
-from beaconlab.httplog import HttpExchange, read_csv_log
-from beaconlab.inject import DEFAULT_STATIC_LABEL, Injector, Tag
+from beaconlab.httplog import CsvLog, HttpExchange
+from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
 HOME_PAGE_URL = "http://home.example/start"
 
@@ -62,9 +60,7 @@ class ClientProfile:
     client_id: str
     user_agent: str
     fetches_objects: bool
-    uses_https_share: float
     restart_schedule: tuple[float, ...]
-    home_page: str = HOME_PAGE_URL
 
 
 @dataclass
@@ -137,18 +133,13 @@ class FetchRecord:
     url: str
 
 
-def write_fetch_log(records: Iterable[FetchRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "source", "url"])
-        for record in records:
-            writer.writerow([record.timestamp, record.source, record.url])
-
-
-def read_fetch_log(path: str) -> list[FetchRecord]:
-    return read_csv_log(
-        path, 3, lambda row: FetchRecord(timestamp=float(row[0]), source=row[1], url=row[2])
-    )
+# fetches.csv: beacon-object hits at the payload server.
+FETCH_LOG = CsvLog(
+    ("timestamp", "source", "url"),
+    lambda row: FetchRecord(timestamp=float(row[0]), source=row[1], url=row[2]),
+)
+write_fetch_log = FETCH_LOG.write
+read_fetch_log = FETCH_LOG.read
 
 
 class _ClientState:
@@ -291,6 +282,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     )
     fetch_log: list[FetchRecord] = []
     exchanges: list[HttpExchange] = []
+    tags: list[Tag] = []
 
     specs = config.ua_population
     weights = [spec.weight for spec in specs]
@@ -305,14 +297,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
 
     clients: list[_ClientState] = []
     events: list[tuple[float, int, int, str, object]] = []
-    taggable_delivered = 0
     for i in range(config.client_count):
         spec = rng.choices(specs, weights=weights)[0] if specs else UaSpec("")
         profile = ClientProfile(
             client_id=f"c{i:05d}",
             user_agent=spec.user_agent,
             fetches_objects=i not in non_fetching_ids,
-            uses_https_share=1.0 - config.http_share,
             restart_schedule=restart_times.get(i, ()),
         )
         state = _ClientState(profile, source=f"10.{(i >> 8) & 0xFF}.{i & 0xFF}.1")
@@ -357,7 +347,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             exchanges.append(origin)
             continue
         url = (
-            state.profile.home_page
+            HOME_PAGE_URL
             if is_home
             else f"http://site{body_rng.randrange(40)}.example/p{body_rng.randrange(500)}"
         )
@@ -386,14 +376,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             is_encrypted=False,
             ground_truth_client=state.profile.client_id,
         )
-        if injector.is_taggable(origin):
-            taggable_delivered += 1
-        delivered, tags = injector.inject(origin)
+        delivered, issued = injector.inject(origin)
         exchanges.append(delivered)
+        tags.extend(issued)
         if is_home and state.cached_home_body is None:
             state.cached_home_body = delivered.response_body
-            for tag in tags:
-                if tag.kind == "dynamic":
+            for tag in issued:
+                if tag.kind == DYNAMIC:
                     state.home_dynamic_subdomain = tag.subdomain
         if state.profile.fetches_objects:
             client_process_response(
@@ -408,7 +397,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             for i in restarted
             if clients[i].home_dynamic_subdomain is not None
         ),
-        "taggable_responses": taggable_delivered,
+        # inject tags a response iff it is taggable, with one dynamic tag
+        "taggable_responses": sum(1 for tag in tags if tag.kind == DYNAMIC),
         "total_exchanges": len(exchanges),
         "clients": [
             {
@@ -424,7 +414,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     }
     return SimulationResult(
         exchanges=exchanges,
-        tags=list(injector.issued),
+        tags=tags,
         dns_log=list(resolver.log),
         fetch_log=fetch_log,
         ground_truth=ground_truth,

@@ -9,7 +9,6 @@ integration tests. Authoritative-only: out-of-zone names are refused.
 
 from __future__ import annotations
 
-import csv
 import re
 import socket
 import socketserver
@@ -19,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from beaconlab.httplog import read_csv_log
+from beaconlab.httplog import CsvLog
 
 _NAME_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?$")
 
@@ -100,18 +99,13 @@ def query_log_by_name(log: Iterable[DnsQueryRecord], name: str) -> list[DnsQuery
     )
 
 
-def write_query_log(log: Iterable[DnsQueryRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "source", "name"])
-        for record in log:
-            writer.writerow([record.timestamp, record.source, record.name])
-
-
-def read_query_log(path: str) -> list[DnsQueryRecord]:
-    return read_csv_log(
-        path, 3, lambda row: DnsQueryRecord(name=row[2], source=row[1], timestamp=float(row[0]))
-    )
+# dns_queries.csv: every answered in-zone address query.
+QUERY_LOG = CsvLog(
+    ("timestamp", "source", "name"),
+    lambda row: DnsQueryRecord(name=row[2], source=row[1], timestamp=float(row[0])),
+)
+write_query_log = QUERY_LOG.write
+read_query_log = QUERY_LOG.read
 
 
 # --- wire format -----------------------------------------------------------

@@ -3,8 +3,9 @@
 Every pipeline stage exchanges traffic through this one record type, so
 simulator output, live-proxy output, and correlator input are all
 file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
-The CSV logs of the other stages are read through read_csv_log here, so
-every log names a malformed line the same way (LogFormatError).
+The CSV logs of the other stages are each declared once as a CsvLog here,
+which reads, writes and appends them, so every log names a malformed line
+the same way (LogFormatError). LogAppender is the one live appender.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from operator import attrgetter
+from typing import IO, Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -261,18 +263,9 @@ def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
                 raise LogFormatError(path, line_no, str(exc)) from exc
 
 
-def iter_exchange_log(path: str) -> Iterator[HttpExchange]:
-    """Yield exchanges from a log file; fail on the first malformed line.
-
-    Raises LogFormatError naming the 1-based line number. Callers that
-    need all-or-nothing semantics should use read_exchange_log.
-    """
-    return _iter_log(path, exchange_from_json)
-
-
 def read_exchange_log(path: str) -> list[HttpExchange]:
-    """Read a whole log; a malformed line fails the read, no partial result."""
-    return list(iter_exchange_log(path))
+    """Read a whole log; a malformed line raises LogFormatError, no partial result."""
+    return list(_iter_log(path, exchange_from_json))
 
 
 def read_exchange_views(path: str) -> list[ExchangeView]:
@@ -282,56 +275,97 @@ def read_exchange_views(path: str) -> list[ExchangeView]:
     return list(_iter_log(path, view_from_json))
 
 
-def read_csv_log(path: str, columns: int, make: Callable[[list[str]], T]) -> list[T]:
-    """Records of a CSV log with a header row; blank rows are skipped.
-
-    A row with other than ``columns`` fields, or one ``make`` rejects with
-    ValueError, raises LogFormatError naming its line.
-    """
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader, None)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != columns:
-                    raise LogFormatError(
-                        path, reader.line_num, f"expected {columns} fields, got {len(row)}"
-                    )
-                try:
-                    records.append(make(row))
-                except ValueError as exc:
-                    raise LogFormatError(path, reader.line_num, str(exc)) from exc
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise LogFormatError(path, reader.line_num, str(exc)) from exc
-    return records
+def _write_exchanges(fh: IO[str], exchanges: Iterable[HttpExchange]) -> None:
+    for exchange in exchanges:
+        fh.write(exchange_to_json(exchange))
+        fh.write("\n")
 
 
 def write_exchange_log(exchanges: Iterable[HttpExchange], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for exchange in exchanges:
-            fh.write(exchange_to_json(exchange))
-            fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_exchanges(fh, exchanges)
 
 
-class ExchangeLogWriter:
-    """Append-mode writer for live capture. Single writer, flush per record."""
+class LogAppender(Generic[T]):
+    """Append-mode log writer for live capture. Single writer.
 
-    def __init__(self, path: str):
-        self.path = path
-        self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="\n")
-        self.count = 0
+    Writes ``header`` into an empty file; each append call writes its
+    records and flushes once.
+    """
 
-    def append(self, exchange: HttpExchange) -> None:
-        self._fh.write(exchange_to_json(exchange))
-        self._fh.write("\n")
+    def __init__(
+        self, path: str, write_rows: Callable[[IO[str], Iterable[T]], None], header: str = ""
+    ):
+        self._write_rows = write_rows
+        self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="")
+        if header and self._fh.tell() == 0:
+            self._fh.write(header)
+            self._fh.flush()
+
+    def append(self, *records: T) -> None:
+        self._write_rows(self._fh, records)
         self._fh.flush()
-        self.count += 1
 
     def tell(self) -> int:
         return self._fh.tell()
 
     def close(self) -> None:
         self._fh.close()
+
+
+def exchange_log_appender(path: str) -> LogAppender[HttpExchange]:
+    return LogAppender(path, _write_exchanges)
+
+
+class CsvLog(Generic[T]):
+    """One CSV log's layout: its header and how a record maps to a row and
+    back; ``to_row`` defaults to the record's attributes the header names.
+
+    On read, blank rows are skipped; a row with another field count than
+    the header, or one ``from_row`` rejects with ValueError, raises
+    LogFormatError naming its line.
+    """
+
+    def __init__(
+        self,
+        header: Sequence[str],
+        from_row: Callable[[list[str]], T],
+        to_row: Callable[[T], Sequence] | None = None,
+    ):
+        self.header = tuple(header)
+        self.from_row = from_row
+        self.to_row = to_row or attrgetter(*self.header)
+        self._header_line = ",".join(self.header) + "\r\n"
+
+    def _write_rows(self, fh: IO[str], records: Iterable[T]) -> None:
+        csv.writer(fh).writerows(map(self.to_row, records))
+
+    def write(self, records: Iterable[T], path: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(self._header_line)
+            self._write_rows(fh, records)
+
+    def appender(self, path: str) -> LogAppender[T]:
+        return LogAppender(path, self._write_rows, self._header_line)
+
+    def read(self, path: str) -> list[T]:
+        columns = len(self.header)
+        records = []
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                next(reader, None)
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != columns:
+                        raise LogFormatError(
+                            path, reader.line_num, f"expected {columns} fields, got {len(row)}"
+                        )
+                    try:
+                        records.append(self.from_row(row))
+                    except ValueError as exc:
+                        raise LogFormatError(path, reader.line_num, str(exc)) from exc
+            except (csv.Error, UnicodeDecodeError) as exc:
+                raise LogFormatError(path, reader.line_num, str(exc)) from exc
+        return records

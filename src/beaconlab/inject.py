@@ -10,18 +10,18 @@ are never re-tagged and the original body can be restored exactly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable
 
-from beaconlab.httplog import Headers, HttpExchange, mime_type, read_csv_log
+from beaconlab.httplog import (
+    CsvLog, Headers, HttpExchange, mime_type, read_exchange_log, write_exchange_log
+)
 
 MARKER_BEGIN = "<!--bx:begin-->"
 MARKER_END = "<!--bx:end-->"
 DEFAULT_STATIC_LABEL = "pixel"
-DEFAULT_OBJECT_NAME = "p.gif"
+OBJECT_NAME = "p.gif"
 
 _BODY_OPEN_RE = re.compile(rb"<body[\s>]", re.IGNORECASE)
 _BODY_CLOSE_RE = re.compile(rb"</body\s*>", re.IGNORECASE)
@@ -55,24 +55,16 @@ class Injector:
     to one task or guard with a lock.
     """
 
-    def __init__(
-        self,
-        zone: str,
-        static_label: str = DEFAULT_STATIC_LABEL,
-        seed: int = 0,
-        object_name: str = DEFAULT_OBJECT_NAME,
-    ):
+    def __init__(self, zone: str, static_label: str = DEFAULT_STATIC_LABEL, seed: int = 0):
         if not _LABEL_RE.match(static_label):
             raise ValueError(f"invalid static label: {static_label!r}")
         self.zone = zone.lower().rstrip(".")
         self.static_label = static_label
         self.seed = seed
-        self.object_name = object_name
         self.counter = 0
-        self.issued: list[Tag] = []
 
     def beacon_url(self, label: str) -> str:
-        return f"http://{label}.{self.zone}/{self.object_name}"
+        return f"http://{label}.{self.zone}/{OBJECT_NAME}"
 
     def generate_subdomain(self) -> str:
         """Next unique dynamic label: lowercase alphanumeric, <= 32 chars."""
@@ -133,7 +125,6 @@ class Injector:
             Tag(STATIC, self.static_label, static_url, exchange.exchange_id, exchange.timestamp),
             Tag(DYNAMIC, dynamic_label, dynamic_url, exchange.exchange_id, exchange.timestamp),
         ]
-        self.issued.extend(tags)
         return rewritten, tags
 
 
@@ -158,30 +149,22 @@ def strip_injected(body: bytes) -> bytes:
     return _STRIP_RE.sub(b"", body)
 
 
-def write_tag_log(tags: Iterable[Tag], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "subdomain", "url", "exchange_id", "injected_at"])
-        for tag in tags:
-            writer.writerow([tag.kind, tag.subdomain, tag.url, tag.exchange_id, tag.injected_at])
-
-
-def read_tag_log(path: str) -> list[Tag]:
-    return read_csv_log(
-        path, 5, lambda row: Tag(row[0], row[1], row[2], row[3], float(row[4]))
-    )
+# tags.csv: every beacon issued, one row per Tag.
+TAG_LOG = CsvLog(
+    ("kind", "subdomain", "url", "exchange_id", "injected_at"),
+    lambda row: Tag(row[0], row[1], row[2], row[3], float(row[4])),
+)
+write_tag_log = TAG_LOG.write
+read_tag_log = TAG_LOG.read
 
 
 def rewrite_log(
     in_path: str, out_path: str, tag_path: str, injector: Injector
 ) -> tuple[int, int]:
     """Offline file-to-file rewrite: returns (exchanges, tags issued)."""
-    from beaconlab.httplog import read_exchange_log, write_exchange_log
-
-    exchanges = read_exchange_log(in_path)
     rewritten = []
     all_tags: list[Tag] = []
-    for exchange in exchanges:
+    for exchange in read_exchange_log(in_path):
         out, tags = injector.inject(exchange)
         rewritten.append(out)
         all_tags.extend(tags)

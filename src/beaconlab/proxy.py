@@ -16,7 +16,6 @@ for idempotent methods only (RFC 7230 6.3.1, RFC 7231 4.2.2).
 
 from __future__ import annotations
 
-import csv
 import http.client
 import re
 import socket
@@ -28,8 +27,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from beaconlab.httplog import ExchangeLogWriter, HttpExchange
-from beaconlab.inject import DEFAULT_STATIC_LABEL, Injector, Tag
+from beaconlab.httplog import HttpExchange, LogAppender, exchange_log_appender
+from beaconlab.inject import DEFAULT_STATIC_LABEL, TAG_LOG, Injector, Tag
 
 PASSIVE = "passive"
 ACTIVE = "active"
@@ -54,6 +53,9 @@ MAX_IDLE_UPSTREAM = 32
 # How often the serving loops look for a shutdown request, in seconds.
 POLL_INTERVAL_S = 0.05
 
+# Timeout of upstream connects and reads, and of a tunnel's last drain.
+UPSTREAM_TIMEOUT_S = 15.0
+
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 
@@ -75,7 +77,6 @@ class ProxyConfig:
     static_label: str = DEFAULT_STATIC_LABEL
     payload_address: str = ""
     seed: int = 0
-    upstream_timeout: float = 15.0
 
     def validate(self) -> None:
         if self.mode not in (PASSIVE, ACTIVE):
@@ -199,13 +200,9 @@ class ProxyService:
             if config.zone
             else None
         )
-        self.exchange_log = ExchangeLogWriter(config.exchange_log_path)
-        self._tag_fh = open(config.tag_log_path, "a", encoding="utf-8", newline="")
-        self._tag_writer = csv.writer(self._tag_fh)
-        if self._tag_fh.tell() == 0:
-            self._tag_writer.writerow(["kind", "subdomain", "url", "exchange_id", "injected_at"])
-            self._tag_fh.flush()
-        self._error_fh = open(config.error_log_path, "a", encoding="utf-8")
+        self.exchange_log = exchange_log_appender(config.exchange_log_path)
+        self.tag_log = TAG_LOG.appender(config.tag_log_path)
+        self._error_log = LogAppender(config.error_log_path, lambda fh, lines: fh.writelines(lines))
         self._stopped = False  # set under _log_lock; logs are closed once it is True
         self.exchanges_handled = 0
         self.tags_injected = 0
@@ -252,8 +249,8 @@ class ProxyService:
         self._upstream.close_all()
         with self._log_lock:
             self.exchange_log.close()
-            self._tag_fh.close()
-            self._error_fh.close()
+            self.tag_log.close()
+            self._error_log.close()
 
     # -- mode / control ------------------------------------------------------
 
@@ -283,14 +280,12 @@ class ProxyService:
             except ProxyConfigError as exc:
                 return f"ERR {exc}"
             return f"OK mode={argument.upper()}"
-        # SNAPSHOT: flush everything and report file positions
+        # SNAPSHOT: report file positions; every append call has flushed
         with self._log_lock:
             if self._stopped:
                 return "ERR proxy stopped"
-            self._tag_fh.flush()
-            self._error_fh.flush()
             exchange_bytes = self.exchange_log.tell()
-            tag_bytes = self._tag_fh.tell()
+            tag_bytes = self.tag_log.tell()
         return f"OK exchange_log_bytes={exchange_bytes} tag_log_bytes={tag_bytes}"
 
     # -- exchange handling ----------------------------------------------------
@@ -308,12 +303,8 @@ class ProxyService:
             if self._stopped:
                 return False
             self.exchange_log.append(exchange)
-            for tag in tags:
-                self._tag_writer.writerow(
-                    [tag.kind, tag.subdomain, tag.url, tag.exchange_id, tag.injected_at]
-                )
             if tags:
-                self._tag_fh.flush()
+                self.tag_log.append(*tags)
             self.exchanges_handled += 1
             self.tags_injected += len(tags)
         return True
@@ -322,8 +313,7 @@ class ProxyService:
         with self._log_lock:
             if self._stopped:
                 return
-            self._error_fh.write(f"{time.time():.3f} {message}\n")
-            self._error_fh.flush()
+            self._error_log.append(f"{time.time():.3f} {message}\n")
 
     def _next_ids(self) -> tuple[str, str]:
         with self._log_lock:
@@ -347,7 +337,7 @@ class ProxyService:
             except (ConnectionResetError, BrokenPipeError):  # incl. RemoteDisconnected
                 if method not in _IDEMPOTENT:
                     raise
-        conn = http.client.HTTPConnection(*origin, timeout=self.config.upstream_timeout)
+        conn = http.client.HTTPConnection(*origin, timeout=UPSTREAM_TIMEOUT_S)
         return conn, self._send(conn, method, selector, body, headers)
 
     @staticmethod
@@ -370,6 +360,12 @@ class ProxyService:
         parts = urlsplit(url)
         if parts.scheme != "http" or not parts.hostname:
             handler.send_error(400, "proxy requires absolute http URLs")
+            return
+        if "Transfer-Encoding" in handler.headers:
+            # Bodies are read by Content-Length only: an encoded body would be
+            # relayed empty and its chunks parsed as the next request.
+            self._log_error(f"Transfer-Encoding request refused for {url}")
+            handler.send_error(411, "Content-Length required")  # with Connection: close
             return
         length = _content_length(handler.headers)
         if length is None:
@@ -458,7 +454,7 @@ class ProxyService:
         host, _, port = target.partition(":")
         try:
             upstream = socket.create_connection(
-                (host, int(port or 443)), timeout=self.config.upstream_timeout
+                (host, int(port or 443)), timeout=UPSTREAM_TIMEOUT_S
             )
         except OSError as exc:
             self._log_error(f"connect {target}: {exc}")
@@ -507,6 +503,6 @@ class ProxyService:
         downstream = threading.Thread(target=pump, args=(upstream, client), daemon=True)
         downstream.start()
         pump(client, upstream)
-        downstream.join(timeout=self.config.upstream_timeout)
+        downstream.join(timeout=UPSTREAM_TIMEOUT_S)
         upstream.close()
         handler.close_connection = True

@@ -8,12 +8,13 @@ vulnerability ratio b = V / (V + V_bar) with its windowed time series.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from beaconlab.httplog import read_csv_log
+from beaconlab.httplog import CsvLog, LogFormatError
 
 DEFAULT_WINDOW_SECONDS = 900.0
 
@@ -46,8 +47,7 @@ class UaClassification:
     reason: Reason
 
 
-@dataclass(frozen=True)
-class UaRecord:
+class UaRecord(NamedTuple):
     """One observed user-agent string. raw is empty iff the header was absent."""
 
     raw: str
@@ -153,27 +153,29 @@ class VulnDb:
 
     @classmethod
     def load(cls, path: str) -> "VulnDb":
-        pairs = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty vulnerability database")
-            for row in reader:
-                if not row or not any(cell.strip() for cell in row):
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{path}: expected 3 columns, got {len(row)}")
-                product, lo, hi = (cell.strip() for cell in row)
-                pairs.append((product, lo or None, hi or None))
-        return cls.from_pairs(pairs)
+        """Read a database CSV; a zero-byte file or a bad row raises LogFormatError."""
+        if os.path.getsize(path) == 0:
+            raise LogFormatError(path, 1, "empty vulnerability database")
+        return cls(entries=tuple(VULN_DB_LOG.read(path)))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["product", "min_version", "max_version"])
-            for product, rng in self.entries:
-                writer.writerow([product, rng.min_version or "", rng.max_version or ""])
+        VULN_DB_LOG.write(self.entries, path)
+
+
+def _db_entry(row: list[str]) -> tuple[str, VersionRange]:
+    product, lo, hi = (cell.strip() for cell in row)
+    if not product:
+        raise ValueError("empty product")
+    return product.lower(), VersionRange(lo or None, hi or None)
+
+
+# A vulnerability database: one (product, version range) entry per row; an
+# empty bound is an open end.
+VULN_DB_LOG = CsvLog(
+    ("product", "min_version", "max_version"),
+    _db_entry,
+    lambda entry: (entry[0], entry[1].min_version or "", entry[1].max_version or ""),
+)
 
 
 def classify(ua: UaRecord, db: VulnDb) -> UaClassification:
@@ -300,17 +302,13 @@ def unique_ua_growth(
     return growth
 
 
-def read_ua_log(path: str) -> list[UaRecord]:
-    """Line-delimited (timestamp, raw) observations, CSV with a header."""
-    return read_csv_log(path, 2, lambda row: UaRecord.from_raw(raw=row[1], first_seen=float(row[0])))
-
-
-def write_ua_log(records: Iterable[UaRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "user_agent"])
-        for record in records:
-            writer.writerow([record.first_seen, record.raw])
+UA_LOG = CsvLog(
+    ("timestamp", "user_agent"),
+    lambda row: UaRecord.from_raw(raw=row[1], first_seen=float(row[0])),
+    lambda record: (record.first_seen, record.raw),
+)
+read_ua_log = UA_LOG.read
+write_ua_log = UA_LOG.write
 
 
 def write_ratio_report(series: RatioSeries, path: str) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -72,6 +73,20 @@ class TestSimulate:
         config.save(str(bad))
         assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "x")) == 2
 
+    # sha256 of each log simulate writes for small_config(); a change to any
+    # log's layout or to the simulator's output shows here.
+    PINNED_LOGS = {
+        "exchanges.jsonl": "3defa14ccd7e0dc1c5c56cae76a53e783cf349d2e4044c310d3a257d6ecc11a5",
+        "tags.csv": "63a292ce67c386c8bcb91f292d145e0075d99a311c04f530a60652e6d787d5ea",
+        "dns_queries.csv": "86541bc5901935232ff00b962648144c07cbdcf3cee98458c408a09a04ab7741",
+        "fetches.csv": "b1a54f86c51792d52f2a8aa2e62537c2c6398127b43e6d30ece1f8a59623ba7d",
+    }
+
+    def test_logs_are_byte_stable(self, sim_dir):
+        for name, digest in self.PINNED_LOGS.items():
+            with open(os.path.join(sim_dir, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
     def test_seed_flag_overrides(self, tmp_path, scenario_file):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -136,6 +151,26 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"{path}:3: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [("acme,1.0", 3), ("acme,3.0,2.0", 3), (",1.0,2.0", 3)],
+        ids=["columns", "min_above_max", "empty_product"],
+    )
+    def test_bad_db_row_is_named(self, tmp_path, sim_dir, capsys, row, line):
+        db_path = str(tmp_path / "db.csv")
+        with open(db_path, "w", encoding="utf-8") as fh:
+            fh.write(f"product,min_version,max_version\nok,1.0,2.0\n{row}\n")
+        assert run("analyze", "--logs", sim_dir, "--db", db_path, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{db_path}:{line}: " in err
+        assert "Traceback" not in err
+
+    def test_zero_byte_db_is_named(self, tmp_path, sim_dir, capsys):
+        db_path = str(tmp_path / "db.csv")
+        open(db_path, "w").close()
+        assert run("analyze", "--logs", sim_dir, "--db", db_path, "--out", str(tmp_path / "r")) == 2
+        assert db_path in capsys.readouterr().err
 
     def test_passive_only_logs_zero_tags(self, tmp_path, sim_dir):
         open(os.path.join(sim_dir, "tags.csv"), "w").write(

@@ -94,7 +94,6 @@ class TestCachingModel:
             client_id="c1",
             user_agent="AcmeBrowser/3.1",
             fetches_objects=True,
-            uses_https_share=0.0,
             restart_schedule=(),
         )
         return _ClientState(profile, source="10.0.0.1")

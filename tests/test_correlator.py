@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from beaconlab import correlate
+from beaconlab import cli, clientsim, correlate, dnssim, httplog, inject
 from beaconlab.clientsim import FetchRecord, calibrated_vuln_db, run_scenario
 from beaconlab.correlate import (
     MissingLogError,
@@ -20,7 +20,11 @@ from beaconlab.dnssim import DnsQueryRecord, read_query_log, write_query_log
 from beaconlab.httplog import read_exchange_log, write_exchange_log
 from beaconlab.inject import Tag, read_tag_log, write_tag_log
 from beaconlab.clientsim import read_fetch_log, write_fetch_log
+from beaconlab.dnssim import DnsResponder, WildcardResolver, ZoneConfig, encode_query
+from beaconlab.inject import Injector
 from tests.test_clientsim import small_config
+from tests.test_dnssim import _udp_ask
+from tests.test_proxy import origin, proxy_get, service  # noqa: F401 (fixtures)
 
 ZONE = "feedback.test"
 DB = calibrated_vuln_db()
@@ -275,6 +279,36 @@ BENCHMARK_HOOKS = (
     "write_report",
 )
 
+# What perfbench/ patches outside correlate, as (owner, attribute). The
+# simulate hooks are patched on classes and modules; write_logs there calls
+# the four writers through their modules, as `beaconlab simulate` does.
+SIMULATE_HOOKS = (
+    (Injector, "inject"),
+    (WildcardResolver, "resolve"),
+    (clientsim, "client_process_response"),
+    (httplog, "write_exchange_log"),
+    (inject, "write_tag_log"),
+    (dnssim, "write_query_log"),
+    (clientsim, "write_fetch_log"),
+)
+# Patched on the live ProxyService: (part of the service or None, attribute).
+PROXY_HOOKS = (
+    (None, "handle_request_socketless"),
+    (None, "process_response"),
+    ("injector", "inject"),
+    ("exchange_log", "append"),
+)
+
+
+def _counting(fn, calls: list):
+    """``fn``, recording each call, as the benchmark's tracer wraps a hook."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
 
 class TestBenchmarkHooks:
     @pytest.mark.parametrize("name", BENCHMARK_HOOKS)
@@ -308,3 +342,40 @@ class TestBenchmarkHooks:
         (records,) = kept
         assert len(records) > 0
         assert all(isinstance(record.raw, str) for record in records)
+
+    @pytest.mark.parametrize(
+        "owner, attr", SIMULATE_HOOKS, ids=[attr for _, attr in SIMULATE_HOOKS]
+    )
+    def test_simulate_calls_through_hook(self, tmp_path, owner, attr):
+        config_path = str(tmp_path / "scenario.json")
+        SCENARIOS["default"].save(config_path)
+        calls = []
+        with mock.patch.object(owner, attr, _counting(getattr(owner, attr), calls)):
+            assert cli.main(
+                ["simulate", "--config", config_path, "--out", str(tmp_path / "logs")]
+            ) == 0
+        assert calls
+
+    @pytest.mark.parametrize(
+        "part, attr", PROXY_HOOKS, ids=[attr for _, attr in PROXY_HOOKS]
+    )
+    def test_proxy_calls_through_hook(self, service, origin, part, attr):  # noqa: F811
+        owner = service if part is None else getattr(service, part)
+        service.set_mode("active")
+        calls = []
+        with mock.patch.object(owner, attr, _counting(getattr(owner, attr), calls)):
+            assert proxy_get(service, origin, "/page")[0] == 200
+        assert calls
+
+    def test_dns_responder_calls_through_hook(self):
+        responder = DnsResponder(ZoneConfig(zone=ZONE, payload_address="192.0.2.10"))
+        calls = []
+        hook = _counting(responder.handle_packet, calls)
+        with mock.patch.object(responder, "handle_packet", hook):
+            responder.start()
+            try:
+                _udp_ask(responder.address, encode_query(7, "pixel." + ZONE))
+            finally:
+                responder.stop()
+        assert len(calls) == 1
+        assert len(responder.resolver.log) == 1

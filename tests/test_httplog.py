@@ -18,6 +18,10 @@ from beaconlab.httplog import (
     view_from_json,
     write_exchange_log,
 )
+from beaconlab.clientsim import FETCH_LOG, FetchRecord
+from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord
+from beaconlab.inject import TAG_LOG, Tag
+from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb
 
 
 def make_exchange(
@@ -267,3 +271,54 @@ class TestExchangeViews:
             full.timestamp, full.is_encrypted, full.user_agent, full.content_type
         )
         assert mime_type(view_from_json(obj)) == mime_type(full)
+
+
+# Every CSV layout, with strings the writer must quote (comma, quote, line
+# break) or leave empty.
+LAYOUTS = {
+    "tags": (
+        TAG_LOG,
+        [
+            Tag("static", "pixel", "http://pixel.z.test/p.gif", "x1", 1.5),
+            Tag("dynamic", "d1", 'http://d1.z.test/a,"b"', "x\n2", 2.0),
+        ],
+    ),
+    "dns": (
+        QUERY_LOG,
+        [DnsQueryRecord("a.z.test", "10.0.0.1", 1.25), DnsQueryRecord("b.z.test", "", 1e-7)],
+    ),
+    "fetch": (FETCH_LOG, [FetchRecord(0.1, "10.0.0.2", "http://a.z.test/p.gif?x=1,2")]),
+    "ua": (
+        UA_LOG,
+        [UaRecord.from_raw('Browser/1.0 (a; "b" 2.0)', 3.0), UaRecord.from_raw("", 4.0)],
+    ),
+    "vuln_db": (
+        VULN_DB_LOG,
+        list(
+            VulnDb.from_pairs(
+                [("acme", "1.0", "2.0"), ("open low", None, "3"), ("hi", "4", None)]
+            ).entries
+        ),
+    ),
+}
+
+
+class TestCsvLog:
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_round_trip(self, tmp_path, name):
+        layout, records = LAYOUTS[name]
+        path = str(tmp_path / "log.csv")
+        layout.write(records, path)
+        assert layout.read(path) == records
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_appender_writes_what_write_writes(self, tmp_path, name):
+        layout, records = LAYOUTS[name]
+        written, appended = str(tmp_path / "w.csv"), str(tmp_path / "a.csv")
+        layout.write(records, written)
+        for record in records:  # reopened for each record: the header goes in once
+            appender = layout.appender(appended)
+            appender.append(record)
+            appender.close()
+        with open(written, "rb") as fh_w, open(appended, "rb") as fh_a:
+            assert fh_a.read() == fh_w.read()

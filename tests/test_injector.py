@@ -119,14 +119,15 @@ class TestInject:
         injector = fresh_injector()
         rng = random.Random(7)
         taggable = 0
+        issued = []
         for i in range(688):
             if rng.random() < 0.4:
                 exchange = make_exchange(HTML)
                 taggable += 1
             else:
                 exchange = make_exchange(b"data", "text/plain")
-            injector.inject(exchange)
-        dynamic_issued = sum(1 for tag in injector.issued if tag.kind == DYNAMIC)
+            issued.extend(injector.inject(exchange)[1])
+        dynamic_issued = sum(1 for tag in issued if tag.kind == DYNAMIC)
         assert dynamic_issued == taggable
 
 
@@ -176,19 +177,19 @@ class TestProperties:
 
     def test_dynamic_labels_unique_across_run(self):
         injector = fresh_injector()
+        issued = []
         for _ in range(500):
-            injector.inject(make_exchange(HTML))
-        dynamic = [tag.subdomain for tag in injector.issued if tag.kind == DYNAMIC]
+            issued.extend(injector.inject(make_exchange(HTML))[1])
+        dynamic = [tag.subdomain for tag in issued if tag.kind == DYNAMIC]
         assert len(set(dynamic)) == len(dynamic) == 500
 
 
 class TestTagLogAndRewrite:
     def test_tag_log_round_trip(self, tmp_path):
-        injector = fresh_injector()
-        injector.inject(make_exchange(HTML))
+        _, tags = fresh_injector().inject(make_exchange(HTML))
         path = str(tmp_path / "tags.csv")
-        write_tag_log(injector.issued, path)
-        assert read_tag_log(path) == injector.issued
+        write_tag_log(tags, path)
+        assert read_tag_log(path) == tags
 
     def test_file_to_file_rewrite(self, tmp_path):
         in_path = str(tmp_path / "in.jsonl")

@@ -374,6 +374,24 @@ class TestMalformedRequest:
         assert len(lines) == 1
         assert "Content-Length" in lines[0]
 
+    def test_chunked_request_is_refused_unrelayed(self, service, keepalive_origin):
+        host, port = keepalive_origin.server_address
+        reply = raw_exchange(
+            service,
+            b"POST http://%s:%d/form HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n" % (host.encode(), port),
+        )
+        # one 411, then EOF: the chunk lines are never parsed as a request
+        assert reply.startswith(b"HTTP/1.1 411 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+        assert keepalive_origin.accepted == 0
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 1
+        assert "Transfer-Encoding" in lines[0]
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
 
 class TestStop:
     def test_open_connection_after_stop_is_refused(self, service, origin, capfd):
@@ -401,6 +419,41 @@ class TestStop:
     def test_snapshot_after_stop_is_an_error(self, service):
         service.stop()
         assert service.handle_control_line("SNAPSHOT") == "ERR proxy stopped"
+
+
+class TestRestart:
+    def test_restarted_proxy_appends_tags_under_one_header(self, tmp_path, origin):
+        issued = []
+        for seed in (1, 2):  # distinct seeds: each run issues its own labels
+            config = ProxyConfig(
+                exchange_log_path=str(tmp_path / "exchanges.jsonl"),
+                tag_log_path=str(tmp_path / "tags.csv"),
+                error_log_path=str(tmp_path / "errors.log"),
+                mode=ACTIVE,
+                zone="tracker.test",
+                static_label="pixel",
+                payload_address="192.0.2.9",
+                seed=seed,
+            )
+            svc = ProxyService(config)
+            real_inject = svc.injector.inject
+
+            def inject(exchange):
+                delivered, tags = real_inject(exchange)
+                issued.extend(tags)
+                return delivered, tags
+
+            svc.injector.inject = inject
+            svc.start()
+            try:
+                assert proxy_get(svc, origin, "/page")[0] == 200
+            finally:
+                svc.stop()
+        assert len(issued) == 4
+        with open(tmp_path / "tags.csv", encoding="utf-8") as fh:
+            assert fh.read().count("kind,subdomain") == 1
+        assert read_tag_log(str(tmp_path / "tags.csv")) == issued
+        assert len(read_exchange_log(str(tmp_path / "exchanges.jsonl"))) == 2
 
 
 class TestConnectTunnel:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beaconlab.httplog import LogFormatError
 from beaconlab.ua import (
     Reason,
     UaRecord,
@@ -243,3 +244,34 @@ class TestFileFormats:
         ]
         write_ua_log(records, path)
         assert read_ua_log(path) == records
+
+    # (database body, line of the bad row)
+    BAD_DBS = {
+        "too_few_columns": ("product,min_version,max_version\nacme,1.0\n", 2),
+        "too_many_columns": ("product,min_version,max_version\nacme,1,2\nb,1,2,3\n", 3),
+        "min_above_max": ("product,min_version,max_version\nacme,3.0,2.0\n", 2),
+        "empty_product": ("product,min_version,max_version\n\nok,1,2\n ,1.0,2.0\n", 4),
+    }
+
+    @pytest.mark.parametrize("name", BAD_DBS)
+    def test_bad_db_row_names_its_line(self, tmp_path, name):
+        text, line = self.BAD_DBS[name]
+        path = str(tmp_path / "db.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(LogFormatError) as excinfo:
+            VulnDb.load(path)
+        assert excinfo.value.line_no == line
+        assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
+    def test_zero_byte_db_names_the_file(self, tmp_path):
+        path = str(tmp_path / "db.csv")
+        open(path, "w").close()
+        with pytest.raises(LogFormatError) as excinfo:
+            VulnDb.load(path)
+        assert path in str(excinfo.value)
+
+    def test_header_only_db_is_empty(self, tmp_path):
+        path = str(tmp_path / "db.csv")
+        VulnDb(entries=()).save(path)
+        assert VulnDb.load(path) == VulnDb(entries=())
