@@ -58,7 +58,9 @@ def _load_scenario(args) -> clientsim.ScenarioConfig:
 
 def cmd_simulate(args) -> int:
     config = _load_scenario(args)
+    started = time.perf_counter()
     result = clientsim.run_scenario(config)
+    simulated = time.perf_counter()
     out = args.out
     os.makedirs(out, exist_ok=True)
     logs = {source: os.path.join(out, name) for source, name in correlate.LOG_FILENAMES.items()}
@@ -66,6 +68,7 @@ def cmd_simulate(args) -> int:
     inject.write_tag_log(result.tags, logs["tag"])
     dnssim.write_query_log(result.dns_log, logs["dns"])
     clientsim.write_fetch_log(result.fetch_log, logs["fetch"])
+    written = time.perf_counter()
     with open(os.path.join(out, "ground_truth.json"), "w", encoding="utf-8") as fh:
         json.dump(result.ground_truth, fh, indent=2)
         fh.write("\n")
@@ -79,6 +82,12 @@ def cmd_simulate(args) -> int:
         static_label=config.static_label,
         exchanges=len(result.exchanges),
         tags=len(result.tags),
+        dns_queries=len(result.dns_log),
+        fetches=len(result.fetch_log),
+        stage_seconds={
+            "run_scenario": round(simulated - started, 6),
+            "write_logs": round(written - simulated, 6),
+        },
     )
     print(
         f"simulated {len(result.exchanges)} exchanges, {len(result.tags)} tags, "

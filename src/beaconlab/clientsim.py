@@ -15,13 +15,15 @@ import json
 import random
 import re
 from dataclasses import dataclass, field, asdict
+from itertools import accumulate, compress
 from urllib.parse import urlsplit
 
 from beaconlab.dnssim import DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name
 from beaconlab.httplog import CsvLog, HttpExchange
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
-HOME_PAGE_URL = "http://home.example/start"
+HOME_HOST = "home.example"
+HOME_PAGE_URL = f"http://{HOME_HOST}/start"
 
 # Media-type mix measured on real intercepted traffic; the residual
 # "others" bucket is folded into application/octet-stream so the mix sums
@@ -161,16 +163,21 @@ class _ClientState:
         self.lifetimes += 1
 
 
-def beacon_urls(body: bytes, zone: str) -> list[str]:
-    """Attacker-zone image URLs embedded in an HTML body, in order."""
+def _beacons(body: bytes, zone: str) -> list[tuple[str, str]]:
+    """(url, normalized host) of each attacker-zone image in an HTML body, in order."""
     suffix = "." + normalize_name(zone)
-    urls = []
+    beacons = []
     for match in _IMG_SRC_RE.finditer(body):
         url = match.group(1).decode("ascii", errors="replace")
-        host = urlsplit(url).hostname or ""
-        if normalize_name(host).endswith(suffix):
-            urls.append(url)
-    return urls
+        host = normalize_name(urlsplit(url).hostname or "")
+        if host.endswith(suffix):
+            beacons.append((url, host))
+    return beacons
+
+
+def beacon_urls(body: bytes, zone: str) -> list[str]:
+    """Attacker-zone image URLs embedded in an HTML body, in order."""
+    return [url for url, _host in _beacons(body, zone)]
 
 
 def client_process_response(
@@ -190,8 +197,7 @@ def client_process_response(
     """
     queried: list[str] = []
     fetched: list[str] = []
-    for url in beacon_urls(body, zone):
-        host = normalize_name(urlsplit(url).hostname or "")
+    for url, host in _beacons(body, zone):
         if host not in state.dns_cache:
             resolver.resolve(host, state.source, now)
             state.dns_cache.add(host)
@@ -231,10 +237,10 @@ def _client_visits(
             if t >= config.duration_seconds:
                 break
             times.append(t)
-    mimes = list(config.mime_mix.keys())
-    weights = list(config.mime_mix.values())
+    mimes = list(config.mime_mix)
+    cum_weights = list(accumulate(config.mime_mix.values()))
     encrypted = [rng.random() >= config.http_share for _ in times]
-    chosen = [rng.choices(mimes, weights=weights)[0] if not enc else None
+    chosen = [rng.choices(mimes, cum_weights=cum_weights)[0] if not enc else None
               for enc in encrypted]
     if encrypted[0]:
         for j in range(1, len(times)):
@@ -244,7 +250,7 @@ def _client_visits(
                 break
         else:
             encrypted[0] = False
-            chosen[0] = rng.choices(mimes, weights=weights)[0]
+            chosen[0] = rng.choices(mimes, cum_weights=cum_weights)[0]
     if chosen[0] != "text/html":
         for j in range(1, len(times)):
             if chosen[j] == "text/html":
@@ -263,8 +269,27 @@ def _html_body(rng: random.Random) -> bytes:
     ).encode("utf-8")
 
 
+# randrange(256) keeps bits 23-30 of one 32-bit Mersenne word and draws
+# again while bit 31 is set. getrandbits(32 * m) packs m words, first word
+# lowest; shifted left one bit, word i's bits 23-30 are byte 4i+3 of its
+# little-endian bytes and its bit 31 is bit 0 of byte 4i+4.
+_KEEP_WORD = bytes(1 - (b & 1) for b in range(256))
+
+
 def _placeholder_body(rng: random.Random) -> bytes:
-    return bytes(rng.randrange(256) for _ in range(rng.randrange(16, 128)))
+    """``bytes(rng.randrange(256) for _ in range(rng.randrange(16, 128)))``,
+    the same bytes from the same words, drawn one round at a time.
+
+    Each missing byte needs at least one more word, so a round of one word
+    per missing byte never draws past the last word the per-byte loop reads.
+    """
+    n = rng.randrange(16, 128)
+    out = b""
+    while len(out) < n:
+        m = n - len(out)
+        words = (rng.getrandbits(32 * m) << 1).to_bytes(4 * m + 1, "little")
+        out += bytes(compress(words[3::4], words[4::4].translate(_KEEP_WORD)))
+    return out
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationResult:
@@ -285,7 +310,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     tags: list[Tag] = []
 
     specs = config.ua_population
-    weights = [spec.weight for spec in specs]
+    # choices(weights=w) accumulates w on every call; accumulating once
+    # gives the same draws
+    ua_cum_weights = list(accumulate(spec.weight for spec in specs))
     non_fetching = round(config.client_count * config.non_fetching_share)
     non_fetching_ids = set(rng.sample(range(config.client_count), non_fetching))
     fetching_ids = [i for i in range(config.client_count) if i not in non_fetching_ids]
@@ -298,7 +325,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     clients: list[_ClientState] = []
     events: list[tuple[float, int, int, str, object]] = []
     for i in range(config.client_count):
-        spec = rng.choices(specs, weights=weights)[0] if specs else UaSpec("")
+        spec = rng.choices(specs, cum_weights=ua_cum_weights)[0] if specs else UaSpec("")
         profile = ClientProfile(
             client_id=f"c{i:05d}",
             user_agent=spec.user_agent,
@@ -346,18 +373,18 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             )
             exchanges.append(origin)
             continue
-        url = (
-            HOME_PAGE_URL
-            if is_home
-            else f"http://site{body_rng.randrange(40)}.example/p{body_rng.randrange(500)}"
-        )
+        if is_home:
+            host, url = HOME_HOST, HOME_PAGE_URL
+        else:
+            host = f"site{body_rng.randrange(40)}.example"
+            url = f"http://{host}/p{body_rng.randrange(500)}"
         if mime == "text/html":
             body = _html_body(body_rng)
             content_type = "text/html; charset=utf-8"
         else:
             body = _placeholder_body(body_rng)
             content_type = mime
-        request_headers = [("Host", urlsplit(url).hostname or "")]
+        request_headers = [("Host", host)]
         if state.profile.user_agent:
             request_headers.append(("User-Agent", state.profile.user_agent))
         origin = HttpExchange(

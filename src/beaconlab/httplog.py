@@ -14,6 +14,7 @@ import base64
 import binascii
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -286,16 +287,46 @@ def write_exchange_log(exchanges: Iterable[HttpExchange], path: str) -> None:
         _write_exchanges(fh, exchanges)
 
 
+# Block size of the backward scan for a torn file's last newline.
+_TAIL_SCAN_BYTES = 1 << 16
+
+
+def cut_torn_tail(path: str) -> int:
+    """Cut a non-empty file that does not end in a newline back to its
+    last newline, or to nothing if it has none; returns the bytes cut."""
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        size = end = fh.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(end - _TAIL_SCAN_BYTES, 0)
+            fh.seek(start)
+            at = fh.read(end - start).rfind(b"\n")
+            if at >= 0:
+                end = start + at + 1
+                break
+            end = start
+        if end < size:
+            fh.truncate(end)
+        return size - end
+
+
 class LogAppender(Generic[T]):
     """Append-mode log writer for live capture. Single writer.
 
-    Writes ``header`` into an empty file; each append call writes its
-    records and flushes once.
+    On open, a last line torn by a crash (a non-empty file that does not
+    end in a newline) is cut off, so new records never land on it;
+    ``dropped`` holds the bytes cut. Writes ``header`` into an empty file;
+    each append call writes its records and flushes once.
     """
 
     def __init__(
         self, path: str, write_rows: Callable[[IO[str], Iterable[T]], None], header: str = ""
     ):
+        self.path = path
+        self.dropped = cut_torn_tail(path)
         self._write_rows = write_rows
         self._fh: IO[str] = open(path, "a", encoding="utf-8", newline="")
         if header and self._fh.tell() == 0:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from beaconlab.httplog import HttpExchange, LogAppender, exchange_log_appender
-from beaconlab.inject import DEFAULT_STATIC_LABEL, TAG_LOG, Injector, Tag
+from beaconlab.httplog import HttpExchange, LogAppender, LogFormatError, exchange_log_appender
+from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag
 
 PASSIVE = "passive"
 ACTIVE = "active"
@@ -195,15 +195,28 @@ class ProxyService:
         self._mode = config.mode
         self._mode_lock = threading.Lock()
         self._log_lock = threading.Lock()
-        self.injector = (
-            Injector(zone=config.zone, static_label=config.static_label, seed=config.seed)
-            if config.zone
-            else None
-        )
+        self._stopped = False  # set under _log_lock; logs are closed once it is True
+        self._error_log = LogAppender(config.error_log_path, lambda fh, lines: fh.writelines(lines))
         self.exchange_log = exchange_log_appender(config.exchange_log_path)
         self.tag_log = TAG_LOG.appender(config.tag_log_path)
-        self._error_log = LogAppender(config.error_log_path, lambda fh, lines: fh.writelines(lines))
-        self._stopped = False  # set under _log_lock; logs are closed once it is True
+        logs = (self._error_log, self.exchange_log, self.tag_log)
+        for log in logs:
+            if log.dropped:
+                self._log_error(f"{log.path}: dropped {log.dropped} bytes of a torn last line")
+        self.injector = None
+        if config.zone:
+            try:
+                issued = sum(tag.kind == DYNAMIC for tag in TAG_LOG.read(config.tag_log_path))
+            except LogFormatError:
+                for log in logs:
+                    log.close()
+                raise
+            self.injector = Injector(
+                zone=config.zone, static_label=config.static_label, seed=config.seed
+            )
+            # resume after the labels earlier runs on this log issued, so
+            # a restart with the same seed never issues one of them again
+            self.injector.counter = issued
         self.exchanges_handled = 0
         self.tags_injected = 0
         self._exchange_seq = 0

@@ -87,6 +87,38 @@ class TestSimulate:
             with open(os.path.join(sim_dir, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
+    # The same for a churn-shaped scenario: 3,000 clients drawn from a
+    # 3,000-entry weighted UA population, 300 restarts.
+    PINNED_CHURN_LOGS = {
+        "exchanges.jsonl": "c08302335e86f03524aee8ac0676985010ae29727d75724c2b63da66d13483cc",
+        "tags.csv": "a055a2c2ca593c9ba807c39d025de7ff47f1588542886f71eca1246b8f4528bc",
+        "dns_queries.csv": "15f70f31479aee7942615636f24d95b0fb79354d3489bd1574684dd1840b0c34",
+        "fetches.csv": "8a30384ccf1931ba078b4e3b6423cc7710ff499884959ab6a95cd43bbefe9c66",
+    }
+
+    def test_churn_logs_are_byte_stable(self, tmp_path):
+        config_path = str(tmp_path / "churn.json")
+        calibrated_config(
+            seed=5, client_count=3000, duration_seconds=600, visit_rate=0.0005, restart_count=300
+        ).save(config_path)
+        out = str(tmp_path / "churn")
+        assert run("simulate", "--config", config_path, "--out", out) == 0
+        for name, digest in self.PINNED_CHURN_LOGS.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+    def test_manifest_counts_and_stage_seconds(self, sim_dir):
+        with open(os.path.join(sim_dir, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        with open(os.path.join(sim_dir, "dns_queries.csv"), encoding="utf-8") as fh:
+            assert manifest["dns_queries"] == len(fh.read().splitlines()) - 1
+        with open(os.path.join(sim_dir, "fetches.csv"), encoding="utf-8") as fh:
+            assert manifest["fetches"] == len(fh.read().splitlines()) - 1
+        assert manifest["fetches"] > 0
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"run_scenario", "write_logs"}
+        assert all(isinstance(s, float) and s >= 0 for s in stages.values())
+
     def test_seed_flag_overrides(self, tmp_path, scenario_file):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")

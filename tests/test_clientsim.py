@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate
+
 import pytest
 
 from beaconlab.clientsim import (
@@ -6,6 +9,7 @@ from beaconlab.clientsim import (
     ScenarioConfig,
     UaSpec,
     _ClientState,
+    _placeholder_body,
     beacon_urls,
     calibrated_config,
     client_process_response,
@@ -86,6 +90,29 @@ class TestDeterminism:
         b = run_scenario(_cfg(dict(seed=12, client_count=20, duration_seconds=600.0,
                                    visit_rate=0.02, non_fetching_share=0.2, restart_count=2)))
         assert a.exchanges != b.exchanges
+
+    def test_placeholder_body_replays_per_byte_draws(self):
+        # The per-byte generator the word-block version replaces; equal
+        # bytes and an equal next draw pin the CPython word order it assumes.
+        def per_byte(rng):
+            return bytes(rng.randrange(256) for _ in range(rng.randrange(16, 128)))
+
+        for seed in range(120):
+            ref, new = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                assert _placeholder_body(new) == per_byte(ref), seed
+            assert new.random() == ref.random(), seed
+
+    def test_cum_weight_draws_equal_weight_draws(self):
+        rng = random.Random(7)
+        population = list(range(10_000))
+        weights = [rng.choice((0.0, 0.5, 1.0, 3.0)) for _ in population]
+        cum_weights = list(accumulate(weights))
+        ref, new = random.Random(8), random.Random(8)
+        for _ in range(2_000):
+            assert (new.choices(population, cum_weights=cum_weights)
+                    == ref.choices(population, weights=weights))
+        assert new.random() == ref.random()
 
 
 class TestCachingModel:

@@ -9,6 +9,7 @@ from beaconlab.httplog import (
     ExchangeView,
     HttpExchange,
     LogFormatError,
+    cut_torn_tail,
     exchange_from_json,
     exchange_to_json,
     mime_distribution,
@@ -322,3 +323,23 @@ class TestCsvLog:
             appender.close()
         with open(written, "rb") as fh_w, open(appended, "rb") as fh_a:
             assert fh_a.read() == fh_w.read()
+
+
+class TestCutTornTail:
+    @pytest.mark.parametrize("content, kept", [
+        (b"", b""),
+        (b"a\nb\n", b"a\nb\n"),
+        (b"a\nb\nc", b"a\nb\n"),
+        (b"a\r\nb\r", b"a\r\n"),
+        (b"no newline at all", b""),
+        (b"a\n" + b"x" * 200_000, b"a\n"),  # torn line longer than one scan block
+    ])
+    def test_cut(self, tmp_path, content, kept):
+        path = tmp_path / "log"
+        path.write_bytes(content)
+        assert cut_torn_tail(str(path)) == len(content) - len(kept)
+        assert path.read_bytes() == kept
+
+    def test_missing_file(self, tmp_path):
+        assert cut_torn_tail(str(tmp_path / "absent")) == 0
+        assert not (tmp_path / "absent").exists()

@@ -10,8 +10,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from beaconlab import proxy
-from beaconlab.httplog import read_exchange_log
-from beaconlab.inject import read_tag_log
+from beaconlab.clientsim import calibrated_vuln_db, write_fetch_log
+from beaconlab.correlate import build_report_from_dir
+from beaconlab.dnssim import DnsQueryRecord, write_query_log
+from beaconlab.httplog import LogFormatError, read_exchange_log
+from beaconlab.inject import DYNAMIC, read_tag_log
 from beaconlab.proxy import (
     ACTIVE,
     MAX_IDLE_UPSTREAM,
@@ -421,21 +424,33 @@ class TestStop:
         assert service.handle_control_line("SNAPSHOT") == "ERR proxy stopped"
 
 
+def active_config(log_dir, seed=0):
+    return ProxyConfig(
+        exchange_log_path=str(log_dir / "exchanges.jsonl"),
+        tag_log_path=str(log_dir / "tags.csv"),
+        error_log_path=str(log_dir / "errors.log"),
+        mode=ACTIVE,
+        zone="tracker.test",
+        static_label="pixel",
+        payload_address="192.0.2.9",
+        seed=seed,
+    )
+
+
+def serve_one_page(log_dir, origin):
+    svc = ProxyService(active_config(log_dir))
+    svc.start()
+    try:
+        assert proxy_get(svc, origin, "/page")[0] == 200
+    finally:
+        svc.stop()
+
+
 class TestRestart:
     def test_restarted_proxy_appends_tags_under_one_header(self, tmp_path, origin):
         issued = []
-        for seed in (1, 2):  # distinct seeds: each run issues its own labels
-            config = ProxyConfig(
-                exchange_log_path=str(tmp_path / "exchanges.jsonl"),
-                tag_log_path=str(tmp_path / "tags.csv"),
-                error_log_path=str(tmp_path / "errors.log"),
-                mode=ACTIVE,
-                zone="tracker.test",
-                static_label="pixel",
-                payload_address="192.0.2.9",
-                seed=seed,
-            )
-            svc = ProxyService(config)
+        for seed in (1, 2):
+            svc = ProxyService(active_config(tmp_path, seed))
             real_inject = svc.injector.inject
 
             def inject(exchange):
@@ -454,6 +469,48 @@ class TestRestart:
             assert fh.read().count("kind,subdomain") == 1
         assert read_tag_log(str(tmp_path / "tags.csv")) == issued
         assert len(read_exchange_log(str(tmp_path / "exchanges.jsonl"))) == 2
+
+    def test_restart_with_same_seed_issues_new_labels(self, tmp_path, origin):
+        for _ in range(2):
+            serve_one_page(tmp_path, origin)
+        tags = read_tag_log(str(tmp_path / "tags.csv"))
+        dynamic = [tag.subdomain for tag in tags if tag.kind == DYNAMIC]
+        assert len(dynamic) == 2 and len(set(dynamic)) == 2
+        # one lookup per tagged page, from two different users
+        write_query_log(
+            [DnsQueryRecord(f"{label}.tracker.test", f"10.0.0.{n}", float(n))
+             for n, label in enumerate(dynamic)],
+            str(tmp_path / "dns_queries.csv"),
+        )
+        write_fetch_log([], str(tmp_path / "fetches.csv"))
+        report = build_report_from_dir(
+            str(tmp_path), calibrated_vuln_db(), static_label="pixel", zone="tracker.test"
+        )
+        assert report.dynamic_tags_issued == 2
+        assert report.reappearances == ()
+
+    def test_malformed_tag_log_stops_a_restart(self, tmp_path):
+        with open(tmp_path / "tags.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("kind,subdomain,url,exchange_id,injected_at\r\nstatic,pixel\r\n")
+        with pytest.raises(LogFormatError, match="tags.csv:2:"):
+            ProxyService(active_config(tmp_path))
+
+    @pytest.mark.parametrize("torn_log, torn", [
+        ("tags.csv", "dynamic,d0000"),
+        ("exchanges.jsonl", '{"exchange_id": "x0000'),
+    ])
+    def test_torn_last_line_is_cut_on_restart(self, tmp_path, origin, torn_log, torn):
+        serve_one_page(tmp_path, origin)
+        with open(tmp_path / torn_log, "a", encoding="utf-8") as fh:
+            fh.write(torn)  # a crash mid-record
+        serve_one_page(tmp_path, origin)
+        assert len(read_exchange_log(str(tmp_path / "exchanges.jsonl"))) == 2
+        assert len(read_tag_log(str(tmp_path / "tags.csv"))) == 4
+        with open(tmp_path / "errors.log", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 1
+        dropped = f"{tmp_path / torn_log}: dropped {len(torn)} bytes of a torn last line"
+        assert lines[0].endswith(dropped)
 
 
 class TestConnectTunnel:
