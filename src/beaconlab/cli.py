@@ -227,7 +227,8 @@ def cmd_dns(args) -> int:
     config = dnssim.ZoneConfig(
         zone=args.zone, payload_address=args.payload, ttl_seconds=args.ttl
     )
-    responder = dnssim.DnsResponder(config, host=host, port=port)
+    query_log = dnssim.QUERY_LOG.appender(os.path.join(out, correlate.LOG_FILENAMES["dns"]))
+    responder = dnssim.DnsResponder(config, host=host, port=port, log=query_log)
     responder.start()
     _write_manifest(
         out, "dns", zone=args.zone, payload=args.payload, listen=list(responder.address)
@@ -236,9 +237,7 @@ def cmd_dns(args) -> int:
 
     def stop():
         responder.stop()
-        dnssim.write_query_log(
-            responder.resolver.log, os.path.join(out, correlate.LOG_FILENAMES["dns"])
-        )
+        query_log.close()
 
     _run_until_signal(stop)
     return 0

@@ -19,7 +19,7 @@ from itertools import accumulate, compress
 from urllib.parse import urlsplit
 
 from beaconlab.dnssim import DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name
-from beaconlab.httplog import CsvLog, HttpExchange
+from beaconlab.httplog import CsvLog, HttpExchange, finite_time
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
 HOME_HOST = "home.example"
@@ -138,7 +138,7 @@ class FetchRecord:
 # fetches.csv: beacon-object hits at the payload server.
 FETCH_LOG = CsvLog(
     ("timestamp", "source", "url"),
-    lambda row: FetchRecord(timestamp=float(row[0]), source=row[1], url=row[2]),
+    lambda row: FetchRecord(timestamp=finite_time(row[0]), source=row[1], url=row[2]),
 )
 write_fetch_log = FETCH_LOG.write
 read_fetch_log = FETCH_LOG.read

@@ -11,6 +11,7 @@ report, and ground-truth metadata in the logs is never consulted.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from collections import defaultdict
@@ -112,8 +113,8 @@ class CorrelationReport:
         }
 
 
-def _label_of(name: str, zone: str) -> str | None:
-    suffix = "." + normalize_name(zone)
+def _label_of(name: str, suffix: str) -> str | None:
+    """The part of ``name`` before the zone suffix ("." + the normalized zone)."""
     if name.endswith(suffix):
         return name[: -len(suffix)]
     return None
@@ -143,8 +144,9 @@ def _scan_dns(
     static = 0
     dynamic: dict[str, list[float]] = defaultdict(list)
     anomalies: set[str] = set()
+    suffix = "." + normalize_name(zone)
     for record in dns_log:
-        label = _label_of(record.name, zone)
+        label = _label_of(record.name, suffix)
         if label is None:
             continue
         if label == static_label:
@@ -197,9 +199,10 @@ def _accounting(
 ) -> TagAccounting:
     static_obj = 0
     dynamic_obj = 0
+    suffix = "." + normalize_name(zone)
     for record in fetch_log:
         host = normalize_name(urlsplit(record.url).hostname or "")
-        label = _label_of(host, zone)
+        label = _label_of(host, suffix)
         if label == static_label:
             static_obj += 1
         elif label in issued_dynamic:
@@ -322,9 +325,12 @@ def write_report(report: CorrelationReport, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_json(), fh, indent=2)
         fh.write("\n")
-    from beaconlab.ua import write_ratio_report
-
-    write_ratio_report(report.ratio_series, os.path.join(out_dir, "ratio_series.csv"))
+    with open(os.path.join(out_dir, "ratio_series.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)  # rows end in CRLF
+        writer.writerow(["window_start", "vulnerable", "not_vulnerable", "ratio"])
+        for point in report.ratio_series.points:
+            ratio = "" if point.ratio is None else f"{point.ratio:.6f}"
+            writer.writerow([point.window_start, point.vulnerable, point.not_vulnerable, ratio])
     with open(os.path.join(out_dir, "mime_distribution.csv"), "w", encoding="utf-8") as fh:
         fh.write("mime_type,count,percent\n")
         dist = report.mime_distribution

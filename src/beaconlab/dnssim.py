@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from beaconlab.httplog import CsvLog
+from beaconlab.httplog import CsvLog, LogAppender, finite_time
 
 _NAME_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?$")
 
@@ -63,12 +63,20 @@ def is_valid_name(name: str) -> bool:
 
 
 class WildcardResolver:
-    """Authoritative resolver for one zone with an append-only query log."""
+    """Authoritative resolver for one zone with an append-only query log.
 
-    def __init__(self, config: ZoneConfig):
+    The log is a list unless a sink is given, such as a QUERY_LOG appender,
+    which writes and flushes each record before resolve returns.
+    """
+
+    def __init__(
+        self,
+        config: ZoneConfig,
+        log: list[DnsQueryRecord] | LogAppender[DnsQueryRecord] | None = None,
+    ):
         self.config = config
         self.zone = normalize_name(config.zone)
-        self.log: list[DnsQueryRecord] = []
+        self.log = [] if log is None else log
         self._lock = threading.Lock()
 
     def in_zone(self, name: str) -> bool:
@@ -102,7 +110,7 @@ def query_log_by_name(log: Iterable[DnsQueryRecord], name: str) -> list[DnsQuery
 # dns_queries.csv: every answered in-zone address query.
 QUERY_LOG = CsvLog(
     ("timestamp", "source", "name"),
-    lambda row: DnsQueryRecord(name=row[2], source=row[1], timestamp=float(row[0])),
+    lambda row: DnsQueryRecord(name=row[2], source=row[1], timestamp=finite_time(row[0])),
 )
 write_query_log = QUERY_LOG.write
 read_query_log = QUERY_LOG.read
@@ -192,10 +200,21 @@ class _UdpHandler(socketserver.BaseRequestHandler):
 
 
 class DnsResponder:
-    """UDP responder answering address queries for one wildcard zone."""
+    """UDP responder answering address queries for one wildcard zone.
 
-    def __init__(self, config: ZoneConfig, host: str = "127.0.0.1", port: int = 0):
-        self.resolver = WildcardResolver(config)
+    Only standard queries are answered: a packet that is a response, has
+    another opcode than QUERY or does not carry exactly one question gets
+    no reply and no log record (RFC 1035 section 4.1.1).
+    """
+
+    def __init__(
+        self,
+        config: ZoneConfig,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        log: list[DnsQueryRecord] | LogAppender[DnsQueryRecord] | None = None,
+    ):
+        self.resolver = WildcardResolver(config, log)
         self.config = config
         # one receive loop: an answer costs microseconds, less than a thread
         self._server = socketserver.UDPServer((host, port), _UdpHandler)
@@ -207,6 +226,9 @@ class DnsResponder:
         return self._server.server_address[:2]
 
     def handle_packet(self, data: bytes, source: str) -> bytes | None:
+        # QR and OPCODE are the top five bits of byte 2; QDCOUNT is bytes 4-5
+        if len(data) < 12 or data[2] & 0xF8 or data[4:6] != b"\x00\x01":
+            return None
         parsed = parse_query(data)
         if parsed is None:
             return None

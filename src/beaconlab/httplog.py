@@ -14,6 +14,7 @@ import base64
 import binascii
 import csv
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -179,6 +180,17 @@ def _first_json_header(raw: list, lowered: str) -> str | None:
     return None
 
 
+def finite_time(value) -> float:
+    """A log record's time as a float; ValueError unless it is a finite number."""
+    try:
+        seconds = float(value)
+    except OverflowError:  # an integer beyond the float range
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise ValueError(f"time is not a finite number: {value!r}")
+    return seconds
+
+
 def _validate_record(obj) -> tuple[int, bytes]:
     """Check one decoded log record; return its status and decoded body.
 
@@ -191,6 +203,9 @@ def _validate_record(obj) -> tuple[int, bytes]:
     if not _REQUIRED <= obj.keys():
         missing = [f for f in _FIELDS if f in _REQUIRED and f not in obj]
         raise ValueError(f"missing fields: {', '.join(missing)}")
+    if type(obj["timestamp"]) not in (int, float):  # bool is not a time
+        raise ValueError("timestamp is not a number")
+    finite_time(obj["timestamp"])
     _check_headers(obj["request_headers"], "request_headers")
     status = int(obj["response_status"])
     _check_headers(obj["response_headers"], "response_headers")
@@ -311,6 +326,12 @@ def cut_torn_tail(path: str) -> int:
         if end < size:
             fh.truncate(end)
         return size - end
+
+
+def count_lines(path: str) -> int:
+    """Number of newline-terminated lines in a file."""
+    with open(path, "rb") as fh:
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
 
 
 class LogAppender(Generic[T]):

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 
 from beaconlab.httplog import (
-    CsvLog, Headers, HttpExchange, mime_type, read_exchange_log, write_exchange_log
+    CsvLog, Headers, HttpExchange, finite_time, mime_type, read_exchange_log, write_exchange_log
 )
 
 MARKER_BEGIN = "<!--bx:begin-->"
@@ -152,7 +152,7 @@ def strip_injected(body: bytes) -> bytes:
 # tags.csv: every beacon issued, one row per Tag.
 TAG_LOG = CsvLog(
     ("kind", "subdomain", "url", "exchange_id", "injected_at"),
-    lambda row: Tag(row[0], row[1], row[2], row[3], float(row[4])),
+    lambda row: Tag(row[0], row[1], row[2], row[3], finite_time(row[4])),
 )
 write_tag_log = TAG_LOG.write
 read_tag_log = TAG_LOG.read

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from beaconlab.httplog import HttpExchange, LogAppender, LogFormatError, exchange_log_appender
+from beaconlab.httplog import (
+    HttpExchange, LogAppender, LogFormatError, count_lines, exchange_log_appender
+)
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag
 
 PASSIVE = "passive"
@@ -219,7 +221,9 @@ class ProxyService:
             self.injector.counter = issued
         self.exchanges_handled = 0
         self.tags_injected = 0
-        self._exchange_seq = 0
+        # resume after the exchanges earlier runs on this log recorded, so
+        # every exchange id (and the tags.csv rows naming it) stays unique
+        self._exchange_seq = count_lines(config.exchange_log_path)
         handler = type("BoundRelayHandler", (_RelayHandler,), {"service": self})
         self._http_server = ThreadingHTTPServer(
             (config.listen_host, config.listen_port), handler

@@ -7,14 +7,14 @@ vulnerability ratio b = V / (V + V_bar) with its windowed time series.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from beaconlab.httplog import CsvLog, LogFormatError
+from beaconlab.httplog import CsvLog, LogFormatError, finite_time
 
 DEFAULT_WINDOW_SECONDS = 900.0
 
@@ -225,15 +225,19 @@ class RatioSeries:
     points: tuple[RatioPoint, ...]
 
 
-def _window_starts(timestamps: Sequence[float], window_seconds: float) -> list[float]:
-    first = min(timestamps)
-    last = max(timestamps)
-    start = (first // window_seconds) * window_seconds
-    starts = []
-    while start <= last:
-        starts.append(start)
-        start += window_seconds
-    return starts
+def _windows(records: Iterable[UaRecord], window_seconds: float) -> list[tuple[float, set[str]]]:
+    """(k * window_seconds, raw strings seen in window k) for every window k
+    from the first record's to the last's; a record at time t is in window
+    t // window_seconds."""
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
+    by_window: dict[int, set[str]] = defaultdict(set)
+    for record in records:
+        by_window[int(record.first_seen // window_seconds)].add(record.raw)
+    if not by_window:
+        return []
+    first, last = min(by_window), max(by_window)
+    return [(k * window_seconds, by_window.get(k, set())) for k in range(first, last + 1)]
 
 
 def ratio_series(
@@ -246,37 +250,17 @@ def ratio_series(
     A raw string is counted once per window it is observed in; classification
     happens once per distinct string. Empty input yields an empty series.
     """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
     records = list(records)
-    if not records:
-        return RatioSeries(window_seconds=window_seconds, points=())
-    verdict_cache: dict[str, Verdict] = {}
-
-    def verdict_of(record: UaRecord) -> Verdict:
-        if record.raw not in verdict_cache:
-            verdict_cache[record.raw] = classify(record, db).verdict
-        return verdict_cache[record.raw]
-
-    starts = _window_starts([r.first_seen for r in records], window_seconds)
-    buckets: dict[float, set[str]] = {start: set() for start in starts}
-    by_raw: dict[str, UaRecord] = {}
-    for record in records:
-        start = (record.first_seen // window_seconds) * window_seconds
-        buckets[start].add(record.raw)
-        by_raw.setdefault(record.raw, record)
+    windows = _windows(records, window_seconds)
+    by_raw = {record.raw: record for record in records}
+    vulnerable = {
+        raw for raw, record in by_raw.items() if classify(record, db).verdict is Verdict.VULNERABLE
+    }
     points = []
-    for start in starts:
-        vulnerable = 0
-        not_vulnerable = 0
-        for raw in buckets[start]:
-            if verdict_of(by_raw[raw]) is Verdict.VULNERABLE:
-                vulnerable += 1
-            else:
-                not_vulnerable += 1
-        total = vulnerable + not_vulnerable
-        ratio = vulnerable / total if total else None
-        points.append(RatioPoint(start, vulnerable, not_vulnerable, ratio))
+    for start, raws in windows:
+        hits = len(raws & vulnerable)
+        ratio = hits / len(raws) if raws else None
+        points.append(RatioPoint(start, hits, len(raws) - hits, ratio))
     return RatioSeries(window_seconds=window_seconds, points=tuple(points))
 
 
@@ -284,37 +268,19 @@ def unique_ua_growth(
     records: Iterable[UaRecord], window_seconds: float = DEFAULT_WINDOW_SECONDS
 ) -> list[tuple[float, int]]:
     """Cumulative distinct raw-string count at the end of each window."""
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
-    records = sorted(records, key=lambda r: r.first_seen)
-    if not records:
-        return []
-    starts = _window_starts([r.first_seen for r in records], window_seconds)
     seen: set[str] = set()
     growth = []
-    index = 0
-    for start in starts:
-        end = start + window_seconds
-        while index < len(records) and records[index].first_seen < end:
-            seen.add(records[index].raw)
-            index += 1
+    for start, raws in _windows(records, window_seconds):
+        seen |= raws
         growth.append((start, len(seen)))
     return growth
 
 
 UA_LOG = CsvLog(
     ("timestamp", "user_agent"),
-    lambda row: UaRecord.from_raw(raw=row[1], first_seen=float(row[0])),
+    lambda row: UaRecord.from_raw(raw=row[1], first_seen=finite_time(row[0])),
     lambda record: (record.first_seen, record.raw),
 )
 read_ua_log = UA_LOG.read
 write_ua_log = UA_LOG.write
 
-
-def write_ratio_report(series: RatioSeries, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "vulnerable", "not_vulnerable", "ratio"])
-        for point in series.points:
-            ratio = "" if point.ratio is None else f"{point.ratio:.6f}"
-            writer.writerow([point.window_start, point.vulnerable, point.not_vulnerable, ratio])

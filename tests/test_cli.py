@@ -169,8 +169,9 @@ class TestAnalyze:
             ("dns_queries.csv", lambda row: row.rsplit(",", 1)[0]),  # truncated: 2 of 3 fields
             ("fetches.csv", lambda row: "soon" + row[row.index(","):]),  # timestamp not a number
             ("tags.csv", lambda row: row + ",extra"),  # 6 of 5 fields
+            ("dns_queries.csv", lambda row: "nan" + row[row.index(","):]),  # time not finite
         ],
-        ids=["dns_queries", "fetches", "tags"],
+        ids=["dns_queries", "fetches", "tags", "dns_queries_nan"],
     )
     def test_malformed_csv_row_is_named(self, tmp_path, sim_dir, capsys, log, damage):
         path = os.path.join(sim_dir, log)
@@ -183,6 +184,37 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"{path}:3: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "timestamp", ["soon", None, float("nan")], ids=["string", "null", "nan"]
+    )
+    def test_exchange_time_that_is_not_a_number_is_named(
+        self, tmp_path, sim_dir, capsys, timestamp
+    ):
+        path = os.path.join(sim_dir, "exchanges.jsonl")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        record = json.loads(lines[1])
+        record["timestamp"] = timestamp
+        lines[1] = json.dumps(record)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("window", ["7.3", "0.1"])
+    def test_fractional_window(self, tmp_path, sim_dir, window):
+        out = str(tmp_path / "r")
+        assert run("analyze", "--logs", sim_dir, "--out", out, "--window", window) == 0
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        w = float(window)
+        starts = [point[0] for point in report["ratio_series"]["points"]]
+        first = round(starts[0] / w)
+        assert starts == [k * w for k in range(first, first + len(starts))]
+        assert [start for start, _ in report["ua_growth"]] == starts
 
     @pytest.mark.parametrize(
         "row, line",

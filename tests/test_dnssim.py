@@ -1,12 +1,18 @@
+import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import beaconlab
 from beaconlab.dnssim import (
     DnsQueryRecord,
     DnsResponder,
     QTYPE_A,
+    QUERY_LOG,
     RCODE_NOERROR,
     RCODE_REFUSED,
     WildcardResolver,
@@ -175,6 +181,100 @@ class TestResponder:
             assert ttl == 60
         finally:
             responder.stop()
+
+
+def _with_header(packet, flags=None, qdcount=None):
+    header = bytearray(packet)
+    if flags is not None:
+        header[2:4] = flags.to_bytes(2, "big")
+    if qdcount is not None:
+        header[4:6] = qdcount.to_bytes(2, "big")
+    return bytes(header)
+
+
+class TestNonStandardPackets:
+    QUERY = encode_query(7, "pixel.attacker.test")
+
+    @pytest.fixture()
+    def responder(self):
+        responder = DnsResponder(CONFIG, port=0)
+        responder.start()
+        yield responder
+        responder.stop()
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            _with_header(QUERY, flags=0x8100),  # QR=1: a response
+            _with_header(QUERY, flags=0x1100),  # OPCODE=2: a status request
+            _with_header(QUERY, qdcount=0),
+            _with_header(QUERY, qdcount=2),
+        ],
+        ids=["response", "opcode_status", "no_question", "two_questions"],
+    )
+    def test_ignored_without_reply_or_log(self, responder, packet):
+        assert responder.handle_packet(packet, "10.0.0.1") is None
+        assert responder.resolver.log == []
+
+
+class TestQueryLogSink:
+    def test_each_record_is_on_disk_before_resolve_returns(self, tmp_path):
+        path = str(tmp_path / "dns_queries.csv")
+        sink = QUERY_LOG.appender(path)
+        resolver = WildcardResolver(CONFIG, sink)
+        try:
+            for n in range(3):
+                assert resolver.resolve(f"d{n}.attacker.test", "10.0.0.1", float(n)) is not None
+                assert [r.name for r in read_query_log(path)][-1] == f"d{n}.attacker.test"
+            assert resolver.resolve("nope.example", "10.0.0.1", 9.0) is None
+            assert len(read_query_log(path)) == 3
+        finally:
+            sink.close()
+
+
+def _start_dns(out_dir):
+    """`beaconlab dns` as a child process on an ephemeral port; (child, address)."""
+    src = os.path.dirname(os.path.dirname(beaconlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "beaconlab.cli", "dns", "--zone", "attacker.test",
+         "--payload", "192.0.2.7", "--listen", "127.0.0.1:0", "--out", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    line = child.stdout.readline()  # "dns responder on HOST:PORT zone=..."
+    assert line.startswith("dns responder on "), line
+    host, _, port = line.split()[3].rpartition(":")
+    return child, (host, int(port))
+
+
+def _answer_all(address, names):
+    for n, name in enumerate(names):
+        assert parse_answer_address(_udp_ask(address, encode_query(n, name))) == "192.0.2.7"
+
+
+class TestCrashSafeQueryLog:
+    def test_answered_queries_survive_sigkill_and_restart(self, tmp_path):
+        path = str(tmp_path / "dns_queries.csv")
+        first = [f"k{n}.attacker.test" for n in range(5)]
+        second = [f"r{n}.attacker.test" for n in range(3)]
+        child, address = _start_dns(tmp_path)
+        try:
+            _answer_all(address, first)
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+        assert [r.name for r in read_query_log(path)] == first
+        child, address = _start_dns(tmp_path)
+        try:
+            _answer_all(address, second)
+        finally:
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=10) == 0
+        assert [r.name for r in read_query_log(path)] == first + second
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read().count("timestamp,source,name") == 1
 
 
 class TestZoneConfig:

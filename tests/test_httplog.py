@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,13 @@ MALFORMED_LINES = {
     "status_null": json.dumps(_record(response_status=None)),
     "body_not_a_string": json.dumps(_record(response_body=5)),
     "torn_last_line": '{"exchange_id": "x3", "timest',
+    "timestamp_string": json.dumps(_record(timestamp="soon")),
+    "timestamp_null": json.dumps(_record(timestamp=None)),
+    "timestamp_bool": json.dumps(_record(timestamp=True)),
+    "timestamp_infinity": json.dumps(_record(timestamp=math.inf)),
+    "timestamp_minus_infinity": json.dumps(_record(timestamp=-math.inf)),
+    "timestamp_nan": json.dumps(_record(timestamp=math.nan)),
+    "timestamp_beyond_float": json.dumps(_record(timestamp=10**400)),
 }
 
 
@@ -323,6 +332,26 @@ class TestCsvLog:
             appender.close()
         with open(written, "rb") as fh_w, open(appended, "rb") as fh_a:
             assert fh_a.read() == fh_w.read()
+
+
+# The time column of each CSV layout that has one.
+TIME_COLUMNS = {"tags": 4, "dns": 0, "fetch": 0, "ua": 0}
+
+
+class TestTimeCells:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400", "soon", ""])
+    @pytest.mark.parametrize("name", TIME_COLUMNS)
+    def test_time_that_is_not_a_finite_number_names_its_line(self, tmp_path, name, cell):
+        layout, records = LAYOUTS[name]
+        path = str(tmp_path / "log.csv")
+        layout.write(records[:1], path)
+        row = list(layout.to_row(records[0]))
+        row[TIME_COLUMNS[name]] = cell
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(row)
+        with pytest.raises(LogFormatError) as excinfo:
+            layout.read(path)
+        assert excinfo.value.line_no == 3
 
 
 class TestCutTornTail:

@@ -489,6 +489,17 @@ class TestRestart:
         assert report.dynamic_tags_issued == 2
         assert report.reappearances == ()
 
+    def test_restart_resumes_exchange_ids(self, tmp_path, origin):
+        for _ in range(2):
+            serve_one_page(tmp_path, origin)
+        exchanges = read_exchange_log(str(tmp_path / "exchanges.jsonl"))
+        ids = [exchange.exchange_id for exchange in exchanges]
+        assert len(ids) == 2 and len(set(ids)) == 2
+        assert len({exchange.flow_id for exchange in exchanges}) == 2
+        tags = read_tag_log(str(tmp_path / "tags.csv"))
+        assert len(tags) == 4
+        assert all(ids.count(tag.exchange_id) == 1 for tag in tags)
+
     def test_malformed_tag_log_stops_a_restart(self, tmp_path):
         with open(tmp_path / "tags.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("kind,subdomain,url,exchange_id,injected_at\r\nstatic,pixel\r\n")

@@ -198,6 +198,59 @@ class TestRatioSeries:
         assert [(p.window_start, p.vulnerable, p.not_vulnerable) for p in series.points] == expected
 
 
+def brute_force_windows(records, window_seconds):
+    """Independent oracle: window k holds the records with int(t // w) == k."""
+    indices = [int(r.first_seen // window_seconds) for r in records]
+    return [
+        (k, {r.raw for r, i in zip(records, indices) if i == k})
+        for k in range(min(indices), max(indices) + 1)
+    ]
+
+
+class TestFractionalWindows:
+    @pytest.fixture(params=[0.1, 0.7, 7.3])
+    def window(self, request):
+        return request.param
+
+    @pytest.fixture()
+    def records(self, window):
+        rng = random.Random(7)
+        raws = ["ExampleBrowser/1.5", "ExampleBrowser/3.0", "Other/2.0", "SoloBrowser", ""]
+        stamps = [rng.uniform(1.0, 60.0) for _ in range(400)]
+        stamps += [k * window for k in range(3, 40, 4)]  # on window boundaries
+        return [UaRecord.from_raw(rng.choice(raws), t) for t in stamps]
+
+    def test_ratio_series_matches_brute_force(self, records, window):
+        series = ratio_series(records, FIXTURE_DB, window)
+        expected = []
+        for k, raws in brute_force_windows(records, window):
+            v = sum(
+                1
+                for raw in raws
+                if classify(UaRecord.from_raw(raw, 0.0), FIXTURE_DB).verdict is Verdict.VULNERABLE
+            )
+            expected.append((k * window, v, len(raws) - v))
+        assert [(p.window_start, p.vulnerable, p.not_vulnerable) for p in series.points] == expected
+
+    def test_growth_matches_brute_force(self, records, window):
+        seen = set()
+        expected = []
+        for k, raws in brute_force_windows(records, window):
+            seen |= raws
+            expected.append((k * window, len(seen)))
+        growth = unique_ua_growth(records, window)
+        assert growth == expected
+        assert growth[-1][1] == len({r.raw for r in records})
+
+    @pytest.mark.parametrize("window", [0.0, -1.0])
+    def test_non_positive_window_rejected(self, window):
+        records = [UaRecord.from_raw("A/1", 1.0)]
+        with pytest.raises(ValueError):
+            ratio_series(records, FIXTURE_DB, window)
+        with pytest.raises(ValueError):
+            unique_ua_growth(records, window)
+
+
 class TestUniqueUaGrowth:
     def test_hand_fixture(self):
         records = [
