@@ -331,11 +331,12 @@ def write_report(report: CorrelationReport, out_dir: str) -> None:
         for point in report.ratio_series.points:
             ratio = "" if point.ratio is None else f"{point.ratio:.6f}"
             writer.writerow([point.window_start, point.vulnerable, point.not_vulnerable, ratio])
-    with open(os.path.join(out_dir, "mime_distribution.csv"), "w", encoding="utf-8") as fh:
-        fh.write("mime_type,count,percent\n")
+    with open(os.path.join(out_dir, "mime_distribution.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a media type only where needed
+        writer.writerow(["mime_type", "count", "percent"])
         dist = report.mime_distribution
         for mime, count in sorted(dist.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            fh.write(f"{mime},{count},{dist.percentage(mime):.2f}\n")
+            writer.writerow([mime, count, f"{dist.percentage(mime):.2f}"])
     with open(os.path.join(out_dir, "ua_growth.csv"), "w", encoding="utf-8") as fh:
         fh.write("window_start,cumulative_unique\n")
         for start, count in report.ua_growth:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 import socket
-import socketserver
 import struct
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,6 +28,9 @@ RCODE_REFUSED = 5
 
 # How often the receive loop looks for a shutdown request, in seconds.
 POLL_INTERVAL_S = 0.05
+
+# Largest query packet read; a longer one is cut to this length.
+MAX_PACKET_BYTES = 8192
 
 
 @dataclass(frozen=True)
@@ -190,15 +193,6 @@ def parse_answer_address(data: bytes) -> str | None:
     return socket.inet_ntoa(data[pos + 12 : pos + 16])
 
 
-class _UdpHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        data, sock = self.request
-        responder: DnsResponder = self.server.responder  # type: ignore[attr-defined]
-        reply = responder.handle_packet(data, self.client_address[0])
-        if reply is not None:
-            sock.sendto(reply, self.client_address)
-
-
 class DnsResponder:
     """UDP responder answering address queries for one wildcard zone.
 
@@ -216,14 +210,26 @@ class DnsResponder:
     ):
         self.resolver = WildcardResolver(config, log)
         self.config = config
-        # one receive loop: an answer costs microseconds, less than a thread
-        self._server = socketserver.UDPServer((host, port), _UdpHandler)
-        self._server.responder = self  # type: ignore[attr-defined]
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._sock.bind((host, port))
+        self._sock.settimeout(POLL_INTERVAL_S)
+        self.address: tuple[str, int] = self._sock.getsockname()[:2]
+        self._stopped = False
         self._thread: threading.Thread | None = None
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+    def _serve(self) -> None:
+        """One receive loop: an answer costs microseconds, less than a thread."""
+        while not self._stopped:
+            try:
+                data, peer = self._sock.recvfrom(MAX_PACKET_BYTES)
+            except TimeoutError:
+                continue
+            try:
+                reply = self.handle_packet(data, peer[0])
+                if reply is not None:
+                    self._sock.sendto(reply, peer)
+            except Exception:  # one bad packet or a failed send must not stop the responder
+                traceback.print_exc()
 
     def handle_packet(self, data: bytes, source: str) -> bytes | None:
         # QR and OPCODE are the top five bits of byte 2; QDCOUNT is bytes 4-5
@@ -244,13 +250,12 @@ class DnsResponder:
         )
 
     def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
-        )
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop serving and close the socket; the log belongs to the caller."""
+        self._stopped = True
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._sock.close()

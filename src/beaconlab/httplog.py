@@ -215,7 +215,20 @@ def _validate_record(obj) -> tuple[int, bytes]:
     return status, body
 
 
+# The body field as the encoder writes it empty; the base64 text goes
+# between its quotes.
+_EMPTY_BODY_FIELD = '"response_body":""'
+
+
 def exchange_to_json(exchange: HttpExchange) -> str:
+    """One log line, compact JSON in _FIELDS order, then the extra keys.
+
+    The body's base64 text is spliced into the encoded line instead of
+    passing through the encoder, which it leaves unchanged anyway (base64
+    has no character JSON escapes). The one ``"response_body":""`` in the
+    line is the field itself: inside an encoded string every quote is
+    escaped, and an extra key never repeats a field's name.
+    """
     obj = {
         "exchange_id": exchange.exchange_id,
         "timestamp": exchange.timestamp,
@@ -226,13 +239,17 @@ def exchange_to_json(exchange: HttpExchange) -> str:
         "request_headers": _headers_to_json(exchange.request_headers),
         "response_status": exchange.response_status,
         "response_headers": _headers_to_json(exchange.response_headers),
-        "response_body": base64.b64encode(exchange.response_body).decode("ascii"),
+        "response_body": "",
         "is_encrypted": exchange.is_encrypted,
     }
     for key, value in exchange.extra.items():
         if key not in obj:
             obj[key] = value
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    line = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    if not exchange.response_body:
+        return line
+    at = line.index(_EMPTY_BODY_FIELD) + len(_EMPTY_BODY_FIELD) - 1
+    return line[:at] + base64.b64encode(exchange.response_body).decode("ascii") + line[at:]
 
 
 def exchange_from_json(obj: dict) -> HttpExchange:

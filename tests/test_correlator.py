@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import os
 from unittest import mock
 
@@ -244,6 +246,33 @@ class TestExchangeViewsGiveTheSameReport:
         report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=SCENARIOS["default"].zone)
         digest = hashlib.sha256(report_files(report, str(tmp_path / "out"))["report.json"]).hexdigest()
         assert digest == "12af4c27f98f23662f577693beac353f32365a84e3d7272358a621c8f15db9c7"
+
+    def test_companion_bytes_pinned(self, tmp_path):
+        log_dir = str(tmp_path / "logs")
+        simulated_logs(SCENARIOS["default"], log_dir)
+        report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=SCENARIOS["default"].zone)
+        files = report_files(report, str(tmp_path / "out"))
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == {
+            "mime_distribution.csv": "785b23e8c132588b010d9d913107219ff502a9d09e0585b12437d2a298fabf0a",
+            "ratio_series.csv": "a6e52ede6c37350b362fa75dc32d2777fbcc756e95d4287eee0164fff6298a51",
+            "report.json": "12af4c27f98f23662f577693beac353f32365a84e3d7272358a621c8f15db9c7",
+            "ua_growth.csv": "3df1503c977923ff78229e58945391acaaf689ca9dd1e50e789b0950c8dc4c41",
+        }
+
+    def test_media_type_with_a_comma_reads_back_as_one_row(self, tmp_path):
+        exchanges = [
+            httplog.HttpExchange(
+                exchange_id=f"x{i}", timestamp=float(i), flow_id=f"f{i}", method="GET",
+                url="http://example.test/", request_headers=(), response_status=200,
+                response_headers=(("Content-Type", content_type),), response_body=b"",
+            )
+            for i, content_type in enumerate(["text/html, x", "text/html", "text/html"])
+        ]
+        report = build_report(exchanges, [], [], [], DB, static_label="pixel", zone="tracker.test")
+        text = report_files(report, str(tmp_path / "out"))["mime_distribution.csv"].decode("utf-8")
+        assert text == 'mime_type,count,percent\ntext/html,2,66.67\n"text/html, x",1,33.33\n'
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[2] == ["text/html, x", "1", "33.33"]
 
 
 class TestOneDnsPass:

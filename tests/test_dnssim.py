@@ -4,6 +4,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -181,6 +182,22 @@ class TestResponder:
             assert ttl == 60
         finally:
             responder.stop()
+
+
+    def test_stop_without_start_closes_the_socket(self, tmp_path):
+        log = QUERY_LOG.appender(str(tmp_path / "dns_queries.csv"))
+        responder = DnsResponder(CONFIG, port=0, log=log)
+        stopper = threading.Thread(target=responder.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        # the port is free again, so the responder's socket is closed
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(responder.address)
+        # the log is the caller's to close, and still open
+        log.append(DnsQueryRecord("a.attacker.test", "10.0.0.1", 1.0))
+        log.close()
+        assert len(read_query_log(str(tmp_path / "dns_queries.csv"))) == 1
 
 
 def _with_header(packet, flags=None, qdcount=None):

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import json
@@ -131,7 +132,61 @@ exchange_st = st.builds(
 )
 
 
+def encoder_line(exchange):
+    """The exchange-log line with every field, the body too, passed through
+    the JSON encoder: the reference for the spliced line."""
+    obj = {
+        "exchange_id": exchange.exchange_id,
+        "timestamp": exchange.timestamp,
+        "flow_id": exchange.flow_id,
+        "ground_truth_client": exchange.ground_truth_client,
+        "method": exchange.method,
+        "url": exchange.url,
+        "request_headers": [[name, value] for name, value in exchange.request_headers],
+        "response_status": exchange.response_status,
+        "response_headers": [[name, value] for name, value in exchange.response_headers],
+        "response_body": base64.b64encode(exchange.response_body).decode("ascii"),
+        "is_encrypted": exchange.is_encrypted,
+    }
+    for key, value in exchange.extra.items():
+        if key not in obj:
+            obj[key] = value
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+# Text that looks like the body field once encoded, or is not ASCII.
+_tricky_text = st.sampled_from(
+    ['"response_body":""', '\\"response_body\\":\\"', "response_body", "é☃ 中", ""]
+) | st.text(alphabet=st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=30)
+
+
+def splice_exchange_st(encrypted):
+    return st.builds(
+        HttpExchange,
+        exchange_id=_tricky_text,
+        timestamp=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+        flow_id=st.text(alphabet="abcdef0123456789", min_size=1, max_size=12),
+        method=st.sampled_from(["GET", "POST", "CONNECT"]),
+        url=_tricky_text,
+        request_headers=st.lists(st.tuples(_tricky_text, _tricky_text), max_size=3).map(tuple),
+        response_status=st.integers(min_value=100, max_value=599),
+        response_headers=st.lists(st.tuples(_tricky_text, _tricky_text), max_size=3).map(tuple),
+        response_body=st.just(b"") if encrypted else st.binary(max_size=300),
+        is_encrypted=st.just(encrypted),
+        ground_truth_client=st.none() | _tricky_text,
+        extra=st.dictionaries(
+            st.sampled_from(["response_body", "url", "note", "é"]) | st.text(max_size=8),
+            st.none() | st.integers() | _tricky_text | st.lists(_tricky_text, max_size=2),
+            max_size=3,
+        ),
+    )
+
+
 class TestLogRoundTrip:
+    def test_spliced_body_line_of_a_4k_page(self):
+        exchange = make_exchange("text/html", body=bytes(range(256)) * 16, extra={"n": "é"})
+        assert exchange_to_json(exchange) == encoder_line(exchange)
+
     def test_canonical_byte_identity(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
         exchanges = [make_exchange("text/html", body=b"<html>\x00\xff</html>", timestamp=1.5)]
@@ -185,6 +240,11 @@ class TestLogRoundTrip:
     @given(exchange_st)
     def test_json_round_trip_equality(self, exchange):
         assert exchange_from_json(json.loads(exchange_to_json(exchange))) == exchange
+
+    @settings(max_examples=60)
+    @given(st.one_of(splice_exchange_st(False), splice_exchange_st(True)))
+    def test_spliced_body_gives_the_encoder_line(self, exchange):
+        assert exchange_to_json(exchange) == encoder_line(exchange)
 
     @settings(max_examples=100)
     @given(exchange_st)

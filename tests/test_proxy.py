@@ -129,6 +129,100 @@ def raw_exchange(service, request: bytes) -> bytes:
     return reply
 
 
+class RawOrigin:
+    """A loopback origin answering each request it reads with the next
+    scripted reply, byte for byte.
+
+    A reply is ``(bytes, close)``: with ``close`` set, the connection is
+    closed after it. Keeps the raw bytes of every request and the number
+    of connections accepted.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests: list[bytes] = []
+        self.accepted = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self.sock.getsockname()[:2]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while self.replies:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            with conn:
+                self._serve_connection(conn)
+
+    def _serve_connection(self, conn):
+        buffered = b""
+        while self.replies:
+            while b"\r\n\r\n" not in buffered:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                buffered += chunk
+            head, _, buffered = buffered.partition(b"\r\n\r\n")
+            length = 0
+            for line in head.split(b"\r\n")[1:]:
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            while len(buffered) < length:
+                buffered += conn.recv(65536)
+            self.requests.append(head + b"\r\n\r\n" + buffered[:length])
+            buffered = buffered[length:]
+            reply, close = self.replies.pop(0)
+            conn.sendall(reply)
+            if close:
+                return
+
+    def url(self, path="/"):
+        return "http://%s:%d%s" % (*self.address, path)
+
+    def close(self):
+        self.sock.close()
+        self.thread.join(timeout=5)
+
+
+@pytest.fixture()
+def raw_origin():
+    origins = []
+
+    def make(*replies):
+        origins.append(RawOrigin(replies))
+        return origins[-1]
+
+    yield make
+    for origin in origins:
+        origin.close()
+
+
+def split_reply(reply: bytes) -> tuple[bytes, dict, bytes]:
+    """(status line, headers by lowercased name, body) of one raw reply."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *lines = head.split(b"\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, body
+
+
+def read_until_closed(sock) -> bytes:
+    """Everything the peer sends until it closes; a reset counts as a close."""
+    reply = b""
+    try:
+        while chunk := sock.recv(65536):
+            reply += chunk
+    except ConnectionResetError:
+        pass
+    return reply
+
+
 @pytest.fixture()
 def service(tmp_path):
     config = ProxyConfig(
@@ -377,6 +471,31 @@ class TestMalformedRequest:
         assert len(lines) == 1
         assert "Content-Length" in lines[0]
 
+    @pytest.mark.parametrize("request_head, status", [
+        (b"GET http://127.0.0.1:99999/ HTTP/1.1\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/\x01 HTTP/1.1\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nHost x\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nX: a\nY: b\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/2.0\r\n\r\n", 505),
+        (b"PATCH http://127.0.0.1:%d/ HTTP/1.1\r\n\r\n", 501),
+        (b"CONNECT 127.0.0.1:port HTTP/1.1\r\n\r\n", 400),
+    ], ids=["port-range", "control-char", "no-colon", "bare-lf", "no-version", "http2",
+            "unsupported-method", "connect-port"])
+    def test_malformed_request_gets_an_error_and_a_close(
+        self, service, keepalive_origin, capfd, request_head, status
+    ):
+        if b"%d" in request_head:
+            request_head %= keepalive_origin.server_address[1]
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(request_head)
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in reply
+        assert "Traceback" not in capfd.readouterr().err
+        assert keepalive_origin.accepted == 0
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
     def test_chunked_request_is_refused_unrelayed(self, service, keepalive_origin):
         host, port = keepalive_origin.server_address
         reply = raw_exchange(
@@ -393,6 +512,135 @@ class TestMalformedRequest:
             lines = fh.readlines()
         assert len(lines) == 1
         assert "Transfer-Encoding" in lines[0]
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
+
+class TestWireBehaviour:
+    """What the relay sends each way, pinned byte for byte where it matters."""
+
+    def test_chunked_response_is_delivered_dechunked(self, service, raw_origin):
+        origin = raw_origin(
+            (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"5;ext=1\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
+        )
+        host, port = service.listen_address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request("GET", origin.url("/chunked"))
+            response = conn.getresponse()
+            assert response.read() == b"hello world"
+            assert response.getheader("Content-Length") == "11"
+            assert response.getheader("Transfer-Encoding") is None
+            conn.request("GET", origin.url("/next"))
+            assert conn.getresponse().read() == b"ok"
+        finally:
+            conn.close()
+        assert origin.accepted == 1  # the chunked reply left the connection reusable
+        log = read_exchange_log(service.config.exchange_log_path)
+        assert log[0].response_body == b"hello world"
+        assert ("Content-Length", "11") in log[0].response_headers
+
+    @pytest.mark.parametrize("first", [
+        b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\nwhole body, to the close",
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nwhole body, to the close",
+        b"HTTP/1.0 200 OK\r\nContent-Length: 24\r\n\r\nwhole body, to the close",
+    ], ids=["http10", "close-delimited", "http10-with-length"])
+    def test_close_delimited_response_is_relayed_whole_and_not_pooled(
+        self, service, raw_origin, first
+    ):
+        origin = raw_origin(
+            (first, True),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
+        )
+        assert proxy_get(service, origin.address, "/a") == (200, b"whole body, to the close")
+        # a POST is not retried, so it fails if the closed connection was pooled
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        try:
+            conn.request("POST", origin.url("/b"), body=b"x")
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, b"ok")
+        finally:
+            conn.close()
+        assert origin.accepted == 2
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_bodiless_responses_carry_no_body(self, service, raw_origin):
+        origin = raw_origin(
+            (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\n", False),
+            (b"HTTP/1.1 204 No Content\r\n\r\n", False),
+            (b"HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\n\r\n", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nlast", False),
+        )
+        request = (
+            b"HEAD %(url)s/head HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET %(url)s/204 HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET %(url)s/304 HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET %(url)s/last HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        ) % {b"url": origin.url("").encode()}
+        reply = raw_exchange(service, request)
+        # each head is followed directly by the next status line
+        heads = reply.split(b"\r\n\r\n")
+        assert [head.split(b"\r\n")[0] for head in heads[:4]] == [
+            b"HTTP/1.1 200 OK",
+            b"HTTP/1.1 204 No Content",
+            b"HTTP/1.1 304 Not Modified",
+            b"HTTP/1.1 200 OK",
+        ]
+        assert heads[4] == b"last"
+        assert origin.accepted == 1
+
+    def test_upstream_request_bytes(self, service, raw_origin):
+        origin = raw_origin(
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False),
+        )
+        authority = b"127.0.0.1:%d" % origin.address[1]
+        raw_exchange(
+            service,
+            b"GET http://%s/p?q=1 HTTP/1.1\r\nHost: ignored\r\nUser-Agent:  \tua/1 \r\n"
+            b"Proxy-Connection: keep-alive\r\nX-A: 1\r\n\r\n"
+            b"POST http://%s/form HTTP/1.1\r\nHost: ignored\r\nContent-Length: 0\r\n\r\n"
+            b"POST http://%s/form HTTP/1.1\r\nAccept-Encoding: gzip\r\nContent-Length: 3\r\n"
+            b"Connection: close\r\n\r\na=1" % (authority, authority, authority),
+        )
+        assert origin.requests == [
+            b"GET /p?q=1 HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+            b"User-Agent: ua/1 \r\nX-A: 1\r\n\r\n" % authority,
+            b"POST /form HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+            b"Content-Length: 0\r\n\r\n" % authority,
+            b"POST /form HTTP/1.1\r\nHost: %s\r\nContent-Length: 3\r\n"
+            b"Accept-Encoding: gzip\r\n\r\na=1" % authority,
+        ]
+        # the logged request headers keep names, order and values as sent,
+        # less leading blanks and the hop-by-hop ones
+        first = read_exchange_log(service.config.exchange_log_path)[0]
+        assert first.request_headers == (("Host", "ignored"), ("User-Agent", "ua/1 "), ("X-A", "1"))
+
+    @pytest.mark.parametrize("request_line, header", [
+        (b"GET %s HTTP/1.1", b"Connection: close\r\n"),
+        (b"GET %s HTTP/1.0", b""),
+    ], ids=["connection-close", "http10-client"])
+    def test_client_connection_closes_after_response(self, service, origin, request_line, header):
+        url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(request_line % url + b"\r\nHost: x\r\n" + header + b"\r\n")
+            reply = read_until_closed(sock)  # a connection left open times out here
+        status, headers, body = split_reply(reply)
+        assert status == b"HTTP/1.1 200 OK"
+        assert body == HTML_PAGE
+        assert headers[b"content-length"] == b"%d" % len(HTML_PAGE)
+
+    def test_oversized_request_head_is_refused(self, service, origin, capfd):
+        url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
+        request = b"GET " + url + b" HTTP/1.1\r\nHost: x\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n"
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(request)
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert b"Connection: close" in reply
+        assert "Traceback" not in capfd.readouterr().err
         assert read_exchange_log(service.config.exchange_log_path) == []
 
 
@@ -418,6 +666,19 @@ class TestStop:
         assert "Traceback" not in capfd.readouterr().err
         assert [os.path.getsize(path) for path in logs] == sizes
         assert len(read_exchange_log(config.exchange_log_path)) == 1
+
+    def test_stop_without_start_closes_sockets_and_logs(self, tmp_path):
+        svc = ProxyService(active_config(tmp_path))
+        stopper = threading.Thread(target=svc.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        for address in (svc.listen_address, svc.control_address):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5)
+        for log in (svc.exchange_log, svc.tag_log, svc._error_log):
+            with pytest.raises(ValueError):  # I/O operation on closed file
+                log.tell()
 
     def test_snapshot_after_stop_is_an_error(self, service):
         service.stop()

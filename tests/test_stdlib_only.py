@@ -1,7 +1,9 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and the
+services none of the server and parser modules they no longer need."""
 
 import ast
 import os
+import subprocess
 import sys
 
 import pytest
@@ -29,3 +31,16 @@ def test_imports_only_the_standard_library(module):
     path = os.path.join(PACKAGE_DIR, module)
     outside = [name for name in _absolute_imports(path) if name.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_proxy_imports_no_http_server_or_email_parser():
+    # The proxy splits heads itself and the DNS responder reads its socket
+    # itself; these modules would only add start-up time.
+    unused = {"http.client", "http.server", "email.parser", "socketserver"}
+    script = f"import sys, beaconlab.proxy; print(sorted({unused!r} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
