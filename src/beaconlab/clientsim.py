@@ -16,9 +16,11 @@ import random
 import re
 from dataclasses import dataclass, field, asdict
 from itertools import accumulate, compress
-from urllib.parse import urlsplit
+from typing import NamedTuple
 
-from beaconlab.dnssim import DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name
+from beaconlab.dnssim import (
+    DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name, url_host
+)
 from beaconlab.httplog import CsvLog, HttpExchange, finite_time
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
@@ -126,8 +128,7 @@ class ScenarioConfig:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class FetchRecord:
+class FetchRecord(NamedTuple):
     """One beacon object hit at the payload server."""
 
     timestamp: float
@@ -135,11 +136,14 @@ class FetchRecord:
     url: str
 
 
+def _fetch_from_row(row: list[str]) -> FetchRecord:
+    timestamp = finite_time(row[0])
+    url_host(row[2])  # a URL urlsplit rejects fails the read at its line
+    return FetchRecord(timestamp, row[1], row[2])
+
+
 # fetches.csv: beacon-object hits at the payload server.
-FETCH_LOG = CsvLog(
-    ("timestamp", "source", "url"),
-    lambda row: FetchRecord(timestamp=finite_time(row[0]), source=row[1], url=row[2]),
-)
+FETCH_LOG = CsvLog(("timestamp", "source", "url"), _fetch_from_row)
 write_fetch_log = FETCH_LOG.write
 read_fetch_log = FETCH_LOG.read
 
@@ -169,7 +173,7 @@ def _beacons(body: bytes, zone: str) -> list[tuple[str, str]]:
     beacons = []
     for match in _IMG_SRC_RE.finditer(body):
         url = match.group(1).decode("ascii", errors="replace")
-        host = normalize_name(urlsplit(url).hostname or "")
+        host = url_host(url)
         if host.endswith(suffix):
             beacons.append((url, host))
     return beacons

@@ -17,10 +17,9 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
-from urllib.parse import urlsplit
 
 from beaconlab.clientsim import FetchRecord, read_fetch_log
-from beaconlab.dnssim import DnsQueryRecord, normalize_name, read_query_log
+from beaconlab.dnssim import DnsQueryRecord, normalize_name, read_query_log, url_host
 from beaconlab.httplog import (
     ExchangeView,
     HttpExchange,
@@ -28,7 +27,7 @@ from beaconlab.httplog import (
     mime_distribution,
     read_exchange_views,
 )
-from beaconlab.inject import DYNAMIC, STATIC, Tag, read_tag_log
+from beaconlab.inject import DYNAMIC, STATIC, Tag, TagLabel, read_tag_labels
 from beaconlab.ua import (
     DEFAULT_WINDOW_SECONDS,
     RatioSeries,
@@ -42,6 +41,11 @@ from beaconlab.ua import (
 # Analysis reads each exchange-log line only as far as its ExchangeView;
 # build_report_from_dir reads the log through this name.
 read_exchange_log = read_exchange_views
+
+
+# Analysis reads tags.csv only as far as each row's kind and label;
+# build_report_from_dir reads the log through this name.
+read_tag_log = read_tag_labels
 
 
 class MissingLogError(FileNotFoundError):
@@ -185,12 +189,12 @@ def detect_reappearances(
     return hits.reappearances(), sorted(hits.anomalies)
 
 
-def _issued_dynamic(tags: Iterable[Tag]) -> set[str]:
+def _issued_dynamic(tags: Iterable[Tag | TagLabel]) -> set[str]:
     return {tag.subdomain for tag in tags if tag.kind == DYNAMIC}
 
 
 def _accounting(
-    tags: Sequence[Tag],
+    tags: Sequence[Tag | TagLabel],
     issued_dynamic: set[str],
     dns_hits: _DnsHits,
     fetch_log: Iterable[FetchRecord],
@@ -201,8 +205,7 @@ def _accounting(
     dynamic_obj = 0
     suffix = "." + normalize_name(zone)
     for record in fetch_log:
-        host = normalize_name(urlsplit(record.url).hostname or "")
-        label = _label_of(host, suffix)
+        label = _label_of(url_host(record.url), suffix)
         if label == static_label:
             static_obj += 1
         elif label in issued_dynamic:
@@ -218,7 +221,7 @@ def _accounting(
 
 
 def tag_accounting(
-    tags: Sequence[Tag],
+    tags: Sequence[Tag | TagLabel],
     dns_log: Iterable[DnsQueryRecord],
     fetch_log: Iterable[FetchRecord],
     static_label: str,
@@ -251,7 +254,7 @@ def ua_records_from_exchanges(
 
 def build_report(
     exchanges: Sequence[HttpExchange | ExchangeView],
-    tags: Sequence[Tag],
+    tags: Sequence[Tag | TagLabel],
     dns_log: Sequence[DnsQueryRecord],
     fetch_log: Sequence[FetchRecord],
     db: VulnDb,

@@ -158,26 +158,27 @@ def _headers_to_json(headers: Headers) -> list:
     return [[name, value] for name, value in headers]
 
 
-def _check_headers(raw, what: str) -> None:
-    if isinstance(raw, list):
-        for pair in raw:
-            if not isinstance(pair, list) or len(pair) != 2:
-                break
-        else:
-            return
-    raise ValueError(f"{what} must be a list of [name, value] pairs")
-
-
 def _headers_from_json(raw: list) -> Headers:
     return tuple((str(name), str(value)) for name, value in raw)
 
 
-def _first_json_header(raw: list, lowered: str) -> str | None:
-    """First value of a checked JSON header list, as HttpExchange.header finds it."""
-    for name, value in raw:
-        if str(name).lower() == lowered:
-            return str(value)
-    return None
+def _walk_headers(raw, what: str, lowered: str) -> str | None:
+    """Check a JSON header list and return its first value named ``lowered``
+    (compared case-insensitively), as HttpExchange.header finds it.
+
+    One pass does both. The lookup cannot raise, so the first malformed
+    pair is reported wherever the wanted header stands.
+    """
+    if isinstance(raw, list):
+        found = None
+        for pair in raw:
+            if not isinstance(pair, list) or len(pair) != 2:
+                break
+            if found is None and str(pair[0]).lower() == lowered:
+                found = str(pair[1])
+        else:
+            return found
+    raise ValueError(f"{what} must be a list of [name, value] pairs")
 
 
 def finite_time(value) -> float:
@@ -191,8 +192,10 @@ def finite_time(value) -> float:
     return seconds
 
 
-def _validate_record(obj) -> tuple[int, bytes]:
-    """Check one decoded log record; return its status and decoded body.
+def _validate_record(obj) -> tuple[int, bytes, str | None, str | None]:
+    """Check one decoded log record; return its status, decoded body, first
+    User-Agent request header and first Content-Type response header.
+    Each header list is walked once, to check it and to find the header.
 
     The one gate every exchange-log reader applies, so all of them reject
     the same lines. Raises ValueError (or TypeError for a value of the
@@ -206,13 +209,13 @@ def _validate_record(obj) -> tuple[int, bytes]:
     if type(obj["timestamp"]) not in (int, float):  # bool is not a time
         raise ValueError("timestamp is not a number")
     finite_time(obj["timestamp"])
-    _check_headers(obj["request_headers"], "request_headers")
+    user_agent = _walk_headers(obj["request_headers"], "request_headers", "user-agent")
     status = int(obj["response_status"])
-    _check_headers(obj["response_headers"], "response_headers")
+    content_type = _walk_headers(obj["response_headers"], "response_headers", "content-type")
     body = binascii.a2b_base64(obj["response_body"])
     if obj["is_encrypted"] and body:
         raise ValueError("encrypted exchanges carry no body")
-    return status, body
+    return status, body, user_agent, content_type
 
 
 # The body field as the encoder writes it empty; the base64 text goes
@@ -253,7 +256,7 @@ def exchange_to_json(exchange: HttpExchange) -> str:
 
 
 def exchange_from_json(obj: dict) -> HttpExchange:
-    status, body = _validate_record(obj)
+    status, body, _, _ = _validate_record(obj)
     extra = {k: v for k, v in obj.items() if k not in _FIELDS}
     return HttpExchange(
         exchange_id=str(obj["exchange_id"]),
@@ -273,15 +276,18 @@ def exchange_from_json(obj: dict) -> HttpExchange:
 
 def view_from_json(obj: dict) -> ExchangeView:
     """The ExchangeView of a record, accepting exactly what exchange_from_json accepts."""
-    _validate_record(obj)
-    user_agent = _first_json_header(obj["request_headers"], "user-agent")
-    content_type = _first_json_header(obj["response_headers"], "content-type")
+    _, _, user_agent, content_type = _validate_record(obj)
     return ExchangeView(
         obj["timestamp"],
         bool(obj["is_encrypted"]),
         None if user_agent is None else sys.intern(user_agent),
         None if content_type is None else sys.intern(content_type),
     )
+
+
+# The scanner json.loads runs. Called on a stripped line, it accepts
+# exactly what json.loads accepts if it ends at the end of the line.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
@@ -291,8 +297,14 @@ def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
             if not stripped:
                 continue
             try:
-                yield convert(json.loads(stripped))
-            except (ValueError, KeyError, TypeError) as exc:
+                try:
+                    obj, end = _scan_once(stripped, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(stripped):
+                    obj = json.loads(stripped)  # raises the error json.loads gives
+                yield convert(obj)
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nesting too deep
                 raise LogFormatError(path, line_no, str(exc)) from exc
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from beaconlab.httplog import (
     CsvLog, Headers, HttpExchange, finite_time, mime_type, read_exchange_log, write_exchange_log
@@ -156,6 +157,23 @@ TAG_LOG = CsvLog(
 )
 write_tag_log = TAG_LOG.write
 read_tag_log = TAG_LOG.read
+
+
+class TagLabel(NamedTuple):
+    """The part of a tags.csv row that analysis and a restarted proxy read."""
+
+    kind: str
+    subdomain: str
+
+
+def _tag_label(row: list[str]) -> TagLabel:
+    finite_time(row[4])  # rejected as TAG_LOG rejects it
+    return TagLabel(row[0], row[1])
+
+
+# tags.csv with TAG_LOG's header and checks, keeping only each row's kind
+# and label.
+read_tag_labels = CsvLog(TAG_LOG.header, _tag_label).read
 
 
 def rewrite_log(

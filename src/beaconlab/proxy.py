@@ -36,7 +36,9 @@ from urllib.parse import urlsplit
 from beaconlab.httplog import (
     HttpExchange, LogAppender, LogFormatError, count_lines, exchange_log_appender
 )
-from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag
+from beaconlab.inject import (
+    DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag, read_tag_labels
+)
 
 PASSIVE = "passive"
 ACTIVE = "active"
@@ -372,6 +374,26 @@ class _Refused(Exception):
     """A request refused before relaying: (status, reason phrase)."""
 
 
+async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
+    """One request head through its CRLF CRLF; None, at once, for a request
+    line that ends in a bare LF, after which that CRLF CRLF may never come.
+
+    The request line is read first. After it, the next two bytes are CRLF
+    (no header fields) or begin a field line; a field line is at least
+    "a:" long, so two bytes holding a CR or LF are refused as well, and
+    the CRLF CRLF read for the rest of the head cannot straddle them.
+    """
+    line = await reader.readuntil(b"\n")
+    if not line.endswith(b"\r\n"):
+        return None
+    start = await reader.readexactly(2)
+    if start == b"\r\n":
+        return line + start
+    if b"\r" in start or b"\n" in start:
+        return None
+    return line + start + await reader.readuntil(b"\r\n\r\n")
+
+
 def _parse_request(head: bytes, reader, writer) -> Request:
     """The Request of a head, under http.server's rules; _Refused if malformed."""
     try:
@@ -447,7 +469,7 @@ class ProxyService:
         self.injector = None
         if config.zone:
             try:
-                issued = sum(tag.kind == DYNAMIC for tag in TAG_LOG.read(config.tag_log_path))
+                issued = sum(tag.kind == DYNAMIC for tag in read_tag_labels(config.tag_log_path))
             except LogFormatError:
                 for log in logs:
                     log.close()
@@ -628,11 +650,14 @@ class ProxyService:
         """Requests of one client connection, one after another."""
         while True:
             try:
-                head = await reader.readuntil(b"\r\n\r\n")
+                head = await _read_head(reader)
             except asyncio.IncompleteReadError:
                 return  # the client closed the connection
             except asyncio.LimitOverrunError:
                 writer.write(_error_reply(431, "Request Header Fields Too Large"))
+                return
+            if head is None:
+                writer.write(_error_reply(400, "Bad request syntax"))
                 return
             try:
                 request = _parse_request(head, reader, writer)

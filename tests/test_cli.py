@@ -170,8 +170,9 @@ class TestAnalyze:
             ("fetches.csv", lambda row: "soon" + row[row.index(","):]),  # timestamp not a number
             ("tags.csv", lambda row: row + ",extra"),  # 6 of 5 fields
             ("dns_queries.csv", lambda row: "nan" + row[row.index(","):]),  # time not finite
+            ("fetches.csv", lambda row: row.rsplit(",", 1)[0] + ",http://[abc/p.gif"),  # bad URL
         ],
-        ids=["dns_queries", "fetches", "tags", "dns_queries_nan"],
+        ids=["dns_queries", "fetches", "tags", "dns_queries_nan", "fetches_url"],
     )
     def test_malformed_csv_row_is_named(self, tmp_path, sim_dir, capsys, log, damage):
         path = os.path.join(sim_dir, log)

@@ -345,7 +345,14 @@ class TestBenchmarkHooks:
         assert callable(getattr(correlate, name))
 
     @pytest.mark.parametrize(
-        "name", ["read_exchange_log", "read_query_log", "ua_records_from_exchanges"]
+        "name",
+        [
+            "read_exchange_log",
+            "read_tag_log",
+            "read_query_log",
+            "read_fetch_log",
+            "ua_records_from_exchanges",
+        ],
     )
     def test_build_report_from_dir_calls_through_module_globals(self, tmp_path, name):
         log_dir = str(tmp_path / "logs")

@@ -5,8 +5,11 @@ import socket
 import subprocess
 import sys
 import threading
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beaconlab
 from beaconlab.dnssim import (
@@ -25,6 +28,7 @@ from beaconlab.dnssim import (
     parse_query,
     query_log_by_name,
     read_query_log,
+    url_host,
     write_query_log,
 )
 
@@ -120,6 +124,73 @@ class TestNames:
     )
     def test_validity(self, name, valid):
         assert is_valid_name(name) is valid
+
+
+def _urlsplit_host(url: str) -> str:
+    """What url_host gives, all through urlsplit."""
+    return normalize_name(urlsplit(url).hostname or "")
+
+
+def _assert_same_host(url: str) -> None:
+    try:
+        expected = _urlsplit_host(url)
+    except ValueError:
+        with pytest.raises(ValueError):
+            url_host(url)
+    else:
+        assert url_host(url) == expected
+
+
+# URLs that reach both paths of url_host: mostly plain http, with upper
+# case, trailing dots, ports, userinfo, and at most one character that
+# urlsplit treats specially or that is not ASCII, NFKC forms holding a
+# delimiter included. Arbitrary text after "http://" as well.
+_PLAIN = st.text(st.sampled_from("aZz09.-_"), max_size=5)
+_SPECIAL_CHARS = ["@", ":", "[", "]", "%", "\\", "\t", "\r", "\n", " ", "é", "İ", "Ａ", "\u2100", "\uff03"]
+_SPECIAL = st.sampled_from(["", ""] + _SPECIAL_CHARS)
+_URLS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["http://"] * 6 + ["HTTP://", "Http://", "https://", "http:/", ""]),
+        st.sampled_from(["", "", "", "", "user@", "u:p@"]),
+        _PLAIN,
+        _SPECIAL,
+        _PLAIN,
+        st.sampled_from(["", "", "", "", ".", "..", ":80", ":x"]),
+        st.sampled_from(["", "/", "/p.gif", "?q=a:b", "#f@x", "/a?b#c", "/\tx", "\\y"]),
+    ),
+) | st.text(max_size=12).map("http://".__add__)
+
+
+class TestUrlHost:
+    @pytest.mark.parametrize("url, host", [
+        ("http://Pixel.Feedback.TEST./p.gif", "pixel.feedback.test"),
+        ("http://d1.z.test?x", "d1.z.test"),
+        ("http://u@d1.z.test:81/", "d1.z.test"),
+        ("HTTP://D1.Z.TEST/", "d1.z.test"),
+        ("http:///p.gif", ""),
+        ("http://a%Z.z.test/", "a%z.z.test"),
+        ("http://a.z.test:80/", "a.z.test"),
+        ("http://[::1]/", "::1"),
+        ("http://a\t.Z/", "a.z"),
+        ("http://a\\b.Z/", "a\\b.z"),
+        ("http://É.z/", "é.z"),
+    ])
+    def test_examples(self, url, host):
+        assert url_host(url) == host == _urlsplit_host(url)
+
+    @pytest.mark.parametrize("char", _SPECIAL_CHARS)
+    def test_one_special_character(self, char):
+        _assert_same_host(f"http://a{char}B.z./p.gif")
+
+    def test_rejects_what_urlsplit_rejects(self):
+        with pytest.raises(ValueError):
+            url_host("http://[abc/p.gif")
+
+    @settings(max_examples=300)
+    @given(_URLS)
+    def test_fast_path_gives_the_urlsplit_label(self, url):
+        _assert_same_host(url)
 
 
 class TestWireFormat:

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,7 @@ MALFORMED_LINES = {
     "timestamp_minus_infinity": json.dumps(_record(timestamp=-math.inf)),
     "timestamp_nan": json.dumps(_record(timestamp=math.nan)),
     "timestamp_beyond_float": json.dumps(_record(timestamp=10**400)),
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -341,6 +344,95 @@ class TestExchangeViews:
             full.timestamp, full.is_encrypted, full.user_agent, full.content_type
         )
         assert mime_type(view_from_json(obj)) == mime_type(full)
+
+
+# A canonical record, then one defect or harmless change at a time. Each
+# mutation takes the record (a dict) and a hypothesis data object.
+def _canonical_record() -> dict:
+    exchange = dataclasses.replace(
+        make_exchange("text/html; charset=utf-8", body=b"<p>x</p>", timestamp=7.5),
+        request_headers=(("Host", "example.test"), ("User-Agent", "ua/1")),
+    )
+    return json.loads(exchange_to_json(exchange))
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _drop_field(obj, data):
+    del obj[data.draw(st.sampled_from(sorted(obj)))]
+
+
+def _retype_value(obj, data):
+    obj[data.draw(st.sampled_from(sorted(obj)))] = data.draw(_ANY_JSON)
+
+
+def _header_list(obj, data) -> list:
+    """One of the record's header lists, or [] if an earlier mutation took it."""
+    headers = obj.get(data.draw(st.sampled_from(["request_headers", "response_headers"])))
+    return headers if isinstance(headers, list) else []
+
+
+def _break_header_pair(obj, data):
+    headers = _header_list(obj, data)
+    at = data.draw(st.integers(0, len(headers)))
+    bad = data.draw(st.sampled_from([["a"], ["a", "b", "c"], [], "a: b", {"a": "b"}, None]))
+    headers.insert(at, bad)
+
+
+def _corrupt_body(obj, data):
+    obj["response_body"] = data.draw(st.text("AZaz09+/=-!\n ", max_size=16))
+
+
+def _bad_timestamp(obj, data):
+    obj["timestamp"] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf, True, False, "7.5", None, 10**400])
+    )
+
+
+def _rename_header(obj, data):
+    pairs = [pair for pair in _header_list(obj, data) if isinstance(pair, list) and len(pair) == 2]
+    if pairs:
+        pair = data.draw(st.sampled_from(pairs))
+        pair[data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from(["USER-AGENT", "content-type", 5, None, ["x"]])
+        )
+
+
+_MUTATIONS = [_drop_field, _retype_value, _break_header_pair, _corrupt_body, _bad_timestamp,
+              _rename_header]
+
+
+class TestOneGate:
+    """Both exchange-log readers go through one record gate: mutated lines
+    are rejected by both at the same line or read by both alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2), st.data())
+    def test_readers_agree_on_mutated_lines(self, mutations, data):
+        obj = _canonical_record()
+        for mutate in mutations:
+            mutate(obj, data)
+        good = exchange_to_json(make_exchange("image/gif"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(good + "\n" + json.dumps(obj) + "\n" + good + "\n")
+            try:
+                full = read_exchange_log(path)
+            except LogFormatError as exc:
+                with pytest.raises(LogFormatError) as views:
+                    read_exchange_views(path)
+                assert exc.line_no == views.value.line_no == 2
+                return
+            assert read_exchange_views(path) == [
+                ExchangeView(e.timestamp, e.is_encrypted, e.user_agent, e.content_type)
+                for e in full
+            ]
 
 
 # Every CSV layout, with strings the writer must quote (comma, quote, line

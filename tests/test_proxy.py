@@ -496,6 +496,22 @@ class TestMalformedRequest:
         assert keepalive_origin.accepted == 0
         assert read_exchange_log(service.config.exchange_log_path) == []
 
+    @pytest.mark.parametrize("request_head", [
+        b"GET http://127.0.0.1:%d/ HTTP/1.1\nHost: x\n\n",
+        b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nX\r\n\r\n",
+        b"GET http://127.0.0.1:%d/ HTTP/1.1\r\n\nHost: x\n\n",
+    ], ids=["bare-lf-head", "one-byte-field-line", "bare-lf-blank-line"])
+    def test_head_that_never_ends_in_crlf_crlf_is_answered_at_once(
+        self, service, keepalive_origin, request_head
+    ):
+        request_head %= keepalive_origin.server_address[1]
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(request_head)  # and keep the connection open
+            reply = read_until_closed(sock)  # times out unless the proxy answers and closes
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert keepalive_origin.accepted == 0
+
     def test_chunked_request_is_refused_unrelayed(self, service, keepalive_origin):
         host, port = keepalive_origin.server_address
         reply = raw_exchange(
