@@ -12,17 +12,21 @@ later expected to recover.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
-from dataclasses import dataclass, field, asdict
+from bisect import bisect
+from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from beaconlab.dnssim import (
     DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name, url_host
 )
 from beaconlab.httplog import CsvLog, HttpExchange, finite_time
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
+
+T = TypeVar("T")
 
 HOME_HOST = "home.example"
 HOME_PAGE_URL = f"http://{HOME_HOST}/start"
@@ -67,6 +71,40 @@ class ClientProfile:
     restart_schedule: tuple[float, ...]
 
 
+_NUMBER = (int, float)
+# The JSON type of each key a scenario file may hold.
+_SCENARIO_TYPES = {
+    "seed": int,
+    "client_count": int,
+    "duration_seconds": _NUMBER,
+    "visit_rate": _NUMBER,
+    "mime_mix": dict,
+    "http_share": _NUMBER,
+    "ua_population": list,
+    "non_fetching_share": _NUMBER,
+    "restart_count": int,
+    "zone": str,
+    "payload_address": str,
+    "static_label": str,
+}
+_UA_SPEC_TYPES = {"user_agent": str, "weight": _NUMBER, "vulnerable": bool}
+
+
+def _typed(obj, types: dict, where: str = "") -> dict:
+    """``obj`` if it is a JSON object whose every key is in ``types`` with a
+    value of that type (a bool is no number); else ConfigError, its
+    message prefixed with ``where``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}not a JSON object")
+    for key, value in obj.items():
+        if key not in types:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        kind = types[key]
+        if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+            raise ConfigError(f"{where}{key} has the wrong JSON type ({type(value).__name__})")
+    return obj
+
+
 @dataclass
 class ScenarioConfig:
     seed: int = 1
@@ -85,10 +123,11 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.client_count < 0:
             raise ConfigError("client_count must be >= 0")
-        if self.duration_seconds < 0:
-            raise ConfigError("duration_seconds must be >= 0")
-        if self.visit_rate < 0:
-            raise ConfigError("visit_rate must be >= 0")
+        # NaN or infinity would keep _client_visits drawing visits forever
+        if not 0 <= self.duration_seconds < math.inf:
+            raise ConfigError("duration_seconds must be a finite number >= 0")
+        if not 0 <= self.visit_rate < math.inf:
+            raise ConfigError("visit_rate must be a finite number >= 0")
         if not 0.0 <= self.http_share <= 1.0:
             raise ConfigError("http_share must lie in [0, 1]")
         if not 0.0 <= self.non_fetching_share <= 1.0:
@@ -107,14 +146,38 @@ class ScenarioConfig:
             raise ConfigError("ua_population weights must be >= 0")
 
     def to_json(self) -> dict:
-        obj = asdict(self)
-        obj["ua_population"] = [asdict(spec) for spec in self.ua_population]
-        return obj
+        return {
+            "seed": self.seed,
+            "client_count": self.client_count,
+            "duration_seconds": self.duration_seconds,
+            "visit_rate": self.visit_rate,
+            "mime_mix": dict(self.mime_mix),
+            "http_share": self.http_share,
+            "ua_population": [
+                {"user_agent": spec.user_agent, "weight": spec.weight, "vulnerable": spec.vulnerable}
+                for spec in self.ua_population
+            ],
+            "non_fetching_share": self.non_fetching_share,
+            "restart_count": self.restart_count,
+            "zone": self.zone,
+            "payload_address": self.payload_address,
+            "static_label": self.static_label,
+        }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ScenarioConfig":
-        data = dict(obj)
-        data["ua_population"] = [UaSpec(**spec) for spec in data.get("ua_population", [])]
+    def from_json(cls, obj) -> "ScenarioConfig":
+        """The config a decoded scenario file describes; ConfigError unless it
+        is an object of known keys whose values have the right JSON types."""
+        data = dict(_typed(obj, _SCENARIO_TYPES))
+        mime_mix = data.get("mime_mix", {})
+        _typed(mime_mix, dict.fromkeys(mime_mix, _NUMBER), "mime_mix: ")
+        population = []
+        for i, spec in enumerate(data.get("ua_population", [])):
+            where = f"ua_population[{i}]: "
+            if "user_agent" not in _typed(spec, _UA_SPEC_TYPES, where):
+                raise ConfigError(f"{where}no user_agent")
+            population.append(UaSpec(**spec))
+        data["ua_population"] = population
         return cls(**data)
 
     def save(self, path: str) -> None:
@@ -124,8 +187,12 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
+        """A saved scenario; ConfigError naming the file if it is malformed."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise ConfigError(f"{path}: {exc}") from None
 
 
 class FetchRecord(NamedTuple):
@@ -223,8 +290,24 @@ class SimulationResult:
     config: ScenarioConfig
 
 
+def _one_of(population: Sequence[T], weights: Iterable[float]) -> Callable[[random.Random], T]:
+    """A draw of one item as ``rng.choices(population, weights)[0]`` draws it:
+    the same one random() call, bisected into weights accumulated once.
+
+    Raises choices' ValueError for a total that is not positive and finite.
+    """
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    hi = len(cum_weights) - 1
+    return lambda rng: population[bisect(cum_weights, rng.random() * total, 0, hi)]
+
+
 def _client_visits(
-    rng: random.Random, config: ScenarioConfig
+    rng: random.Random, config: ScenarioConfig, draw_mime: Callable[[random.Random], str]
 ) -> list[tuple[float, bool, str | None]]:
     """Visit plan for one client: (time, encrypted, mime or None).
 
@@ -241,11 +324,8 @@ def _client_visits(
             if t >= config.duration_seconds:
                 break
             times.append(t)
-    mimes = list(config.mime_mix)
-    cum_weights = list(accumulate(config.mime_mix.values()))
     encrypted = [rng.random() >= config.http_share for _ in times]
-    chosen = [rng.choices(mimes, cum_weights=cum_weights)[0] if not enc else None
-              for enc in encrypted]
+    chosen = [draw_mime(rng) if not enc else None for enc in encrypted]
     if encrypted[0]:
         for j in range(1, len(times)):
             if not encrypted[j]:
@@ -254,7 +334,7 @@ def _client_visits(
                 break
         else:
             encrypted[0] = False
-            chosen[0] = rng.choices(mimes, cum_weights=cum_weights)[0]
+            chosen[0] = draw_mime(rng)
     if chosen[0] != "text/html":
         for j in range(1, len(times)):
             if chosen[j] == "text/html":
@@ -265,12 +345,81 @@ def _client_visits(
     return list(zip(times, encrypted, chosen))
 
 
+_FILLER = b"abcdefghij nopqrs"
+
+
+def _filler_index(n: int) -> int:
+    """The index ``choices`` picks in _FILLER when random() returns n / 2**53:
+    random() computes ``((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 2**53)``
+    from two 32-bit words a and b, exactly, and choices takes
+    ``floor(random() * 17.0)``."""
+    return math.floor(n * (1.0 / 9007199254740992.0) * 17.0)
+
+
+def _filler_tables() -> tuple[bytes, list[bytes | None]]:
+    """The filler character for each top byte of word a, or 0 where that
+    byte does not decide it; and for each such byte, a table of the
+    character for each second byte (bits 16-23 of a), or 0 where the top
+    two bytes do not decide it either.
+
+    A's top byte holds the top 8 of n's 53 bits, its top two bytes the top
+    16. The index grows with n, so a range of n with one index at both ends
+    has it throughout, and a top byte's range spans at most one step of it.
+    """
+    by_top_byte = bytearray(256)
+    by_second_byte: list[bytes | None] = [None] * 256
+    for top in range(256):
+        low, high = _filler_index(top << 45), _filler_index(((top + 1) << 45) - 1)
+        if low == high:
+            by_top_byte[top] = _FILLER[low]
+            continue
+        # the first second byte whose last n has the higher index
+        step, last = 0, 255
+        while step < last:
+            mid = (step + last) // 2
+            if _filler_index(((((top << 8) | mid) + 1) << 37) - 1) == high:
+                last = mid
+            else:
+                step = mid + 1
+        table = bytearray(_FILLER[low:low + 1] * step + _FILLER[high:high + 1] * (256 - step))
+        if _filler_index(((top << 8) | step) << 37) != high:
+            table[step] = 0
+        by_second_byte[top] = bytes(table)
+    return bytes(by_top_byte), by_second_byte
+
+
+_FILLER_BY_TOP_BYTE, _FILLER_BY_SECOND_BYTE = _filler_tables()
+
+
 def _html_body(rng: random.Random) -> bytes:
-    filler = "".join(rng.choices("abcdefghij nopqrs", k=rng.randrange(40, 400)))
+    """A page whose filler is ``"".join(rng.choices(_FILLER, k=rng.randrange(40, 400)))``,
+    the same characters from the same words.
+
+    choices reads two words per character. ``getrandbits(64 * k)`` draws
+    those 2k words in one call, first word lowest, so character j's word a
+    is bytes 8j to 8j + 3 of the little-endian bytes and word b the next
+    four. A's top byte settles most characters through one translate, its
+    top two bytes nearly all the rest through a table per top byte, and
+    the exact expression the others.
+    """
+    k = rng.randrange(40, 400)
+    words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+    filler = bytearray(words[3::8].translate(_FILLER_BY_TOP_BYTE))
+    at = filler.find(0)
+    while at >= 0:
+        i = 8 * at
+        char = _FILLER_BY_SECOND_BYTE[words[i + 3]][words[i + 2]]
+        if not char:
+            a = int.from_bytes(words[i:i + 4], "little")
+            b = int.from_bytes(words[i + 4:i + 8], "little")
+            char = _FILLER[_filler_index((a >> 5) << 26 | b >> 6)]
+        filler[at] = char
+        at = filler.find(0, at + 1)
     return (
-        "<html><head><title>page</title></head>"
-        f"<body><h1>doc</h1><p>{filler}</p></body></html>"
-    ).encode("utf-8")
+        b"<html><head><title>page</title></head><body><h1>doc</h1><p>"
+        + filler
+        + b"</p></body></html>"
+    )
 
 
 # randrange(256) keeps bits 23-30 of one 32-bit Mersenne word and draws
@@ -313,10 +462,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     exchanges: list[HttpExchange] = []
     tags: list[Tag] = []
 
-    specs = config.ua_population
-    # choices(weights=w) accumulates w on every call; accumulating once
-    # gives the same draws
-    ua_cum_weights = list(accumulate(spec.weight for spec in specs))
+    if config.client_count:  # validate() leaves a population empty only without clients
+        draw_spec = _one_of(config.ua_population, [spec.weight for spec in config.ua_population])
+        draw_mime = _one_of(list(config.mime_mix), config.mime_mix.values())
     non_fetching = round(config.client_count * config.non_fetching_share)
     non_fetching_ids = set(rng.sample(range(config.client_count), non_fetching))
     fetching_ids = [i for i in range(config.client_count) if i not in non_fetching_ids]
@@ -329,7 +477,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     clients: list[_ClientState] = []
     events: list[tuple[float, int, int, str, object]] = []
     for i in range(config.client_count):
-        spec = rng.choices(specs, cum_weights=ua_cum_weights)[0] if specs else UaSpec("")
+        spec = draw_spec(rng)
         profile = ClientProfile(
             client_id=f"c{i:05d}",
             user_agent=spec.user_agent,
@@ -339,7 +487,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         state = _ClientState(profile, source=f"10.{(i >> 8) & 0xFF}.{i & 0xFF}.1")
         clients.append(state)
         visit_rng = random.Random(rng.randrange(2**62))
-        for seq, (t, enc, mime) in enumerate(_client_visits(visit_rng, config)):
+        for seq, (t, enc, mime) in enumerate(_client_visits(visit_rng, config, draw_mime)):
             events.append((t, i, seq, "visit", (enc, mime)))
         for t in profile.restart_schedule:
             events.append((t, i, 10**9, "restart", None))

@@ -10,7 +10,6 @@ the same way (LogFormatError). LogAppender is the one live appender.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import csv
 import json
@@ -154,10 +153,6 @@ def mime_distribution(exchanges: Iterable[HttpExchange | ExchangeView]) -> MimeD
     return MimeDistribution(counts=dict(counts), total=total)
 
 
-def _headers_to_json(headers: Headers) -> list:
-    return [[name, value] for name, value in headers]
-
-
 def _headers_from_json(raw: list) -> Headers:
     return tuple((str(name), str(value)) for name, value in raw)
 
@@ -218,41 +213,65 @@ def _validate_record(obj) -> tuple[int, bytes, str | None, str | None]:
     return status, body, user_agent, content_type
 
 
-# The body field as the encoder writes it empty; the base64 text goes
-# between its quotes.
-_EMPTY_BODY_FIELD = '"response_body":""'
+# json.dumps(value, separators=(",", ":"), ensure_ascii=False) for a value
+# exchange_to_json does not encode itself.
+_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+# What that encoder writes for a str (the C function when there is one).
+_encode_str = json.encoder.encode_basestring
+_FIELD_NAMES = frozenset(_FIELDS)
+
+
+def _json_value(value) -> str:
+    """``value`` as the compact encoder writes it: a str, an int and a finite
+    float as the encoder's C loop writes them, anything else through it."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return _dumps(value)
+
+
+def _headers_json(headers: Headers) -> str:
+    return "[" + ",".join(
+        [f"[{_json_value(name)},{_json_value(value)}]" for name, value in headers]
+    ) + "]"
 
 
 def exchange_to_json(exchange: HttpExchange) -> str:
-    """One log line, compact JSON in _FIELDS order, then the extra keys.
+    """One log line, compact JSON in _FIELDS order, then the extra keys:
+    the line json.dumps(..., separators=(",", ":"), ensure_ascii=False)
+    writes for the record as a dict, built field by field.
 
-    The body's base64 text is spliced into the encoded line instead of
-    passing through the encoder, which it leaves unchanged anyway (base64
-    has no character JSON escapes). The one ``"response_body":""`` in the
-    line is the field itself: inside an encoded string every quote is
-    escaped, and an extra key never repeats a field's name.
+    The body's base64 text is written as it is; base64 has no character
+    JSON escapes.
     """
-    obj = {
-        "exchange_id": exchange.exchange_id,
-        "timestamp": exchange.timestamp,
-        "flow_id": exchange.flow_id,
-        "ground_truth_client": exchange.ground_truth_client,
-        "method": exchange.method,
-        "url": exchange.url,
-        "request_headers": _headers_to_json(exchange.request_headers),
-        "response_status": exchange.response_status,
-        "response_headers": _headers_to_json(exchange.response_headers),
-        "response_body": "",
-        "is_encrypted": exchange.is_encrypted,
-    }
-    for key, value in exchange.extra.items():
-        if key not in obj:
-            obj[key] = value
-    line = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-    if not exchange.response_body:
-        return line
-    at = line.index(_EMPTY_BODY_FIELD) + len(_EMPTY_BODY_FIELD) - 1
-    return line[:at] + base64.b64encode(exchange.response_body).decode("ascii") + line[at:]
+    body = exchange.response_body
+    body_text = binascii.b2a_base64(body, newline=False).decode("ascii") if body else ""
+    line = (
+        f'{{"exchange_id":{_json_value(exchange.exchange_id)}'
+        f',"timestamp":{_json_value(exchange.timestamp)}'
+        f',"flow_id":{_json_value(exchange.flow_id)}'
+        f',"ground_truth_client":{_json_value(exchange.ground_truth_client)}'
+        f',"method":{_json_value(exchange.method)}'
+        f',"url":{_json_value(exchange.url)}'
+        f',"request_headers":{_headers_json(exchange.request_headers)}'
+        f',"response_status":{_json_value(exchange.response_status)}'
+        f',"response_headers":{_headers_json(exchange.response_headers)}'
+        f',"response_body":"{body_text}"'
+        f',"is_encrypted":{_json_value(exchange.is_encrypted)}'
+    )
+    if exchange.extra:
+        extra = {key: value for key, value in exchange.extra.items() if key not in _FIELD_NAMES}
+        if extra:
+            return line + "," + _dumps(extra)[1:]
+    return line + "}"
 
 
 def exchange_from_json(obj: dict) -> HttpExchange:

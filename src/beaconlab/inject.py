@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from beaconlab.httplog import (
@@ -36,8 +35,7 @@ STATIC = "static"
 DYNAMIC = "dynamic"
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(NamedTuple):
     """One issued beacon: its kind, DNS label, full URL, and provenance."""
 
     kind: str
@@ -120,8 +118,20 @@ class Injector:
             new_body = body[:at] + block + body[at:]
         else:
             new_body = body + block
-        new_headers = _set_content_length(exchange.response_headers, len(new_body))
-        rewritten = replace(exchange, response_body=new_body, response_headers=new_headers)
+        rewritten = HttpExchange(
+            exchange_id=exchange.exchange_id,
+            timestamp=exchange.timestamp,
+            flow_id=exchange.flow_id,
+            method=exchange.method,
+            url=exchange.url,
+            request_headers=exchange.request_headers,
+            response_status=exchange.response_status,
+            response_headers=_set_content_length(exchange.response_headers, len(new_body)),
+            response_body=new_body,
+            is_encrypted=exchange.is_encrypted,
+            ground_truth_client=exchange.ground_truth_client,
+            extra=exchange.extra,
+        )
         tags = [
             Tag(STATIC, self.static_label, static_url, exchange.exchange_id, exchange.timestamp),
             Tag(DYNAMIC, dynamic_label, dynamic_url, exchange.exchange_id, exchange.timestamp),

@@ -72,12 +72,15 @@ MAX_IDLE_UPSTREAM = 32
 # longest chunk-size or control line, in bytes.
 MAX_HEAD_BYTES = 65536
 
+# Largest upstream response body relayed, in bytes; a longer one gets 502.
+MAX_UPSTREAM_BODY_BYTES = 16 * 1024 * 1024
+
 # Deadline of one upstream exchange (connect, request and response), of a
 # tunnel's connect and of a tunnel's last drain, in seconds.
 UPSTREAM_TIMEOUT_S = 15.0
 
-# Bytes a tunnel copies per read.
-_TUNNEL_READ_BYTES = 65536
+# Bytes a tunnel, or a body read to the close, takes per read.
+_READ_BYTES = 65536
 
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 # A field name: visible ASCII except ":" (what email's header parser takes).
@@ -217,12 +220,18 @@ def _error_reply(status: int, message: str, head_only: bool = False) -> bytes:
     return head if head_only else head + body
 
 
+class _BodyTooLarge(Exception):
+    """An upstream response body longer than MAX_UPSTREAM_BODY_BYTES."""
+
+
 async def _read_response(reader: asyncio.StreamReader, method: str) -> tuple[int, _Headers, bytes, bool]:
     """(status, header fields, body, must close) of one response, framed as
     http.client frames it (RFC 7230 3.3.3).
 
     Raises ConnectionResetError if the origin closed the connection before
-    the first byte, and OSError, ValueError or EOFError for a broken reply.
+    the first byte, OSError, ValueError or EOFError for a broken reply, and
+    _BodyTooLarge, having read no more than MAX_UPSTREAM_BODY_BYTES of the
+    body, for a longer one.
     """
     while True:
         try:
@@ -266,13 +275,28 @@ async def _read_response(reader: asyncio.StreamReader, method: str) -> tuple[int
         except ValueError:
             pass
     if length is None or length < 0:
-        return status, headers, await reader.read(), True  # delimited by the close
+        return status, headers, await _read_to_close(reader), True
+    if length > MAX_UPSTREAM_BODY_BYTES:
+        raise _BodyTooLarge(f"Content-Length {length}")
     return status, headers, await reader.readexactly(length), close
+
+
+async def _read_to_close(reader: asyncio.StreamReader) -> bytes:
+    """A body delimited by the close of the connection."""
+    chunks = []
+    room = MAX_UPSTREAM_BODY_BYTES
+    while chunk := await reader.read(min(room + 1, _READ_BYTES)):
+        room -= len(chunk)
+        if room < 0:
+            raise _BodyTooLarge("body read to the close")
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
     """A chunked body, decoded; trailer fields are read and dropped."""
     chunks = []
+    room = MAX_UPSTREAM_BODY_BYTES
     try:
         while True:
             size = int((await reader.readuntil(b"\n")).partition(b";")[0], 16)
@@ -280,6 +304,9 @@ async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
                 raise ValueError("negative chunk size")
             if size == 0:
                 break
+            room -= size
+            if room < 0:
+                raise _BodyTooLarge("chunked body")
             chunks.append((await reader.readexactly(size + 2))[:-2])  # the data and its CRLF
         while await reader.readuntil(b"\n") not in (b"\r\n", b"\n"):
             pass
@@ -374,24 +401,26 @@ class _Refused(Exception):
     """A request refused before relaying: (status, reason phrase)."""
 
 
-async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
-    """One request head through its CRLF CRLF; None, at once, for a request
-    line that ends in a bare LF, after which that CRLF CRLF may never come.
-
-    The request line is read first. After it, the next two bytes are CRLF
-    (no header fields) or begin a field line; a field line is at least
-    "a:" long, so two bytes holding a CR or LF are refused as well, and
-    the CRLF CRLF read for the rest of the head cannot straddle them.
+async def _read_head(reader: asyncio.StreamReader) -> bytes:
+    """One request head, read a line at a time through the empty line that
+    ends it. _Refused, at once, for a line that ends in a bare LF, after
+    which a CRLF CRLF may never come, and for a head over MAX_HEAD_BYTES.
     """
-    line = await reader.readuntil(b"\n")
-    if not line.endswith(b"\r\n"):
-        return None
-    start = await reader.readexactly(2)
-    if start == b"\r\n":
-        return line + start
-    if b"\r" in start or b"\n" in start:
-        return None
-    return line + start + await reader.readuntil(b"\r\n\r\n")
+    lines = []
+    size = 0
+    line = b""
+    try:
+        while line != b"\r\n":
+            line = await reader.readuntil(b"\n")
+            if not line.endswith(b"\r\n"):
+                raise _Refused(400, "Bad request syntax")
+            size += len(line)
+            if size > MAX_HEAD_BYTES:
+                raise _Refused(431, "Request Header Fields Too Large")
+            lines.append(line)
+    except asyncio.LimitOverrunError:
+        raise _Refused(431, "Request Header Fields Too Large") from None
+    return b"".join(lines)
 
 
 def _parse_request(head: bytes, reader, writer) -> Request:
@@ -429,7 +458,7 @@ def _parse_request(head: bytes, reader, writer) -> Request:
 async def _copy(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
     """Copy one direction of a tunnel until EOF or a reset, then pass the EOF on."""
     try:
-        while chunk := await reader.read(_TUNNEL_READ_BYTES):
+        while chunk := await reader.read(_READ_BYTES):
             writer.write(chunk)
             await writer.drain()
     except OSError:
@@ -650,17 +679,9 @@ class ProxyService:
         """Requests of one client connection, one after another."""
         while True:
             try:
-                head = await _read_head(reader)
+                request = _parse_request(await _read_head(reader), reader, writer)
             except asyncio.IncompleteReadError:
                 return  # the client closed the connection
-            except asyncio.LimitOverrunError:
-                writer.write(_error_reply(431, "Request Header Fields Too Large"))
-                return
-            if head is None:
-                writer.write(_error_reply(400, "Bad request syntax"))
-                return
-            try:
-                request = _parse_request(head, reader, writer)
             except _Refused as refusal:
                 writer.write(_error_reply(*refusal.args))
                 return
@@ -752,6 +773,11 @@ class ProxyService:
                 conn, (status, upstream_headers, body, close) = await self._fetch(
                     origin, method, message
                 )
+        except _BodyTooLarge as exc:
+            self._log_error(
+                f"upstream {parts.hostname}: {exc} is over {MAX_UPSTREAM_BODY_BYTES} bytes"
+            )
+            return self._refuse(request, 502, "upstream response too large")
         except (OSError, ValueError, EOFError) as exc:
             self._log_error(f"upstream {parts.hostname}: {type(exc).__name__}: {exc}")
             return self._refuse(request, 502, "upstream unreachable")

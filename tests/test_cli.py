@@ -80,6 +80,8 @@ class TestSimulate:
         "tags.csv": "63a292ce67c386c8bcb91f292d145e0075d99a311c04f530a60652e6d787d5ea",
         "dns_queries.csv": "86541bc5901935232ff00b962648144c07cbdcf3cee98458c408a09a04ab7741",
         "fetches.csv": "b1a54f86c51792d52f2a8aa2e62537c2c6398127b43e6d30ece1f8a59623ba7d",
+        "ground_truth.json": "35a45d37c3ef37264d0822e9ceb5bf61d970e6be7820bb69a581c7818761f0c7",
+        "scenario_config.json": "666396bf5b1417ab78f118890b592826c6f365b2a08eced8aa0c2170b86914ce",
     }
 
     def test_logs_are_byte_stable(self, sim_dir):
@@ -94,6 +96,8 @@ class TestSimulate:
         "tags.csv": "a055a2c2ca593c9ba807c39d025de7ff47f1588542886f71eca1246b8f4528bc",
         "dns_queries.csv": "15f70f31479aee7942615636f24d95b0fb79354d3489bd1574684dd1840b0c34",
         "fetches.csv": "8a30384ccf1931ba078b4e3b6423cc7710ff499884959ab6a95cd43bbefe9c66",
+        "ground_truth.json": "a89f4d139055603f7dd8d26f0461fb14437d0914ce10982e595dec4261f5561f",
+        "scenario_config.json": "4e0d9fc5536634273faed7487e7c97b7288832540a7ff745eef849c0dbbe5541",
     }
 
     def test_churn_logs_are_byte_stable(self, tmp_path):
@@ -125,6 +129,45 @@ class TestSimulate:
         run("simulate", "--config", scenario_file, "--seed", "7", "--out", out_a)
         run("simulate", "--config", scenario_file, "--seed", "8", "--out", out_b)
         assert _dir_digest(out_a) != _dir_digest(out_b)
+
+
+# Malformed scenario files, each refused with the file named and exit 2.
+MALFORMED_SCENARIOS = {
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
+    "unknown_key": json.dumps({"seed": 1, "clients": 5}),
+    "top_level_list": json.dumps([{"seed": 1}]),
+    "ua_entry_not_an_object": json.dumps({"ua_population": ["AcmeBrowser/3.1"]}),
+    "client_count_string": json.dumps({"client_count": "5"}),
+}
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("text", MALFORMED_SCENARIOS.values(), ids=MALFORMED_SCENARIOS.keys())
+    def test_simulate_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["duration_seconds", "visit_rate"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_time_is_refused(self, tmp_path, capsys, field, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{{"client_count": 2, "{field}": {value}}}', encoding="utf-8")
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", MALFORMED_SCENARIOS.values(), ids=MALFORMED_SCENARIOS.keys())
+    def test_analyze_names_the_file(self, tmp_path, sim_dir, capsys, text):
+        path = os.path.join(sim_dir, "scenario_config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err
+        assert "Traceback" not in err
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import accumulate
 
@@ -9,6 +10,8 @@ from beaconlab.clientsim import (
     ScenarioConfig,
     UaSpec,
     _ClientState,
+    _html_body,
+    _one_of,
     _placeholder_body,
     beacon_urls,
     calibrated_config,
@@ -102,6 +105,80 @@ class TestDeterminism:
             for _ in range(40):
                 assert _placeholder_body(new) == per_byte(ref), seed
             assert new.random() == ref.random(), seed
+
+    def test_html_body_replays_choices_filler(self):
+        # The one-liner the word-block filler replaces; equal bytes and an
+        # equal next draw pin the random() and getrandbits word order it assumes.
+        def reference(rng):
+            filler = "".join(rng.choices("abcdefghij nopqrs", k=rng.randrange(40, 400)))
+            return (
+                "<html><head><title>page</title></head>"
+                f"<body><h1>doc</h1><p>{filler}</p></body></html>"
+            ).encode("utf-8")
+
+        for seed in range(300):
+            ref, new = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                assert _html_body(new) == reference(ref), seed
+            assert new.random() == ref.random(), seed
+
+    def test_html_body_replays_choices_at_every_filler_boundary(self):
+        # Words whose 53-bit value n lies at, just below and just above each
+        # n where floor(n / 2**53 * 17) steps, served the way CPython's
+        # generator serves them to random() and getrandbits(); the
+        # replay reads the same characters from them as choices does.
+        class Scripted(random.Random):
+            def __init__(self, words):
+                super().__init__(0)
+                self.words = list(words)
+
+            def random(self):
+                a, b = self.words.pop(0), self.words.pop(0)
+                return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+
+            def getrandbits(self, k):
+                if k <= 32:
+                    return self.words.pop(0) >> (32 - k)
+                assert k % 32 == 0
+                return sum(self.words.pop(0) << (32 * i) for i in range(k // 32))
+
+        def index(n):
+            return math.floor(n * (1.0 / 2**53) * 17.0)
+
+        steps = []
+        for j in range(1, 17):
+            n = -(-j * 2**53 // 17)  # n / 2**53 * 17 reaches j here without rounding
+            while index(n - 1) >= j:
+                n -= 1
+            while index(n) < j:
+                n += 1
+            steps.append(n)
+        words = []
+        for n in (m + d for m in steps for d in (-1, 0, 1)):
+            words += [(n >> 26) << 5 | 0b10101, (n & (2**26 - 1)) << 6 | 0b110011]
+        length = len(words) // 2  # randrange(40, 400) = 40 + getrandbits(9) here
+        head = [(length - 40) << 23]
+        ref = "".join(Scripted(words).choices("abcdefghij nopqrs", k=length))
+        assert _html_body(Scripted(head + words)) == (
+            "<html><head><title>page</title></head>"
+            f"<body><h1>doc</h1><p>{ref}</p></body></html>"
+        ).encode()
+
+    def test_one_of_draws_what_choices_draws(self):
+        rng = random.Random(9)
+        population = list(range(500))
+        weights = [rng.choice((0.0, 0.25, 1.0, 7.0)) for _ in population]
+        draw = _one_of(population, weights)
+        ref, new = random.Random(10), random.Random(10)
+        for _ in range(5_000):
+            assert draw(new) == ref.choices(population, weights)[0]
+        assert new.random() == ref.random()
+        for bad in ([0.0, 0.0], [1.0, math.inf], [1.0, math.nan]):
+            with pytest.raises(ValueError) as mine:
+                _one_of("ab", bad)
+            with pytest.raises(ValueError) as theirs:
+                random.Random(1).choices("ab", bad)
+            assert str(mine.value) == str(theirs.value)
 
     def test_cum_weight_draws_equal_weight_draws(self):
         rng = random.Random(7)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from http import HTTPStatus
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,48 @@ def splice_exchange_st(encrypted):
     )
 
 
+# Text with non-ASCII, control and separator characters, and text that
+# looks like the body field once encoded.
+_any_text = _tricky_text | st.text(
+    alphabet=st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\x7f\r\n\t\"\\\u2028\U0001f600"),
+    max_size=20,
+)
+# Values json.dumps writes in its own way: non-finite floats, int and bool
+# subclasses and nested containers.
+_json_leaf = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _any_text
+    | st.sampled_from([HTTPStatus.OK, HTTPStatus.NOT_FOUND])
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_any_text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def direct_line_exchange_st(encrypted):
+    return st.builds(
+        HttpExchange,
+        exchange_id=_any_text,
+        timestamp=st.floats() | st.integers() | st.sampled_from([math.nan, math.inf, -math.inf]),
+        flow_id=_any_text,
+        method=_any_text,
+        url=_any_text,
+        request_headers=st.lists(st.tuples(_any_text, _any_text), max_size=3).map(tuple),
+        response_status=st.integers(min_value=-1, max_value=1000) | st.booleans()
+        | st.sampled_from([HTTPStatus.OK, HTTPStatus.NOT_FOUND]),
+        response_headers=st.lists(st.tuples(_any_text, _any_text), max_size=3).map(tuple),
+        response_body=st.just(b"") if encrypted else st.binary(max_size=300),
+        is_encrypted=st.just(encrypted),
+        ground_truth_client=st.none() | _any_text,
+        extra=st.dictionaries(
+            st.sampled_from(["response_body", "timestamp", "url", "note", "é"]) | _any_text,
+            _json_value,
+            max_size=4,
+        ),
+    )
+
+
 class TestLogRoundTrip:
     def test_spliced_body_line_of_a_4k_page(self):
         exchange = make_exchange("text/html", body=bytes(range(256)) * 16, extra={"n": "é"})
@@ -246,6 +289,11 @@ class TestLogRoundTrip:
     @settings(max_examples=60)
     @given(st.one_of(splice_exchange_st(False), splice_exchange_st(True)))
     def test_spliced_body_gives_the_encoder_line(self, exchange):
+        assert exchange_to_json(exchange) == encoder_line(exchange)
+
+    @settings(max_examples=150)
+    @given(st.one_of(direct_line_exchange_st(False), direct_line_exchange_st(True)))
+    def test_line_equals_the_whole_record_dumps_line(self, exchange):
         assert exchange_to_json(exchange) == encoder_line(exchange)
 
     @settings(max_examples=100)

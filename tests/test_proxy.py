@@ -512,6 +512,29 @@ class TestMalformedRequest:
         assert b"Connection: close" in reply
         assert keepalive_origin.accepted == 0
 
+    def test_bare_lf_field_lines_after_a_crlf_request_line_are_answered_at_once(
+        self, service, keepalive_origin
+    ):
+        request_head = b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nHost: x\n\n" % (
+            keepalive_origin.server_address[1]
+        )
+        with socket.create_connection(service.listen_address, timeout=1) as sock:
+            sock.sendall(request_head)  # and keep the connection open
+            reply = read_until_closed(sock)  # times out unless the proxy answers and closes
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert keepalive_origin.accepted == 0
+
+    def test_head_of_many_short_lines_over_the_cap_is_refused(self, service, origin, capfd):
+        url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
+        fields = b"".join(b"X-%d: %s\r\n" % (i, b"a" * 60) for i in range(1200))
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(b"GET " + url + b" HTTP/1.1\r\n" + fields + b"\r\n")
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert "Traceback" not in capfd.readouterr().err
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
     def test_chunked_request_is_refused_unrelayed(self, service, keepalive_origin):
         host, port = keepalive_origin.server_address
         reply = raw_exchange(
@@ -658,6 +681,59 @@ class TestWireBehaviour:
         assert b"Connection: close" in reply
         assert "Traceback" not in capfd.readouterr().err
         assert read_exchange_log(service.config.exchange_log_path) == []
+
+
+# Upstream replies of CAP body bytes and of one more, in each framing.
+CAP = 1000
+
+
+def _framed(framing, size):
+    body = b"b" * size
+    if framing == "content-length":
+        return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (size, body), False
+    if framing == "chunked":
+        return (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"%x\r\n%s\r\n1\r\n%s\r\n0\r\n\r\n" % (size - 1, body[1:], body[:1])
+        ), False
+    return b"HTTP/1.1 200 OK\r\n\r\n" + body, True  # delimited by the close
+
+
+class TestUpstreamBodyCap:
+    @pytest.mark.parametrize("framing", ["content-length", "chunked", "close-delimited"])
+    def test_body_at_the_cap_is_relayed(self, service, raw_origin, monkeypatch, framing):
+        monkeypatch.setattr(proxy, "MAX_UPSTREAM_BODY_BYTES", CAP)
+        origin = raw_origin(_framed(framing, CAP))
+        assert proxy_get(service, origin.address, "/at-cap") == (200, b"b" * CAP)
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    @pytest.mark.parametrize("framing", ["content-length", "chunked", "close-delimited"])
+    def test_body_over_the_cap_gets_502_and_one_error_line(
+        self, service, raw_origin, monkeypatch, capfd, framing
+    ):
+        monkeypatch.setattr(proxy, "MAX_UPSTREAM_BODY_BYTES", CAP)
+        origin = raw_origin(_framed(framing, CAP + 1))
+        status, body = proxy_get(service, origin.address, "/over-cap")
+        assert status == 502
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 1
+        assert f"over {CAP} bytes" in lines[0]
+        assert read_exchange_log(service.config.exchange_log_path) == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_oversized_content_length_is_refused_before_its_body(self, service, raw_origin, monkeypatch):
+        monkeypatch.setattr(proxy, "MAX_UPSTREAM_BODY_BYTES", CAP)
+        # the head promises more than the cap and no body follows; waiting
+        # for it would time the client out
+        origin = raw_origin(
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (CAP + 1), False)
+        )
+        url = origin.url("/never").encode()
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % url)
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 502 ")
 
 
 class TestStop:
