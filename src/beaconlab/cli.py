@@ -163,10 +163,11 @@ def cmd_classify_ua(args) -> int:
 
 
 def _split_hostport(value: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
-    if ":" in value:
-        host, _, port = value.rpartition(":")
-        return host or default_host, int(port)
-    return default_host, int(value)
+    host, _, port = value.rpartition(":")
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port {number} in {value!r} is outside 0-65535")
+    return host or default_host, number
 
 
 def _run_until_signal(stop) -> None:
@@ -183,10 +184,10 @@ def _run_until_signal(stop) -> None:
 
 
 def cmd_proxy(args) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     host, port = _split_hostport(args.listen)
     control_host, control_port = _split_hostport(args.control)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     config = proxy.ProxyConfig(
         exchange_log_path=os.path.join(out, correlate.LOG_FILENAMES["exchange"]),
         tag_log_path=os.path.join(out, correlate.LOG_FILENAMES["tag"]),
@@ -221,9 +222,9 @@ def cmd_proxy(args) -> int:
 
 
 def cmd_dns(args) -> int:
+    host, port = _split_hostport(args.listen)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    host, port = _split_hostport(args.listen)
     config = dnssim.ZoneConfig(
         zone=args.zone, payload_address=args.payload, ttl_seconds=args.ttl
     )
@@ -243,9 +244,64 @@ def cmd_dns(args) -> int:
     return 0
 
 
+_REPORT_COUNTS = (
+    "unique_users",
+    "static_dns_hits",
+    "static_object_hits",
+    "dynamic_tags_issued",
+    "dynamic_dns_hits",
+)
+
+
+def _load_report(path: str) -> dict:
+    """A saved report.json, with every key and type cmd_report reads checked
+    first, so a bad file fails with ValueError naming it before any output."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deep
+            raise ValueError(f"{path}: {exc}") from None
+
+    def fail(name: str, problem: str):
+        raise ValueError(f"{path}: {name} {problem}")
+
+    def typed(value, kind) -> bool:
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    def need(obj, where: str, key: str, kind):
+        if not isinstance(obj, dict):
+            fail(where or "top level", "is not an object")
+        name = f"{where}.{key}" if where else key
+        if key not in obj:
+            fail(name, "is missing")
+        if not typed(obj[key], kind):
+            fail(name, "has the wrong type")
+        return obj[key]
+
+    for key in _REPORT_COUNTS:
+        need(report, "", key, int)
+    for i, item in enumerate(need(report, "", "reappearances", list)):
+        need(item, f"reappearances[{i}]", "subdomain", str)
+        need(item, f"reappearances[{i}]", "hit_count", int)
+    if not all(typed(label, str) for label in need(report, "", "anomalies", list)):
+        fail("anomalies", "has the wrong type")
+    dist = need(report, "", "mime_distribution", dict)
+    need(dist, "mime_distribution", "total", int)
+    counts = need(dist, "mime_distribution", "counts", dict)
+    for mime in counts:
+        need(counts, "mime_distribution.counts", mime, int)
+    points = need(need(report, "", "ratio_series", dict), "ratio_series", "points", list)
+    for i, point in enumerate(points):
+        if not (
+            isinstance(point, list) and len(point) == 4
+            and typed(point[3], (int, float, type(None)))
+        ):
+            fail(f"ratio_series.points[{i}]", "is not [start, vulnerable, not_vulnerable, ratio]")
+    return report
+
+
 def cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = _load_report(args.report)
     print(f"unique users:        {report['unique_users']}")
     print(f"static dns hits:     {report['static_dns_hits']}")
     print(f"static object hits:  {report['static_object_hits']}")

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 from beaconlab.dnssim import (
     DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name, url_host
 )
-from beaconlab.httplog import CsvLog, HttpExchange, finite_time
+from beaconlab.httplog import CsvLog, HttpExchange, collector_paused, finite_time
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
 T = TypeVar("T")
@@ -445,12 +445,13 @@ def _placeholder_body(rng: random.Random) -> bytes:
     return out
 
 
+@collector_paused()
 def run_scenario(config: ScenarioConfig) -> SimulationResult:
     """Run one scenario end to end through an active injector.
 
     Deterministic for a fixed config: identical runs produce identical
     logs. Every delivered exchange carries ground_truth_client, which is
-    oracle-only metadata.
+    oracle-only metadata. Runs with the cyclic collector paused.
     """
     config.validate()
     rng = random.Random(config.seed)

@@ -24,6 +24,7 @@ from beaconlab.httplog import (
     ExchangeView,
     HttpExchange,
     MimeDistribution,
+    collector_paused,
     mime_distribution,
     read_exchange_views,
 )
@@ -293,6 +294,7 @@ LOG_FILENAMES = {
 }
 
 
+@collector_paused()
 def build_report_from_dir(
     log_dir: str,
     db: VulnDb,
@@ -303,6 +305,7 @@ def build_report_from_dir(
     """Read the standard log layout from a directory and build the report.
 
     A missing file raises MissingLogError naming which source is absent.
+    Runs with the cyclic collector paused.
     """
     paths = {}
     for source, filename in LOG_FILENAMES.items():

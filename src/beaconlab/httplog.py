@@ -6,17 +6,21 @@ file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
 The CSV logs of the other stages are each declared once as a CsvLog here,
 which reads, writes and appends them, so every log names a malformed line
 the same way (LogFormatError). LogAppender is the one live appender.
+collector_paused pauses the cyclic garbage collector while the offline
+builders (simulate, analyze) make their records.
 """
 
 from __future__ import annotations
 
 import binascii
 import csv
+import gc
 import json
 import math
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import IO, Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -469,3 +473,36 @@ class CsvLog(Generic[T]):
             except (csv.Error, UnicodeDecodeError) as exc:
                 raise LogFormatError(path, reader.line_num, str(exc)) from exc
         return records
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector disabled.
+
+    The offline builders make 100k-190k long-lived records that hold no
+    reference cycles; reference counting frees them, and every generational
+    collection the growing heap would trigger rescans them and frees
+    nothing. A cycle made under the pause is collected by a later full
+    collection.
+
+    The pause is process-wide: another thread allocating meanwhile is not
+    collected either, so a concurrent caller can only lose speed, never
+    correctness. On exit, also when the body raises, ``gc.freeze()`` then
+    ``gc.unfreeze()`` moves every tracked object into the oldest generation
+    in O(1) before the collector is enabled again. The gain needs that step:
+    with a bare disable/enable the records stay in generation 0, and in a
+    prototype the young collections after the pause took 0.50-0.56 s after
+    a calibrated simulate, which was then no faster. The step also moves
+    whatever the caller had frozen back into the oldest generation. When the
+    caller had already disabled the collector, this changes nothing.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        gc.unfreeze()
+        gc.enable()

@@ -7,6 +7,7 @@ vulnerability ratio b = V / (V + V_bar) with its windowed time series.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections import defaultdict
@@ -17,6 +18,9 @@ from typing import Iterable, NamedTuple
 from beaconlab.httplog import CsvLog, LogFormatError, finite_time
 
 DEFAULT_WINDOW_SECONDS = 900.0
+# Most windows one series may span (a day of 1 s windows is 86,400; each
+# window costs about 0.5 kB); a longer series is refused before it is built.
+MAX_WINDOWS = 100_000
 
 # Name/Version product tokens, e.g. "AcmeBrowser/3.2.1"
 _SLASH_TOKEN_RE = re.compile(r"^([A-Za-z][\w.+-]*)/(\d[\w.+-]*)$")
@@ -229,14 +233,19 @@ def _windows(records: Iterable[UaRecord], window_seconds: float) -> list[tuple[f
     """(k * window_seconds, raw strings seen in window k) for every window k
     from the first record's to the last's; a record at time t is in window
     t // window_seconds."""
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
+    if not 0 < window_seconds < math.inf:
+        raise ValueError(f"window {window_seconds!r} s: must be positive and finite")
     by_window: dict[int, set[str]] = defaultdict(set)
-    for record in records:
-        by_window[int(record.first_seen // window_seconds)].add(record.raw)
+    try:
+        for record in records:
+            by_window[int(record.first_seen // window_seconds)].add(record.raw)
+    except OverflowError:  # t // window is infinite
+        raise ValueError(f"window {window_seconds!r} s: too small to index the records") from None
     if not by_window:
         return []
     first, last = min(by_window), max(by_window)
+    if last - first + 1 > MAX_WINDOWS:
+        raise ValueError(f"window {window_seconds!r} s: spans more than {MAX_WINDOWS} windows")
     return [(k * window_seconds, by_window.get(k, set())) for k in range(first, last + 1)]
 
 

@@ -260,6 +260,14 @@ class TestAnalyze:
         assert starts == [k * w for k in range(first, first + len(starts))]
         assert [start for start, _ in report["ua_growth"]] == starts
 
+    @pytest.mark.parametrize("window", ["inf", "nan", "1e-300", "0"])
+    def test_unindexable_window_exits_two(self, tmp_path, sim_dir, capsys, window):
+        out = str(tmp_path / "r")
+        assert run("analyze", "--logs", sim_dir, "--out", out, "--window", window) == 2
+        err = capsys.readouterr().err
+        assert f"error: window {float(window)!r} s: " in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
     @pytest.mark.parametrize(
         "row, line",
         [("acme,1.0", 3), ("acme,3.0,2.0", 3), (",1.0,2.0", 3)],
@@ -331,12 +339,76 @@ class TestReportCommand:
         assert "unique users" in text
         assert "mime distribution" in text
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"unique_users": 3}', "static_dns_hits is missing"),
+            ("null", "top level is not an object"),
+            ("[1, 2", "Expecting"),
+        ],
+        ids=["missing_key", "null", "not_json"],
+    )
+    def test_bad_report_exits_two_before_printing(self, tmp_path, capsys, text, problem):
+        path = str(tmp_path / "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert run("report", "--report", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {problem}")
+
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("dynamic_dns_hits", "7", "dynamic_dns_hits"),
+            ("unique_users", True, "unique_users"),
+            ("reappearances", [{"subdomain": "d1"}], "reappearances[0].hit_count"),
+            ("anomalies", [3], "anomalies"),
+            ("mime_distribution", {"counts": {"text/html": 1.5}, "total": 2},
+             "mime_distribution.counts.text/html"),
+            ("ratio_series", {"points": [[0.0, 1, 1]]}, "ratio_series.points[0]"),
+        ],
+    )
+    def test_wrong_field_is_named(self, tmp_path, sim_dir, capsys, key, value, name):
+        out = str(tmp_path / "report")
+        run("analyze", "--logs", sim_dir, "--out", out)
+        path = os.path.join(out, "report.json")
+        with open(path) as fh:
+            report = json.load(fh)
+        report[key] = value
+        with open(path, "w") as fh:
+            json.dump(report, fh)
+        capsys.readouterr()
+        assert run("report", "--report", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {name} ")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert run("simulate") == 1  # --out missing
         assert run("frobnicate") == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("proxy", "--listen", "127.0.0.1:99999"),
+            ("proxy", "--listen", "127.0.0.1:0", "--control", "127.0.0.1:99999"),
+            ("proxy", "--listen", "-1"),
+            ("dns", "--listen", "127.0.0.1:99999", "--zone", "z.test", "--payload", "127.0.0.1"),
+        ],
+        ids=["proxy_listen", "proxy_control", "proxy_negative", "dns_listen"],
+    )
+    def test_port_out_of_range_is_two(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_run_until_signal", lambda stop: stop())  # never serve
+        out = str(tmp_path / "out")
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "outside 0-65535" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_runtime_error_is_two(self, tmp_path):
         assert run("analyze", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path / "r"),

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+from contextlib import contextmanager
 from itertools import accumulate
 
 import pytest
@@ -48,6 +50,58 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return _cfg(base)
+
+
+@pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+def collector(request):
+    """Start the test with the cyclic collector enabled or disabled; restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@contextmanager
+def collections_started():
+    """The generation of each collection that starts inside the block."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(hook)
+
+
+class TestCollectorPause:
+    def test_state_restored(self, collector):
+        run_scenario(small_config())
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_it_raises(self, collector):
+        config = small_config()
+        config.mime_mix = {"text/html": 0.5}
+        with pytest.raises(ConfigError):
+            run_scenario(config)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_no_collection_while_building(self, collector):
+        # without the pause this scenario starts about 180 collections
+        with collections_started() as started:
+            run_scenario(calibrated_config(seed=3, client_count=300))
+        assert started == []
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_records_land_in_the_oldest_generation(self, collector):
+        # a bare disable/enable leaves them young, for the next collections to rescan
+        result = run_scenario(small_config())
+        first = result.exchanges[0]
+        assert any(obj is first for obj in gc.get_objects(generation=2))
 
 
 class TestConfig:

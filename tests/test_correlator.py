@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import os
@@ -24,7 +25,7 @@ from beaconlab.inject import Tag, read_tag_log, write_tag_log
 from beaconlab.clientsim import read_fetch_log, write_fetch_log
 from beaconlab.dnssim import DnsResponder, WildcardResolver, ZoneConfig, encode_query
 from beaconlab.inject import Injector
-from tests.test_clientsim import small_config
+from tests.test_clientsim import collections_started, collector, small_config  # noqa: F401
 from tests.test_dnssim import _udp_ask
 from tests.test_proxy import origin, proxy_get, service  # noqa: F401 (fixtures)
 
@@ -216,6 +217,32 @@ class TestFromDir:
         with pytest.raises(MissingLogError) as excinfo:
             build_report_from_dir(log_dir, DB, static_label="pixel", zone=result.config.zone)
         assert excinfo.value.source == "dns"
+
+
+class TestCollectorPause:
+    @pytest.fixture(scope="class")
+    def log_dir(self, tmp_path_factory):
+        log_dir = str(tmp_path_factory.mktemp("calibrated300"))
+        simulated_logs(clientsim.calibrated_config(seed=3, client_count=300), log_dir)
+        return log_dir
+
+    def build(self, log_dir):
+        return build_report_from_dir(log_dir, DB, static_label="pixel", zone=ZONE)
+
+    def test_state_restored(self, collector, log_dir):
+        self.build(log_dir)
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_it_raises(self, collector, tmp_path):
+        with pytest.raises(MissingLogError):
+            self.build(str(tmp_path))
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_no_collection_while_reading(self, collector, log_dir):
+        with collections_started() as started:
+            self.build(log_dir)
+        assert started == []
 
 
 class TestExchangeViewsGiveTheSameReport:

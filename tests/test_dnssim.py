@@ -204,6 +204,76 @@ class TestWireFormat:
         assert parse_query(b"\x00\x01") is None
 
 
+def _name(labels):
+    return b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
+
+
+# Arbitrary bytes; well-formed queries in and out of the zone; and packets
+# shaped like a query: a standard or arbitrary header, labels (plain,
+# arbitrary or longer than 63) with or without the zone after them, then a
+# type and class, or a short or long tail.
+_PACKETS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        encode_query,
+        st.integers(0, 0xFFFF),
+        st.from_regex(
+            r"[a-zA-Z0-9_-]{1,8}\.(attacker\.test|ATTACKER\.test|example)", fullmatch=True
+        ),
+        st.sampled_from([QTYPE_A, 16, 28]),
+    ),
+    st.builds(
+        lambda header, labels, zone, tail: header + _name(labels + zone) + tail,
+        st.one_of(st.just(encode_query(7, "")[:12]), st.binary(min_size=12, max_size=12)),
+        st.lists(
+            st.one_of(st.sampled_from([b"pixel", b"D1", b"a.b", b""]), st.binary(max_size=70)),
+            max_size=3,
+        ),
+        st.sampled_from([[], [b"attacker", b"test"], [b"ATTACKER", b"Test"]]),
+        st.one_of(
+            st.sampled_from([b"\x00\x01\x00\x01", b"\x00\x10\x00\x01"]),
+            st.binary(max_size=6),
+        ),
+    ),
+)
+
+
+class TestArbitraryPackets:
+    @settings(max_examples=400)
+    @given(_PACKETS)
+    def test_parse_query_gives_none_or_a_question_sliced_from_the_packet(self, packet):
+        parsed = parse_query(packet)
+        if parsed is None:
+            return
+        txid, name, qtype, question = parsed
+        assert txid == int.from_bytes(packet[:2], "big")
+        assert isinstance(name, str) and 0 <= qtype <= 0xFFFF
+        assert question == packet[12 : 12 + len(question)]
+        assert question[-4:-2] == qtype.to_bytes(2, "big")
+
+    @pytest.fixture(scope="class")
+    def responder(self):
+        responder = DnsResponder(CONFIG, port=0)
+        yield responder
+        responder.stop()
+
+    @settings(max_examples=400)
+    @given(packet=_PACKETS)
+    def test_handle_packet_logs_only_in_zone_address_queries(self, responder, packet):
+        log = responder.resolver.log
+        before = len(log)
+        reply = responder.handle_packet(packet, "10.0.0.1")
+        assert reply is None or isinstance(reply, bytes)
+        if len(log) == before:
+            return
+        assert len(log) == before + 1
+        _, name, qtype, _ = parse_query(packet)
+        assert qtype == QTYPE_A
+        assert log[-1].name == normalize_name(name)
+        assert responder.resolver.in_zone(log[-1].name)
+        assert parse_answer_address(reply) == CONFIG.payload_address
+
+
 def _udp_ask(address, packet, timeout=3.0):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.settimeout(timeout)

@@ -27,7 +27,7 @@ from beaconlab.httplog import (
 )
 from beaconlab.clientsim import FETCH_LOG, FetchRecord
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord
-from beaconlab.inject import TAG_LOG, Tag
+from beaconlab.inject import TAG_LOG, Tag, read_tag_labels
 from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb
 
 
@@ -532,6 +532,41 @@ class TestCsvLog:
             appender.close()
         with open(written, "rb") as fh_w, open(appended, "rb") as fh_a:
             assert fh_a.read() == fh_w.read()
+
+
+# Cells each layout's from_row parses, or nearly so, and cells that break a
+# row: a quote, a separator, a line break, NUL.
+_CSV_CELLS = st.one_of(
+    st.sampled_from(
+        ["1.5", "nan", "-inf", "1e400", "", "static", "dynamic", "d1.z.test", "10.0.0.1",
+         "http://a.z.test/p.gif", "http://[abc/", "acme", "1.0", "2.0", "3.0.x", '"', 'a"b',
+         ",", "\n", "\r", "\x00", "\udc80"]
+    ),
+    st.text(max_size=8),
+)
+_CSV_FILES = st.one_of(
+    st.binary(max_size=160),
+    st.lists(st.lists(_CSV_CELLS, max_size=6).map(",".join), max_size=6)
+    .map("\r\n".join)
+    .map(lambda text: text.encode("utf-8", "surrogateescape")),
+)
+READERS = {name: layout.read for name, (layout, _) in LAYOUTS.items()}
+READERS["tag_labels"] = read_tag_labels
+
+
+class TestCsvLogOnArbitraryBytes:
+    @pytest.mark.parametrize("name", READERS)
+    @settings(max_examples=150, deadline=None)
+    @given(content=_CSV_FILES)
+    def test_raises_only_log_format_error(self, name, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            try:
+                READERS[name](path)
+            except LogFormatError as exc:
+                assert exc.path == path
 
 
 # The time column of each CSV layout that has one.

@@ -8,6 +8,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beaconlab import proxy
 from beaconlab.clientsim import calibrated_vuln_db, write_fetch_log
@@ -268,6 +270,28 @@ class TestControlProtocol:
         for bad in ("", "MODE", "MODE SIDEWAYS", "REBOOT", "STATUS NOW"):
             with pytest.raises(ValueError):
                 parse_control_command(bad)
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(["STATUS", "snapshot", "MODE", "mode", "ACTIVE", "passive"]),
+                    st.text(max_size=8),
+                ),
+                max_size=3,
+            ).map(" ".join),
+        )
+    )
+    def test_parse_raises_only_value_error(self, line):
+        try:
+            parsed = parse_control_command(line)
+        except ValueError:
+            return
+        assert parsed in {
+            ("STATUS", None), ("SNAPSHOT", None), ("MODE", "passive"), ("MODE", "active")
+        }
 
     def test_mode_roundtrip_over_socket(self, service):
         assert control(service, "MODE ACTIVE") == "OK mode=ACTIVE"

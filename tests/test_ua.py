@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from beaconlab.httplog import LogFormatError
 from beaconlab.ua import (
+    MAX_WINDOWS,
     Reason,
     UaRecord,
     UndefinedRatioError,
@@ -242,13 +244,21 @@ class TestFractionalWindows:
         assert growth == expected
         assert growth[-1][1] == len({r.raw for r in records})
 
-    @pytest.mark.parametrize("window", [0.0, -1.0])
+    # inf and nan index nothing; 1e-300 spans 1e300 windows; 1.0 // 5e-324 overflows
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan, 1e-300, 5e-324])
     def test_non_positive_window_rejected(self, window):
-        records = [UaRecord.from_raw("A/1", 1.0)]
-        with pytest.raises(ValueError):
+        records = [UaRecord.from_raw("A/1", 1.0), UaRecord.from_raw("A/1", 2.0)]
+        with pytest.raises(ValueError, match="window"):
             ratio_series(records, FIXTURE_DB, window)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window"):
             unique_ua_growth(records, window)
+
+    def test_window_count_cap(self):
+        first = UaRecord.from_raw("A/1", 0.5)
+        at_cap = unique_ua_growth([first, UaRecord.from_raw("A/1", MAX_WINDOWS - 0.5)], 1.0)
+        assert len(at_cap) == MAX_WINDOWS
+        with pytest.raises(ValueError, match=f"more than {MAX_WINDOWS} windows"):
+            unique_ua_growth([first, UaRecord.from_raw("A/1", MAX_WINDOWS + 0.5)], 1.0)
 
 
 class TestUniqueUaGrowth:
