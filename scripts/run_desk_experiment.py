@@ -51,8 +51,8 @@ def main() -> int:
           f"{report['unique_users']} / {truth['unique_user_lifetimes']}")
     print(f"reappearances (recovered / truth): "
           f"{len(report['reappearances'])} / {len(truth['reappearance_subdomains'])}")
-    print(f"dynamic tags issued: {report['dynamic_tags_issued']} "
-          f"(taggable responses: {truth['taggable_responses']})")
+    print(f"dynamic tags issued (recovered / truth): "
+          f"{report['dynamic_tags_issued']} / {truth['taggable_responses']}")
     ratios = [p[3] for p in report["ratio_series"]["points"] if p[3] is not None]
     if ratios:
         print(f"vulnerability ratio: min {min(ratios):.3f} / "

@@ -17,7 +17,7 @@ import random
 import re
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from beaconlab.dnssim import (
@@ -346,75 +346,13 @@ def _client_visits(
 
 
 _FILLER = b"abcdefghij nopqrs"
-
-
-def _filler_index(n: int) -> int:
-    """The index ``choices`` picks in _FILLER when random() returns n / 2**53:
-    random() computes ``((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 2**53)``
-    from two 32-bit words a and b, exactly, and choices takes
-    ``floor(random() * 17.0)``."""
-    return math.floor(n * (1.0 / 9007199254740992.0) * 17.0)
-
-
-def _filler_tables() -> tuple[bytes, list[bytes | None]]:
-    """The filler character for each top byte of word a, or 0 where that
-    byte does not decide it; and for each such byte, a table of the
-    character for each second byte (bits 16-23 of a), or 0 where the top
-    two bytes do not decide it either.
-
-    A's top byte holds the top 8 of n's 53 bits, its top two bytes the top
-    16. The index grows with n, so a range of n with one index at both ends
-    has it throughout, and a top byte's range spans at most one step of it.
-    """
-    by_top_byte = bytearray(256)
-    by_second_byte: list[bytes | None] = [None] * 256
-    for top in range(256):
-        low, high = _filler_index(top << 45), _filler_index(((top + 1) << 45) - 1)
-        if low == high:
-            by_top_byte[top] = _FILLER[low]
-            continue
-        # the first second byte whose last n has the higher index
-        step, last = 0, 255
-        while step < last:
-            mid = (step + last) // 2
-            if _filler_index(((((top << 8) | mid) + 1) << 37) - 1) == high:
-                last = mid
-            else:
-                step = mid + 1
-        table = bytearray(_FILLER[low:low + 1] * step + _FILLER[high:high + 1] * (256 - step))
-        if _filler_index(((top << 8) | step) << 37) != high:
-            table[step] = 0
-        by_second_byte[top] = bytes(table)
-    return bytes(by_top_byte), by_second_byte
-
-
-_FILLER_BY_TOP_BYTE, _FILLER_BY_SECOND_BYTE = _filler_tables()
+# byte b -> _FILLER[b % 17]: "a" gets 16 of the 256 byte values, the others 15
+_TO_FILLER = (_FILLER * 16)[:256]
 
 
 def _html_body(rng: random.Random) -> bytes:
-    """A page whose filler is ``"".join(rng.choices(_FILLER, k=rng.randrange(40, 400)))``,
-    the same characters from the same words.
-
-    choices reads two words per character. ``getrandbits(64 * k)`` draws
-    those 2k words in one call, first word lowest, so character j's word a
-    is bytes 8j to 8j + 3 of the little-endian bytes and word b the next
-    four. A's top byte settles most characters through one translate, its
-    top two bytes nearly all the rest through a table per top byte, and
-    the exact expression the others.
-    """
-    k = rng.randrange(40, 400)
-    words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-    filler = bytearray(words[3::8].translate(_FILLER_BY_TOP_BYTE))
-    at = filler.find(0)
-    while at >= 0:
-        i = 8 * at
-        char = _FILLER_BY_SECOND_BYTE[words[i + 3]][words[i + 2]]
-        if not char:
-            a = int.from_bytes(words[i:i + 4], "little")
-            b = int.from_bytes(words[i + 4:i + 8], "little")
-            char = _FILLER[_filler_index((a >> 5) << 26 | b >> 6)]
-        filler[at] = char
-        at = filler.find(0, at + 1)
+    """A small page whose 40-399 filler characters come from _FILLER."""
+    filler = rng.randbytes(rng.randrange(40, 400)).translate(_TO_FILLER)
     return (
         b"<html><head><title>page</title></head><body><h1>doc</h1><p>"
         + filler
@@ -422,27 +360,9 @@ def _html_body(rng: random.Random) -> bytes:
     )
 
 
-# randrange(256) keeps bits 23-30 of one 32-bit Mersenne word and draws
-# again while bit 31 is set. getrandbits(32 * m) packs m words, first word
-# lowest; shifted left one bit, word i's bits 23-30 are byte 4i+3 of its
-# little-endian bytes and its bit 31 is bit 0 of byte 4i+4.
-_KEEP_WORD = bytes(1 - (b & 1) for b in range(256))
-
-
 def _placeholder_body(rng: random.Random) -> bytes:
-    """``bytes(rng.randrange(256) for _ in range(rng.randrange(16, 128)))``,
-    the same bytes from the same words, drawn one round at a time.
-
-    Each missing byte needs at least one more word, so a round of one word
-    per missing byte never draws past the last word the per-byte loop reads.
-    """
-    n = rng.randrange(16, 128)
-    out = b""
-    while len(out) < n:
-        m = n - len(out)
-        words = (rng.getrandbits(32 * m) << 1).to_bytes(4 * m + 1, "little")
-        out += bytes(compress(words[3::4], words[4::4].translate(_KEEP_WORD)))
-    return out
+    """16-127 random bytes standing in for a non-HTML body."""
+    return rng.randbytes(rng.randrange(16, 128))
 
 
 @collector_paused()
@@ -496,6 +416,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
 
     body_rng = random.Random(config.seed ^ 0x5EED)
     exchange_seq = 0
+    html_visits = 0  # plain-HTTP HTML pages: each one the injector should tag
     for t, i, _seq, kind, payload in events:
         state = clients[i]
         if kind == "restart":
@@ -532,6 +453,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             host = f"site{body_rng.randrange(40)}.example"
             url = f"http://{host}/p{body_rng.randrange(500)}"
         if mime == "text/html":
+            html_visits += 1
             body = _html_body(body_rng)
             content_type = "text/html; charset=utf-8"
         else:
@@ -577,8 +499,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             for i in restarted
             if clients[i].home_dynamic_subdomain is not None
         ),
-        # inject tags a response iff it is taggable, with one dynamic tag
-        "taggable_responses": sum(1 for tag in tags if tag.kind == DYNAMIC),
+        "taggable_responses": html_visits,
         "total_exchanges": len(exchanges),
         "clients": [
             {

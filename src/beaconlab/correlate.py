@@ -34,6 +34,7 @@ from beaconlab.ua import (
     RatioSeries,
     UaRecord,
     VulnDb,
+    check_window,
     parse_user_agent,
     ratio_series,
     unique_ua_growth,
@@ -304,9 +305,11 @@ def build_report_from_dir(
 ) -> CorrelationReport:
     """Read the standard log layout from a directory and build the report.
 
-    A missing file raises MissingLogError naming which source is absent.
+    A window check_window refuses raises ValueError before any log is read;
+    a missing file raises MissingLogError naming which source is absent.
     Runs with the cyclic collector paused.
     """
+    check_window(window_seconds)
     paths = {}
     for source, filename in LOG_FILENAMES.items():
         path = os.path.join(log_dir, filename)

@@ -21,6 +21,7 @@ DEFAULT_WINDOW_SECONDS = 900.0
 # Most windows one series may span (a day of 1 s windows is 86,400; each
 # window costs about 0.5 kB); a longer series is refused before it is built.
 MAX_WINDOWS = 100_000
+_NO_RAWS: frozenset[str] = frozenset()  # the raw strings of every window no record falls in
 
 # Name/Version product tokens, e.g. "AcmeBrowser/3.2.1"
 _SLASH_TOKEN_RE = re.compile(r"^([A-Za-z][\w.+-]*)/(\d[\w.+-]*)$")
@@ -229,12 +230,19 @@ class RatioSeries:
     points: tuple[RatioPoint, ...]
 
 
-def _windows(records: Iterable[UaRecord], window_seconds: float) -> list[tuple[float, set[str]]]:
+def check_window(window_seconds: float) -> None:
+    """ValueError naming the window unless it is positive and finite."""
+    if not 0 < window_seconds < math.inf:
+        raise ValueError(f"window {window_seconds!r} s: must be positive and finite")
+
+
+def _windows(
+    records: Iterable[UaRecord], window_seconds: float
+) -> list[tuple[float, set[str] | frozenset[str]]]:
     """(k * window_seconds, raw strings seen in window k) for every window k
     from the first record's to the last's; a record at time t is in window
     t // window_seconds."""
-    if not 0 < window_seconds < math.inf:
-        raise ValueError(f"window {window_seconds!r} s: must be positive and finite")
+    check_window(window_seconds)
     by_window: dict[int, set[str]] = defaultdict(set)
     try:
         for record in records:
@@ -246,7 +254,7 @@ def _windows(records: Iterable[UaRecord], window_seconds: float) -> list[tuple[f
     first, last = min(by_window), max(by_window)
     if last - first + 1 > MAX_WINDOWS:
         raise ValueError(f"window {window_seconds!r} s: spans more than {MAX_WINDOWS} windows")
-    return [(k * window_seconds, by_window.get(k, set())) for k in range(first, last + 1)]
+    return [(k * window_seconds, by_window.get(k, _NO_RAWS)) for k in range(first, last + 1)]
 
 
 def ratio_series(

@@ -76,7 +76,7 @@ class TestSimulate:
     # sha256 of each log simulate writes for small_config(); a change to any
     # log's layout or to the simulator's output shows here.
     PINNED_LOGS = {
-        "exchanges.jsonl": "3defa14ccd7e0dc1c5c56cae76a53e783cf349d2e4044c310d3a257d6ecc11a5",
+        "exchanges.jsonl": "acf52cb82abf6a73c0ad08ff7efcb614ff765a47c72beb0a966788a5fa7a5491",
         "tags.csv": "63a292ce67c386c8bcb91f292d145e0075d99a311c04f530a60652e6d787d5ea",
         "dns_queries.csv": "86541bc5901935232ff00b962648144c07cbdcf3cee98458c408a09a04ab7741",
         "fetches.csv": "b1a54f86c51792d52f2a8aa2e62537c2c6398127b43e6d30ece1f8a59623ba7d",
@@ -92,7 +92,7 @@ class TestSimulate:
     # The same for a churn-shaped scenario: 3,000 clients drawn from a
     # 3,000-entry weighted UA population, 300 restarts.
     PINNED_CHURN_LOGS = {
-        "exchanges.jsonl": "c08302335e86f03524aee8ac0676985010ae29727d75724c2b63da66d13483cc",
+        "exchanges.jsonl": "83d257c47326d15e2127614cc65c65b418b69e784a7fdaa6dc576fc4f5382a64",
         "tags.csv": "a055a2c2ca593c9ba807c39d025de7ff47f1588542886f71eca1246b8f4528bc",
         "dns_queries.csv": "15f70f31479aee7942615636f24d95b0fb79354d3489bd1574684dd1840b0c34",
         "fetches.csv": "8a30384ccf1931ba078b4e3b6423cc7710ff499884959ab6a95cd43bbefe9c66",
@@ -267,6 +267,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"error: window {float(window)!r} s: " in err
         assert not os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("window", ["inf", "nan", "0"])
+    def test_bad_window_is_refused_before_any_log_is_read(self, tmp_path, capsys, window):
+        logs = tmp_path / "empty"
+        logs.mkdir()
+        argv = ["analyze", "--logs", str(logs), "--zone", "feedback.test", "--window", window]
+        assert run(*argv, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: window {float(window)!r} s: must be positive and finite\n"
 
     @pytest.mark.parametrize(
         "row, line",

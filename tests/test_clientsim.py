@@ -17,13 +17,16 @@ from beaconlab.clientsim import (
     _placeholder_body,
     beacon_urls,
     calibrated_config,
+    calibrated_vuln_db,
     client_process_response,
     run_scenario,
     write_fetch_log,
     read_fetch_log,
 )
+from beaconlab.correlate import build_report, write_report
 from beaconlab.dnssim import WildcardResolver, ZoneConfig
 from beaconlab.httplog import mime_distribution
+from beaconlab.inject import Injector
 
 ZONE = "feedback.test"
 
@@ -50,6 +53,15 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return _cfg(base)
+
+
+def report_of(result):
+    """The report analysis builds from a simulation's logs."""
+    config = result.config
+    return build_report(
+        result.exchanges, result.tags, result.dns_log, result.fetch_log,
+        calibrated_vuln_db(), config.static_label, config.zone,
+    )
 
 
 @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
@@ -148,75 +160,42 @@ class TestDeterminism:
                                    visit_rate=0.02, non_fetching_share=0.2, restart_count=2)))
         assert a.exchanges != b.exchanges
 
-    def test_placeholder_body_replays_per_byte_draws(self):
-        # The per-byte generator the word-block version replaces; equal
-        # bytes and an equal next draw pin the CPython word order it assumes.
-        def per_byte(rng):
-            return bytes(rng.randrange(256) for _ in range(rng.randrange(16, 128)))
+    def test_body_shapes(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            page = _html_body(rng)
+            head, _, rest = page.partition(b"<body><h1>doc</h1><p>")
+            filler, _, tail = rest.partition(b"</p>")
+            assert head == b"<html><head><title>page</title></head>"
+            assert tail == b"</body></html>"
+            assert 40 <= len(filler) < 400
+            assert set(filler) <= set(b"abcdefghij nopqrs")
+            assert 16 <= len(_placeholder_body(rng)) < 128
 
-        for seed in range(120):
-            ref, new = random.Random(seed), random.Random(seed)
-            for _ in range(40):
-                assert _placeholder_body(new) == per_byte(ref), seed
-            assert new.random() == ref.random(), seed
+    def test_bodies_reach_no_measurement(self, tmp_path, monkeypatch):
+        # Page bodies are drawn only to be carried: other bodies, drawn
+        # with other counts of draws, leave every log but the exchange
+        # log and every analysis output as they were.
+        def measure(name):
+            result = run_scenario(small_config())
+            out = tmp_path / name
+            write_report(report_of(result), str(out))
+            return result, {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def test_html_body_replays_choices_filler(self):
-        # The one-liner the word-block filler replaces; equal bytes and an
-        # equal next draw pin the random() and getrandbits word order it assumes.
-        def reference(rng):
-            filler = "".join(rng.choices("abcdefghij nopqrs", k=rng.randrange(40, 400)))
-            return (
-                "<html><head><title>page</title></head>"
-                f"<body><h1>doc</h1><p>{filler}</p></body></html>"
-            ).encode("utf-8")
-
-        for seed in range(300):
-            ref, new = random.Random(seed), random.Random(seed)
-            for _ in range(30):
-                assert _html_body(new) == reference(ref), seed
-            assert new.random() == ref.random(), seed
-
-    def test_html_body_replays_choices_at_every_filler_boundary(self):
-        # Words whose 53-bit value n lies at, just below and just above each
-        # n where floor(n / 2**53 * 17) steps, served the way CPython's
-        # generator serves them to random() and getrandbits(); the
-        # replay reads the same characters from them as choices does.
-        class Scripted(random.Random):
-            def __init__(self, words):
-                super().__init__(0)
-                self.words = list(words)
-
-            def random(self):
-                a, b = self.words.pop(0), self.words.pop(0)
-                return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
-
-            def getrandbits(self, k):
-                if k <= 32:
-                    return self.words.pop(0) >> (32 - k)
-                assert k % 32 == 0
-                return sum(self.words.pop(0) << (32 * i) for i in range(k // 32))
-
-        def index(n):
-            return math.floor(n * (1.0 / 2**53) * 17.0)
-
-        steps = []
-        for j in range(1, 17):
-            n = -(-j * 2**53 // 17)  # n / 2**53 * 17 reaches j here without rounding
-            while index(n - 1) >= j:
-                n -= 1
-            while index(n) < j:
-                n += 1
-            steps.append(n)
-        words = []
-        for n in (m + d for m in steps for d in (-1, 0, 1)):
-            words += [(n >> 26) << 5 | 0b10101, (n & (2**26 - 1)) << 6 | 0b110011]
-        length = len(words) // 2  # randrange(40, 400) = 40 + getrandbits(9) here
-        head = [(length - 40) << 23]
-        ref = "".join(Scripted(words).choices("abcdefghij nopqrs", k=length))
-        assert _html_body(Scripted(head + words)) == (
-            "<html><head><title>page</title></head>"
-            f"<body><h1>doc</h1><p>{ref}</p></body></html>"
-        ).encode()
+        shipped, shipped_outputs = measure("shipped")
+        monkeypatch.setattr(
+            "beaconlab.clientsim._html_body",
+            lambda rng: b"<html><body>" + rng.randbytes(3).hex().encode() + b"</body></html>",
+        )
+        monkeypatch.setattr("beaconlab.clientsim._placeholder_body", lambda rng: b"\0" * 5)
+        other, other_outputs = measure("other")
+        assert other.exchanges != shipped.exchanges
+        assert other.tags == shipped.tags
+        assert other.dns_log == shipped.dns_log
+        assert other.fetch_log == shipped.fetch_log
+        assert other.ground_truth == shipped.ground_truth
+        assert "report.json" in shipped_outputs
+        assert other_outputs == shipped_outputs
 
     def test_one_of_draws_what_choices_draws(self):
         rng = random.Random(9)
@@ -373,6 +352,27 @@ class TestScenario:
         result = run_scenario(small_config())
         encrypted = sum(1 for e in result.exchanges if e.is_encrypted)
         assert encrypted / len(result.exchanges) == pytest.approx(0.04, abs=0.04)
+
+    def test_taggable_count_catches_a_declining_injector(self, monkeypatch):
+        # taggable_responses comes from the visit plan, not from the tags,
+        # so an injector that skips pages no longer agrees with it.
+        class Declining(Injector):
+            seen = 0
+
+            def inject(self, exchange):
+                if self.is_taggable(exchange):
+                    self.seen += 1
+                    if self.seen % 2 == 0:
+                        return exchange, []
+                return super().inject(exchange)
+
+        shipped = run_scenario(small_config())
+        taggable = shipped.ground_truth["taggable_responses"]
+        assert report_of(shipped).dynamic_tags_issued == taggable > 0
+        monkeypatch.setattr("beaconlab.clientsim.Injector", Declining)
+        declined = run_scenario(small_config())
+        assert declined.ground_truth["taggable_responses"] == taggable
+        assert report_of(declined).dynamic_tags_issued == (taggable + 1) // 2
 
     def test_restart_count_reappearances(self):
         result = run_scenario(small_config())
