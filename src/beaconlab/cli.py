@@ -125,11 +125,12 @@ def cmd_analyze(args) -> int:
         static_label=static_label,
         window_seconds=args.window,
     )
+    accounting = report.accounting
     print(
-        f"unique_users={report.unique_users} "
-        f"dynamic_tags_issued={report.dynamic_tags_issued} "
-        f"dynamic_dns_hits={report.dynamic_dns_hits} "
-        f"reappearances={len(report.reappearances)} -> {args.out}"
+        f"unique_users={accounting.static_dns_hits} "
+        f"dynamic_tags_issued={accounting.dynamic_issued} "
+        f"dynamic_dns_hits={accounting.dynamic_dns_hits} "
+        f"reappearances={len(accounting.reappearances)} -> {args.out}"
     )
     return 0
 
@@ -145,14 +146,11 @@ def cmd_inject(args) -> int:
 
 def cmd_classify_ua(args) -> int:
     db = ua.VulnDb.load(args.db) if args.db else clientsim.calibrated_vuln_db()
-    if args.infile:
-        records = ua.read_ua_log(args.infile)
-    else:
-        records = [ua.UaRecord.from_raw(raw, 0.0) for raw in args.ua]
+    raws = [record.raw for record in ua.read_ua_log(args.infile)] if args.infile else args.ua
     lines = []
-    for record in records:
-        result = ua.classify(record, db)
-        lines.append(f"{result.verdict.value}\t{result.reason.value}\t{record.raw}")
+    for raw in raws:
+        result = ua.classify(raw, db)
+        lines.append(f"{result.verdict.value}\t{result.reason.value}\t{raw}")
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from beaconlab.clientsim import FetchRecord, read_fetch_log
 from beaconlab.dnssim import DnsQueryRecord, normalize_name, read_query_log, url_host
@@ -35,7 +35,6 @@ from beaconlab.ua import (
     UaRecord,
     VulnDb,
     check_window,
-    parse_user_agent,
     ratio_series,
     unique_ua_growth,
 )
@@ -67,42 +66,41 @@ class Reappearance:
 
 @dataclass(frozen=True)
 class TagAccounting:
+    """Everything the tag, DNS and fetch logs say, keyed by subdomain label."""
+
     static_issued: int
     dynamic_issued: int
-    static_dns_hits: int
+    static_dns_hits: int  # one per browser lifetime: the unique-user count
     dynamic_dns_hits: int
     static_object_hits: int
     dynamic_object_hits: int
+    reappearances: tuple[Reappearance, ...]  # sorted by label
+    anomalies: tuple[str, ...]  # in-zone hit labels never issued, sorted
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    unique_users: int
-    reappearances: tuple[Reappearance, ...]
-    static_dns_hits: int
-    static_object_hits: int
-    dynamic_tags_issued: int
-    dynamic_dns_hits: int
+    accounting: TagAccounting
     mime_distribution: MimeDistribution
     ratio_series: RatioSeries
     ua_growth: tuple[tuple[float, int], ...]
-    anomalies: tuple[str, ...]  # in-zone hit labels never issued
 
     def to_json(self) -> dict:
+        accounting = self.accounting
         return {
-            "unique_users": self.unique_users,
+            "unique_users": accounting.static_dns_hits,
             "reappearances": [
                 {
                     "subdomain": r.subdomain,
                     "hit_count": r.hit_count,
                     "timestamps": list(r.timestamps),
                 }
-                for r in self.reappearances
+                for r in accounting.reappearances
             ],
-            "static_dns_hits": self.static_dns_hits,
-            "static_object_hits": self.static_object_hits,
-            "dynamic_tags_issued": self.dynamic_tags_issued,
-            "dynamic_dns_hits": self.dynamic_dns_hits,
+            "static_dns_hits": accounting.static_dns_hits,
+            "static_object_hits": accounting.static_object_hits,
+            "dynamic_tags_issued": accounting.dynamic_issued,
+            "dynamic_dns_hits": accounting.dynamic_dns_hits,
             "mime_distribution": {
                 "counts": dict(sorted(self.mime_distribution.counts.items())),
                 "total": self.mime_distribution.total,
@@ -115,7 +113,7 @@ class CorrelationReport:
                 ],
             },
             "ua_growth": [list(point) for point in self.ua_growth],
-            "anomalies": list(self.anomalies),
+            "anomalies": list(accounting.anomalies),
         }
 
 
@@ -126,53 +124,71 @@ def _label_of(name: str, suffix: str) -> str | None:
     return None
 
 
-class _DnsHits(NamedTuple):
-    """What one pass over the DNS log finds, keyed by in-zone label."""
+def tag_accounting(
+    tags: Iterable[Tag | TagLabel],
+    dns_log: Iterable[DnsQueryRecord],
+    fetch_log: Iterable[FetchRecord],
+    static_label: str,
+    zone: str,
+) -> TagAccounting:
+    """Issue and hit totals per tag kind, reappearances and anomalies, from
+    one pass over each log.
 
-    static: int  # hits on the static beacon name
-    dynamic: dict[str, list[float]]  # issued dynamic label -> hit timestamps
-    anomalies: set[str]  # in-zone labels never issued (apex excluded)
-
-    def reappearances(self) -> list[Reappearance]:
-        return sorted(
-            (
-                Reappearance(subdomain=label, hit_count=len(stamps), timestamps=tuple(sorted(stamps)))
-                for label, stamps in self.dynamic.items()
-                if len(stamps) >= 2
-            ),
-            key=lambda r: r.subdomain,
-        )
-
-
-def _scan_dns(
-    dns_log: Iterable[DnsQueryRecord], issued_dynamic: set[str], static_label: str, zone: str
-) -> _DnsHits:
-    static = 0
-    dynamic: dict[str, list[float]] = defaultdict(list)
-    anomalies: set[str] = set()
+    A static-name lookup counts once per browser lifetime (raw hits, not
+    distinct sources, so resolver aggregation cannot undercount). A second
+    lookup of an issued dynamic subdomain means the same user came back
+    after a cache-clearing event. In-zone lookups of labels never issued
+    (other than the static label; the apex is not in-zone) are anomalies.
+    """
+    static_issued = 0
+    issued_dynamic: set[str] = set()
+    for tag in tags:
+        if tag.kind == STATIC:
+            static_issued += 1
+        elif tag.kind == DYNAMIC:
+            issued_dynamic.add(tag.subdomain)
     suffix = "." + normalize_name(zone)
+    static_dns = 0
+    dynamic_dns: dict[str, list[float]] = defaultdict(list)
+    anomalies: set[str] = set()
     for record in dns_log:
         label = _label_of(record.name, suffix)
         if label is None:
             continue
         if label == static_label:
-            static += 1
+            static_dns += 1
         elif label in issued_dynamic:
-            dynamic[label].append(record.timestamp)
+            dynamic_dns[label].append(record.timestamp)
         else:
             anomalies.add(label)
-    return _DnsHits(static, dict(dynamic), anomalies)
+    static_obj = dynamic_obj = 0
+    for record in fetch_log:
+        label = _label_of(url_host(record.url), suffix)
+        if label == static_label:
+            static_obj += 1
+        elif label in issued_dynamic:
+            dynamic_obj += 1
+    return TagAccounting(
+        static_issued=static_issued,
+        dynamic_issued=len(issued_dynamic),
+        static_dns_hits=static_dns,
+        dynamic_dns_hits=sum(map(len, dynamic_dns.values())),
+        static_object_hits=static_obj,
+        dynamic_object_hits=dynamic_obj,
+        reappearances=tuple(
+            Reappearance(subdomain=label, hit_count=len(stamps), timestamps=tuple(sorted(stamps)))
+            for label, stamps in sorted(dynamic_dns.items())
+            if len(stamps) >= 2
+        ),
+        anomalies=tuple(sorted(anomalies)),
+    )
 
 
 def count_unique_users(
     dns_log: Iterable[DnsQueryRecord], static_label: str, zone: str
 ) -> int:
-    """Number of static-beacon lookups = one per browser lifetime.
-
-    Counts raw query hits on the static name rather than distinct sources,
-    so resolver aggregation cannot undercount lifetimes.
-    """
-    return _scan_dns(dns_log, set(), static_label, zone).static
+    """Number of static-beacon lookups = one per browser lifetime."""
+    return tag_accounting((), dns_log, (), static_label, zone).static_dns_hits
 
 
 def detect_reappearances(
@@ -181,77 +197,22 @@ def detect_reappearances(
     static_label: str,
     zone: str,
 ) -> tuple[list[Reappearance], list[str]]:
-    """Issued dynamic subdomains with >= 2 hits, plus anomalous labels.
-
-    A second hit on a unique subdomain means the same user came back after
-    a cache-clearing event. In-zone hits on labels that were never issued
-    (and are not the static label or the apex) are reported separately.
-    """
-    hits = _scan_dns(dns_log, set(issued_dynamic), static_label, zone)
-    return hits.reappearances(), sorted(hits.anomalies)
-
-
-def _issued_dynamic(tags: Iterable[Tag | TagLabel]) -> set[str]:
-    return {tag.subdomain for tag in tags if tag.kind == DYNAMIC}
-
-
-def _accounting(
-    tags: Sequence[Tag | TagLabel],
-    issued_dynamic: set[str],
-    dns_hits: _DnsHits,
-    fetch_log: Iterable[FetchRecord],
-    static_label: str,
-    zone: str,
-) -> TagAccounting:
-    static_obj = 0
-    dynamic_obj = 0
-    suffix = "." + normalize_name(zone)
-    for record in fetch_log:
-        label = _label_of(url_host(record.url), suffix)
-        if label == static_label:
-            static_obj += 1
-        elif label in issued_dynamic:
-            dynamic_obj += 1
-    return TagAccounting(
-        static_issued=sum(1 for tag in tags if tag.kind == STATIC),
-        dynamic_issued=len(issued_dynamic),
-        static_dns_hits=dns_hits.static,
-        dynamic_dns_hits=sum(len(stamps) for stamps in dns_hits.dynamic.values()),
-        static_object_hits=static_obj,
-        dynamic_object_hits=dynamic_obj,
-    )
-
-
-def tag_accounting(
-    tags: Sequence[Tag | TagLabel],
-    dns_log: Iterable[DnsQueryRecord],
-    fetch_log: Iterable[FetchRecord],
-    static_label: str,
-    zone: str,
-) -> TagAccounting:
-    """Issue and hit totals per tag kind, keyed by subdomain label."""
-    issued_dynamic = _issued_dynamic(tags)
-    dns_hits = _scan_dns(dns_log, issued_dynamic, static_label, zone)
-    return _accounting(tags, issued_dynamic, dns_hits, fetch_log, static_label, zone)
+    """Issued dynamic subdomains with >= 2 hits, plus anomalous labels."""
+    tags = [TagLabel(DYNAMIC, label) for label in issued_dynamic]
+    accounting = tag_accounting(tags, dns_log, (), static_label, zone)
+    return list(accounting.reappearances), list(accounting.anomalies)
 
 
 def ua_records_from_exchanges(
     exchanges: Iterable[HttpExchange | ExchangeView],
 ) -> list[UaRecord]:
     """Observable user-agent stream: one record per non-encrypted exchange,
-    empty raw when the request carried no user-agent header. Each distinct
-    string is parsed once."""
-    tokens: dict[str, tuple] = {}
-    records = []
-    for exchange in exchanges:
-        if exchange.is_encrypted:
-            continue
-        raw = exchange.user_agent or ""
-        parsed = tokens.get(raw)
-        if parsed is None:
-            parsed = tokens[raw] = parse_user_agent(raw)
-        records.append(UaRecord(raw, exchange.timestamp, parsed))
-    return records
+    empty raw when the request carried no user-agent header."""
+    return [
+        UaRecord(exchange.user_agent or "", exchange.timestamp)
+        for exchange in exchanges
+        if not exchange.is_encrypted
+    ]
 
 
 def build_report(
@@ -267,23 +228,15 @@ def build_report(
     """Fuse all sources into one report. All logs must share one epoch.
 
     The exchanges may be HttpExchanges or their ExchangeViews; the report
-    is the same. The DNS log is read in one pass.
+    is the same. The tag, DNS and fetch logs are read once, by tag_accounting.
     """
-    issued_dynamic = _issued_dynamic(tags)
-    dns_hits = _scan_dns(dns_log, issued_dynamic, static_label, zone)
-    accounting = _accounting(tags, issued_dynamic, dns_hits, fetch_log, static_label, zone)
+    accounting = tag_accounting(tags, dns_log, fetch_log, static_label, zone)
     ua_records = ua_records_from_exchanges(exchanges)
     return CorrelationReport(
-        unique_users=dns_hits.static,
-        reappearances=tuple(dns_hits.reappearances()),
-        static_dns_hits=accounting.static_dns_hits,
-        static_object_hits=accounting.static_object_hits,
-        dynamic_tags_issued=accounting.dynamic_issued,
-        dynamic_dns_hits=accounting.dynamic_dns_hits,
+        accounting=accounting,
         mime_distribution=mime_distribution(exchanges),
         ratio_series=ratio_series(ua_records, db, window_seconds),
         ua_growth=tuple(unique_ua_growth(ua_records, window_seconds)),
-        anomalies=tuple(sorted(dns_hits.anomalies)),
     )
 
 

@@ -16,7 +16,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from beaconlab.httplog import CsvLog, LogAppender, finite_time
@@ -120,15 +120,6 @@ class WildcardResolver:
         with self._lock:
             self.log.append(DnsQueryRecord(name=normalized, source=source, timestamp=now))
         return self.config.payload_address
-
-
-def query_log_by_name(log: Iterable[DnsQueryRecord], name: str) -> list[DnsQueryRecord]:
-    """All records for one exact normalized name, in timestamp order."""
-    normalized = normalize_name(name)
-    return sorted(
-        (record for record in log if record.name == normalized),
-        key=lambda record: record.timestamp,
-    )
 
 
 # dns_queries.csv: every answered in-zone address query.

@@ -82,10 +82,9 @@ class HttpExchange:
         if self.is_encrypted and self.response_body:
             raise ValueError("encrypted exchanges carry no body")
 
-    def header(self, name: str, which: str = "response") -> str | None:
-        """First header value matching ``name`` case-insensitively."""
-        headers = self.request_headers if which == "request" else self.response_headers
-        return _first_header(headers, name.lower())
+    def header(self, name: str) -> str | None:
+        """First response header value matching ``name`` case-insensitively."""
+        return _first_header(self.response_headers, name.lower())
 
     @property
     def user_agent(self) -> str | None:

@@ -23,6 +23,7 @@ for idempotent methods only (RFC 7230 6.3.1, RFC 7231 4.2.2).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import re
 import socket
 import threading
@@ -34,7 +35,7 @@ from http import HTTPStatus
 from urllib.parse import urlsplit
 
 from beaconlab.httplog import (
-    HttpExchange, LogAppender, LogFormatError, count_lines, exchange_log_appender
+    HttpExchange, LogAppender, count_lines, exchange_log_appender
 )
 from beaconlab.inject import (
     DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag, read_tag_labels
@@ -488,34 +489,37 @@ class ProxyService:
         self.config = config
         self._mode = config.mode
         self._stopped = False  # the logs are closed once it is True
-        self._error_log = LogAppender(config.error_log_path, lambda fh, lines: fh.writelines(lines))
-        self.exchange_log = exchange_log_appender(config.exchange_log_path)
-        self.tag_log = TAG_LOG.appender(config.tag_log_path)
-        logs = (self._error_log, self.exchange_log, self.tag_log)
-        for log in logs:
-            if log.dropped:
-                self._log_error(f"{log.path}: dropped {log.dropped} bytes of a torn last line")
-        self.injector = None
-        if config.zone:
-            try:
-                issued = sum(tag.kind == DYNAMIC for tag in read_tag_labels(config.tag_log_path))
-            except LogFormatError:
-                for log in logs:
-                    log.close()
-                raise
-            self.injector = Injector(
-                zone=config.zone, static_label=config.static_label, seed=config.seed
+        # what the constructor opens is closed again if a later step raises
+        with contextlib.ExitStack() as opened:
+            self._error_log = LogAppender(
+                config.error_log_path, lambda fh, lines: fh.writelines(lines)
             )
-            # resume after the labels earlier runs on this log issued, so
-            # a restart with the same seed never issues one of them again
-            self.injector.counter = issued
+            opened.callback(self._error_log.close)
+            self.exchange_log = exchange_log_appender(config.exchange_log_path)
+            opened.callback(self.exchange_log.close)
+            self.tag_log = TAG_LOG.appender(config.tag_log_path)
+            opened.callback(self.tag_log.close)
+            for log in (self._error_log, self.exchange_log, self.tag_log):
+                if log.dropped:
+                    self._log_error(f"{log.path}: dropped {log.dropped} bytes of a torn last line")
+            self.injector = None
+            if config.zone:
+                issued = sum(tag.kind == DYNAMIC for tag in read_tag_labels(config.tag_log_path))
+                self.injector = Injector(
+                    zone=config.zone, static_label=config.static_label, seed=config.seed
+                )
+                # resume after the labels earlier runs on this log issued, so
+                # a restart with the same seed never issues one of them again
+                self.injector.counter = issued
+            # resume after the exchanges earlier runs on this log recorded, so
+            # every exchange id (and the tags.csv rows naming it) stays unique
+            self._exchange_seq = count_lines(config.exchange_log_path)
+            self._listen_sock = socket.create_server((config.listen_host, config.listen_port))
+            opened.callback(self._listen_sock.close)
+            self._control_sock = socket.create_server((config.control_host, config.control_port))
+            opened.pop_all()
         self.exchanges_handled = 0
         self.tags_injected = 0
-        # resume after the exchanges earlier runs on this log recorded, so
-        # every exchange id (and the tags.csv rows naming it) stays unique
-        self._exchange_seq = count_lines(config.exchange_log_path)
-        self._listen_sock = socket.create_server((config.listen_host, config.listen_port))
-        self._control_sock = socket.create_server((config.control_host, config.control_port))
         self.listen_address: tuple[str, int] = self._listen_sock.getsockname()[:2]
         self.control_address: tuple[str, int] = self._control_sock.getsockname()[:2]
         self._upstream = _UpstreamPool()

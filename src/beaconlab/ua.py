@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -27,8 +28,12 @@ _NO_RAWS: frozenset[str] = frozenset()  # the raw strings of every window no rec
 _SLASH_TOKEN_RE = re.compile(r"^([A-Za-z][\w.+-]*)/(\d[\w.+-]*)$")
 # Bare product names without a version, e.g. "SoloBrowser"
 _BARE_TOKEN_RE = re.compile(r"^[A-Za-z][\w.+-]*$")
-# Parenthesized fragments with a trailing version, e.g. "libfoo 1.2"
-_PAREN_FRAGMENT_RE = re.compile(r"^(.*?[A-Za-z].*?)[\s/]+v?(\d[\d.]*)$")
+# The trailing version of a parenthesized fragment, e.g. "libfoo 1.2",
+# matched on the reversed fragment ("2.1 oofbil") so the scan is linear
+_REVERSED_VERSION_TAIL_RE = re.compile(r"([\d.]*\d)v?[\s/]+")
+_LETTER_RE = re.compile(r"[A-Za-z]")
+# A version component's numeric prefix and the rest, e.g. "10rc1"
+_VERSION_COMPONENT_RE = re.compile(r"(\d*)(.*)")
 _PAREN_RE = re.compile(r"\(([^)]*)\)")
 
 ProductToken = tuple[str, str | None]
@@ -57,11 +62,6 @@ class UaRecord(NamedTuple):
 
     raw: str
     first_seen: float
-    product_tokens: tuple[ProductToken, ...]
-
-    @classmethod
-    def from_raw(cls, raw: str, first_seen: float) -> "UaRecord":
-        return cls(raw=raw, first_seen=first_seen, product_tokens=parse_user_agent(raw))
 
 
 def parse_user_agent(raw: str) -> tuple[ProductToken, ...]:
@@ -88,17 +88,24 @@ def parse_user_agent(raw: str) -> tuple[ProductToken, ...]:
             fragment = fragment.strip()
             if not fragment:
                 continue
-            match = _PAREN_FRAGMENT_RE.match(fragment)
-            if match:
-                name = " ".join(match.group(1).lower().split())
-                tokens.append((name, match.group(2)))
+            tail = _REVERSED_VERSION_TAIL_RE.match(fragment[::-1])
+            if tail is None:
+                continue
+            name = fragment[: len(fragment) - tail.end()]
+            if "\n" not in name and _LETTER_RE.search(name):
+                tokens.append((" ".join(name.lower().split()), tail.group(1)[::-1]))
     return tuple(tokens)
 
 
-def _version_component(component: str) -> tuple[int, str]:
-    match = re.match(r"(\d*)(.*)", component)
-    digits = match.group(1)
-    return (int(digits) if digits else 0, match.group(2))
+def _version_component(component: str) -> tuple[int, str, str]:
+    """(digit count, digits, rest) for a component's numeric prefix, in
+    ASCII without leading zeros, and its remainder: ordered as (int(prefix),
+    rest) would be, with no limit on the prefix's length."""
+    digits, rest = _VERSION_COMPONENT_RE.match(component).groups()
+    if not digits.isascii():
+        digits = "".join(str(unicodedata.decimal(digit)) for digit in digits)
+    digits = digits.lstrip("0")
+    return (len(digits), digits, rest)
 
 
 def compare_versions(a: str, b: str) -> int:
@@ -110,8 +117,8 @@ def compare_versions(a: str, b: str) -> int:
     parts_a = a.split(".")
     parts_b = b.split(".")
     for i in range(max(len(parts_a), len(parts_b))):
-        ca = _version_component(parts_a[i]) if i < len(parts_a) else (0, "")
-        cb = _version_component(parts_b[i]) if i < len(parts_b) else (0, "")
+        ca = _version_component(parts_a[i] if i < len(parts_a) else "")
+        cb = _version_component(parts_b[i] if i < len(parts_b) else "")
         if ca != cb:
             return -1 if ca < cb else 1
     return 0
@@ -183,16 +190,16 @@ VULN_DB_LOG = CsvLog(
 )
 
 
-def classify(ua: UaRecord, db: VulnDb) -> UaClassification:
-    """Verdict for one user-agent string.
+def classify(raw: str, db: VulnDb) -> UaClassification:
+    """Verdict for one user-agent string, parsed here.
 
     Missing header and versionless strings are assumed not vulnerable;
     otherwise any product token inside a database range makes the whole
     string vulnerable (attacker-optimistic: one match suffices).
     """
-    if not ua.raw:
+    if not raw:
         return UaClassification(Verdict.NOT_VULNERABLE, Reason.MISSING_AGENT)
-    versioned = [(name, ver) for name, ver in ua.product_tokens if ver is not None]
+    versioned = [(name, ver) for name, ver in parse_user_agent(raw) if ver is not None]
     if not versioned:
         return UaClassification(Verdict.NOT_VULNERABLE, Reason.NO_VERSION)
     for name, version in versioned:
@@ -267,11 +274,11 @@ def ratio_series(
     A raw string is counted once per window it is observed in; classification
     happens once per distinct string. Empty input yields an empty series.
     """
-    records = list(records)
     windows = _windows(records, window_seconds)
-    by_raw = {record.raw: record for record in records}
     vulnerable = {
-        raw for raw, record in by_raw.items() if classify(record, db).verdict is Verdict.VULNERABLE
+        raw
+        for raw in set().union(*(raws for _, raws in windows))
+        if classify(raw, db).verdict is Verdict.VULNERABLE
     }
     points = []
     for start, raws in windows:
@@ -295,7 +302,7 @@ def unique_ua_growth(
 
 UA_LOG = CsvLog(
     ("timestamp", "user_agent"),
-    lambda row: UaRecord.from_raw(raw=row[1], first_seen=finite_time(row[0])),
+    lambda row: UaRecord(raw=row[1], first_seen=finite_time(row[0])),
     lambda record: (record.first_seen, record.raw),
 )
 read_ua_log = UA_LOG.read

@@ -51,14 +51,14 @@ def synth_population():
     rng.shuffle(raws)
     span = 7200.0  # eight 15-minute windows
     return [
-        UaRecord.from_raw(raw, span * index / len(raws)) for index, raw in enumerate(raws)
+        UaRecord(raw, span * index / len(raws)) for index, raw in enumerate(raws)
     ]
 
 
 def test_vulnerability_ratio_reproduction():
     started = time.monotonic()
     records = synth_population()
-    verdicts = [classify(record, FIXTURE_DB).verdict for record in records]
+    verdicts = [classify(record.raw, FIXTURE_DB).verdict for record in records]
     vulnerable = sum(1 for verdict in verdicts if verdict is Verdict.VULNERABLE)
     overall = vulnerability_ratio(vulnerable, len(verdicts) - vulnerable)
     assert 0.61 <= overall <= 0.64
@@ -279,7 +279,7 @@ def test_live_loopback_integration(tmp_path):
                 reply, _ = sock.recvfrom(4096)
             assert dnssim.parse_answer_address(reply) == "127.0.0.1"
         for name in names:
-            assert len(dnssim.query_log_by_name(responder.resolver.log, name)) == 1
+            assert sum(record.name == name for record in responder.resolver.log) == 1
         # passive mode restores transparency, byte for byte
         assert _control(service.control_address, "MODE PASSIVE") == "OK mode=PASSIVE"
         passive = opener.open(origin_url, timeout=5).read()

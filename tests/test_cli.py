@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -184,6 +185,15 @@ class TestAnalyze:
         ]
         assert report["dynamic_tags_issued"] == truth["taggable_responses"]
 
+    def test_user_agent_version_longer_than_int_accepts(self, tmp_path, sim_dir):
+        path = os.path.join(sim_dir, "exchanges.jsonl")
+        exchanges = read_exchange_log(path)
+        huge = dataclasses.replace(
+            exchanges[-1], request_headers=(("User-Agent", "AcmeBrowser/" + "3" * 5_000),)
+        )
+        write_exchange_log(exchanges + [huge], path)
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "report")) == 0
+
     def test_never_reads_ground_truth(self, tmp_path, sim_dir):
         out_with = str(tmp_path / "with")
         assert run("analyze", "--logs", sim_dir, "--out", out_with) == 0
@@ -332,6 +342,10 @@ class TestClassifyUa:
         assert run("classify-ua", "--db", db_path, "--ua", "AcmeBrowser/3.5") == 0
         out = capsys.readouterr().out
         assert out.startswith("vulnerable\tmatched_entry")
+
+    def test_version_longer_than_int_accepts(self, capsys):
+        assert run("classify-ua", "--ua", "AcmeBrowser/" + "3" * 5_000) == 0
+        assert capsys.readouterr().out.startswith("not_vulnerable\tno_db_match")
 
     def test_missing_agent(self, capsys):
         assert run("classify-ua", "--ua", "") == 0

@@ -368,11 +368,11 @@ class TestScenario:
 
         shipped = run_scenario(small_config())
         taggable = shipped.ground_truth["taggable_responses"]
-        assert report_of(shipped).dynamic_tags_issued == taggable > 0
+        assert report_of(shipped).accounting.dynamic_issued == taggable > 0
         monkeypatch.setattr("beaconlab.clientsim.Injector", Declining)
         declined = run_scenario(small_config())
         assert declined.ground_truth["taggable_responses"] == taggable
-        assert report_of(declined).dynamic_tags_issued == (taggable + 1) // 2
+        assert report_of(declined).accounting.dynamic_issued == (taggable + 1) // 2
 
     def test_restart_count_reappearances(self):
         result = run_scenario(small_config())

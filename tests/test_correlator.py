@@ -2,13 +2,15 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import io
 import os
+import sys
 from unittest import mock
 
 import pytest
 
-from beaconlab import cli, clientsim, correlate, dnssim, httplog, inject
+from beaconlab import cli, clientsim, correlate, httplog
 from beaconlab.clientsim import FetchRecord, calibrated_vuln_db, run_scenario
 from beaconlab.correlate import (
     MissingLogError,
@@ -23,8 +25,7 @@ from beaconlab.dnssim import DnsQueryRecord, read_query_log, write_query_log
 from beaconlab.httplog import read_exchange_log, write_exchange_log
 from beaconlab.inject import Tag, read_tag_log, write_tag_log
 from beaconlab.clientsim import read_fetch_log, write_fetch_log
-from beaconlab.dnssim import DnsResponder, WildcardResolver, ZoneConfig, encode_query
-from beaconlab.inject import Injector
+from beaconlab.dnssim import DnsResponder, ZoneConfig, encode_query
 from tests.test_clientsim import collections_started, collector, small_config  # noqa: F401
 from tests.test_dnssim import _udp_ask
 from tests.test_proxy import origin, proxy_get, service  # noqa: F401 (fixtures)
@@ -157,12 +158,12 @@ class TestBuildReport:
             zone=result.config.zone,
         )
         truth = result.ground_truth
-        assert report.unique_users == truth["unique_user_lifetimes"]
-        assert sorted(r.subdomain for r in report.reappearances) == truth[
+        assert report.accounting.static_dns_hits == truth["unique_user_lifetimes"]
+        assert sorted(r.subdomain for r in report.accounting.reappearances) == truth[
             "reappearance_subdomains"
         ]
-        assert report.dynamic_tags_issued == truth["taggable_responses"]
-        assert report.anomalies == ()
+        assert report.accounting.dynamic_issued == truth["taggable_responses"]
+        assert report.accounting.anomalies == ()
 
     def test_dynamic_hits_subset_of_issued(self):
         result = run_scenario(small_config())
@@ -175,17 +176,17 @@ class TestBuildReport:
             static_label="pixel",
             zone=result.config.zone,
         )
-        assert report.dynamic_dns_hits <= sum(
-            r.hit_count for r in report.reappearances
-        ) + report.dynamic_tags_issued
+        assert report.accounting.dynamic_dns_hits <= sum(
+            r.hit_count for r in report.accounting.reappearances
+        ) + report.accounting.dynamic_issued
 
     def test_passive_only_logs(self):
         result = run_scenario(small_config())
         report = build_report(
             result.exchanges, [], [], [], DB, static_label="pixel", zone=result.config.zone
         )
-        assert report.dynamic_tags_issued == 0
-        assert report.unique_users == 0
+        assert report.accounting.dynamic_issued == 0
+        assert report.accounting.static_dns_hits == 0
         assert report.mime_distribution.total > 0
         assert report.ratio_series.points
 
@@ -203,7 +204,7 @@ class TestFromDir:
         log_dir = str(tmp_path / "logs")
         write_logs(result, log_dir)
         report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=result.config.zone)
-        assert report.unique_users == result.ground_truth["unique_user_lifetimes"]
+        assert report.accounting.static_dns_hits == result.ground_truth["unique_user_lifetimes"]
         out_dir = str(tmp_path / "out")
         write_report(report, out_dir)
         for name in ("report.json", "ratio_series.csv", "mime_distribution.csv", "ua_growth.csv"):
@@ -318,35 +319,27 @@ class TestOneDnsPass:
         assert dns_log.passes == 1
 
 
-# The names perfbench/offline.py patches on correlate's module globals to
-# trace an analysis (its traced stage fails if one is missing).
-BENCHMARK_HOOKS = (
-    "read_exchange_log",
-    "read_tag_log",
-    "read_query_log",
-    "read_fetch_log",
-    "tag_accounting",
-    "detect_reappearances",
-    "ua_records_from_exchanges",
-    "count_unique_users",
-    "mime_distribution",
-    "ratio_series",
-    "unique_ua_growth",
-    "write_report",
-)
+def _perfbench_offline():
+    """perfbench/offline.py, imported with perfbench/ on sys.path only meanwhile."""
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_offline", os.path.join(here, "offline.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, here)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(here)
+    return module
 
-# What perfbench/ patches outside correlate, as (owner, attribute). The
-# simulate hooks are patched on classes and modules; write_logs there calls
-# the four writers through their modules, as `beaconlab simulate` does.
-SIMULATE_HOOKS = (
-    (Injector, "inject"),
-    (WildcardResolver, "resolve"),
-    (clientsim, "client_process_response"),
-    (httplog, "write_exchange_log"),
-    (inject, "write_tag_log"),
-    (dnssim, "write_query_log"),
-    (clientsim, "write_fetch_log"),
-)
+
+_OFFLINE = _perfbench_offline()
+# The names the benchmark's traced stage patches on correlate's module
+# globals (it fails if one is missing) ...
+BENCHMARK_HOOKS = tuple(attr for _owner, attr, _name in _OFFLINE.ANALYZE_SPANS)
+# ... and what it patches to trace a simulation, as (owner, attribute). Its
+# write_logs calls the four writers through their modules, as `beaconlab
+# simulate` does.
+SIMULATE_HOOKS = tuple((owner, attr) for owner, attr, _name in _OFFLINE.SIMULATE_SPANS)
 # Patched on the live ProxyService: (part of the service or None, attribute).
 PROXY_HOOKS = (
     (None, "handle_request_socketless"),
@@ -378,7 +371,11 @@ class TestBenchmarkHooks:
             "read_tag_log",
             "read_query_log",
             "read_fetch_log",
+            "tag_accounting",
             "ua_records_from_exchanges",
+            "mime_distribution",
+            "ratio_series",
+            "unique_ua_growth",
         ],
     )
     def test_build_report_from_dir_calls_through_module_globals(self, tmp_path, name):

@@ -1,5 +1,4 @@
 import os
-import random
 import signal
 import socket
 import subprocess
@@ -26,7 +25,6 @@ from beaconlab.dnssim import (
     normalize_name,
     parse_answer_address,
     parse_query,
-    query_log_by_name,
     read_query_log,
     url_host,
     write_query_log,
@@ -76,31 +74,6 @@ class TestResolve:
 
 
 class TestQueryLog:
-    def test_name_queried_twice_in_order(self):
-        log = [
-            DnsQueryRecord("a.attacker.test", "s1", 5.0),
-            DnsQueryRecord("b.attacker.test", "s1", 1.0),
-            DnsQueryRecord("a.attacker.test", "s2", 2.0),
-        ]
-        records = query_log_by_name(log, "A.attacker.test.")
-        assert [record.timestamp for record in records] == [2.0, 5.0]
-
-    def test_unknown_name_empty(self):
-        assert query_log_by_name([], "x.attacker.test") == []
-
-    def test_interleaved_log_matches_linear_scan(self):
-        rng = random.Random(3)
-        log = [
-            DnsQueryRecord(f"n{rng.randrange(20)}.attacker.test", "s", rng.uniform(0, 100))
-            for _ in range(1000)
-        ]
-        for probe in ("n3.attacker.test", "n19.attacker.test"):
-            expected = sorted(
-                (record for record in log if record.name == probe),
-                key=lambda record: record.timestamp,
-            )
-            assert query_log_by_name(log, probe) == expected
-
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "dns.csv")
         log = [DnsQueryRecord("a.attacker.test", "10.0.0.1", 1.25)]

@@ -500,7 +500,7 @@ LAYOUTS = {
     "fetch": (FETCH_LOG, [FetchRecord(0.1, "10.0.0.2", "http://a.z.test/p.gif?x=1,2")]),
     "ua": (
         UA_LOG,
-        [UaRecord.from_raw('Browser/1.0 (a; "b" 2.0)', 3.0), UaRecord.from_raw("", 4.0)],
+        [UaRecord('Browser/1.0 (a; "b" 2.0)', 3.0), UaRecord("", 4.0)],
     ),
     "vuln_db": (
         VULN_DB_LOG,

@@ -863,8 +863,8 @@ class TestRestart:
         report = build_report_from_dir(
             str(tmp_path), calibrated_vuln_db(), static_label="pixel", zone="tracker.test"
         )
-        assert report.dynamic_tags_issued == 2
-        assert report.reappearances == ()
+        assert report.accounting.dynamic_issued == 2
+        assert report.accounting.reappearances == ()
 
     def test_restart_resumes_exchange_ids(self, tmp_path, origin):
         for _ in range(2):
@@ -882,6 +882,39 @@ class TestRestart:
             fh.write("kind,subdomain,url,exchange_id,injected_at\r\nstatic,pixel\r\n")
         with pytest.raises(LogFormatError, match="tags.csv:2:"):
             ProxyService(active_config(tmp_path))
+
+    @pytest.mark.parametrize("failure", ["tag_log", "listen_port", "control_port"])
+    def test_failed_constructor_closes_what_it_opened(self, tmp_path, monkeypatch, failure):
+        config = active_config(tmp_path)
+        taken = socket.create_server(("127.0.0.1", 0))
+        if failure == "tag_log":
+            with open(config.tag_log_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("kind,subdomain,url,exchange_id,injected_at\r\nstatic,pixel\r\n")
+        else:
+            setattr(config, failure, taken.getsockname()[1])
+        closed, sockets = [], []
+        close, create_server = proxy.LogAppender.close, socket.create_server
+
+        def counting_close(log):
+            closed.append(log.path)
+            close(log)
+
+        def kept_server(*args, **kwargs):
+            sockets.append(create_server(*args, **kwargs))
+            return sockets[-1]
+
+        monkeypatch.setattr(proxy.LogAppender, "close", counting_close)
+        monkeypatch.setattr(proxy.socket, "create_server", kept_server)
+        try:
+            with pytest.raises((LogFormatError, OSError)):
+                ProxyService(config)
+        finally:
+            taken.close()
+        assert sorted(closed) == sorted(
+            [config.error_log_path, config.exchange_log_path, config.tag_log_path]
+        )
+        assert len(sockets) == (failure == "control_port")
+        assert all(sock.fileno() == -1 for sock in sockets)
 
     @pytest.mark.parametrize("torn_log, torn", [
         ("tags.csv", "dynamic,d0000"),

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,26 @@ from beaconlab.ua import (
 )
 
 FIXTURE_DB = VulnDb.from_pairs([("examplebrowser", "1.0", "2.0")])
+
+# The paren-fragment pattern parse_user_agent matched with before its scan
+# was made linear; its lazy prefix backtracks quadratically.
+OLD_PAREN_FRAGMENT_RE = re.compile(r"^(.*?[A-Za-z].*?)[\s/]+v?(\d[\d.]*)$")
+
+
+def int_compare_versions(a, b):
+    """compare_versions as it was written with int(), for short versions."""
+
+    def component(part):
+        digits, rest = re.match(r"(\d*)(.*)", part).groups()
+        return (int(digits) if digits else 0, rest)
+
+    parts_a, parts_b = a.split("."), b.split(".")
+    for i in range(max(len(parts_a), len(parts_b))):
+        ca = component(parts_a[i]) if i < len(parts_a) else (0, "")
+        cb = component(parts_b[i]) if i < len(parts_b) else (0, "")
+        if ca != cb:
+            return -1 if ca < cb else 1
+    return 0
 
 
 class TestParseUserAgent:
@@ -53,6 +75,21 @@ class TestParseUserAgent:
         raw = "Mixed/3.1 (a; b 2.0) Tail"
         assert parse_user_agent(raw) == parse_user_agent(raw)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="aZv/ \t\n.019\u0663x", max_size=14))
+    def test_paren_fragment_as_the_backtracking_regex(self, fragment):
+        fragment = fragment.strip()
+        match = OLD_PAREN_FRAGMENT_RE.match(fragment)
+        expected = () if not match else ((" ".join(match.group(1).lower().split()), match.group(2)),)
+        assert parse_user_agent(f"({fragment})") == expected
+
+    def test_long_paren_fragment_parses_in_linear_time(self):
+        raw = "X/1 (a" + " v1" * 20_000 + ")"  # 60 kB in one fragment
+        started = time.perf_counter()
+        tokens = parse_user_agent(raw)
+        assert time.perf_counter() - started < 0.5
+        assert tokens == (("x", "1"), ("a" + " v1" * 19_999, "1"))
+
 
 class TestCompareVersions:
     @pytest.mark.parametrize(
@@ -71,6 +108,21 @@ class TestCompareVersions:
         assert compare_versions(a, b) == expected
         assert compare_versions(b, a) == -expected
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(alphabet="0129.ab\u0663\u0660\n", max_size=8),
+        st.text(alphabet="0129.ab\u0663\u0660\n", max_size=8),
+    )
+    def test_orders_as_int_of_the_numeric_prefix(self, a, b):
+        assert compare_versions(a, b) == int_compare_versions(a, b)
+
+    def test_versions_longer_than_int_accepts(self):
+        huge = "1" * 5_000
+        assert compare_versions(huge, "2") == 1
+        assert compare_versions("0" + huge + "rc", huge + "rc") == 0
+        assert compare_versions(huge, huge + ".1") == -1
+        assert classify(f"ExampleBrowser/{huge}", FIXTURE_DB).reason is Reason.NO_DB_MATCH
+
     def test_range_rejects_inverted(self):
         with pytest.raises(ValueError):
             VersionRange("2.0", "1.0")
@@ -83,36 +135,36 @@ class TestCompareVersions:
 
 class TestClassify:
     def test_missing_agent(self):
-        record = UaRecord.from_raw("", 0.0)
-        result = classify(record, FIXTURE_DB)
+        record = UaRecord("", 0.0)
+        result = classify(record.raw, FIXTURE_DB)
         assert result.verdict is Verdict.NOT_VULNERABLE
         assert result.reason is Reason.MISSING_AGENT
 
     def test_match_inside_range(self):
-        record = UaRecord.from_raw("ExampleBrowser/1.5", 0.0)
-        result = classify(record, FIXTURE_DB)
+        record = UaRecord("ExampleBrowser/1.5", 0.0)
+        result = classify(record.raw, FIXTURE_DB)
         assert result.verdict is Verdict.VULNERABLE
         assert result.reason is Reason.MATCHED_ENTRY
 
     def test_versioned_no_db_entry(self):
-        record = UaRecord.from_raw("OtherThing/9.9", 0.0)
-        result = classify(record, FIXTURE_DB)
+        record = UaRecord("OtherThing/9.9", 0.0)
+        result = classify(record.raw, FIXTURE_DB)
         assert result.verdict is Verdict.NOT_VULNERABLE
         assert result.reason is Reason.NO_DB_MATCH
 
     def test_versionless_tokens(self):
-        record = UaRecord.from_raw("SoloBrowser", 0.0)
-        result = classify(record, FIXTURE_DB)
+        record = UaRecord("SoloBrowser", 0.0)
+        result = classify(record.raw, FIXTURE_DB)
         assert result.verdict is Verdict.NOT_VULNERABLE
         assert result.reason is Reason.NO_VERSION
 
     def test_any_match_suffices(self):
-        record = UaRecord.from_raw("Unknown/9.9 ExampleBrowser/1.2", 0.0)
-        assert classify(record, FIXTURE_DB).verdict is Verdict.VULNERABLE
+        record = UaRecord("Unknown/9.9 ExampleBrowser/1.2", 0.0)
+        assert classify(record.raw, FIXTURE_DB).verdict is Verdict.VULNERABLE
 
     def test_pure_function(self):
-        record = UaRecord.from_raw("ExampleBrowser/1.5", 0.0)
-        assert classify(record, FIXTURE_DB) == classify(record, FIXTURE_DB)
+        record = UaRecord("ExampleBrowser/1.5", 0.0)
+        assert classify(record.raw, FIXTURE_DB) == classify(record.raw, FIXTURE_DB)
 
 
 class TestVulnerabilityRatio:
@@ -150,7 +202,7 @@ def brute_force_series(records, db, window_seconds):
         v = sum(
             1
             for raw in raws
-            if classify(UaRecord.from_raw(raw, 0.0), db).verdict is Verdict.VULNERABLE
+            if classify(raw, db).verdict is Verdict.VULNERABLE
         )
         points.append((start, v, len(raws) - v))
         start += window_seconds
@@ -162,7 +214,7 @@ class TestRatioSeries:
         assert ratio_series([], FIXTURE_DB, 900).points == ()
 
     def test_single_window_one_vulnerable(self):
-        records = [UaRecord.from_raw("ExampleBrowser/1.5", 10.0)]
+        records = [UaRecord("ExampleBrowser/1.5", 10.0)]
         series = ratio_series(records, FIXTURE_DB, 900)
         assert len(series.points) == 1
         assert series.points[0].ratio == 1.0
@@ -170,17 +222,17 @@ class TestRatioSeries:
     def test_two_window_hand_fixture(self):
         # window [0, 100): vuln {eb/1.5}, not {solo}; window [100, 200): not {other/3}
         records = [
-            UaRecord.from_raw("ExampleBrowser/1.5", 10.0),
-            UaRecord.from_raw("ExampleBrowser/1.5", 20.0),  # duplicate, same window
-            UaRecord.from_raw("SoloBrowser", 50.0),
-            UaRecord.from_raw("Other/3", 150.0),
+            UaRecord("ExampleBrowser/1.5", 10.0),
+            UaRecord("ExampleBrowser/1.5", 20.0),  # duplicate, same window
+            UaRecord("SoloBrowser", 50.0),
+            UaRecord("Other/3", 150.0),
         ]
         series = ratio_series(records, FIXTURE_DB, 100)
         assert [(p.vulnerable, p.not_vulnerable) for p in series.points] == [(1, 1), (0, 1)]
         assert series.points[0].ratio == pytest.approx(0.5)
 
     def test_windows_contiguous(self):
-        records = [UaRecord.from_raw("A/1", 0.0), UaRecord.from_raw("B/1", 2500.0)]
+        records = [UaRecord("A/1", 0.0), UaRecord("B/1", 2500.0)]
         series = ratio_series(records, FIXTURE_DB, 900)
         starts = [p.window_start for p in series.points]
         assert starts == [0.0, 900.0, 1800.0]
@@ -193,7 +245,7 @@ class TestRatioSeries:
             + ["SoloBrowser", ""]
         )
         records = [
-            UaRecord.from_raw(rng.choice(raws), rng.uniform(0, 9000)) for _ in range(10_000)
+            UaRecord(rng.choice(raws), rng.uniform(0, 9000)) for _ in range(10_000)
         ]
         series = ratio_series(records, FIXTURE_DB, 900)
         expected = brute_force_series(records, FIXTURE_DB, 900)
@@ -220,7 +272,7 @@ class TestFractionalWindows:
         raws = ["ExampleBrowser/1.5", "ExampleBrowser/3.0", "Other/2.0", "SoloBrowser", ""]
         stamps = [rng.uniform(1.0, 60.0) for _ in range(400)]
         stamps += [k * window for k in range(3, 40, 4)]  # on window boundaries
-        return [UaRecord.from_raw(rng.choice(raws), t) for t in stamps]
+        return [UaRecord(rng.choice(raws), t) for t in stamps]
 
     def test_ratio_series_matches_brute_force(self, records, window):
         series = ratio_series(records, FIXTURE_DB, window)
@@ -229,7 +281,7 @@ class TestFractionalWindows:
             v = sum(
                 1
                 for raw in raws
-                if classify(UaRecord.from_raw(raw, 0.0), FIXTURE_DB).verdict is Verdict.VULNERABLE
+                if classify(raw, FIXTURE_DB).verdict is Verdict.VULNERABLE
             )
             expected.append((k * window, v, len(raws) - v))
         assert [(p.window_start, p.vulnerable, p.not_vulnerable) for p in series.points] == expected
@@ -247,27 +299,27 @@ class TestFractionalWindows:
     # inf and nan index nothing; 1e-300 spans 1e300 windows; 1.0 // 5e-324 overflows
     @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan, 1e-300, 5e-324])
     def test_non_positive_window_rejected(self, window):
-        records = [UaRecord.from_raw("A/1", 1.0), UaRecord.from_raw("A/1", 2.0)]
+        records = [UaRecord("A/1", 1.0), UaRecord("A/1", 2.0)]
         with pytest.raises(ValueError, match="window"):
             ratio_series(records, FIXTURE_DB, window)
         with pytest.raises(ValueError, match="window"):
             unique_ua_growth(records, window)
 
     def test_window_count_cap(self):
-        first = UaRecord.from_raw("A/1", 0.5)
-        at_cap = unique_ua_growth([first, UaRecord.from_raw("A/1", MAX_WINDOWS - 0.5)], 1.0)
+        first = UaRecord("A/1", 0.5)
+        at_cap = unique_ua_growth([first, UaRecord("A/1", MAX_WINDOWS - 0.5)], 1.0)
         assert len(at_cap) == MAX_WINDOWS
         with pytest.raises(ValueError, match=f"more than {MAX_WINDOWS} windows"):
-            unique_ua_growth([first, UaRecord.from_raw("A/1", MAX_WINDOWS + 0.5)], 1.0)
+            unique_ua_growth([first, UaRecord("A/1", MAX_WINDOWS + 0.5)], 1.0)
 
 
 class TestUniqueUaGrowth:
     def test_hand_fixture(self):
         records = [
-            UaRecord.from_raw("a", 0.0),
-            UaRecord.from_raw("b", 10.0),
-            UaRecord.from_raw("a", 120.0),
-            UaRecord.from_raw("c", 150.0),
+            UaRecord("a", 0.0),
+            UaRecord("b", 10.0),
+            UaRecord("a", 120.0),
+            UaRecord("c", 150.0),
         ]
         growth = unique_ua_growth(records, 100)
         assert [count for _, count in growth] == [2, 3]
@@ -283,7 +335,7 @@ class TestUniqueUaGrowth:
         )
     )
     def test_monotone_nondecreasing(self, pairs):
-        records = [UaRecord.from_raw(raw, ts) for raw, ts in pairs]
+        records = [UaRecord(raw, ts) for raw, ts in pairs]
         growth = unique_ua_growth(records, 500)
         counts = [count for _, count in growth]
         assert counts == sorted(counts)
@@ -301,9 +353,9 @@ class TestFileFormats:
     def test_ua_log_round_trip(self, tmp_path):
         path = str(tmp_path / "ua.csv")
         records = [
-            UaRecord.from_raw("ExampleBrowser/1.5 (a; b 2.0)", 1.5),
-            UaRecord.from_raw("with,comma/1.0", 2.0),
-            UaRecord.from_raw("", 3.0),
+            UaRecord("ExampleBrowser/1.5 (a; b 2.0)", 1.5),
+            UaRecord("with,comma/1.0", 2.0),
+            UaRecord("", 3.0),
         ]
         write_ua_log(records, path)
         assert read_ua_log(path) == records
