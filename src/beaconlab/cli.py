@@ -18,9 +18,6 @@ import time
 import beaconlab
 from beaconlab import clientsim, correlate, dnssim, httplog, inject, proxy, ua
 
-DEFAULT_SEED = 1
-
-
 class _UsageError(Exception):
     pass
 
@@ -37,9 +34,7 @@ def _write_manifest(out_dir: str, subcommand: str, **fields) -> None:
         "created_at": time.time(),
     }
     manifest.update(fields)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    httplog.write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
 def _load_scenario(args) -> clientsim.ScenarioConfig:
@@ -69,9 +64,7 @@ def cmd_simulate(args) -> int:
     dnssim.write_query_log(result.dns_log, logs["dns"])
     clientsim.write_fetch_log(result.fetch_log, logs["fetch"])
     written = time.perf_counter()
-    with open(os.path.join(out, "ground_truth.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.ground_truth, fh, indent=2)
-        fh.write("\n")
+    httplog.write_json(result.ground_truth, os.path.join(out, "ground_truth.json"))
     config.save(os.path.join(out, "scenario_config.json"))
     _write_manifest(
         out,
@@ -221,11 +214,11 @@ def cmd_proxy(args) -> int:
 
 def cmd_dns(args) -> int:
     host, port = _split_hostport(args.listen)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     config = dnssim.ZoneConfig(
         zone=args.zone, payload_address=args.payload, ttl_seconds=args.ttl
     )
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     query_log = dnssim.QUERY_LOG.appender(os.path.join(out, correlate.LOG_FILENAMES["dns"]))
     responder = dnssim.DnsResponder(config, host=host, port=port, log=query_log)
     responder.start()
@@ -396,9 +389,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (clientsim.ConfigError, proxy.ProxyConfigError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except (correlate.MissingLogError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,14 @@ import math
 import random
 import re
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from beaconlab.dnssim import (
-    DnsQueryRecord, WildcardResolver, ZoneConfig, is_valid_name, normalize_name, url_host
+    DnsQueryRecord, WildcardResolver, ZoneConfig, normalize_name, url_host
 )
-from beaconlab.httplog import CsvLog, HttpExchange, collector_paused, finite_time
+from beaconlab.httplog import CsvLog, HttpExchange, collector_paused, finite_time, write_json
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
 T = TypeVar("T")
@@ -63,31 +63,14 @@ class UaSpec:
     vulnerable: bool = False
 
 
-@dataclass(frozen=True)
-class ClientProfile:
-    client_id: str
-    user_agent: str
-    fetches_objects: bool
-    restart_schedule: tuple[float, ...]
-
-
 _NUMBER = (int, float)
-# The JSON type of each key a scenario file may hold.
-_SCENARIO_TYPES = {
-    "seed": int,
-    "client_count": int,
-    "duration_seconds": _NUMBER,
-    "visit_rate": _NUMBER,
-    "mime_mix": dict,
-    "http_share": _NUMBER,
-    "ua_population": list,
-    "non_fetching_share": _NUMBER,
-    "restart_count": int,
-    "zone": str,
-    "payload_address": str,
-    "static_label": str,
-}
-_UA_SPEC_TYPES = {"user_agent": str, "weight": _NUMBER, "vulnerable": bool}
+# The JSON type a scenario file holds for a field of each annotation.
+_JSON_TYPES = {"int": int, "float": _NUMBER, "bool": bool, "str": str, "dict": dict, "list": list}
+
+
+def _field_types(cls) -> dict:
+    """The JSON type of each field of a scenario-file dataclass, by name."""
+    return {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
 
 
 def _typed(obj, types: dict, where: str = "") -> dict:
@@ -138,52 +121,38 @@ class ScenarioConfig:
             raise ConfigError("mime_mix must sum to 1")
         if any(w < 0 for w in self.mime_mix.values()):
             raise ConfigError("mime_mix weights must be >= 0")
-        if not is_valid_name(normalize_name(self.zone)):
-            raise ConfigError(f"invalid zone: {self.zone!r}")
+        try:
+            self.zone_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.ua_population and self.client_count > 0:
             raise ConfigError("ua_population must not be empty")
         if any(spec.weight < 0 for spec in self.ua_population):
             raise ConfigError("ua_population weights must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "client_count": self.client_count,
-            "duration_seconds": self.duration_seconds,
-            "visit_rate": self.visit_rate,
-            "mime_mix": dict(self.mime_mix),
-            "http_share": self.http_share,
-            "ua_population": [
-                {"user_agent": spec.user_agent, "weight": spec.weight, "vulnerable": spec.vulnerable}
-                for spec in self.ua_population
-            ],
-            "non_fetching_share": self.non_fetching_share,
-            "restart_count": self.restart_count,
-            "zone": self.zone,
-            "payload_address": self.payload_address,
-            "static_label": self.static_label,
-        }
+    def zone_config(self) -> ZoneConfig:
+        """The zone run_scenario's resolver answers for."""
+        return ZoneConfig(zone=self.zone, payload_address=self.payload_address)
 
     @classmethod
     def from_json(cls, obj) -> "ScenarioConfig":
         """The config a decoded scenario file describes; ConfigError unless it
         is an object of known keys whose values have the right JSON types."""
-        data = dict(_typed(obj, _SCENARIO_TYPES))
+        data = dict(_typed(obj, _field_types(cls)))
         mime_mix = data.get("mime_mix", {})
         _typed(mime_mix, dict.fromkeys(mime_mix, _NUMBER), "mime_mix: ")
         population = []
+        spec_types = _field_types(UaSpec)
         for i, spec in enumerate(data.get("ua_population", [])):
             where = f"ua_population[{i}]: "
-            if "user_agent" not in _typed(spec, _UA_SPEC_TYPES, where):
+            if "user_agent" not in _typed(spec, spec_types, where):
                 raise ConfigError(f"{where}no user_agent")
             population.append(UaSpec(**spec))
         data["ua_population"] = population
         return cls(**data)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_json(asdict(self), path)
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
@@ -215,18 +184,21 @@ write_fetch_log = FETCH_LOG.write
 read_fetch_log = FETCH_LOG.read
 
 
+@dataclass
 class _ClientState:
-    """Runtime browser state: caches are cleared at restart, the cached
+    """One simulated browser. Caches are cleared at restart, the cached
     copy of the start page survives (it is what gets reloaded)."""
 
-    def __init__(self, profile: ClientProfile, source: str):
-        self.profile = profile
-        self.source = source
-        self.dns_cache: set[str] = set()
-        self.object_cache: set[str] = set()
-        self.cached_home_body: bytes | None = None
-        self.home_dynamic_subdomain: str | None = None
-        self.lifetimes = 1
+    client_id: str
+    source: str
+    user_agent: str
+    fetches_objects: bool
+    restart_schedule: tuple[float, ...]
+    dns_cache: set[str] = field(default_factory=set)
+    object_cache: set[str] = field(default_factory=set)
+    cached_home_body: bytes | None = None
+    home_dynamic_subdomain: str | None = None
+    lifetimes: int = 1
 
     def restart(self) -> None:
         self.dns_cache.clear()
@@ -246,11 +218,6 @@ def _beacons(body: bytes, zone: str) -> list[tuple[str, str]]:
     return beacons
 
 
-def beacon_urls(body: bytes, zone: str) -> list[str]:
-    """Attacker-zone image URLs embedded in an HTML body, in order."""
-    return [url for url, _host in _beacons(body, zone)]
-
-
 def client_process_response(
     state: _ClientState,
     body: bytes,
@@ -258,26 +225,21 @@ def client_process_response(
     resolver: WildcardResolver,
     fetch_log: list[FetchRecord],
     zone: str,
-) -> tuple[list[str], list[str]]:
+) -> None:
     """Resolve and fetch the beacon objects a browser would pull from a page.
 
     A name already in the client's DNS cache is not queried again; an URL
-    already in the object cache is not fetched again. Returns (names
-    queried, urls fetched). Clients configured to not download external
-    objects never reach this point.
+    already in the object cache is not fetched again. Queries land in the
+    resolver's log, fetches in fetch_log. Clients configured to not
+    download external objects never reach this point.
     """
-    queried: list[str] = []
-    fetched: list[str] = []
     for url, host in _beacons(body, zone):
         if host not in state.dns_cache:
             resolver.resolve(host, state.source, now)
             state.dns_cache.add(host)
-            queried.append(host)
         if url not in state.object_cache:
             fetch_log.append(FetchRecord(timestamp=now, source=state.source, url=url))
             state.object_cache.add(url)
-            fetched.append(url)
-    return queried, fetched
 
 
 @dataclass
@@ -376,9 +338,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     config.validate()
     rng = random.Random(config.seed)
     injector = Injector(zone=config.zone, static_label=config.static_label, seed=config.seed)
-    resolver = WildcardResolver(
-        ZoneConfig(zone=config.zone, payload_address=config.payload_address, ttl_seconds=0)
-    )
+    resolver = WildcardResolver(config.zone_config())
     fetch_log: list[FetchRecord] = []
     exchanges: list[HttpExchange] = []
     tags: list[Tag] = []
@@ -399,20 +359,20 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     events: list[tuple[float, int, int, str, object]] = []
     for i in range(config.client_count):
         spec = draw_spec(rng)
-        profile = ClientProfile(
+        state = _ClientState(
             client_id=f"c{i:05d}",
+            source=f"10.{(i >> 8) & 0xFF}.{i & 0xFF}.1",
             user_agent=spec.user_agent,
             fetches_objects=i not in non_fetching_ids,
             restart_schedule=restart_times.get(i, ()),
         )
-        state = _ClientState(profile, source=f"10.{(i >> 8) & 0xFF}.{i & 0xFF}.1")
         clients.append(state)
         visit_rng = random.Random(rng.randrange(2**62))
         for seq, (t, enc, mime) in enumerate(_client_visits(visit_rng, config, draw_mime)):
             events.append((t, i, seq, "visit", (enc, mime)))
-        for t in profile.restart_schedule:
+        for t in state.restart_schedule:
             events.append((t, i, 10**9, "restart", None))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    events.sort()  # (time, client, seq) is unique, so the rest is never compared
 
     body_rng = random.Random(config.seed ^ 0x5EED)
     exchange_seq = 0
@@ -421,7 +381,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         state = clients[i]
         if kind == "restart":
             state.restart()
-            if state.profile.fetches_objects and state.cached_home_body is not None:
+            if state.fetches_objects and state.cached_home_body is not None:
                 client_process_response(
                     state, state.cached_home_body, t, resolver, fetch_log, config.zone
                 )
@@ -443,7 +403,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 response_headers=(),
                 response_body=b"",
                 is_encrypted=True,
-                ground_truth_client=state.profile.client_id,
+                ground_truth_client=state.client_id,
             )
             exchanges.append(origin)
             continue
@@ -460,8 +420,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             body = _placeholder_body(body_rng)
             content_type = mime
         request_headers = [("Host", host)]
-        if state.profile.user_agent:
-            request_headers.append(("User-Agent", state.profile.user_agent))
+        if state.user_agent:
+            request_headers.append(("User-Agent", state.user_agent))
         origin = HttpExchange(
             exchange_id=exchange_id,
             timestamp=t,
@@ -476,7 +436,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             ),
             response_body=body,
             is_encrypted=False,
-            ground_truth_client=state.profile.client_id,
+            ground_truth_client=state.client_id,
         )
         delivered, issued = injector.inject(origin)
         exchanges.append(delivered)
@@ -486,14 +446,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             for tag in issued:
                 if tag.kind == DYNAMIC:
                     state.home_dynamic_subdomain = tag.subdomain
-        if state.profile.fetches_objects:
+        if state.fetches_objects:
             client_process_response(
                 state, delivered.response_body, t, resolver, fetch_log, config.zone
             )
 
-    fetching = [c for c in clients if c.profile.fetches_objects]
     ground_truth = {
-        "unique_user_lifetimes": sum(c.lifetimes for c in fetching),
+        "unique_user_lifetimes": sum(c.lifetimes for c in clients if c.fetches_objects),
         "reappearance_subdomains": sorted(
             clients[i].home_dynamic_subdomain
             for i in restarted
@@ -503,11 +462,11 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         "total_exchanges": len(exchanges),
         "clients": [
             {
-                "client_id": c.profile.client_id,
+                "client_id": c.client_id,
                 "source": c.source,
-                "user_agent": c.profile.user_agent,
-                "fetches_objects": c.profile.fetches_objects,
-                "restart_times": list(c.profile.restart_schedule),
+                "user_agent": c.user_agent,
+                "fetches_objects": c.fetches_objects,
+                "restart_times": list(c.restart_schedule),
                 "home_dynamic_subdomain": c.home_dynamic_subdomain,
             }
             for c in clients
@@ -516,7 +475,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     return SimulationResult(
         exchanges=exchanges,
         tags=tags,
-        dns_log=list(resolver.log),
+        dns_log=resolver.log,
         fetch_log=fetch_log,
         ground_truth=ground_truth,
         config=config,
@@ -575,8 +534,6 @@ def calibrated_config(
         client_count=client_count,
         duration_seconds=duration_seconds,
         visit_rate=visit_rate,
-        mime_mix=dict(MEASURED_MIME_MIX),
-        http_share=0.96,
         ua_population=calibrated_ua_population(max(client_count, 40)),
         non_fetching_share=non_fetching_share,
         restart_count=restart_count,

@@ -12,7 +12,6 @@ report, and ground-truth metadata in the logs is never consulted.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from beaconlab.httplog import (
     collector_paused,
     mime_distribution,
     read_exchange_views,
+    write_json,
 )
 from beaconlab.inject import DYNAMIC, STATIC, Tag, TagLabel, read_tag_labels
 from beaconlab.ua import (
@@ -284,9 +284,7 @@ def build_report_from_dir(
 def write_report(report: CorrelationReport, out_dir: str) -> None:
     """report.json plus comma-separated companions for plotting."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_json(), os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "ratio_series.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)  # rows end in CRLF
         writer.writerow(["window_start", "vulnerable", "not_vulnerable", "ratio"])

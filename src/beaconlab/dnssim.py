@@ -9,6 +9,7 @@ integration tests. Authoritative-only: out-of-zone names are refused.
 
 from __future__ import annotations
 
+import ipaddress
 import re
 import socket
 import struct
@@ -49,10 +50,15 @@ class ZoneConfig:
     ttl_seconds: int = 0
 
     def __post_init__(self):
-        if self.ttl_seconds < 0:
-            raise ValueError("ttl_seconds must be >= 0")
+        # what build_response could not encode is refused before any query is logged
+        if not 0 <= self.ttl_seconds < 2**31:  # RFC 2181 section 8
+            raise ValueError("ttl_seconds must lie in [0, 2**31 - 1]")
         if not is_valid_name(normalize_name(self.zone)):
             raise ValueError(f"invalid zone: {self.zone!r}")
+        try:
+            ipaddress.IPv4Address(self.payload_address)
+        except ValueError:
+            raise ValueError(f"invalid payload address: {self.payload_address!r}") from None
 
 
 def normalize_name(name: str) -> str:

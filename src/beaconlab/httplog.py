@@ -353,6 +353,13 @@ def write_exchange_log(exchanges: Iterable[HttpExchange], path: str) -> None:
         _write_exchanges(fh, exchanges)
 
 
+def write_json(obj, path: str) -> None:
+    """Write one JSON document, indented by two spaces, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 # Block size of the backward scan for a torn file's last newline.
 _TAIL_SCAN_BYTES = 1 << 16
 

@@ -14,6 +14,7 @@ import hashlib
 import re
 from typing import NamedTuple
 
+from beaconlab.dnssim import is_valid_name, normalize_name
 from beaconlab.httplog import (
     CsvLog, Headers, HttpExchange, finite_time, mime_type, read_exchange_log, write_exchange_log
 )
@@ -57,7 +58,9 @@ class Injector:
     def __init__(self, zone: str, static_label: str = DEFAULT_STATIC_LABEL, seed: int = 0):
         if not _LABEL_RE.match(static_label):
             raise ValueError(f"invalid static label: {static_label!r}")
-        self.zone = zone.lower().rstrip(".")
+        self.zone = normalize_name(zone)
+        if not is_valid_name(self.zone):
+            raise ValueError(f"invalid zone: {zone!r}")
         self.static_label = static_label
         self.seed = seed
         self.counter = 0

@@ -754,21 +754,22 @@ class ProxyService:
         request_headers = tuple(
             (name, value) for name, value in headers.fields if name.lower() not in _HOP_BY_HOP
         )
-        # The request line and fields http.client would send for the same call.
-        upstream_fields = {
-            name: value
+        # The request line and fields http.client would send for the same call,
+        # then every other end-to-end field in arrival order (RFC 7230 3.2.2).
+        upstream_fields = [
+            f"{name}: {value}"
             for name, value in request_headers
             if name.lower() not in ("host", "content-length")
-        }
+        ]
         selector = parts.path or "/"
         if parts.query:
             selector += "?" + parts.query
         lines = [f"{method} {selector} HTTP/1.1", "Host: " + host_field]
-        if not any(name.lower() == "accept-encoding" for name in upstream_fields):
+        if "Accept-Encoding" not in headers:
             lines.append("Accept-Encoding: identity")
         if request_body or method in _BODY_EXPECTED:
             lines.append(f"Content-Length: {len(request_body)}")
-        lines.extend(f"{name}: {value}" for name, value in upstream_fields.items())
+        lines.extend(upstream_fields)
         lines.append("\r\n")
         message = "\r\n".join(lines).encode("latin-1") + request_body
         origin = (parts.hostname, port)

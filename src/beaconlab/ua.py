@@ -64,6 +64,14 @@ class UaRecord(NamedTuple):
     first_seen: float
 
 
+def _split_parens(raw: str) -> tuple[list[str], str]:
+    """_PAREN_RE's findall and sub(" ") of a string, run only up to its last
+    ")": every "(" there has a ")" after it, so the scan is linear."""
+    head_end = raw.rfind(")") + 1
+    head = raw[:head_end]
+    return _PAREN_RE.findall(head), _PAREN_RE.sub(" ", head) + raw[head_end:]
+
+
 def parse_user_agent(raw: str) -> tuple[ProductToken, ...]:
     """Extract ordered (name, version) product tokens from a user-agent string.
 
@@ -75,8 +83,7 @@ def parse_user_agent(raw: str) -> tuple[ProductToken, ...]:
     if not raw:
         return ()
     tokens: list[ProductToken] = []
-    paren_groups = _PAREN_RE.findall(raw)
-    outside = _PAREN_RE.sub(" ", raw)
+    paren_groups, outside = _split_parens(raw)
     for piece in outside.split():
         slash = _SLASH_TOKEN_RE.match(piece)
         if slash:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import socket
 
 import pytest
 
@@ -334,6 +335,17 @@ class TestInjectCommand:
         ) == 0
         assert b"<img " in read_exchange_log(out_path)[0].response_body
 
+    def test_invalid_zone_is_two(self, tmp_path, capsys):
+        in_path = str(tmp_path / "in.jsonl")
+        write_exchange_log([make_exchange(HTML)], in_path)
+        out_path = str(tmp_path / "out.jsonl")
+        assert run(
+            "inject", "--in", in_path, "--out", out_path, "--tags", str(tmp_path / "tags.csv"),
+            "--zone", "bad zone!.",
+        ) == 2
+        assert "invalid zone" in capsys.readouterr().err
+        assert not os.path.exists(out_path)
+
 
 class TestClassifyUa:
     def test_single_string(self, tmp_path, capsys):
@@ -432,6 +444,31 @@ class TestExitCodes:
         assert "outside 0-65535" in err
         assert "Traceback" not in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (("dns", "--zone", "z.test", "--payload", "127.0.0.1", "--ttl", "4294967296"),
+             "ttl_seconds"),
+            (("dns", "--zone", "z.test", "--payload", "nope"), "invalid payload address"),
+            (("proxy", "--mode", "active", "--zone", "bad zone!.", "--payload", "127.0.0.1"),
+             "invalid zone"),
+        ],
+        ids=["dns_ttl", "dns_payload", "proxy_zone"],
+    )
+    def test_bad_zone_setting_is_two_before_binding(
+        self, tmp_path, capsys, monkeypatch, argv, problem
+    ):
+        def bind(*_args, **_kwargs):
+            raise AssertionError("a socket was bound")
+
+        monkeypatch.setattr(socket, "create_server", bind)
+        monkeypatch.setattr(socket.socket, "bind", bind)
+        monkeypatch.setattr(cli, "_run_until_signal", lambda stop: stop())  # never serve
+        assert run(*argv, "--listen", "127.0.0.1:0", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "Traceback" not in err
 
     def test_runtime_error_is_two(self, tmp_path):
         assert run("analyze", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path / "r"),

@@ -7,15 +7,14 @@ from itertools import accumulate
 import pytest
 
 from beaconlab.clientsim import (
-    ClientProfile,
     ConfigError,
     ScenarioConfig,
     UaSpec,
     _ClientState,
+    _beacons,
     _html_body,
     _one_of,
     _placeholder_body,
-    beacon_urls,
     calibrated_config,
     calibrated_vuln_db,
     client_process_response,
@@ -129,6 +128,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [("zone", "bad zone!.", "invalid zone"), ("payload_address", "nope", "invalid payload")],
+    )
+    def test_zone_rule_is_the_resolvers(self, field, value, problem):
+        config = calibrated_config()
+        setattr(config, field, value)
+        with pytest.raises(ConfigError, match=problem):
+            config.validate()
+
     def test_negative_counts(self):
         config = calibrated_config()
         config.client_count = -1
@@ -227,13 +236,13 @@ class TestDeterminism:
 
 class TestCachingModel:
     def _fetching_client(self):
-        profile = ClientProfile(
+        return _ClientState(
             client_id="c1",
+            source="10.0.0.1",
             user_agent="AcmeBrowser/3.1",
             fetches_objects=True,
             restart_schedule=(),
         )
-        return _ClientState(profile, source="10.0.0.1")
 
     def _page(self, labels):
         imgs = "".join(
@@ -245,13 +254,9 @@ class TestCachingModel:
         resolver = WildcardResolver(ZoneConfig(zone=ZONE, payload_address="192.0.2.1"))
         state = self._fetching_client()
         fetch_log = []
-        q1, f1 = client_process_response(
-            state, self._page(["pixel"]), 1.0, resolver, fetch_log, ZONE
-        )
-        q2, f2 = client_process_response(
-            state, self._page(["pixel"]), 2.0, resolver, fetch_log, ZONE
-        )
-        assert q1 == [f"pixel.{ZONE}"] and q2 == []
+        client_process_response(state, self._page(["pixel"]), 1.0, resolver, fetch_log, ZONE)
+        assert [r.name for r in resolver.log] == [f"pixel.{ZONE}"]
+        client_process_response(state, self._page(["pixel"]), 2.0, resolver, fetch_log, ZONE)
         assert len(fetch_log) == 1  # second attempt served from the object cache
         assert len(resolver.log) == 1
 
@@ -268,10 +273,13 @@ class TestCachingModel:
         resolver = WildcardResolver(ZoneConfig(zone=ZONE, payload_address="192.0.2.1"))
         state = self._fetching_client()
         fetch_log = []
-        queried, _ = client_process_response(
+        client_process_response(
             state, self._page(["pixel", "d0001unique"]), 1.0, resolver, fetch_log, ZONE
         )
-        assert f"d0001unique.{ZONE}" in queried
+        assert [r.name for r in resolver.log] == [f"pixel.{ZONE}", f"d0001unique.{ZONE}"]
+        assert [r.url for r in fetch_log] == [
+            f"http://pixel.{ZONE}/p.gif", f"http://d0001unique.{ZONE}/p.gif"
+        ]
         assert len([r for r in resolver.log if r.name.startswith("d0001unique")]) == 1
 
     def test_beacon_urls_only_attacker_zone(self):
@@ -279,7 +287,7 @@ class TestCachingModel:
             b'<img src="http://cdn.example/x.png">'
             b'<img src="http://abc.feedback.test/p.gif">'
         )
-        assert beacon_urls(body, ZONE) == ["http://abc.feedback.test/p.gif"]
+        assert _beacons(body, ZONE) == [("http://abc.feedback.test/p.gif", "abc.feedback.test")]
 
 
 class TestScenario:

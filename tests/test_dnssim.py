@@ -416,3 +416,16 @@ class TestZoneConfig:
     def test_invalid_zone_rejected(self):
         with pytest.raises(ValueError):
             ZoneConfig(zone="bad..zone", payload_address="192.0.2.1")
+
+    @pytest.mark.parametrize("ttl, accepted", [(2**31 - 1, True), (2**31, False), (2**32, False)])
+    def test_ttl_at_most_two_to_the_31_minus_one(self, ttl, accepted):
+        if accepted:
+            assert ZoneConfig(zone="z.test", payload_address="192.0.2.1", ttl_seconds=ttl)
+        else:
+            with pytest.raises(ValueError, match="ttl_seconds"):
+                ZoneConfig(zone="z.test", payload_address="192.0.2.1", ttl_seconds=ttl)
+
+    @pytest.mark.parametrize("address", ["not-an-ip", "", "192.0.2", "256.0.0.1", "::1"])
+    def test_payload_must_be_an_ipv4_address(self, address):
+        with pytest.raises(ValueError, match="invalid payload address"):
+            ZoneConfig(zone="z.test", payload_address=address)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,17 @@ class TestGenerateSubdomain:
         labels = {injector.generate_subdomain() for _ in range(10_000)}
         assert len(labels) == 10_000
         assert all(len(label) <= 32 and label.isalnum() and label.islower() for label in labels)
+
+
+class TestZone:
+    @pytest.mark.parametrize("zone", ["bad zone!.", "", "a..b", "x" * 64 + ".test"])
+    def test_invalid_zone_rejected(self, zone):
+        with pytest.raises(ValueError, match="invalid zone"):
+            Injector(zone=zone)
+
+    def test_zone_is_normalized(self):
+        injector = Injector(zone="Tracker.TEST.")
+        assert injector.beacon_url("pixel") == "http://pixel.tracker.test/p.gif"
 
 
 body_st = st.one_of(

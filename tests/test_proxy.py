@@ -681,6 +681,23 @@ class TestWireBehaviour:
         first = read_exchange_log(service.config.exchange_log_path)[0]
         assert first.request_headers == (("Host", "ignored"), ("User-Agent", "ua/1 "), ("X-A", "1"))
 
+    def test_repeated_request_fields_are_forwarded_in_order(self, service, raw_origin):
+        origin = raw_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False))
+        authority = b"127.0.0.1:%d" % origin.address[1]
+        raw_exchange(
+            service,
+            b"GET http://%s/ HTTP/1.1\r\nX-A: 1\r\nHost: ignored\r\nX-B: b\r\nX-A: 2\r\n"
+            b"x-a: 3\r\nConnection: close\r\n\r\n" % authority,
+        )
+        assert origin.requests == [
+            b"GET / HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+            b"X-A: 1\r\nX-B: b\r\nX-A: 2\r\nx-a: 3\r\n\r\n" % authority
+        ]
+        logged = read_exchange_log(service.config.exchange_log_path)[0].request_headers
+        assert [field for field in logged if field[0].lower() == "x-a"] == [
+            ("X-A", "1"), ("X-A", "2"), ("x-a", "3")
+        ]
+
     @pytest.mark.parametrize("request_line, header", [
         (b"GET %s HTTP/1.1", b"Connection: close\r\n"),
         (b"GET %s HTTP/1.0", b""),

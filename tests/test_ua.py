@@ -16,6 +16,7 @@ from beaconlab.ua import (
     Verdict,
     VersionRange,
     VulnDb,
+    _split_parens,
     classify,
     compare_versions,
     parse_user_agent,
@@ -31,6 +32,8 @@ FIXTURE_DB = VulnDb.from_pairs([("examplebrowser", "1.0", "2.0")])
 # The paren-fragment pattern parse_user_agent matched with before its scan
 # was made linear; its lazy prefix backtracks quadratically.
 OLD_PAREN_FRAGMENT_RE = re.compile(r"^(.*?[A-Za-z].*?)[\s/]+v?(\d[\d.]*)$")
+# The group pattern it ran over the whole string, quadratic on unclosed "(".
+OLD_PAREN_RE = re.compile(r"\(([^)]*)\)")
 
 
 def int_compare_versions(a, b):
@@ -91,6 +94,27 @@ class TestParseUserAgent:
         assert tokens == (("x", "1"), ("a" + " v1" * 19_999, "1"))
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="(); a/1", max_size=24))
+    def test_paren_split_as_the_whole_string_regex(self, raw):
+        assert _split_parens(raw) == (OLD_PAREN_RE.findall(raw), OLD_PAREN_RE.sub(" ", raw))
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            ("(" * 60_000, ()),
+            ("X/1 (a) " + "(" * 60_000, (("x", "1"),)),
+            ("(" * 30_000 + ")" + "(" * 30_000, ()),
+        ],
+        ids=["unclosed", "after_a_group", "around_a_close"],
+    )
+    def test_unclosed_parens_parse_in_linear_time(self, raw, expected):
+        started = time.perf_counter()
+        tokens = parse_user_agent(raw)
+        assert time.perf_counter() - started < 0.5
+        assert tokens == expected
+
+
 class TestCompareVersions:
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -131,6 +155,21 @@ class TestCompareVersions:
         assert VersionRange(None, "2.0").contains("0.1")
         assert VersionRange("1.0", None).contains("99")
         assert not VersionRange("1.0", "2.0").contains("2.1")
+
+    @pytest.mark.parametrize(
+        "version,above_min,below_max",
+        [
+            ("0.9", False, True), ("0.9.9", False, True),  # just below 1.0
+            ("1.0", True, True), ("1.0.0", True, True),  # at 1.0
+            ("1.0.1", True, True), ("1.9.9", True, True),  # just above 1.0, below 2.0
+            ("2.0", True, True), ("2.0.0", True, True),  # at 2.0
+            ("2.0.1", True, False), ("2.1", True, False),  # just above 2.0
+        ],
+    )
+    def test_both_bounds_are_closed(self, version, above_min, below_max):
+        assert VersionRange("1.0", None).contains(version) is above_min
+        assert VersionRange(None, "2.0").contains(version) is below_max
+        assert VersionRange("1.0", "2.0").contains(version) is (above_min and below_max)
 
 
 class TestClassify:
