@@ -16,7 +16,7 @@ import math
 import random
 import re
 from bisect import bisect
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -152,7 +152,10 @@ class ScenarioConfig:
         return cls(**data)
 
     def save(self, path: str) -> None:
-        write_json(asdict(self), path)
+        # asdict would deep-copy every UaSpec; a shallow view writes the same JSON
+        document = {f.name: getattr(self, f.name) for f in fields(self)}
+        document["ua_population"] = [vars(spec) for spec in self.ua_population]
+        write_json(document, path)
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":

@@ -22,7 +22,13 @@ from urllib.parse import urlsplit
 
 from beaconlab.httplog import CsvLog, LogAppender, finite_time
 
-_NAME_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?$")
+# One label of a valid name: 1 to 63 of these characters, no hyphen at
+# either end. Matched whole (fullmatch), so a trailing newline is no match.
+_LABEL = r"[a-z0-9_](?:[a-z0-9_-]{0,61}[a-z0-9_])?"
+_LABEL_RE = re.compile(_LABEL)
+
+# Longest valid name in dotted text form (RFC 1035 section 2.3.4).
+MAX_NAME_CHARS = 253
 
 QTYPE_A = 1
 RCODE_NOERROR = 0
@@ -87,9 +93,9 @@ def url_host(url: str) -> str:
 
 
 def is_valid_name(name: str) -> bool:
-    if not name or len(name) > 253:
+    if not name or len(name) > MAX_NAME_CHARS:
         return False
-    return all(_NAME_RE.match(label) for label in name.split("."))
+    return all(_LABEL_RE.fullmatch(label) for label in name.split("."))
 
 
 class WildcardResolver:
@@ -123,8 +129,13 @@ class WildcardResolver:
             return None
         if not self.in_zone(normalized):
             return None
+        return self.answer(normalized, source, now)
+
+    def answer(self, name: str, source: str, now: float) -> str:
+        """Log ``name`` and return the payload address, checking nothing:
+        the caller has normalized ``name`` and found it valid and in zone."""
         with self._lock:
-            self.log.append(DnsQueryRecord(name=normalized, source=source, timestamp=now))
+            self.log.append(DnsQueryRecord(name=name, source=source, timestamp=now))
         return self.config.payload_address
 
 
@@ -140,11 +151,21 @@ read_query_log = QUERY_LOG.read
 # --- wire format -----------------------------------------------------------
 
 def encode_name(name: str) -> bytes:
+    """``normalize_name(name)`` in wire form; "" is the root. ValueError for
+    a name that has no wire form: an empty label, a label over 63 octets or
+    more than 255 octets in all (RFC 1035 sections 2.3.4 and 3.1)."""
     out = b""
-    for label in normalize_name(name).split("."):
-        raw = label.encode("ascii")
-        out += bytes([len(raw)]) + raw
-    return out + b"\x00"
+    normalized = normalize_name(name)
+    if normalized:
+        for label in normalized.split("."):
+            raw = label.encode("ascii")
+            if not 0 < len(raw) <= 63:
+                raise ValueError(f"label of {len(raw)} octets in {name!r}")
+            out += bytes([len(raw)]) + raw
+    out += b"\x00"
+    if len(out) > 255:
+        raise ValueError(f"name of {len(out)} octets: {name!r}")
+    return out
 
 
 def encode_query(txid: int, name: str, qtype: int = QTYPE_A) -> bytes:
@@ -228,6 +249,18 @@ class DnsResponder:
     ):
         self.resolver = WildcardResolver(config, log)
         self.config = config
+        # Valid names in the zone: labels of the _LABEL rule, then the zone,
+        # which ZoneConfig has found valid. Matched on the lowered wire bytes.
+        zone = re.escape(self.resolver.zone.encode("ascii"))
+        self._in_zone_name = re.compile(rb"(?:%s\.)*%s" % (_LABEL.encode("ascii"), zone))
+        # Each reply is the query's ID, one of three fixed header remainders,
+        # the question, and for an answer one fixed record (RFC 1035 4.1.1).
+        self._refused = build_response(0, b"", RCODE_REFUSED)[2:]
+        self._no_answer = build_response(0, b"", RCODE_NOERROR)[2:]
+        answered = build_response(
+            0, b"", RCODE_NOERROR, address=config.payload_address, ttl=config.ttl_seconds
+        )
+        self._one_answer, self._answer = answered[2:12], answered[12:]
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, port))
         self._sock.settimeout(POLL_INTERVAL_S)
@@ -250,22 +283,36 @@ class DnsResponder:
                 traceback.print_exc()
 
     def handle_packet(self, data: bytes, source: str) -> bytes | None:
+        """The reply to one query packet, None for no reply; an answered
+        query is logged first. One pass: the name is walked as parse_query
+        walks it, then normalized and checked once, as bytes."""
         # QR and OPCODE are the top five bits of byte 2; QDCOUNT is bytes 4-5
-        if len(data) < 12 or data[2] & 0xF8 or data[4:6] != b"\x00\x01":
+        end = len(data)
+        if end < 12 or data[2] & 0xF8 or data[4:6] != b"\x00\x01":
             return None
-        parsed = parse_query(data)
-        if parsed is None:
+        labels = []
+        pos = 12
+        while pos < end:
+            length = data[pos]
+            pos += 1
+            if length == 0:
+                break
+            if length > 63 or pos + length > end:
+                return None
+            labels.append(data[pos : pos + length])
+            pos += length
+        else:
             return None
-        txid, name, qtype, question = parsed
-        normalized = normalize_name(name)
-        if not is_valid_name(normalized) or not self.resolver.in_zone(normalized):
-            return build_response(txid, question, RCODE_REFUSED)
-        if qtype != QTYPE_A:
-            return build_response(txid, question, RCODE_NOERROR)
-        address = self.resolver.resolve(normalized, source, time.time())
-        return build_response(
-            txid, question, RCODE_NOERROR, address=address, ttl=self.config.ttl_seconds
-        )
+        if pos + 4 > end:
+            return None
+        question = data[12 : pos + 4]
+        name = b".".join(labels).lower().rstrip(b".")
+        if len(name) > MAX_NAME_CHARS or self._in_zone_name.fullmatch(name) is None:
+            return data[:2] + self._refused + question
+        if data[pos : pos + 2] != b"\x00\x01":  # QTYPE other than A
+            return data[:2] + self._no_answer + question
+        self.resolver.answer(name.decode("ascii"), source, time.time())
+        return data[:2] + self._one_answer + question + self._answer
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._serve, daemon=True)

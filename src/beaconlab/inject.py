@@ -30,7 +30,7 @@ _STRIP_RE = re.compile(
     re.escape(MARKER_BEGIN.encode()) + rb".*?" + re.escape(MARKER_END.encode()),
     re.DOTALL,
 )
-_LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?$")
+_LABEL_RE = re.compile(r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?")
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -56,7 +56,7 @@ class Injector:
     """
 
     def __init__(self, zone: str, static_label: str = DEFAULT_STATIC_LABEL, seed: int = 0):
-        if not _LABEL_RE.match(static_label):
+        if not _LABEL_RE.fullmatch(static_label):
             raise ValueError(f"invalid static label: {static_label!r}")
         self.zone = normalize_name(zone)
         if not is_valid_name(self.zone):

@@ -4,6 +4,8 @@ import socket
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
+from unittest import mock
 from urllib.parse import urlsplit
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beaconlab
+from beaconlab import dnssim
 from beaconlab.dnssim import (
     DnsQueryRecord,
     DnsResponder,
@@ -20,6 +23,8 @@ from beaconlab.dnssim import (
     RCODE_REFUSED,
     WildcardResolver,
     ZoneConfig,
+    build_response,
+    encode_name,
     encode_query,
     is_valid_name,
     normalize_name,
@@ -93,6 +98,8 @@ class TestNames:
             ("", False),
             ("-bad.zone", False),
             ("a." + "x" * 64, False),
+            ("a.b\n", False),
+            ("pixel\n.tracker.test", False),
         ],
     )
     def test_validity(self, name, valid):
@@ -176,9 +183,68 @@ class TestWireFormat:
     def test_garbage_rejected(self):
         assert parse_query(b"\x00\x01") is None
 
+    @pytest.mark.parametrize("name", ["", ".", "..."])
+    def test_root_encodes_as_one_zero_octet(self, name):
+        assert encode_name(name) == b"\x00"
+
+    def test_longest_label_and_name_encode(self):
+        assert encode_name("x" * 63 + ".z") == b"\x3f" + b"x" * 63 + b"\x01z\x00"
+        name = ".".join(["x" * 63] * 3 + ["x" * 61])  # 253 characters, 255 octets
+        assert len(encode_name(name)) == 255
+        assert parse_query(encode_query(1, name))[1] == name
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "a..b",  # empty interior label
+            ".a",  # empty first label
+            "x" * 64 + ".z",  # label over 63 octets
+            ".".join(["x" * 63] * 3 + ["x" * 62]),  # 254 characters, 256 octets
+        ],
+        ids=["empty_label", "empty_first_label", "label_64", "name_256_octets"],
+    )
+    def test_name_without_a_wire_form_rejected(self, name):
+        with pytest.raises(ValueError):
+            encode_name(name)
+
 
 def _name(labels):
     return b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
+
+
+def _reference_reply(responder, packet, source, now):
+    """handle_packet's reply and log record (None for none), composed from
+    the public wire helpers and the resolver's own name checks."""
+    if len(packet) < 12 or packet[2] & 0xF8 or packet[4:6] != b"\x00\x01":
+        return None, None
+    parsed = parse_query(packet)
+    if parsed is None:
+        return None, None
+    txid, name, qtype, question = parsed
+    normalized = normalize_name(name)
+    if not is_valid_name(normalized) or not responder.resolver.in_zone(normalized):
+        return build_response(txid, question, RCODE_REFUSED), None
+    if qtype != QTYPE_A:
+        return build_response(txid, question, RCODE_NOERROR), None
+    config = responder.config
+    reply = build_response(
+        txid, question, RCODE_NOERROR, address=config.payload_address, ttl=config.ttl_seconds
+    )
+    return reply, DnsQueryRecord(normalized, source, now)
+
+
+def _reply_as_reference(responder, packet, source="10.0.0.1"):
+    """handle_packet's reply, after asserting that it and the log record it
+    appends equal the reference's."""
+    now = 1_700_000_000.25
+    log = responder.resolver.log
+    before = len(log)
+    with mock.patch.object(dnssim, "time", SimpleNamespace(time=lambda: now)):
+        reply = responder.handle_packet(packet, source)
+    expected_reply, expected_record = _reference_reply(responder, packet, source, now)
+    assert reply == expected_reply
+    assert log[before:] == ([] if expected_record is None else [expected_record])
+    return reply
 
 
 # Arbitrary bytes; well-formed queries in and out of the zone; and packets
@@ -235,7 +301,7 @@ class TestArbitraryPackets:
     def test_handle_packet_logs_only_in_zone_address_queries(self, responder, packet):
         log = responder.resolver.log
         before = len(log)
-        reply = responder.handle_packet(packet, "10.0.0.1")
+        reply = _reply_as_reference(responder, packet)
         assert reply is None or isinstance(reply, bytes)
         if len(log) == before:
             return
@@ -348,6 +414,79 @@ class TestNonStandardPackets:
         assert responder.resolver.log == []
 
 
+def _question(labels, qtype=QTYPE_A):
+    return encode_query(0x2B2B, "x")[:12] + _name(labels) + qtype.to_bytes(2, "big") + b"\x00\x01"
+
+
+def _outcome(reply) -> str:
+    if reply is None:
+        return "ignored"
+    if reply[3] & 0x0F == RCODE_REFUSED:
+        return "refused"
+    return "answered" if reply[6:8] == b"\x00\x01" else "no_answer"
+
+
+ZONE_LABELS = [b"attacker", b"test"]
+
+
+class TestOnePassReplies:
+    """handle_packet against the reference at the edges of the name rules."""
+
+    @pytest.fixture(scope="class")
+    def responder(self):
+        # a TTL and payload other than the defaults, to show the precomputed answer
+        config = ZoneConfig(
+            zone="attacker.test", payload_address="198.51.100.23", ttl_seconds=3600
+        )
+        responder = DnsResponder(config, port=0)
+        yield responder
+        responder.stop()
+
+    @pytest.mark.parametrize(
+        "packet, outcome",
+        [
+            (_question([b"a" * 63] + ZONE_LABELS), "answered"),
+            (_question([b"a" * 64] + ZONE_LABELS), "ignored"),
+            # 47 + 3 * 63 octets of labels, the zone and 5 dots: 253 characters
+            (_question([b"b" * 47] + [b"a" * 63] * 3 + ZONE_LABELS), "answered"),
+            (_question([b"b" * 48] + [b"a" * 63] * 3 + ZONE_LABELS), "refused"),
+            (_question([b"a.b"] + ZONE_LABELS), "answered"),
+            (_question([b"PiXeL", b"ATTACKER", b"Test"]), "answered"),
+            (_question([b"x", b"attacker", b"test."]), "answered"),
+            (_question([b"x"] + ZONE_LABELS + [b"."]), "answered"),
+            (_question(ZONE_LABELS), "answered"),
+            (_question([b"pixel\n"] + ZONE_LABELS), "refused"),
+            (_question([b"pix\xffel"] + ZONE_LABELS), "refused"),
+            (_question([b"-x"] + ZONE_LABELS), "refused"),
+            (_question([b"notattacker", b"test"]), "refused"),
+            (_question([b"x", b"example"]), "refused"),
+            (_question([b"x"] + ZONE_LABELS + [b"example"]), "refused"),
+            (_question([b"x", b"attacker", b"testy"]), "refused"),
+            (_question([b"x"] + ZONE_LABELS, qtype=28), "no_answer"),
+            (_question([b"x"] + ZONE_LABELS, qtype=16), "no_answer"),
+            (_question([b"x"] + ZONE_LABELS, qtype=255), "no_answer"),
+            (_question([b"x", b"example"], qtype=28), "refused"),
+            (_with_header(_question([b"x"] + ZONE_LABELS), flags=0x8100), "ignored"),
+            (_with_header(_question([b"x"] + ZONE_LABELS), flags=0x1100), "ignored"),
+            (_with_header(_question([b"x"] + ZONE_LABELS), qdcount=0), "ignored"),
+            (_with_header(_question([b"x"] + ZONE_LABELS), qdcount=2), "ignored"),
+            (_question([b"x"] + ZONE_LABELS)[:-1], "ignored"),
+            (_question([b"x"] + ZONE_LABELS)[:-5], "ignored"),
+            (encode_query(1, "x")[:11], "ignored"),
+        ],
+        ids=[
+            "label_63", "label_64", "name_253", "name_254", "label_with_dot", "upper_case",
+            "last_label_ends_in_dot", "dot_label", "apex", "newline_label", "non_ascii",
+            "leading_hyphen", "no_label_boundary", "out_of_zone", "zone_not_last",
+            "zone_label_longer", "aaaa", "txt", "any",
+            "aaaa_out_of_zone", "response", "opcode_status", "no_question", "two_questions",
+            "short_question", "unterminated_name", "short_header",
+        ],
+    )
+    def test_edges_equal_the_reference(self, responder, packet, outcome):
+        assert _outcome(_reply_as_reference(responder, packet)) == outcome
+
+
 class TestQueryLogSink:
     def test_each_record_is_on_disk_before_resolve_returns(self, tmp_path):
         path = str(tmp_path / "dns_queries.csv")
@@ -413,9 +552,10 @@ class TestZoneConfig:
         with pytest.raises(ValueError):
             ZoneConfig(zone="z.test", payload_address="192.0.2.1", ttl_seconds=-1)
 
-    def test_invalid_zone_rejected(self):
-        with pytest.raises(ValueError):
-            ZoneConfig(zone="bad..zone", payload_address="192.0.2.1")
+    @pytest.mark.parametrize("zone", ["bad..zone", "tracker.test\n"])
+    def test_invalid_zone_rejected(self, zone):
+        with pytest.raises(ValueError, match="invalid zone"):
+            ZoneConfig(zone=zone, payload_address="192.0.2.1")
 
     @pytest.mark.parametrize("ttl, accepted", [(2**31 - 1, True), (2**31, False), (2**32, False)])
     def test_ttl_at_most_two_to_the_31_minus_one(self, ttl, accepted):

@@ -150,10 +150,17 @@ class TestGenerateSubdomain:
 
 
 class TestZone:
-    @pytest.mark.parametrize("zone", ["bad zone!.", "", "a..b", "x" * 64 + ".test"])
+    @pytest.mark.parametrize(
+        "zone", ["bad zone!.", "", "a..b", "x" * 64 + ".test", "tracker.test\n"]
+    )
     def test_invalid_zone_rejected(self, zone):
         with pytest.raises(ValueError, match="invalid zone"):
             Injector(zone=zone)
+
+    @pytest.mark.parametrize("label", ["pixel\n", "", "-pixel", "a.b", "x" * 64])
+    def test_invalid_static_label_rejected(self, label):
+        with pytest.raises(ValueError, match="invalid static label"):
+            Injector(zone="tracker.test", static_label=label)
 
     def test_zone_is_normalized(self):
         injector = Injector(zone="Tracker.TEST.")
