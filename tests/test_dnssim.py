@@ -552,10 +552,13 @@ class TestZoneConfig:
         with pytest.raises(ValueError):
             ZoneConfig(zone="z.test", payload_address="192.0.2.1", ttl_seconds=-1)
 
-    @pytest.mark.parametrize("zone", ["bad..zone", "tracker.test\n"])
-    def test_invalid_zone_rejected(self, zone):
+    def test_invalid_zone_rejected(self):
         with pytest.raises(ValueError, match="invalid zone"):
-            ZoneConfig(zone=zone, payload_address="192.0.2.1")
+            ZoneConfig(zone="bad..zone", payload_address="192.0.2.1")
+
+    def test_zone_ending_in_newline_rejected(self):
+        with pytest.raises(ValueError, match="invalid zone"):
+            ZoneConfig(zone="tracker.test\n", payload_address="192.0.2.1")
 
     @pytest.mark.parametrize("ttl, accepted", [(2**31 - 1, True), (2**31, False), (2**32, False)])
     def test_ttl_at_most_two_to_the_31_minus_one(self, ttl, accepted):
