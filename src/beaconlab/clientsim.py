@@ -23,13 +23,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 from beaconlab.dnssim import (
     DnsQueryRecord, WildcardResolver, ZoneConfig, normalize_name, url_host
 )
-from beaconlab.httplog import CsvLog, HttpExchange, collector_paused, finite_time, write_json
+from beaconlab.httplog import (
+    CsvLog, Headers, HttpExchange, collector_paused, finite_time, write_json
+)
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
 T = TypeVar("T")
 
 HOME_HOST = "home.example"
 HOME_PAGE_URL = f"http://{HOME_HOST}/start"
+HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 
 # Media-type mix measured on real intercepted traffic; the residual
 # "others" bucket is folded into application/octet-stream so the mix sums
@@ -187,7 +190,7 @@ write_fetch_log = FETCH_LOG.write
 read_fetch_log = FETCH_LOG.read
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClientState:
     """One simulated browser. Caches are cleared at restart, the cached
     copy of the start page survives (it is what gets reloaded)."""
@@ -375,12 +378,24 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             events.append((t, i, seq, "visit", (enc, mime)))
         for t in state.restart_schedule:
             events.append((t, i, 10**9, "restart", None))
-    events.sort()  # (time, client, seq) is unique, so the rest is never compared
+    # (time, client, seq) is unique, so the rest is never compared. Popped
+    # from the end, in time order, so each event is released once handled.
+    events.sort(reverse=True)
 
     body_rng = random.Random(config.seed ^ 0x5EED)
+    sites = [f"site{n}.example" for n in range(40)]
+    tunnel_urls = [f"https://{site}:443" for site in sites]
+    # Each distinct header pair, and each (Content-Type, Content-Length)
+    # head, is built once and shared by every exchange that carries it.
+    host_pairs = {host: ("Host", host) for host in (HOME_HOST, *sites)}
+    ua_pairs = {spec.user_agent: ("User-Agent", spec.user_agent) for spec in config.ua_population}
+    type_pairs = {mime: ("Content-Type", mime) for mime in (*config.mime_mix, HTML_CONTENT_TYPE)}
+    length_pairs: dict[int, tuple[str, str]] = {}
+    response_heads: dict[tuple[str, int], Headers] = {}
     exchange_seq = 0
     html_visits = 0  # plain-HTTP HTML pages: each one the injector should tag
-    for t, i, _seq, kind, payload in events:
+    while events:
+        t, i, _seq, kind, payload = events.pop()
         state = clients[i]
         if kind == "restart":
             state.restart()
@@ -400,7 +415,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 timestamp=t,
                 flow_id=flow_id,
                 method="CONNECT",
-                url=f"https://site{body_rng.randrange(40)}.example:443",
+                url=tunnel_urls[body_rng.randrange(40)],
                 request_headers=(),
                 response_status=200,
                 response_headers=(),
@@ -413,30 +428,33 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         if is_home:
             host, url = HOME_HOST, HOME_PAGE_URL
         else:
-            host = f"site{body_rng.randrange(40)}.example"
+            host = sites[body_rng.randrange(40)]
             url = f"http://{host}/p{body_rng.randrange(500)}"
         if mime == "text/html":
             html_visits += 1
             body = _html_body(body_rng)
-            content_type = "text/html; charset=utf-8"
+            content_type = HTML_CONTENT_TYPE
         else:
             body = _placeholder_body(body_rng)
             content_type = mime
-        request_headers = [("Host", host)]
-        if state.user_agent:
-            request_headers.append(("User-Agent", state.user_agent))
+        host_pair = host_pairs[host]
+        request_headers = (host_pair, ua_pairs[state.user_agent]) if state.user_agent else (host_pair,)
+        size = len(body)
+        response_headers = response_heads.get((content_type, size))
+        if response_headers is None:
+            length_pair = length_pairs.setdefault(size, ("Content-Length", str(size)))
+            response_headers = response_heads[content_type, size] = (
+                type_pairs[content_type], length_pair
+            )
         origin = HttpExchange(
             exchange_id=exchange_id,
             timestamp=t,
             flow_id=flow_id,
             method="GET",
             url=url,
-            request_headers=tuple(request_headers),
+            request_headers=request_headers,
             response_status=200,
-            response_headers=(
-                ("Content-Type", content_type),
-                ("Content-Length", str(len(body))),
-            ),
+            response_headers=response_headers,
             response_body=body,
             is_encrypted=False,
             ground_truth_client=state.client_id,

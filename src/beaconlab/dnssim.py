@@ -31,6 +31,7 @@ _LABEL_RE = re.compile(_LABEL)
 MAX_NAME_CHARS = 253
 
 QTYPE_A = 1
+QCLASS_IN = 1
 RCODE_NOERROR = 0
 RCODE_REFUSED = 5
 
@@ -170,7 +171,7 @@ def encode_name(name: str) -> bytes:
 
 def encode_query(txid: int, name: str, qtype: int = QTYPE_A) -> bytes:
     header = struct.pack(">HHHHHH", txid, 0x0100, 1, 0, 0, 0)
-    return header + encode_name(name) + struct.pack(">HH", qtype, 1)
+    return header + encode_name(name) + struct.pack(">HH", qtype, QCLASS_IN)
 
 
 def parse_query(data: bytes) -> tuple[int, str, int, bytes] | None:
@@ -210,7 +211,7 @@ def build_response(
     header = struct.pack(">HHHHHH", txid, flags, 1, ancount, 0, 0)
     packet = header + question
     if address is not None:
-        packet += struct.pack(">HHHIH", 0xC00C, QTYPE_A, 1, ttl, 4)
+        packet += struct.pack(">HHHIH", 0xC00C, QTYPE_A, QCLASS_IN, ttl, 4)
         packet += socket.inet_aton(address)
     return packet
 
@@ -237,7 +238,9 @@ class DnsResponder:
 
     Only standard queries are answered: a packet that is a response, has
     another opcode than QUERY or does not carry exactly one question gets
-    no reply and no log record (RFC 1035 section 4.1.1).
+    no reply and no log record (RFC 1035 section 4.1.1). The zone is an
+    Internet-class zone: a question of any other class, CH and ANY
+    included, is REFUSED and not logged (RFC 1035 section 3.2.4).
     """
 
     def __init__(
@@ -307,7 +310,11 @@ class DnsResponder:
             return None
         question = data[12 : pos + 4]
         name = b".".join(labels).lower().rstrip(b".")
-        if len(name) > MAX_NAME_CHARS or self._in_zone_name.fullmatch(name) is None:
+        if (
+            data[pos + 2 : pos + 4] != b"\x00\x01"  # QCLASS other than IN
+            or len(name) > MAX_NAME_CHARS
+            or self._in_zone_name.fullmatch(name) is None
+        ):
             return data[:2] + self._refused + question
         if data[pos : pos + 2] != b"\x00\x01":  # QTYPE other than A
             return data[:2] + self._no_answer + question

@@ -23,7 +23,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import IO, Callable, Generic, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from types import MappingProxyType
+from typing import IO, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -45,6 +46,10 @@ _FIELDS = (
 )
 _REQUIRED = frozenset(_FIELDS) - {"ground_truth_client"}
 
+# The extra of every exchange without unknown keys: one read-only mapping,
+# equal to {}, instead of an empty dict per record.
+_NO_EXTRA: Mapping[str, object] = MappingProxyType({})
+
 
 class LogFormatError(ValueError):
     """A malformed line in a log file. Carries the 1-based line number."""
@@ -56,13 +61,15 @@ class LogFormatError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HttpExchange:
     """One request/response pair as seen at the interception point.
 
     ``ground_truth_client`` is simulator-only oracle metadata; analysis
     code must never consult it (tests enforce this by comparing reports
     with and without it present). ``flow_id`` is the anonymized view.
+    ``extra`` holds a log line's unknown keys; without any it is one shared
+    read-only empty mapping. Slotted, as a simulation keeps every exchange.
     """
 
     exchange_id: str
@@ -76,7 +83,7 @@ class HttpExchange:
     response_body: bytes
     is_encrypted: bool = False
     ground_truth_client: str | None = None
-    extra: dict = field(default_factory=dict)
+    extra: Mapping[str, object] = field(default_factory=lambda: _NO_EXTRA)
 
     def __post_init__(self):
         if self.is_encrypted and self.response_body:
@@ -279,7 +286,7 @@ def exchange_to_json(exchange: HttpExchange) -> str:
 
 def exchange_from_json(obj: dict) -> HttpExchange:
     status, body, _, _ = _validate_record(obj)
-    extra = {k: v for k, v in obj.items() if k not in _FIELDS}
+    extra = {k: v for k, v in obj.items() if k not in _FIELD_NAMES} or _NO_EXTRA
     return HttpExchange(
         exchange_id=str(obj["exchange_id"]),
         timestamp=obj["timestamp"],

@@ -62,6 +62,7 @@ class Injector:
         if not is_valid_name(self.zone):
             raise ValueError(f"invalid zone: {zone!r}")
         self.static_label = static_label
+        self.static_url = self.beacon_url(static_label)  # one string shared by every static tag
         self.seed = seed
         self.counter = 0
 
@@ -104,7 +105,7 @@ class Injector:
         if not self.is_taggable(exchange):
             return exchange, []
         dynamic_label = self.generate_subdomain()
-        static_url = self.beacon_url(self.static_label)
+        static_url = self.static_url
         dynamic_url = self.beacon_url(dynamic_label)
         block = (
             MARKER_BEGIN
@@ -145,14 +146,14 @@ class Injector:
 def _set_content_length(headers: Headers, length: int) -> Headers:
     out = []
     replaced = False
-    for name, value in headers:
-        if name.lower() == "content-length":
+    for pair in headers:
+        if pair[0].lower() == "content-length":
             if not replaced:
-                out.append((name, str(length)))
+                out.append((pair[0], str(length)))
                 replaced = True
             # duplicate Content-Length headers are dropped
         else:
-            out.append((name, value))
+            out.append(pair)  # the same object, so a pair the caller shares stays shared
     if not replaced:
         out.append(("Content-Length", str(length)))
     return tuple(out)

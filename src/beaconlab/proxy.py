@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import ipaddress
 import re
 import socket
 import threading
@@ -208,6 +209,34 @@ def _host_field(hostname: str, port: int) -> str:
     if ":" in hostname:  # an IPv6 literal
         hostname = "[" + hostname.partition("%")[0] + "]"
     return hostname if port == 80 else f"{hostname}:{port}"
+
+
+def _connect_authority(target: str) -> tuple[str, int] | None:
+    """Host and port of a CONNECT target in authority form (RFC 7230
+    section 5.3.3): host, host:port, or an IPv6 literal in brackets, which
+    are stripped (RFC 3986 section 3.2.2). The port defaults to 443. None
+    for a target that does not parse or a port outside 1-65535."""
+    if target.startswith("["):
+        host, bracket, rest = target[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            return None
+        try:
+            ipaddress.IPv6Address(host)
+        except ValueError:
+            return None
+        port_text = rest[1:]
+    else:
+        host, _, port_text = target.partition(":")
+    if not port_text:
+        return host, 443
+    # port = *DIGIT (RFC 3986 section 3.2.3): no sign, blank or "_" as int() takes
+    if not (port_text.isascii() and port_text.isdigit()):
+        return None
+    try:
+        port = int(port_text)
+    except ValueError:  # more digits than int() converts
+        return None
+    return (host, port) if 0 < port < 65536 else None
 
 
 def _error_reply(status: int, message: str, head_only: bool = False) -> bytes:
@@ -829,13 +858,10 @@ class ProxyService:
         if self._stopped:
             return self._refuse(request, 503, "proxy stopped")
         target = request.target
-        host, _, port_text = target.partition(":")
-        try:
-            port = int(port_text or 443)
-        except ValueError:
-            port = 0
-        if not 0 < port < 65536:
+        authority = _connect_authority(target)
+        if authority is None:
             return self._refuse(request, 400, "malformed CONNECT target")
+        host, port = authority
         try:
             async with asyncio.timeout(UPSTREAM_TIMEOUT_S):
                 upstream_reader, upstream_writer = await asyncio.open_connection(host, port)

@@ -17,6 +17,7 @@ from beaconlab import dnssim
 from beaconlab.dnssim import (
     DnsQueryRecord,
     DnsResponder,
+    QCLASS_IN,
     QTYPE_A,
     QUERY_LOG,
     RCODE_NOERROR,
@@ -221,8 +222,13 @@ def _reference_reply(responder, packet, source, now):
     if parsed is None:
         return None, None
     txid, name, qtype, question = parsed
+    qclass = int.from_bytes(question[-2:], "big")
     normalized = normalize_name(name)
-    if not is_valid_name(normalized) or not responder.resolver.in_zone(normalized):
+    if (
+        qclass != QCLASS_IN
+        or not is_valid_name(normalized)
+        or not responder.resolver.in_zone(normalized)
+    ):
         return build_response(txid, question, RCODE_REFUSED), None
     if qtype != QTYPE_A:
         return build_response(txid, question, RCODE_NOERROR), None
@@ -250,7 +256,7 @@ def _reply_as_reference(responder, packet, source="10.0.0.1"):
 # Arbitrary bytes; well-formed queries in and out of the zone; and packets
 # shaped like a query: a standard or arbitrary header, labels (plain,
 # arbitrary or longer than 63) with or without the zone after them, then a
-# type and class, or a short or long tail.
+# type and class (IN, CH or ANY), or a short or long tail.
 _PACKETS = st.one_of(
     st.binary(max_size=64),
     st.builds(
@@ -270,7 +276,9 @@ _PACKETS = st.one_of(
         ),
         st.sampled_from([[], [b"attacker", b"test"], [b"ATTACKER", b"Test"]]),
         st.one_of(
-            st.sampled_from([b"\x00\x01\x00\x01", b"\x00\x10\x00\x01"]),
+            st.sampled_from([
+                b"\x00\x01\x00\x01", b"\x00\x10\x00\x01", b"\x00\x01\x00\x03", b"\x00\x01\x00\xff"
+            ]),
             st.binary(max_size=6),
         ),
     ),
@@ -306,8 +314,9 @@ class TestArbitraryPackets:
         if len(log) == before:
             return
         assert len(log) == before + 1
-        _, name, qtype, _ = parse_query(packet)
+        _, name, qtype, question = parse_query(packet)
         assert qtype == QTYPE_A
+        assert question[-2:] == b"\x00\x01"  # class IN
         assert log[-1].name == normalize_name(name)
         assert responder.resolver.in_zone(log[-1].name)
         assert parse_answer_address(reply) == CONFIG.payload_address
@@ -343,6 +352,16 @@ class TestResponder:
         assert reply[3] & 0x0F == RCODE_REFUSED
         assert parse_answer_address(reply) is None
         assert responder.resolver.log == []
+
+    @pytest.mark.parametrize(
+        "qclass, rcode, logged", [(1, RCODE_NOERROR, 1), (3, RCODE_REFUSED, 0), (255, RCODE_REFUSED, 0)],
+        ids=["in", "chaos", "any"],
+    )
+    def test_only_class_in_is_answered_and_logged(self, responder, qclass, rcode, logged):
+        reply = _udp_ask(responder.address, _question([b"pixel", b"attacker", b"test"], qclass=qclass))
+        assert reply[3] & 0x0F == rcode
+        assert reply[6:8] == logged.to_bytes(2, "big")  # ANCOUNT
+        assert len(responder.resolver.log) == logged
 
     def test_non_address_type_gets_no_answer(self, responder):
         reply = _udp_ask(responder.address, encode_query(2, "x.attacker.test", qtype=16))
@@ -414,8 +433,13 @@ class TestNonStandardPackets:
         assert responder.resolver.log == []
 
 
-def _question(labels, qtype=QTYPE_A):
-    return encode_query(0x2B2B, "x")[:12] + _name(labels) + qtype.to_bytes(2, "big") + b"\x00\x01"
+def _question(labels, qtype=QTYPE_A, qclass=QCLASS_IN):
+    return (
+        encode_query(0x2B2B, "x")[:12]
+        + _name(labels)
+        + qtype.to_bytes(2, "big")
+        + qclass.to_bytes(2, "big")
+    )
 
 
 def _outcome(reply) -> str:
@@ -466,6 +490,11 @@ class TestOnePassReplies:
             (_question([b"x"] + ZONE_LABELS, qtype=16), "no_answer"),
             (_question([b"x"] + ZONE_LABELS, qtype=255), "no_answer"),
             (_question([b"x", b"example"], qtype=28), "refused"),
+            (_question([b"pixel"] + ZONE_LABELS, qclass=1), "answered"),
+            (_question([b"pixel"] + ZONE_LABELS, qclass=3), "refused"),
+            (_question([b"pixel"] + ZONE_LABELS, qclass=255), "refused"),
+            (_question([b"pixel"] + ZONE_LABELS, qclass=0x0101), "refused"),
+            (_question([b"x"] + ZONE_LABELS, qtype=16, qclass=3), "refused"),
             (_with_header(_question([b"x"] + ZONE_LABELS), flags=0x8100), "ignored"),
             (_with_header(_question([b"x"] + ZONE_LABELS), flags=0x1100), "ignored"),
             (_with_header(_question([b"x"] + ZONE_LABELS), qdcount=0), "ignored"),
@@ -479,7 +508,8 @@ class TestOnePassReplies:
             "last_label_ends_in_dot", "dot_label", "apex", "newline_label", "non_ascii",
             "leading_hyphen", "no_label_boundary", "out_of_zone", "zone_not_last",
             "zone_label_longer", "aaaa", "txt", "any",
-            "aaaa_out_of_zone", "response", "opcode_status", "no_question", "two_questions",
+            "aaaa_out_of_zone", "class_in", "class_chaos", "class_any", "class_257",
+            "txt_chaos", "response", "opcode_status", "no_question", "two_questions",
             "short_question", "unterminated_name", "short_header",
         ],
     )

@@ -78,17 +78,62 @@ class TestMimeType:
         assert mime_type(make_exchange(None)) == "unknown"
 
     def test_first_content_type_wins(self):
-        exchange = make_exchange("text/html")
-        exchange = HttpExchange(
-            **{
-                **exchange.__dict__,
-                "response_headers": (
-                    ("Content-Type", "text/html"),
-                    ("Content-Type", "image/png"),
-                ),
-            }
+        exchange = dataclasses.replace(
+            make_exchange("text/html"),
+            response_headers=(
+                ("Content-Type", "text/html"),
+                ("Content-Type", "image/png"),
+            ),
         )
         assert mime_type(exchange) == "text/html"
+
+
+def _bare_exchange(**fields):
+    """An exchange built with HttpExchange's own defaults for what is not given."""
+    return HttpExchange(
+        **{
+            "exchange_id": "x1",
+            "timestamp": 0.0,
+            "flow_id": "f1",
+            "method": "GET",
+            "url": "http://example.test/",
+            "request_headers": (("Host", "example.test"),),
+            "response_status": 200,
+            "response_headers": (("Content-Type", "text/plain"),),
+            "response_body": b"ok",
+            **fields,
+        }
+    )
+
+
+class TestSlottedExchange:
+    def test_has_no_instance_dict(self):
+        assert not hasattr(_bare_exchange(), "__dict__")
+
+    def test_default_extra_is_one_read_only_empty_mapping(self):
+        first, second = _bare_exchange(), _bare_exchange(exchange_id="x2")
+        assert first.extra is second.extra
+        assert first.extra == {}
+        with pytest.raises(TypeError):
+            first.extra["note"] = "x"
+        assert second.extra == {}
+
+    def test_read_without_unknown_keys_shares_the_default(self):
+        read = exchange_from_json(json.loads(exchange_to_json(_bare_exchange())))
+        assert read.extra is _bare_exchange().extra
+        assert read == _bare_exchange(extra={})
+
+    def test_line_with_a_real_extra_dict(self):
+        exchange = _bare_exchange(extra={"note": "é", "url": "shadowed", "n": [1, None]})
+        line = exchange_to_json(exchange)
+        assert line == encoder_line(exchange)
+        assert line == (
+            '{"exchange_id":"x1","timestamp":0.0,"flow_id":"f1","ground_truth_client":null,'
+            '"method":"GET","url":"http://example.test/","request_headers":[["Host",'
+            '"example.test"]],"response_status":200,"response_headers":[["Content-Type",'
+            '"text/plain"]],"response_body":"b2s=","is_encrypted":false,"note":"é","n":[1,null]}'
+        )
+        assert exchange_to_json(_bare_exchange(extra={})) == exchange_to_json(_bare_exchange())
 
 
 class TestMimeDistribution:

@@ -504,8 +504,16 @@ class TestMalformedRequest:
         (b"GET http://127.0.0.1:%d/ HTTP/2.0\r\n\r\n", 505),
         (b"PATCH http://127.0.0.1:%d/ HTTP/1.1\r\n\r\n", 501),
         (b"CONNECT 127.0.0.1:port HTTP/1.1\r\n\r\n", 400),
+        (b"CONNECT ::1:%d HTTP/1.1\r\n\r\n", 400),
+        (b"CONNECT [::1:%d HTTP/1.1\r\n\r\n", 400),
+        (b"CONNECT [::1]x%d HTTP/1.1\r\n\r\n", 400),
+        (b"CONNECT [127.0.0.1]:%d HTTP/1.1\r\n\r\n", 400),
+        (b"CONNECT 127.0.0.1:+%d HTTP/1.1\r\n\r\n", 400),
+        (b"CONNECT 127.0.0.1:" + b"1" * 5000 + b" HTTP/1.1\r\n\r\n", 400),
     ], ids=["port-range", "control-char", "no-colon", "bare-lf", "no-version", "http2",
-            "unsupported-method", "connect-port"])
+            "unsupported-method", "connect-port", "connect-unbracketed-ipv6",
+            "connect-unclosed-bracket", "connect-after-bracket", "connect-bracketed-ipv4",
+            "connect-signed-port", "connect-5000-digit-port"])
     def test_malformed_request_gets_an_error_and_a_close(
         self, service, keepalive_origin, capfd, request_head, status
     ):
@@ -951,35 +959,48 @@ class TestRestart:
         assert lines[0].endswith(dropped)
 
 
+def tunnel_through(service, echo, authority: str) -> list:
+    """CONNECT to ``authority``, where ``echo`` listens, through the proxy;
+    relay one payload and return the exchange log."""
+
+    def serve_once():
+        conn, _ = echo.accept()
+        data = conn.recv(1024)
+        conn.sendall(data[::-1])
+        conn.close()
+
+    thread = threading.Thread(target=serve_once, daemon=True)
+    thread.start()
+    with socket.create_connection(service.listen_address, timeout=5) as sock:
+        sock.sendall(f"CONNECT {authority} HTTP/1.1\r\n\r\n".encode())
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            reply += sock.recv(1024)
+        assert b"200" in reply.split(b"\r\n", 1)[0]
+        sock.sendall(b"opaque-payload")
+        assert sock.recv(1024) == b"daolyap-euqapo"
+    thread.join(timeout=5)
+    echo.close()
+    control(service, "SNAPSHOT")
+    return read_exchange_log(service.config.exchange_log_path)
+
+
 class TestConnectTunnel:
     def test_tunnel_relays_and_logs_encrypted(self, service):
         # plain TCP echo stands in for a TLS origin: the proxy must not care
         echo = socket.create_server(("127.0.0.1", 0))
-        echo_addr = echo.getsockname()
-
-        def serve_once():
-            conn, _ = echo.accept()
-            data = conn.recv(1024)
-            conn.sendall(data[::-1])
-            conn.close()
-
-        thread = threading.Thread(target=serve_once, daemon=True)
-        thread.start()
-        host, port = service.listen_address
-        with socket.create_connection((host, port), timeout=5) as sock:
-            sock.sendall(f"CONNECT {echo_addr[0]}:{echo_addr[1]} HTTP/1.1\r\n\r\n".encode())
-            reply = b""
-            while b"\r\n\r\n" not in reply:
-                reply += sock.recv(1024)
-            assert b"200" in reply.split(b"\r\n", 1)[0]
-            sock.sendall(b"opaque-payload")
-            assert sock.recv(1024) == b"daolyap-euqapo"
-        thread.join(timeout=5)
-        echo.close()
-        control(service, "SNAPSHOT")
-        log = read_exchange_log(service.config.exchange_log_path)
+        host, port = echo.getsockname()
+        log = tunnel_through(service, echo, f"{host}:{port}")
         assert len(log) == 1
         assert log[0].is_encrypted and log[0].response_body == b""
+
+    def test_bracketed_ipv6_literal_is_relayed(self, service):
+        echo = socket.create_server(("::1", 0), family=socket.AF_INET6)
+        port = echo.getsockname()[1]
+        log = tunnel_through(service, echo, f"[::1]:{port}")
+        assert [(e.method, e.url, e.is_encrypted) for e in log] == [
+            ("CONNECT", f"https://[::1]:{port}", True)
+        ]
 
 
 class TestConfig:
