@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from beaconlab.clientsim import FetchRecord, read_fetch_log
-from beaconlab.dnssim import DnsQueryRecord, normalize_name, read_query_log, url_host
+from beaconlab.clientsim import FETCH_LOG, FetchRecord
+from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, normalize_name, url_host
 from beaconlab.httplog import (
     ExchangeView,
     HttpExchange,
@@ -28,7 +27,7 @@ from beaconlab.httplog import (
     read_exchange_views,
     write_json,
 )
-from beaconlab.inject import DYNAMIC, STATIC, Tag, TagLabel, read_tag_labels
+from beaconlab.inject import DYNAMIC, STATIC, TAG_LABEL_LOG, Tag, TagLabel
 from beaconlab.ua import (
     DEFAULT_WINDOW_SECONDS,
     RatioSeries,
@@ -44,9 +43,12 @@ from beaconlab.ua import (
 read_exchange_log = read_exchange_views
 
 
-# Analysis reads tags.csv only as far as each row's kind and label;
-# build_report_from_dir reads the log through this name.
-read_tag_log = read_tag_labels
+# build_report_from_dir reads the three CSV logs through these names, one
+# record at a time, so tag_accounting folds each row as it is read: of
+# tags.csv only each row's kind and label.
+read_tag_log = TAG_LABEL_LOG.stream
+read_query_log = QUERY_LOG.stream
+read_fetch_log = FETCH_LOG.stream
 
 
 class MissingLogError(FileNotFoundError):
@@ -132,7 +134,9 @@ def tag_accounting(
     zone: str,
 ) -> TagAccounting:
     """Issue and hit totals per tag kind, reappearances and anomalies, from
-    one pass over each log.
+    one pass over each log, in the order tags, DNS, fetches. Each record is
+    used as it comes and the state kept grows with the distinct labels, so
+    the logs may be streams read as the fold goes.
 
     A static-name lookup counts once per browser lifetime (raw hits, not
     distinct sources, so resolver aggregation cannot undercount). A second
@@ -141,15 +145,17 @@ def tag_accounting(
     (other than the static label; the apex is not in-zone) are anomalies.
     """
     static_issued = 0
-    issued_dynamic: set[str] = set()
+    # each issued dynamic label: None until it is looked up, then the time
+    # of its first lookup; a list of times only for a label looked up again
+    first_lookup: dict[str, float | None] = {}
     for tag in tags:
         if tag.kind == STATIC:
             static_issued += 1
         elif tag.kind == DYNAMIC:
-            issued_dynamic.add(tag.subdomain)
+            first_lookup[tag.subdomain] = None
     suffix = "." + normalize_name(zone)
-    static_dns = 0
-    dynamic_dns: dict[str, list[float]] = defaultdict(list)
+    static_dns = dynamic_dns = 0
+    repeated: dict[str, list[float]] = {}
     anomalies: set[str] = set()
     for record in dns_log:
         label = _label_of(record.name, suffix)
@@ -157,8 +163,15 @@ def tag_accounting(
             continue
         if label == static_label:
             static_dns += 1
-        elif label in issued_dynamic:
-            dynamic_dns[label].append(record.timestamp)
+        elif label in first_lookup:
+            dynamic_dns += 1
+            first = first_lookup[label]
+            if first is None:
+                first_lookup[label] = record.timestamp
+            elif label in repeated:
+                repeated[label].append(record.timestamp)
+            else:
+                repeated[label] = [first, record.timestamp]
         else:
             anomalies.add(label)
     static_obj = dynamic_obj = 0
@@ -166,19 +179,18 @@ def tag_accounting(
         label = _label_of(url_host(record.url), suffix)
         if label == static_label:
             static_obj += 1
-        elif label in issued_dynamic:
+        elif label in first_lookup:
             dynamic_obj += 1
     return TagAccounting(
         static_issued=static_issued,
-        dynamic_issued=len(issued_dynamic),
+        dynamic_issued=len(first_lookup),
         static_dns_hits=static_dns,
-        dynamic_dns_hits=sum(map(len, dynamic_dns.values())),
+        dynamic_dns_hits=dynamic_dns,
         static_object_hits=static_obj,
         dynamic_object_hits=dynamic_obj,
         reappearances=tuple(
             Reappearance(subdomain=label, hit_count=len(stamps), timestamps=tuple(sorted(stamps)))
-            for label, stamps in sorted(dynamic_dns.items())
-            if len(stamps) >= 2
+            for label, stamps in sorted(repeated.items())
         ),
         anomalies=tuple(sorted(anomalies)),
     )
@@ -217,9 +229,9 @@ def ua_records_from_exchanges(
 
 def build_report(
     exchanges: Sequence[HttpExchange | ExchangeView],
-    tags: Sequence[Tag | TagLabel],
-    dns_log: Sequence[DnsQueryRecord],
-    fetch_log: Sequence[FetchRecord],
+    tags: Iterable[Tag | TagLabel],
+    dns_log: Iterable[DnsQueryRecord],
+    fetch_log: Iterable[FetchRecord],
     db: VulnDb,
     static_label: str,
     zone: str,
@@ -228,7 +240,9 @@ def build_report(
     """Fuse all sources into one report. All logs must share one epoch.
 
     The exchanges may be HttpExchanges or their ExchangeViews; the report
-    is the same. The tag, DNS and fetch logs are read once, by tag_accounting.
+    is the same, and they are iterated more than once. The tag, DNS and
+    fetch logs may be any iterables, streams included: each is iterated
+    once, by tag_accounting, tags first.
     """
     accounting = tag_accounting(tags, dns_log, fetch_log, static_label, zone)
     ua_records = ua_records_from_exchanges(exchanges)
@@ -260,7 +274,10 @@ def build_report_from_dir(
 
     A window check_window refuses raises ValueError before any log is read;
     a missing file raises MissingLogError naming which source is absent.
-    Runs with the cyclic collector paused.
+    The exchange log is read whole, as views; the tag, DNS and fetch logs
+    are folded as they are read. So a malformed line raises LogFormatError
+    from the first bad log in the order exchanges, tags, DNS, fetches, with
+    every file closed. Runs with the cyclic collector paused.
     """
     check_window(window_seconds)
     paths = {}

@@ -319,22 +319,60 @@ def view_from_json(obj: dict) -> ExchangeView:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
+def _read_lines(
+    path: str, newline: str | None, parse: Callable[[Iterable[str]], Iterator[T]]
+) -> Iterator[T]:
+    """``parse`` over the lines of a UTF-8 text file, opened with ``newline``.
+
+    A text file decodes ahead of the line it hands out, so its decode error
+    names no line. On that error the lines are read again, each decoded on
+    its own, and ``parse`` runs over them until it raises the file's first
+    defect at its line. The file is closed however the read ends.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield from parse(fh)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for _ in parse(_lines_decoded_one_by_one(path, fh)):
+                pass
+        raise  # only if the file changed between the two reads
+
+
+def _lines_decoded_one_by_one(path: str, fh: IO[bytes]) -> Iterator[str]:
+    """The lines of a binary file split as a text file splits them (at
+    \\r, \\n and \\r\\n, kept), each decoded as UTF-8 on its own; invalid
+    UTF-8 raises LogFormatError naming its line."""
+    line_no = 0
+    for chunk in fh:  # each chunk ends at a \n, so no \r\n pair is cut in two
+        for raw in chunk.splitlines(keepends=True):
+            line_no += 1
             try:
-                try:
-                    obj, end = _scan_once(stripped, 0)
-                except StopIteration:
-                    end = -1
-                if end != len(stripped):
-                    obj = json.loads(stripped)  # raises the error json.loads gives
-                yield convert(obj)
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nesting too deep
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
                 raise LogFormatError(path, line_no, str(exc)) from exc
+            yield line
+
+
+def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
+    return _read_lines(path, None, lambda lines: _convert_lines(path, lines, convert))
+
+
+def _convert_lines(path: str, lines: Iterable[str], convert: Callable[[object], T]) -> Iterator[T]:
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            try:
+                obj, end = _scan_once(stripped, 0)
+            except StopIteration:
+                end = -1
+            if end != len(stripped):
+                obj = json.loads(stripped)  # raises the error json.loads gives
+            yield convert(obj)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nesting too deep
+            raise LogFormatError(path, line_no, str(exc)) from exc
 
 
 def read_exchange_log(path: str) -> list[HttpExchange]:
@@ -439,8 +477,9 @@ class CsvLog(Generic[T]):
     back; ``to_row`` defaults to the record's attributes the header names.
 
     On read, blank rows are skipped; a row with another field count than
-    the header, or one ``from_row`` rejects with ValueError, raises
-    LogFormatError naming its line.
+    the header, one ``from_row`` rejects with ValueError, or a line that is
+    not UTF-8 raises LogFormatError naming its line. ``stream`` reads one
+    record at a time; ``read`` is the list of what it yields.
     """
 
     def __init__(
@@ -465,27 +504,34 @@ class CsvLog(Generic[T]):
     def appender(self, path: str) -> LogAppender[T]:
         return LogAppender(path, self._write_rows, self._header_line)
 
+    def stream(self, path: str) -> Iterator[T]:
+        """The records of the file, one at a time, checked as ``read`` checks
+        them; the file is opened at the first record and closed at the end,
+        at an error, or when the generator is closed."""
+        return _read_lines(path, "", lambda lines: self._records(path, lines))
+
     def read(self, path: str) -> list[T]:
+        return list(self.stream(path))
+
+    def _records(self, path: str, lines: Iterable[str]) -> Iterator[T]:
         columns = len(self.header)
-        records = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                next(reader, None)
-                for row in reader:
-                    if not row:
-                        continue
-                    if len(row) != columns:
-                        raise LogFormatError(
-                            path, reader.line_num, f"expected {columns} fields, got {len(row)}"
-                        )
-                    try:
-                        records.append(self.from_row(row))
-                    except ValueError as exc:
-                        raise LogFormatError(path, reader.line_num, str(exc)) from exc
-            except (csv.Error, UnicodeDecodeError) as exc:
-                raise LogFormatError(path, reader.line_num, str(exc)) from exc
-        return records
+        reader = csv.reader(lines)
+        try:
+            next(reader, None)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != columns:
+                    raise LogFormatError(
+                        path, reader.line_num, f"expected {columns} fields, got {len(row)}"
+                    )
+                try:
+                    record = self.from_row(row)
+                except ValueError as exc:
+                    raise LogFormatError(path, reader.line_num, str(exc)) from exc
+                yield record
+        except csv.Error as exc:
+            raise LogFormatError(path, reader.line_num, str(exc)) from exc
 
 
 @contextmanager

@@ -187,7 +187,8 @@ def _tag_label(row: list[str]) -> TagLabel:
 
 # tags.csv with TAG_LOG's header and checks, keeping only each row's kind
 # and label.
-read_tag_labels = CsvLog(TAG_LOG.header, _tag_label).read
+TAG_LABEL_LOG = CsvLog(TAG_LOG.header, _tag_label)
+read_tag_labels = TAG_LABEL_LOG.read
 
 
 def rewrite_log(

@@ -39,7 +39,7 @@ from beaconlab.httplog import (
     HttpExchange, LogAppender, count_lines, exchange_log_appender
 )
 from beaconlab.inject import (
-    DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag, read_tag_labels
+    DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LABEL_LOG, TAG_LOG, Injector, Tag
 )
 
 PASSIVE = "passive"
@@ -533,7 +533,8 @@ class ProxyService:
                     self._log_error(f"{log.path}: dropped {log.dropped} bytes of a torn last line")
             self.injector = None
             if config.zone:
-                issued = sum(tag.kind == DYNAMIC for tag in read_tag_labels(config.tag_log_path))
+                tags = TAG_LABEL_LOG.stream(config.tag_log_path)  # one row held at a time
+                issued = sum(tag.kind == DYNAMIC for tag in tags)
                 self.injector = Injector(
                     zone=config.zone, static_label=config.static_label, seed=config.seed
                 )

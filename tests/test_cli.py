@@ -259,6 +259,25 @@ class TestAnalyze:
         assert f"{path}:2: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "log", ["exchanges.jsonl", "tags.csv", "dns_queries.csv", "fetches.csv"]
+    )
+    def test_invalid_utf8_is_named_at_its_line(self, tmp_path, sim_dir, capsys, log):
+        path = os.path.join(sim_dir, log)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        # the first line past a text file's 8 KiB read-ahead, or the last line
+        line_no = next(
+            (n for n in range(1, len(lines)) if len(b"".join(lines[:n])) > 8192), len(lines)
+        )
+        lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line_no}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("window", ["7.3", "0.1"])
     def test_fractional_window(self, tmp_path, sim_dir, window):
         out = str(tmp_path / "r")

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import dataclasses
 import gc
@@ -6,6 +7,8 @@ import importlib.util
 import io
 import os
 import sys
+import tracemalloc
+import warnings
 from unittest import mock
 
 import pytest
@@ -22,7 +25,7 @@ from beaconlab.correlate import (
     write_report,
 )
 from beaconlab.dnssim import DnsQueryRecord, read_query_log, write_query_log
-from beaconlab.httplog import read_exchange_log, write_exchange_log
+from beaconlab.httplog import LogFormatError, read_exchange_log, write_exchange_log
 from beaconlab.inject import Tag, read_tag_log, write_tag_log
 from beaconlab.clientsim import read_fetch_log, write_fetch_log
 from beaconlab.dnssim import DnsResponder, ZoneConfig, encode_query
@@ -131,6 +134,22 @@ class TestTagAccounting:
         assert accounting.dynamic_object_hits == 7
         assert accounting.static_issued == 1
         assert accounting.static_dns_hits == 0
+
+    def test_one_shot_logs_with_a_label_looked_up_three_times(self):
+        tags = iter([
+            Tag("dynamic", "d1", f"http://d1.{ZONE}/p.gif", "x1", 0.0),
+            Tag("dynamic", "d2", f"http://d2.{ZONE}/p.gif", "x2", 0.0),
+            Tag("dynamic", "d1", f"http://d1.{ZONE}/p.gif", "x3", 0.0),  # issued twice, counted once
+        ])
+        dns_log = iter([dns(f"d1.{ZONE}", 50.0), dns(f"d2.{ZONE}", 5.0), dns(f"d1.{ZONE}", 1.0),
+                        dns(f"d1.{ZONE}", 20.0), dns(f"pixel.{ZONE}", 3.0)])
+        accounting = tag_accounting(tags, dns_log, iter([]), "pixel", ZONE)
+        assert accounting.dynamic_issued == 2
+        assert accounting.dynamic_dns_hits == 4
+        assert accounting.static_dns_hits == 1
+        assert accounting.reappearances == (
+            correlate.Reappearance(subdomain="d1", hit_count=3, timestamps=(1.0, 20.0, 50.0)),
+        )
 
     def test_zero_tag_run(self):
         accounting = tag_accounting([], [], [], "pixel", ZONE)
@@ -317,6 +336,88 @@ class TestOneDnsPass:
         build_report(result.exchanges, result.tags, dns_log, result.fetch_log, DB,
                      static_label="pixel", zone=result.config.zone)
         assert dns_log.passes == 1
+
+
+class TestMemoryGrowsWithDistinctValues:
+    PADDING = 20_000  # static-label rows added to the DNS and fetch logs
+
+    @staticmethod
+    def traced_build(log_dir, zone):
+        """The report and the traced peak of building it, over what was traced before."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=zone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return report, peak - before
+
+    def test_static_rows_add_hits_but_no_memory(self, tmp_path):
+        config = SCENARIOS["default"]
+        log_dir = str(tmp_path / "logs")
+        simulated_logs(config, log_dir)
+        plain, plain_peak = self.traced_build(log_dir, config.zone)
+        host = f"pixel.{config.zone}"
+        for log, last_cell in (("dns_queries.csv", host), ("fetches.csv", f"http://{host}/p.gif")):
+            with open(os.path.join(log_dir, log), "a", encoding="utf-8") as fh:
+                fh.writelines(f"{n}.5,10.9.{n % 250}.1,{last_cell}\r\n" for n in range(self.PADDING))
+        padded, padded_peak = self.traced_build(log_dir, config.zone)
+        assert padded.accounting.static_dns_hits == plain.accounting.static_dns_hits + self.PADDING
+        assert padded.accounting.static_object_hits == (
+            plain.accounting.static_object_hits + self.PADDING
+        )
+        # Held as records, the padding would take about 250 bytes a row.
+        assert padded_peak - plain_peak < 64 * 1024
+
+
+# A malformed line for each log, in the order analyze reads the logs; it
+# replaces line 4.
+_BAD_LINES = {
+    "exchange": "{not json",
+    "tag": "static,pixel",
+    "dns": "soon,10.0.0.1,pixel.x.test",
+    "fetch": "1.0,10.0.0.1,http://[abc/p.gif",
+}
+
+
+class TestFoldOnMalformedLogs:
+    @staticmethod
+    def damage(log_dir, source):
+        path = os.path.join(log_dir, correlate.LOG_FILENAMES[source])
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert len(lines) > 10  # the bad line is partway through
+        lines[3] = _BAD_LINES[source].encode() + b"\r\n"
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        return path
+
+    @pytest.mark.parametrize("first", list(_BAD_LINES))
+    def test_first_bad_log_in_order_is_named_and_every_file_closed(self, tmp_path, first):
+        config = SCENARIOS["default"]
+        log_dir = str(tmp_path / "logs")
+        simulated_logs(config, log_dir)
+        order = list(_BAD_LINES)
+        paths = [self.damage(log_dir, source) for source in order[order.index(first):]]
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        real_open = builtins.open
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with mock.patch("builtins.open", recording_open):
+                with pytest.raises(LogFormatError) as excinfo:
+                    build_report_from_dir(log_dir, DB, static_label="pixel", zone=config.zone)
+            # checked while the traceback still holds every frame of the read
+            assert (excinfo.value.path, excinfo.value.line_no) == (paths[0], 4)
+            assert opened and all(fh.closed for fh in opened)
+            del excinfo
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def _perfbench_offline():

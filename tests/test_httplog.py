@@ -25,8 +25,9 @@ from beaconlab.httplog import (
     view_from_json,
     write_exchange_log,
 )
-from beaconlab.clientsim import FETCH_LOG, FetchRecord
-from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord
+from beaconlab import correlate
+from beaconlab.clientsim import FETCH_LOG, FetchRecord, read_fetch_log
+from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, read_query_log
 from beaconlab.inject import TAG_LOG, Tag, read_tag_labels
 from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb
 
@@ -595,8 +596,30 @@ _CSV_FILES = st.one_of(
     .map("\r\n".join)
     .map(lambda text: text.encode("utf-8", "surrogateescape")),
 )
+
+
+def listed(stream):
+    """A streaming reader as a list reader."""
+    return lambda path: list(stream(path))
+
+
 READERS = {name: layout.read for name, (layout, _) in LAYOUTS.items()}
 READERS["tag_labels"] = read_tag_labels
+# The streams analyze folds, and the list readers of the same logs.
+ANALYZE_STREAMS = {
+    "tag_labels": (read_tag_labels, correlate.read_tag_log),
+    "dns": (read_query_log, correlate.read_query_log),
+    "fetch": (read_fetch_log, correlate.read_fetch_log),
+}
+READERS.update({f"analyze_{name}": listed(stream) for name, (_, stream) in ANALYZE_STREAMS.items()})
+
+
+def outcome(read, path):
+    """What ``read`` returns for ``path``, or the error it raises as (type, path, line, reason)."""
+    try:
+        return read(path)
+    except LogFormatError as exc:
+        return (LogFormatError, exc.path, exc.line_no, exc.reason)
 
 
 class TestCsvLogOnArbitraryBytes:
@@ -613,25 +636,133 @@ class TestCsvLogOnArbitraryBytes:
             except LogFormatError as exc:
                 assert exc.path == path
 
+    @pytest.mark.parametrize("name", ANALYZE_STREAMS)
+    @settings(max_examples=60, deadline=None)
+    @given(content=_CSV_FILES)
+    def test_analyze_stream_agrees_with_the_list_reader(self, name, content):
+        read, stream = ANALYZE_STREAMS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            assert outcome(listed(stream), path) == outcome(read, path)
+
 
 # The time column of each CSV layout that has one.
 TIME_COLUMNS = {"tags": 4, "dns": 0, "fetch": 0, "ua": 0}
 
 
+# Each streaming form, as a list, with the layout that writes its log.
+TIME_STREAMS = {
+    "tags_stream": ("tags", listed(TAG_LOG.stream)),
+    "dns_stream": ("dns", listed(QUERY_LOG.stream)),
+    "fetch_stream": ("fetch", listed(FETCH_LOG.stream)),
+    "ua_stream": ("ua", listed(UA_LOG.stream)),
+    "analyze_tags": ("tags", listed(correlate.read_tag_log)),
+    "analyze_dns": ("dns", listed(correlate.read_query_log)),
+    "analyze_fetch": ("fetch", listed(correlate.read_fetch_log)),
+}
+TIME_CELLS = ["nan", "inf", "-Infinity", "1e400", "soon", ""]
+
+
+def log_with_time_cell(tmp_path, name, cell) -> str:
+    """A log of the layout ``name`` whose line 3 holds ``cell`` as its time."""
+    layout, records = LAYOUTS[name]
+    path = str(tmp_path / "log.csv")
+    layout.write(records[:1], path)
+    row = list(layout.to_row(records[0]))
+    row[TIME_COLUMNS[name]] = cell
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(row)
+    return path
+
+
 class TestTimeCells:
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400", "soon", ""])
+    @pytest.mark.parametrize("cell", TIME_CELLS)
     @pytest.mark.parametrize("name", TIME_COLUMNS)
     def test_time_that_is_not_a_finite_number_names_its_line(self, tmp_path, name, cell):
-        layout, records = LAYOUTS[name]
-        path = str(tmp_path / "log.csv")
-        layout.write(records[:1], path)
-        row = list(layout.to_row(records[0]))
-        row[TIME_COLUMNS[name]] = cell
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(row)
+        path = log_with_time_cell(tmp_path, name, cell)
         with pytest.raises(LogFormatError) as excinfo:
-            layout.read(path)
+            LAYOUTS[name][0].read(path)
         assert excinfo.value.line_no == 3
+
+    @pytest.mark.parametrize("cell", TIME_CELLS)
+    @pytest.mark.parametrize("stream", TIME_STREAMS)
+    def test_stream_raises_what_the_list_reader_raises(self, tmp_path, stream, cell):
+        name, read = TIME_STREAMS[stream]
+        path = log_with_time_cell(tmp_path, name, cell)
+        streamed = outcome(read, path)
+        assert streamed == outcome(LAYOUTS[name][0].read, path)
+        assert streamed[:3] == (LogFormatError, path, 3)
+
+
+# Past this many lines of a CSV layout's shortest rows, a text file has
+# decoded ahead more than once (8 KiB at a time).
+_PAST_READ_AHEAD = 1000
+
+
+def layout_of(reader: str) -> str:
+    """The LAYOUTS name of the log a READERS entry reads."""
+    name = reader.removeprefix("analyze_")
+    return "tags" if name == "tag_labels" else name
+
+
+def _corrupt_line(path: str, line_no: int, newlines=(b"\n",)) -> None:
+    """Put a 0xff byte into line ``line_no`` of ``path`` (after its first
+    byte), past the first 8 KiB, and end the lines with ``newlines`` in turn."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    assert len(b"".join(lines[: line_no - 1])) > 8192
+    lines[line_no - 1] = lines[line_no - 1][:1] + b"\xff" + lines[line_no - 1][1:]
+    with open(path, "wb") as fh:
+        for i, line in enumerate(lines):
+            fh.write(line + newlines[i % len(newlines)])
+
+
+# Each line ending a text file splits at, mixed, and the one each writer uses.
+_NEWLINES = {"mixed": (b"\n", b"\r", b"\r\n"), "crlf": (b"\r\n",), "lf": (b"\n",)}
+
+
+class TestInvalidUtf8NamesItsLine:
+    @pytest.mark.parametrize("newlines", _NEWLINES)
+    @pytest.mark.parametrize("name", READERS)
+    def test_csv_reader(self, tmp_path, name, newlines):
+        layout, records = LAYOUTS[layout_of(name)]
+        path = str(tmp_path / "log.csv")
+        layout.write(records[:1] * (_PAST_READ_AHEAD + 100), path)
+        bad_line = _PAST_READ_AHEAD + 1
+        _corrupt_line(path, bad_line, _NEWLINES[newlines])
+        with pytest.raises(LogFormatError) as excinfo:
+            READERS[name](path)
+        assert (excinfo.value.path, excinfo.value.line_no) == (path, bad_line)
+        assert "can't decode byte 0xff" in excinfo.value.reason
+
+    @pytest.mark.parametrize("newlines", _NEWLINES)
+    @pytest.mark.parametrize("read", [read_exchange_log, read_exchange_views])
+    def test_exchange_log(self, tmp_path, read, newlines):
+        path = str(tmp_path / "log.jsonl")
+        write_exchange_log([make_exchange("text/html", exchange_id=f"x{i}") for i in range(300)], path)
+        bad_line = 250
+        _corrupt_line(path, bad_line, _NEWLINES[newlines])
+        with pytest.raises(LogFormatError) as excinfo:
+            read(path)
+        assert (excinfo.value.path, excinfo.value.line_no) == (path, bad_line)
+        assert "can't decode byte 0xff" in excinfo.value.reason
+
+    @pytest.mark.parametrize("read", [QUERY_LOG.read, correlate.read_query_log])
+    def test_an_earlier_bad_row_in_the_same_block_comes_first(self, tmp_path, read):
+        path = str(tmp_path / "log.csv")
+        QUERY_LOG.write(LAYOUTS["dns"][1][:1] * 600, path)
+        _corrupt_line(path, 510)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        lines[504] = b"1.0,only two fields\n"  # line 505: the read-ahead reached line 510 already
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+        with pytest.raises(LogFormatError) as excinfo:
+            list(read(path))
+        assert excinfo.value.line_no == 505
+        assert excinfo.value.reason == "expected 3 fields, got 2"
 
 
 class TestCutTornTail:
