@@ -9,7 +9,11 @@ for the operator's command channel.
 
 One asyncio event loop, in one thread, serves the listen socket, the
 control socket and every connection. So the injector, the counters and
-the logs have a single writer and need no lock. Heads are split with str
+the logs have a single writer and need no lock. Client and upstream
+connections are asyncio Protocols: each frames heads and bodies from its
+own receive buffer as the bytes arrive, and an upstream exchange ends in
+one callback, so a request served on a pooled upstream connection takes
+no task, no stream reader and no future. Heads are split with str
 methods. Request bodies are framed by Content-Length only; responses are
 framed as RFC 7230 3.3.3 frames them.
 
@@ -56,6 +60,8 @@ _HOP_BY_HOP = {
 }
 # Response fields not relayed as received; Content-Length is set anew.
 _NOT_RELAYED = _HOP_BY_HOP | {"content-length"}
+# Request fields not forwarded as received; Host and Content-Length are set anew.
+_NOT_FORWARDED = _HOP_BY_HOP | {"host", "content-length"}
 
 # Methods relayed to an origin; CONNECT opens a tunnel, any other gets 501.
 _RELAYED = {"GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS"}
@@ -80,9 +86,6 @@ MAX_UPSTREAM_BODY_BYTES = 16 * 1024 * 1024
 # Deadline of one upstream exchange (connect, request and response), of a
 # tunnel's connect and of a tunnel's last drain, in seconds.
 UPSTREAM_TIMEOUT_S = 15.0
-
-# Bytes a tunnel, or a body read to the close, takes per read.
-_READ_BYTES = 65536
 
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 # A field name: visible ASCII except ":" (what email's header parser takes).
@@ -254,33 +257,16 @@ class _BodyTooLarge(Exception):
     """An upstream response body longer than MAX_UPSTREAM_BODY_BYTES."""
 
 
-async def _read_response(reader: asyncio.StreamReader, method: str) -> tuple[int, _Headers, bytes, bool]:
-    """(status, header fields, body, must close) of one response, framed as
-    http.client frames it (RFC 7230 3.3.3).
-
-    Raises ConnectionResetError if the origin closed the connection before
-    the first byte, OSError, ValueError or EOFError for a broken reply, and
-    _BodyTooLarge, having read no more than MAX_UPSTREAM_BODY_BYTES of the
-    body, for a longer one.
-    """
-    while True:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise
-            raise ConnectionResetError("remote end closed connection without response") from None
-        except asyncio.LimitOverrunError:
-            raise ValueError("response head too large") from None
-        start, headers = _split_head(head)
-        words = start.split(None, 2)
-        if len(words) < 2 or not words[0].startswith("HTTP/"):
-            raise ValueError(f"bad status line {start[:40]!r}")
-        status = int(words[1])
-        if not 100 <= status <= 999:
-            raise ValueError(f"bad status line {start[:40]!r}")
-        if status != 100:  # a 100 Continue is followed by the real response
-            break
+def _status_head(head: bytes) -> tuple[int, _Headers, bool]:
+    """(status, header fields, must close) of one response head that ends
+    in CRLF CRLF, read as http.client reads it; ValueError if malformed."""
+    start, headers = _split_head(head)
+    words = start.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/"):
+        raise ValueError(f"bad status line {start[:40]!r}")
+    status = int(words[1])
+    if not 100 <= status <= 999:
+        raise ValueError(f"bad status line {start[:40]!r}")
     version = words[0]
     if version in ("HTTP/1.0", "HTTP/0.9"):
         connection = (headers.get("Connection") or "").lower()
@@ -289,87 +275,237 @@ async def _read_response(reader: asyncio.StreamReader, method: str) -> tuple[int
             or "keep-alive" in connection
             or "keep-alive" in (headers.get("Proxy-Connection") or "").lower()
         )
-        close = not keep_alive
-    elif version.startswith("HTTP/1."):
-        close = "close" in (headers.get("Connection") or "").lower()
-    else:
-        raise ValueError(f"unknown protocol {version[:20]!r}")
-    if method == "HEAD" or status < 200 or status in (204, 304):
-        return status, headers, b"", close
-    if (headers.get("Transfer-Encoding") or "").lower() == "chunked":
-        return status, headers, await _read_chunked(reader), close
-    length = None
-    if value := headers.get("Content-Length"):
+        return status, headers, not keep_alive
+    if version.startswith("HTTP/1."):
+        return status, headers, "close" in (headers.get("Connection") or "").lower()
+    raise ValueError(f"unknown protocol {version[:20]!r}")
+
+
+def _write_eof(transport: asyncio.WriteTransport) -> None:
+    """Half-close a tunnel end that is still open."""
+    if not transport.is_closing():
         try:
-            length = int(value)
-        except ValueError:
+            transport.write_eof()
+        except OSError:
             pass
-    if length is None or length < 0:
-        return status, headers, await _read_to_close(reader), True
-    if length > MAX_UPSTREAM_BODY_BYTES:
-        raise _BodyTooLarge(f"Content-Length {length}")
-    return status, headers, await reader.readexactly(length), close
 
 
-async def _read_to_close(reader: asyncio.StreamReader) -> bytes:
-    """A body delimited by the close of the connection."""
-    chunks = []
-    room = MAX_UPSTREAM_BODY_BYTES
-    while chunk := await reader.read(min(room + 1, _READ_BYTES)):
-        room -= len(chunk)
-        if room < 0:
-            raise _BodyTooLarge("body read to the close")
-        chunks.append(chunk)
-    return b"".join(chunks)
+class _Upstream(asyncio.Protocol):
+    """One connection to an origin, reused while the origin keeps it alive.
 
+    ``exchange`` sends a whole request in one write. The response is framed
+    from the receive buffer as its bytes arrive, as http.client frames it
+    (RFC 7230 3.3.3): interim 1xx responses are skipped; there is no body
+    after HEAD or for 204 and 304; otherwise the body is chunked (decoded,
+    trailer fields dropped), Content-Length long, or runs to the origin's
+    close, and never longer than MAX_UPSTREAM_BODY_BYTES. The exchange ends
+    in one call to the client: ``response`` with the whole response, or
+    ``upstream_failed`` with the error, ConnectionResetError if the origin
+    closed the connection before the first byte of the response.
+    """
 
-async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
-    """A chunked body, decoded; trailer fields are read and dropped."""
-    chunks = []
-    room = MAX_UPSTREAM_BODY_BYTES
-    try:
-        while True:
-            size = int((await reader.readuntil(b"\n")).partition(b";")[0], 16)
-            if size < 0:
-                raise ValueError("negative chunk size")
-            if size == 0:
-                break
-            room -= size
-            if room < 0:
-                raise _BodyTooLarge("chunked body")
-            chunks.append((await reader.readexactly(size + 2))[:-2])  # the data and its CRLF
-        while await reader.readuntil(b"\n") not in (b"\r\n", b"\n"):
-            pass
-    except asyncio.LimitOverrunError:
-        raise ValueError("chunk line too long") from None
-    return b"".join(chunks)
+    __slots__ = (
+        "transport", "client", "method", "buffer", "step", "status", "headers",
+        "must_close", "length", "room", "chunks", "body",
+    )
 
+    def __init__(self):
+        self.transport: asyncio.Transport | None = None
+        self.client: _Client | None = None  # whose exchange is in flight
+        self.method = ""
+        self.buffer = bytearray()
+        self.step = None  # the framing step the buffered bytes go to next
+        self.body = b""
 
-class _Upstream:
-    """One connection to an origin, reused while the origin keeps it alive."""
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
 
-    __slots__ = ("reader", "writer")
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-
-    @classmethod
-    async def open(cls, origin: tuple[str, int]) -> "_Upstream":
-        return cls(*await asyncio.open_connection(*origin, limit=MAX_HEAD_BYTES))
-
-    async def exchange(self, message: bytes, method: str) -> tuple[int, _Headers, bytes, bool]:
-        """Send a whole request in one write and read its response; the
-        connection is closed if that fails."""
-        try:
-            self.writer.write(message)
-            return await _read_response(self.reader, method)
-        except BaseException:
-            self.close()
-            raise
+    def exchange(self, client: _Client, message: bytes, method: str) -> None:
+        if self.transport.is_closing():  # the origin closed it while it was idle
+            client.upstream_failed(ConnectionResetError("remote end closed connection without response"))
+            return
+        self.client = client
+        self.method = method
+        self.step = self._head
+        self.transport.write(message)
 
     def close(self) -> None:
-        self.writer.close()
+        self.client = None
+        self.transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        if self.client is None:  # bytes no request asked for
+            self.transport.close()
+            return
+        self.buffer += data
+        try:
+            while self.step is not None and self.step():
+                pass
+        except (ValueError, _BodyTooLarge) as exc:
+            self._fail(exc)
+            return
+        if self.step is None:
+            body, self.body = self.body, b""
+            self._end(body)
+
+    def eof_received(self) -> None:
+        if self.client is None:
+            return
+        if self.step == self._to_close:
+            self._end(bytes(self.buffer))
+        elif self.step == self._head and not self.buffer:
+            self._fail(ConnectionResetError("remote end closed connection without response"))
+        else:
+            self._fail(EOFError("remote end closed connection mid-response"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.client is not None:
+            self._fail(exc or ConnectionResetError("connection lost"))
+
+    def _fail(self, exc: Exception) -> None:
+        client, self.client = self.client, None
+        self.transport.close()
+        client.upstream_failed(exc)
+
+    def _end(self, body: bytes) -> None:
+        client, self.client = self.client, None
+        # bytes past the response leave the connection out of step
+        client.response(self, self.status, self.headers, body, self.must_close or bool(self.buffer))
+
+    # Framing steps: each takes what it can from the buffer and returns
+    # True to run the next step at once, False to wait for more bytes.
+
+    def _done(self, body: bytes) -> bool:
+        self.body = body
+        self.step = None
+        return False
+
+    def _head(self) -> bool:
+        buf = self.buffer
+        end = buf.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES + 4)
+        if end < 0:
+            if len(buf) >= MAX_HEAD_BYTES + 4:
+                raise ValueError("response head too large")
+            return False
+        status, headers, must_close = _status_head(buf[:end + 4])
+        del buf[:end + 4]
+        if status < 200:
+            return True  # an interim response; the final one follows
+        self.status, self.headers, self.must_close = status, headers, must_close
+        if self.method == "HEAD" or status in (204, 304):
+            return self._done(b"")
+        if (headers.get("Transfer-Encoding") or "").lower() == "chunked":
+            self.chunks = []
+            self.room = MAX_UPSTREAM_BODY_BYTES
+            self.step = self._chunk_size
+            return True
+        length = None
+        if value := headers.get("Content-Length"):
+            try:
+                length = int(value)
+            except ValueError:
+                pass
+        if length is None or length < 0:
+            self.must_close = True
+            self.step = self._to_close
+            return True
+        if length > MAX_UPSTREAM_BODY_BYTES:
+            raise _BodyTooLarge(f"Content-Length {length}")
+        self.length = length
+        self.step = self._fixed
+        return True
+
+    def _fixed(self) -> bool:
+        buf = self.buffer
+        length = self.length
+        if len(buf) < length:
+            return False
+        with memoryview(buf) as view:
+            body = bytes(view[:length])
+        del buf[:length]
+        return self._done(body)
+
+    def _to_close(self) -> bool:
+        if len(self.buffer) > MAX_UPSTREAM_BODY_BYTES:
+            raise _BodyTooLarge("body read to the close")
+        return False  # eof_received ends it
+
+    def _line(self) -> bytes | None:
+        """The next chunk-size or trailer line, through its LF; None until whole."""
+        buf = self.buffer
+        end = buf.find(b"\n", 0, MAX_HEAD_BYTES + 1)
+        if end < 0:
+            if len(buf) > MAX_HEAD_BYTES:
+                raise ValueError("chunk line too long")
+            return None
+        line = bytes(buf[:end + 1])
+        del buf[:end + 1]
+        return line
+
+    def _chunk_size(self) -> bool:
+        line = self._line()
+        if line is None:
+            return False
+        size = int(line.partition(b";")[0], 16)
+        if size < 0:
+            raise ValueError("negative chunk size")
+        if size == 0:
+            self.step = self._trailer
+            return True
+        self.room -= size
+        if self.room < 0:
+            raise _BodyTooLarge("chunked body")
+        self.length = size
+        self.step = self._chunk_data
+        return True
+
+    def _chunk_data(self) -> bool:
+        buf = self.buffer
+        size = self.length
+        if len(buf) < size + 2:
+            return False
+        self.chunks.append(bytes(buf[:size]))
+        del buf[:size + 2]  # the data and its CRLF
+        self.step = self._chunk_size
+        return True
+
+    def _trailer(self) -> bool:
+        line = self._line()
+        if line is None:
+            return False
+        if line in (b"\r\n", b"\n"):
+            return self._done(b"".join(self.chunks))
+        return True
+
+
+class _Pipe(asyncio.Protocol):
+    """The origin's end of a CONNECT tunnel: what it sends goes to the
+    client as it comes, and reading pauses while either side cannot keep up.
+    Nothing is read before the client has its 200."""
+
+    __slots__ = ("client",)
+
+    def __init__(self, client: _Client):
+        self.client = client
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        transport.pause_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self.client.transport.write(data)
+
+    def eof_received(self) -> bool:
+        self.client.tunnel_eof_from_origin()
+        return True
+
+    def pause_writing(self) -> None:
+        self.client.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.client.transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.client.transport.close()
 
 
 class _UpstreamPool:
@@ -412,48 +548,27 @@ class _UpstreamPool:
 
 @dataclass(slots=True)
 class Request:
-    """One client request, its head parsed and its body not yet read.
+    """One client request, its head parsed and its body not yet taken.
 
     ``target`` is the request-target as sent: an absolute URL, or
-    host:port for CONNECT. Setting ``close`` ends the client connection
-    after this request.
+    host:port for CONNECT. ``client`` is the connection it came on.
+    Setting ``close`` ends that connection after this request.
+    ``expects_continue``: an HTTP/1.1 request sent Expect: 100-continue.
     """
 
     method: str
     target: str
     headers: _Headers
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
+    client: _Client
     close: bool
+    expects_continue: bool
 
 
 class _Refused(Exception):
     """A request refused before relaying: (status, reason phrase)."""
 
 
-async def _read_head(reader: asyncio.StreamReader) -> bytes:
-    """One request head, read a line at a time through the empty line that
-    ends it. _Refused, at once, for a line that ends in a bare LF, after
-    which a CRLF CRLF may never come, and for a head over MAX_HEAD_BYTES.
-    """
-    lines = []
-    size = 0
-    line = b""
-    try:
-        while line != b"\r\n":
-            line = await reader.readuntil(b"\n")
-            if not line.endswith(b"\r\n"):
-                raise _Refused(400, "Bad request syntax")
-            size += len(line)
-            if size > MAX_HEAD_BYTES:
-                raise _Refused(431, "Request Header Fields Too Large")
-            lines.append(line)
-    except asyncio.LimitOverrunError:
-        raise _Refused(431, "Request Header Fields Too Large") from None
-    return b"".join(lines)
-
-
-def _parse_request(head: bytes, reader, writer) -> Request:
+def _parse_request(head: bytes, client: _Client) -> Request:
     """The Request of a head, under http.server's rules; _Refused if malformed."""
     try:
         start, headers = _split_head(head)
@@ -480,25 +595,332 @@ def _parse_request(head: bytes, reader, writer) -> Request:
         close = True
     elif connection == "keep-alive":
         close = False
-    if version >= (1, 1) and (headers.get("Expect") or "").lower() == "100-continue":
-        writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-    return Request(method, target, headers, reader, writer, close)
+    expects_continue = version >= (1, 1) and (headers.get("Expect") or "").lower() == "100-continue"
+    return Request(method, target, headers, client, close, expects_continue)
 
 
-async def _copy(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-    """Copy one direction of a tunnel until EOF or a reset, then pass the EOF on."""
-    try:
-        while chunk := await reader.read(_READ_BYTES):
-            writer.write(chunk)
-            await writer.drain()
-    except OSError:
-        pass
-    finally:
+class _Client(asyncio.Protocol):
+    """One client connection.
+
+    Request heads are framed from the receive buffer. While a request is
+    served, later bytes wait in the buffer and reading pauses, so pipelined
+    requests are served one at a time, in order. A relayed request's
+    upstream exchange runs under one deadline of UPSTREAM_TIMEOUT_S, and
+    only opening a new upstream connection runs as a task. After a CONNECT
+    the connection is the client's end of a tunnel.
+    """
+
+    __slots__ = (
+        "service", "transport", "buffer", "scanned", "request", "body_length", "paused",
+        "write_paused", "eof", "origin", "message", "upstream", "reused", "connecting",
+        "deadline", "tunnel", "tunnel_ended",
+    )
+
+    def __init__(self, service: ProxyService):
+        self.service = service
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.scanned = 0  # leading buffer bytes already checked for a bare LF
+        self.request: Request | None = None  # the request being served
+        self.body_length = 0  # the body length while the request waits for its body
+        self.paused = False  # reading paused while a request is served
+        self.write_paused = False
+        self.eof = False
+        # the upstream exchange of the request being served
+        self.origin: tuple[str, int] = ("", 0)
+        self.message = b""
+        self.upstream: _Upstream | None = None
+        self.reused = False
+        self.connecting: asyncio.Task | None = None
+        self.deadline: asyncio.TimerHandle | None = None
+        self.tunnel: asyncio.Transport | None = None  # the origin's end, after a CONNECT
+        self.tunnel_ended = False  # the origin has ended its side of the tunnel
+
+    # -- the connection ------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.service._connections += 1
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.tunnel is not None:
+            self.tunnel.close()
+        self.service._connections -= 1
+        self.service._finish_if_idle()
+
+    def data_received(self, data: bytes) -> None:
+        if self.tunnel is not None:
+            self.tunnel.write(data)
+            return
+        self.buffer += data
+        if self.body_length:
+            if len(self.buffer) >= self.body_length:
+                self._send(self.body_length)
+        elif self.request is None and not self.write_paused:
+            self._serve()
+        elif not self.paused:
+            self.paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        if not self.eof:
+            self.eof = True
+            if self.tunnel is not None:
+                self._tunnel_eof_from_client()
+            elif self.body_length:
+                self.transport.close()  # the client closed the connection mid-body
+            elif self.request is None:
+                self._serve()
+        return True  # the reply to a request in flight may still go out
+
+    def pause_writing(self) -> None:
+        if self.tunnel is not None:
+            self.tunnel.pause_reading()
+        else:
+            self.write_paused = True
+
+    def resume_writing(self) -> None:
+        if self.tunnel is not None:
+            self.tunnel.resume_reading()
+            return
+        self.write_paused = False
+        if self.request is None:
+            self._serve()
+
+    def _later(self, callback) -> asyncio.TimerHandle:
+        """``callback`` called UPSTREAM_TIMEOUT_S from now, unless cancelled."""
+        loop = self.service._loop
+        return loop.call_at(loop.time() + UPSTREAM_TIMEOUT_S, callback)
+
+    def _crash(self) -> None:
+        """An error escaped serving this connection: log it and close."""
+        if self.deadline is not None:
+            self.deadline.cancel()
+        self.service._log_error("internal error: " + traceback.format_exc().rstrip("\n"))
+        self.transport.close()
+
+    # -- requests --------------------------------------------------------------
+
+    def _head(self) -> bytearray | None:
+        """The next request head, through the empty line that ends it, taken
+        from the buffer; None until it is whole. _Refused, at once, for a
+        line that ends in a bare LF, after which a CRLF CRLF may never come,
+        and for a head over MAX_HEAD_BYTES."""
+        buf = self.buffer
+        scanned = self.scanned
+        if buf.startswith(b"\r\n"):  # an empty first line ends an empty head
+            end = 2
+        else:
+            found = buf.find(b"\r\n\r\n", max(scanned - 3, 0))
+            end = found + 4 if found >= 0 else 0
+        checked = end or len(buf)
+        # a CR just before the unchecked bytes pairs with an LF just after it
+        start = scanned - 1 if scanned and buf[scanned - 1] == 13 else scanned
+        if buf.count(b"\n", start, checked) != buf.count(b"\r\n", start, checked):
+            raise _Refused(400, "Bad request syntax")
+        if checked > MAX_HEAD_BYTES:
+            raise _Refused(431, "Request Header Fields Too Large")
+        if not end:
+            self.scanned = checked
+            return None
+        head = buf[:end]
+        del buf[:end]
+        self.scanned = 0
+        return head
+
+    def _serve(self) -> None:
+        """Serve buffered requests one at a time, until one is in flight, no
+        whole head is buffered, or the connection closes."""
+        transport = self.transport
+        while self.request is None and not self.write_paused and not transport.is_closing():
+            try:
+                head = self._head()
+                if head is None:
+                    if self.eof:
+                        transport.close()
+                    elif self.paused:
+                        self.paused = False
+                        transport.resume_reading()
+                    return
+                self.request = request = _parse_request(head, self)
+            except _Refused as refusal:
+                transport.write(_error_reply(*refusal.args))
+                transport.close()
+                return
+            try:
+                if request.method == "CONNECT":
+                    self.service.handle_connect(request)
+                else:
+                    self.service.handle_request_socketless(request)
+            except Exception:
+                self._crash()
+                return
+
+    def finish(self, reply: bytes) -> None:
+        """Send the reply to the request being served, then serve the next
+        one, or close if the request asked for it."""
+        request, self.request = self.request, None
+        transport = self.transport
+        if not transport.is_closing():
+            transport.write(reply)
+        if request.close:
+            transport.close()
+        elif self.buffer or self.eof or self.paused:
+            self._serve()
+
+    # -- the upstream exchange ------------------------------------------------
+
+    def relay(self, origin: tuple[str, int], message: bytes, length: int) -> None:
+        """Send the request being served to ``origin`` as ``message``, once
+        the ``length`` bytes of its body have followed the head."""
+        self.origin = origin
+        self.message = message
+        if len(self.buffer) >= length:
+            self._send(length)
+            return
+        if self.eof:
+            self.transport.close()  # the client closed the connection mid-body
+            return
+        if self.request.expects_continue:
+            self.transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.body_length = length
+        if self.paused:
+            self.paused = False
+            self.transport.resume_reading()
+
+    def _send(self, length: int) -> None:
+        """Send the message and the buffered body upstream, on an idle pooled
+        connection to the origin if there is one."""
+        if length:
+            buf = self.buffer
+            with memoryview(buf) as view:  # one copy of the body, into the message
+                self.message += view[:length]
+            del buf[:length]
+            self.body_length = 0
+        self.deadline = self._later(self._expire)
+        conn = self.service._upstream.take(self.origin)
+        if conn is None:
+            self.reused = False
+            self._open(_Upstream, self._exchange_on)
+        else:
+            self.reused = True
+            self._exchange_on(None, conn)
+
+    def _exchange_on(self, transport, conn: _Upstream) -> None:
+        self.upstream = conn
+        conn.exchange(self, self.message, self.request.method)
+
+    def _open(self, protocol_factory, connected) -> None:
+        self.connecting = self.service._loop.create_task(self._connect(protocol_factory, connected))
+
+    async def _connect(self, protocol_factory, connected) -> None:
+        """Open a connection to the origin and hand it to ``connected``."""
         try:
-            if not writer.is_closing():
-                writer.write_eof()
-        except OSError:
-            pass
+            try:
+                transport, protocol = await self.service._loop.create_connection(
+                    protocol_factory, *self.origin
+                )
+            finally:
+                self.connecting = None
+        except (OSError, ValueError) as exc:  # ValueError: a name the resolver cannot encode
+            self.upstream_failed(exc)
+            return
+        try:
+            connected(transport, protocol)
+        except Exception:
+            self._crash()
+
+    def response(self, conn: _Upstream, status: int, headers: _Headers, body: bytes, close: bool) -> None:
+        """The upstream exchange ended in a whole response."""
+        self.deadline.cancel()
+        self.upstream = None
+        service = self.service
+        if close or service._stopped:
+            conn.close()
+        else:
+            service._upstream.give(self.origin, conn)
+        try:
+            service._deliver(self.request, status, headers, body)
+        except Exception:
+            self._crash()
+
+    def upstream_failed(self, exc: Exception) -> None:
+        """The upstream exchange failed. A reused connection that the origin
+        had closed is replaced once for an idempotent request (RFC 7230
+        6.3.1); any other failure gets a 502."""
+        self.upstream = None
+        if (
+            self.reused
+            and isinstance(exc, (ConnectionResetError, BrokenPipeError))
+            and self.request.method in _IDEMPOTENT
+        ):
+            self.reused = False
+            self._open(_Upstream, self._exchange_on)
+            return
+        self.deadline.cancel()
+        try:
+            self.service._bad_gateway(self.request, self.origin, exc)
+        except Exception:
+            self._crash()
+
+    def _expire(self) -> None:
+        """The deadline passed: close the upstream connection, with no retry."""
+        if self.connecting is not None:
+            self.connecting.cancel()
+            self.connecting = None
+        if self.upstream is not None:
+            self.upstream.close()
+            self.upstream = None
+        self.reused = False
+        self.upstream_failed(TimeoutError(f"no answer within {UPSTREAM_TIMEOUT_S} s"))
+
+    # -- the tunnel -------------------------------------------------------------
+
+    def open_tunnel(self, origin: tuple[str, int]) -> None:
+        """Connect the CONNECT being served to ``origin``, under the deadline."""
+        self.origin = origin
+        self.deadline = self._later(self._expire)
+        self._open(lambda: _Pipe(self), self._tunnel_on)
+
+    def _tunnel_on(self, transport: asyncio.Transport, pipe: _Pipe) -> None:
+        self.deadline.cancel()
+        self.service._tunnel_opened(self.request, transport)
+
+    def pipe(self, tunnel: asyncio.Transport) -> None:
+        """Answer 200 and relay both ways between this connection and ``tunnel``."""
+        if self.transport.is_closing():
+            tunnel.close()
+            return
+        self.tunnel = tunnel
+        self.transport.write(b"HTTP/1.1 200 Connection Established\r\n\r\n")
+        if self.buffer:
+            tunnel.write(bytes(self.buffer))
+            self.buffer.clear()
+        tunnel.resume_reading()
+        if self.eof:
+            self._tunnel_eof_from_client()
+        elif self.paused:
+            self.paused = False
+            self.transport.resume_reading()
+
+    def _tunnel_eof_from_client(self) -> None:
+        """Pass the client's EOF on; close both ends once the origin has
+        ended its side too, or UPSTREAM_TIMEOUT_S later."""
+        _write_eof(self.tunnel)
+        if self.tunnel_ended:
+            self._close_tunnel()
+        else:
+            self.deadline = self._later(self._close_tunnel)
+
+    def tunnel_eof_from_origin(self) -> None:
+        _write_eof(self.transport)
+        self.tunnel_ended = True
+        if self.eof:
+            self._close_tunnel()
+
+    def _close_tunnel(self) -> None:
+        self.tunnel.close()
+        self.transport.close()
 
 
 class ProxyService:
@@ -555,7 +977,7 @@ class ProxyService:
         self._upstream = _UpstreamPool()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._servers: list[asyncio.Server] = []
-        self._connections = 0
+        self._connections = 0  # client connections open
         self._finished: asyncio.Future | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -574,14 +996,12 @@ class ProxyService:
             started.set()  # also when the loop failed to start
 
     async def _serve(self, started: threading.Event) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._finished = self._loop.create_future()
-        for sock, serve in (
-            (self._listen_sock, self._serve_client),
-            (self._control_sock, self._serve_control),
-        ):
-            server = await asyncio.start_server(self._tracked(serve), sock=sock, limit=MAX_HEAD_BYTES)
-            self._servers.append(server)
+        loop = self._loop = asyncio.get_running_loop()
+        self._finished = loop.create_future()
+        self._servers.append(await loop.create_server(lambda: _Client(self), sock=self._listen_sock))
+        self._servers.append(
+            await asyncio.start_server(self._serve_control, sock=self._control_sock, limit=MAX_HEAD_BYTES)
+        )
         started.set()
         await self._finished
 
@@ -619,25 +1039,6 @@ class ProxyService:
         if self._stopped and not self._connections and self._finished is not None:
             if not self._finished.done():
                 self._finished.set_result(None)
-
-    def _tracked(self, serve):
-        """``serve`` for one connection, counted until it closes; an error
-        that escapes it is written to the error log, not raised."""
-
-        async def run(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-            self._connections += 1
-            try:
-                await serve(reader, writer)
-            except (OSError, EOFError):
-                pass  # the peer went away
-            except Exception:
-                self._log_error("internal error: " + traceback.format_exc().rstrip("\n"))
-            finally:
-                writer.close()
-                self._connections -= 1
-                self._finish_if_idle()
-
-        return run
 
     # -- mode / control ------------------------------------------------------
 
@@ -678,8 +1079,10 @@ class ProxyService:
                 line = raw.decode("utf-8", errors="replace")
                 if line.strip():
                     writer.write((self.handle_control_line(line) + "\n").encode("utf-8"))
-        except ValueError:  # a line longer than MAX_HEAD_BYTES
+        except (OSError, ValueError):  # the peer went away, or a line over MAX_HEAD_BYTES
             pass
+        finally:
+            writer.close()
 
     # -- exchange handling ----------------------------------------------------
 
@@ -709,59 +1112,25 @@ class ProxyService:
         self._exchange_seq += 1
         return f"x{seq:08d}", f"fl{seq:08d}"
 
-    async def _serve_client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Requests of one client connection, one after another."""
-        while True:
-            try:
-                request = _parse_request(await _read_head(reader), reader, writer)
-            except asyncio.IncompleteReadError:
-                return  # the client closed the connection
-            except _Refused as refusal:
-                writer.write(_error_reply(*refusal.args))
-                return
-            if request.method == "CONNECT":
-                await self.handle_connect(request)
-            else:
-                await self.handle_request_socketless(request)
-            if request.close:
-                return
-
     @staticmethod
     def _refuse(request: Request, status: int, message: str) -> None:
         request.close = True
-        request.writer.write(_error_reply(status, message, request.method == "HEAD"))
+        request.client.finish(_error_reply(status, message, request.method == "HEAD"))
 
-    async def _fetch(
-        self, origin: tuple[str, int], method: str, message: bytes
-    ) -> tuple[_Upstream, tuple[int, _Headers, bytes, bool]]:
-        """Send one request upstream, on an idle pooled connection if there is one.
-
-        A reused connection the origin has meanwhile closed fails before any
-        response arrives; an idempotent request is then sent once more on a
-        fresh connection, any other request fails.
-        """
-        conn = self._upstream.take(origin)
-        if conn is not None:
-            try:
-                return conn, await conn.exchange(message, method)
-            except (ConnectionResetError, BrokenPipeError):
-                if method not in _IDEMPOTENT:
-                    raise
-        conn = await _Upstream.open(origin)
-        return conn, await conn.exchange(message, method)
-
-    async def handle_request_socketless(self, request: Request) -> None:
-        """Relay one absolute-URI proxy request and deliver the response."""
+    def handle_request_socketless(self, request: Request) -> None:
+        """Check one absolute-URI proxy request and relay it; the response
+        is delivered when the upstream exchange ends."""
         if self._stopped:
             return self._refuse(request, 503, "proxy stopped")
         url = request.target
         parts = urlsplit(url)
+        hostname = parts.hostname
         try:
             port = parts.port or 80
-            host_field = _host_field(parts.hostname or "", port)
+            host_field = _host_field(hostname or "", port)
         except ValueError:  # a port out of range or not a number, a name IDNA rejects
             port = 0
-        if parts.scheme != "http" or not parts.hostname or not port or _CONTROL.search(url):
+        if parts.scheme != "http" or not hostname or not port or _CONTROL.search(url):
             return self._refuse(request, 400, "proxy requires absolute http URLs")
         headers = request.headers
         if "Transfer-Encoding" in headers:
@@ -776,63 +1145,46 @@ class ProxyService:
             )
             return self._refuse(request, 400, "malformed Content-Length")
         method = request.method
-        try:
-            request_body = await request.reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError:
-            request.close = True  # the client closed the connection mid-body
-            return
-        request_headers = tuple(
-            (name, value) for name, value in headers.fields if name.lower() not in _HOP_BY_HOP
-        )
         # The request line and fields http.client would send for the same call,
         # then every other end-to-end field in arrival order (RFC 7230 3.2.2).
-        upstream_fields = [
-            f"{name}: {value}"
-            for name, value in request_headers
-            if name.lower() not in ("host", "content-length")
-        ]
         selector = parts.path or "/"
         if parts.query:
             selector += "?" + parts.query
         lines = [f"{method} {selector} HTTP/1.1", "Host: " + host_field]
         if "Accept-Encoding" not in headers:
             lines.append("Accept-Encoding: identity")
-        if request_body or method in _BODY_EXPECTED:
-            lines.append(f"Content-Length: {len(request_body)}")
-        lines.extend(upstream_fields)
+        if length or method in _BODY_EXPECTED:
+            lines.append(f"Content-Length: {length}")
+        lines.extend(
+            f"{name}: {value}"
+            for name, value in headers.fields
+            if name.lower() not in _NOT_FORWARDED
+        )
         lines.append("\r\n")
-        message = "\r\n".join(lines).encode("latin-1") + request_body
-        origin = (parts.hostname, port)
-        try:
-            async with asyncio.timeout(UPSTREAM_TIMEOUT_S):
-                conn, (status, upstream_headers, body, close) = await self._fetch(
-                    origin, method, message
-                )
-        except _BodyTooLarge as exc:
-            self._log_error(
-                f"upstream {parts.hostname}: {exc} is over {MAX_UPSTREAM_BODY_BYTES} bytes"
-            )
-            return self._refuse(request, 502, "upstream response too large")
-        except (OSError, ValueError, EOFError) as exc:
-            self._log_error(f"upstream {parts.hostname}: {type(exc).__name__}: {exc}")
-            return self._refuse(request, 502, "upstream unreachable")
-        if close or self._stopped:
-            conn.close()
+        request.client.relay((hostname, port), "\r\n".join(lines).encode("latin-1"), length)
+
+    def _deliver(self, request: Request, status: int, upstream_headers: _Headers, body: bytes) -> None:
+        """Inject, log and deliver one upstream response."""
+        method = request.method
+        fields = upstream_headers.fields
+        if status == 204:  # no Content-Length at all (RFC 7230 3.3.2)
+            response_headers = tuple(field for field in fields if field[0].lower() not in _NOT_RELAYED)
+        elif method == "HEAD" or status == 304:  # the origin's length, if it sent one
+            response_headers = tuple(field for field in fields if field[0].lower() not in _HOP_BY_HOP)
         else:
-            self._upstream.give(origin, conn)
-        response_headers = tuple(
-            (name, value)
-            for name, value in upstream_headers.fields
-            if name.lower() not in _NOT_RELAYED
-        ) + (("Content-Length", str(len(body))),)
+            response_headers = tuple(
+                field for field in fields if field[0].lower() not in _NOT_RELAYED
+            ) + (("Content-Length", str(len(body))),)
         exchange_id, flow_id = self._next_ids()
         exchange = HttpExchange(
             exchange_id=exchange_id,
             timestamp=time.time(),
             flow_id=flow_id,
             method=method,
-            url=url,
-            request_headers=request_headers,
+            url=request.target,
+            request_headers=tuple(
+                field for field in request.headers.fields if field[0].lower() not in _HOP_BY_HOP
+            ),
             response_status=status,
             response_headers=response_headers,
             response_body=body,
@@ -843,32 +1195,36 @@ class ProxyService:
             return self._refuse(request, 503, "proxy stopped")
         # status line, fields and body in a single write
         status = delivered.response_status
-        payload = (
+        reply = (
             f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
             + "".join(f"{name}: {value}\r\n" for name, value in delivered.response_headers)
             + "\r\n"
         ).encode("latin-1", "strict")
         if method != "HEAD":
-            payload += delivered.response_body
-        request.writer.write(payload)
-        await request.writer.drain()
+            reply += delivered.response_body
+        request.client.finish(reply)
 
-    async def handle_connect(self, request: Request) -> None:
+    def _bad_gateway(self, request: Request, origin: tuple[str, int], exc: Exception) -> None:
+        """A 502 and one error-log line for a request whose upstream exchange failed."""
+        where = f"connect {request.target}" if request.method == "CONNECT" else f"upstream {origin[0]}"
+        if isinstance(exc, _BodyTooLarge):
+            self._log_error(f"{where}: {exc} is over {MAX_UPSTREAM_BODY_BYTES} bytes")
+            return self._refuse(request, 502, "upstream response too large")
+        self._log_error(f"{where}: {type(exc).__name__}: {exc}")
+        self._refuse(request, 502, "upstream unreachable")
+
+    def handle_connect(self, request: Request) -> None:
         """Opaque tunnel: logged as an encrypted exchange, never rewritten."""
         request.close = True
         if self._stopped:
             return self._refuse(request, 503, "proxy stopped")
-        target = request.target
-        authority = _connect_authority(target)
+        authority = _connect_authority(request.target)
         if authority is None:
             return self._refuse(request, 400, "malformed CONNECT target")
-        host, port = authority
-        try:
-            async with asyncio.timeout(UPSTREAM_TIMEOUT_S):
-                upstream_reader, upstream_writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            self._log_error(f"connect {target}: {type(exc).__name__}: {exc}")
-            return self._refuse(request, 502, "upstream unreachable")
+        request.client.open_tunnel(authority)
+
+    def _tunnel_opened(self, request: Request, tunnel: asyncio.Transport) -> None:
+        """Log a CONNECT whose origin connection is open, then relay it."""
         exchange_id, flow_id = self._next_ids()
         logged = self._log_exchange(
             HttpExchange(
@@ -876,7 +1232,7 @@ class ProxyService:
                 timestamp=time.time(),
                 flow_id=flow_id,
                 method="CONNECT",
-                url=f"https://{target}",
+                url=f"https://{request.target}",
                 request_headers=(),
                 response_status=200,
                 response_headers=(),
@@ -886,16 +1242,6 @@ class ProxyService:
             [],
         )
         if not logged:
-            upstream_writer.close()
+            tunnel.close()
             return self._refuse(request, 503, "proxy stopped")
-        request.writer.write(b"HTTP/1.1 200 Connection Established\r\n\r\n")
-        downstream = asyncio.ensure_future(_copy(upstream_reader, request.writer))
-        try:
-            await _copy(request.reader, upstream_writer)
-            async with asyncio.timeout(UPSTREAM_TIMEOUT_S):
-                await downstream
-        except TimeoutError:
-            pass
-        finally:
-            downstream.cancel()
-            upstream_writer.close()
+        request.client.pipe(tunnel)

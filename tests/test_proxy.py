@@ -1,4 +1,6 @@
+import contextlib
 import http.client
+import itertools
 import os
 import socket
 import statistics
@@ -196,6 +198,89 @@ def raw_origin():
 
     def make(*replies):
         origins.append(RawOrigin(replies))
+        return origins[-1]
+
+    yield make
+    for origin in origins:
+        origin.close()
+
+
+class TrickleOrigin:
+    """A loopback origin that answers each request head it reads with the
+    next scripted reply, sent in pieces whose sizes cycle through
+    ``pieces``, with a pause after each. With no reply left it keeps the
+    connection open and silent until the proxy closes it.
+
+    A reply is ``(bytes, close)``: with ``close`` set, the connection is
+    closed after it. Counts the connections accepted.
+    """
+
+    def __init__(self, replies, pieces=(1,)):
+        self.replies = list(replies)
+        self.pieces = pieces
+        self.accepted = 0
+        self.conns = []
+        self.closed = threading.Event()
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)
+        self.address = self.sock.getsockname()[:2]
+        self.threads = [threading.Thread(target=self._serve, daemon=True)]
+        self.threads[0].start()
+
+    def _serve(self):
+        while not self.closed.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            self.conns.append(conn)
+            self.threads.append(threading.Thread(target=self._serve_connection, args=(conn,), daemon=True))
+            self.threads[-1].start()
+
+    def _serve_connection(self, conn):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buffered = b""
+        with conn:
+            while True:
+                while b"\r\n\r\n" not in buffered:
+                    try:
+                        chunk = conn.recv(65536)
+                    except OSError:
+                        return
+                    if not chunk:
+                        return
+                    buffered += chunk
+                buffered = buffered.partition(b"\r\n\r\n")[2]
+                if not self.replies:
+                    continue  # read on, answer nothing
+                reply, close = self.replies.pop(0)
+                at = 0
+                for size in itertools.cycle(self.pieces):
+                    if at >= len(reply):
+                        break
+                    conn.sendall(reply[at:at + size])
+                    at += size
+                    time.sleep(0.001)
+                if close:
+                    return
+
+    def close(self):
+        self.closed.set()
+        for conn in self.conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        for thread in self.threads:
+            thread.join(timeout=5)
+        self.sock.close()
+
+
+@pytest.fixture()
+def trickle_origin():
+    origins = []
+
+    def make(*replies, pieces=(1,)):
+        origins.append(TrickleOrigin(replies, pieces))
         return origins[-1]
 
     yield make
@@ -660,6 +745,49 @@ class TestWireBehaviour:
         ]
         assert heads[4] == b"last"
         assert origin.accepted == 1
+        # Content-Length (RFC 7230 3.3.2): none on a 204; the origin's value,
+        # or none, on HEAD and 304; as delivered, and as logged
+        lengths = [split_reply(head)[1].get(b"content-length") for head in heads[:4]]
+        assert lengths == [b"5", None, None, b"4"]
+        logged = [
+            dict((name.lower(), value) for name, value in exchange.response_headers).get("content-length")
+            for exchange in read_exchange_log(service.config.exchange_log_path)
+        ]
+        assert logged == ["5", None, None, "4"]
+
+    @pytest.mark.parametrize("request_head, status", [
+        (b"POST %(url)s HTTP/1.1\r\nExpect: 100-continue\r\nTransfer-Encoding: chunked\r\n\r\n", 411),
+        (b"POST ftp://%(authority)s/ HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\n", 400),
+        (b"POST %(url)s HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: x\r\n\r\n", 400),
+    ], ids=["transfer-encoding", "ftp-target", "bad-content-length"])
+    def test_refused_request_gets_no_interim_continue(
+        self, service, keepalive_origin, request_head, status
+    ):
+        authority = b"%s:%d" % (keepalive_origin.server_address[0].encode(), keepalive_origin.server_address[1])
+        request_head %= {b"url": b"http://" + authority + b"/form", b"authority": authority}
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(request_head)  # and hold the body back, as the client expects
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"100 Continue" not in reply
+        assert keepalive_origin.accepted == 0
+
+    def test_continue_comes_only_before_an_expected_body(self, service, keepalive_origin):
+        url = b"http://%s:%d/form" % (keepalive_origin.server_address[0].encode(), keepalive_origin.server_address[1])
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(b"POST %s HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\n" % url)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(b"a=1")
+            # no body expected: no interim response
+            sock.sendall(b"GET %s HTTP/1.1\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n" % url)
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert reply.count(b"HTTP/1.1 ") == 2
+        assert b"100 Continue" not in reply
+        assert keepalive_origin.posts == 1
 
     def test_upstream_request_bytes(self, service, raw_origin):
         origin = raw_origin(
@@ -783,6 +911,79 @@ class TestUpstreamBodyCap:
             sock.sendall(b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % url)
             reply = read_until_closed(sock)
         assert reply.startswith(b"HTTP/1.1 502 ")
+
+
+class TestIncrementalFraming:
+    """Heads and bodies framed from bytes that arrive a few at a time."""
+
+    @pytest.mark.parametrize("reply, close", [
+        (b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>\r\n\r\n"
+         b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 11\r\n\r\nhello world", False),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"5;ext=1\r\nhello\r\n06\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n", False),
+        (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nhello world", True),
+    ], ids=["content-length", "chunked", "close-delimited"])
+    @pytest.mark.parametrize("pieces", [(1,), (3, 7, 2)], ids=["1-byte", "odd-sized"])
+    def test_response_in_pieces(self, service, trickle_origin, reply, close, pieces):
+        origin = trickle_origin((reply, close), pieces=pieces)
+        assert proxy_get(service, origin.address, "/page") == (200, b"hello world")
+        assert os.path.getsize(service.config.error_log_path) == 0
+        (exchange,) = read_exchange_log(service.config.exchange_log_path)
+        assert exchange.response_body == b"hello world"
+        assert ("Content-Length", "11") in exchange.response_headers
+
+    def test_request_head_byte_by_byte(self, service, origin):
+        request = b"GET http://%s:%d/page HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" % (
+            origin[0].encode(), origin[1]
+        )
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                sock.sendall(request[i:i + 1])
+                time.sleep(0.001)
+            reply = read_until_closed(sock)
+        status, _, body = split_reply(reply)
+        assert (status, body) == (b"HTTP/1.1 200 OK", HTML_PAGE)
+
+    def test_bare_lf_sent_byte_by_byte_is_refused_at_once(self, service, keepalive_origin):
+        request = b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nHost: x\n" % keepalive_origin.server_address[1]
+        with socket.create_connection(service.listen_address, timeout=1) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                sock.sendall(request[i:i + 1])
+                time.sleep(0.001)
+            reply = read_until_closed(sock)  # times out unless the proxy answers and closes
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert keepalive_origin.accepted == 0
+
+
+class TestUpstreamDeadline:
+    def _error_lines(self, service):
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            return fh.readlines()
+
+    def test_silent_origin_gets_502_and_one_error_line(self, service, trickle_origin, monkeypatch):
+        monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
+        origin = trickle_origin()
+        started = time.monotonic()
+        assert proxy_get(service, origin.address, "/silent")[0] == 502
+        assert time.monotonic() - started < 2
+        (line,) = self._error_lines(service)
+        assert "TimeoutError" in line
+        assert origin.accepted == 1
+        assert not service._upstream._idle
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
+    def test_timeout_on_pooled_connection_is_not_retried(self, service, trickle_origin, monkeypatch):
+        monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
+        origin = trickle_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False), pieces=(64,))
+        assert proxy_get(service, origin.address, "/first") == (200, b"ok")
+        assert len(service._upstream._idle) == 1
+        assert proxy_get(service, origin.address, "/second")[0] == 502
+        (line,) = self._error_lines(service)
+        assert "TimeoutError" in line
+        assert origin.accepted == 1
+        assert not service._upstream._idle
 
 
 class TestStop:
@@ -993,6 +1194,28 @@ class TestConnectTunnel:
         log = tunnel_through(service, echo, f"{host}:{port}")
         assert len(log) == 1
         assert log[0].is_encrypted and log[0].response_body == b""
+
+    def test_half_close_passes_a_large_payload_both_ways(self, service):
+        payload = os.urandom(4 * 1024 * 1024)
+        echo = socket.create_server(("127.0.0.1", 0))
+
+        def echo_after_eof():
+            conn, _ = echo.accept()
+            with conn:
+                received = read_until_closed(conn)  # the client's EOF, passed on
+                conn.sendall(received[::-1])
+
+        thread = threading.Thread(target=echo_after_eof, daemon=True)
+        thread.start()
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(b"CONNECT 127.0.0.1:%d HTTP/1.1\r\n\r\n" % echo.getsockname()[1])
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            reply = read_until_closed(sock)  # the origin's close, passed on
+        thread.join(timeout=5)
+        echo.close()
+        assert not thread.is_alive()
+        assert reply == b"HTTP/1.1 200 Connection Established\r\n\r\n" + payload[::-1]
 
     def test_bracketed_ipv6_literal_is_relayed(self, service):
         echo = socket.create_server(("::1", 0), family=socket.AF_INET6)
