@@ -1,3 +1,4 @@
+import asyncio
 import contextlib
 import http.client
 import itertools
@@ -478,6 +479,31 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert keepalive_origin.accepted == 1
+
+    def test_pooled_requests_create_no_task(self, service, keepalive_origin):
+        url = "http://%s:%d/page" % keepalive_origin.server_address
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        tasks = []
+
+        def counting_factory(loop, coro, **kwargs):
+            tasks.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        try:
+            conn.request("GET", url)  # opens the client and upstream connections
+            assert conn.getresponse().read() == PAGE_4K
+            set_factory = threading.Event()
+            service._loop.call_soon_threadsafe(
+                lambda: (service._loop.set_task_factory(counting_factory), set_factory.set())
+            )
+            assert set_factory.wait(timeout=5)
+            for _ in range(5):
+                conn.request("GET", url)
+                assert conn.getresponse().read() == PAGE_4K
+        finally:
+            conn.close()
+        assert keepalive_origin.accepted == 1
+        assert tasks == []
 
     def test_stale_connection_retried_for_get(self, service, keepalive_origin):
         assert proxy_get(service, keepalive_origin.server_address, "/page") == (200, PAGE_4K)
