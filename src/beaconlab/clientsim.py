@@ -17,6 +17,7 @@ import random
 import re
 from bisect import bisect
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -50,7 +51,13 @@ MEASURED_MIME_MIX = {
     "application/octet-stream": 0.04,
 }
 
-_IMG_SRC_RE = re.compile(rb'<img src="(http://[^"]+)"')
+# An image source in a page: group 1 is the URL, up to the closing quote.
+# Group 2 is its host where url_host would slice it from the URL itself:
+# an ASCII run of the characters dnssim._PLAIN_HTTP_HOST takes, ended by
+# "/", "?", "#" or the end of the URL. It is empty for any other URL.
+_IMG_SRC_RE = re.compile(
+    rb'<img src="(http://(?=[^"])(?:([^"/?#@:\[\]\\\t\r\n\x80-\xff]+)(?=[/?#"])[^"]*|[^"]+))"'
+)
 
 
 class ConfigError(ValueError):
@@ -212,16 +219,25 @@ class _ClientState:
         self.lifetimes += 1
 
 
+@lru_cache(maxsize=8)
+def _zone_suffix(zone: str) -> str:
+    return "." + normalize_name(zone)
+
+
 def _beacons(body: bytes, zone: str) -> list[tuple[str, str]]:
     """(url, normalized host) of each attacker-zone image in an HTML body, in order."""
-    suffix = "." + normalize_name(zone)
+    suffix = _zone_suffix(zone)
     beacons = []
-    for match in _IMG_SRC_RE.finditer(body):
-        url = match.group(1).decode("ascii", errors="replace")
-        host = url_host(url)
+    for url, host in _IMG_SRC_RE.findall(body):
+        url = url.decode("ascii", errors="replace")
+        host = normalize_name(host.decode("ascii")) if host else url_host(url)
         if host.endswith(suffix):
             beacons.append((url, host))
     return beacons
+
+
+# FetchRecord(*fields) without the generated __new__'s Python-level call.
+_new_fetch = tuple.__new__
 
 
 def client_process_response(
@@ -239,13 +255,16 @@ def client_process_response(
     resolver's log, fetches in fetch_log. Clients configured to not
     download external objects never reach this point.
     """
+    dns_cache = state.dns_cache
+    object_cache = state.object_cache
+    source = state.source
     for url, host in _beacons(body, zone):
-        if host not in state.dns_cache:
-            resolver.resolve(host, state.source, now)
-            state.dns_cache.add(host)
-        if url not in state.object_cache:
-            fetch_log.append(FetchRecord(timestamp=now, source=state.source, url=url))
-            state.object_cache.add(url)
+        if host not in dns_cache:
+            resolver.resolve(host, source, now)
+            dns_cache.add(host)
+        if url not in object_cache:
+            fetch_log.append(_new_fetch(FetchRecord, (now, source, url)))
+            object_cache.add(url)
 
 
 @dataclass
@@ -410,20 +429,11 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         flow_id = f"fl{exchange_seq:08d}"
         exchange_seq += 1
         if enc:
-            origin = HttpExchange(
-                exchange_id=exchange_id,
-                timestamp=t,
-                flow_id=flow_id,
-                method="CONNECT",
-                url=tunnel_urls[body_rng.randrange(40)],
-                request_headers=(),
-                response_status=200,
-                response_headers=(),
-                response_body=b"",
-                is_encrypted=True,
-                ground_truth_client=state.client_id,
-            )
-            exchanges.append(origin)
+            # positional: the fields in order, exchange_id to ground_truth_client
+            exchanges.append(HttpExchange(
+                exchange_id, t, flow_id, "CONNECT", tunnel_urls[body_rng.randrange(40)],
+                (), 200, (), b"", True, state.client_id,
+            ))
             continue
         if is_home:
             host, url = HOME_HOST, HOME_PAGE_URL
@@ -447,17 +457,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 type_pairs[content_type], length_pair
             )
         origin = HttpExchange(
-            exchange_id=exchange_id,
-            timestamp=t,
-            flow_id=flow_id,
-            method="GET",
-            url=url,
-            request_headers=request_headers,
-            response_status=200,
-            response_headers=response_headers,
-            response_body=body,
-            is_encrypted=False,
-            ground_truth_client=state.client_id,
+            exchange_id, t, flow_id, "GET", url,
+            request_headers, 200, response_headers, body, False, state.client_id,
         )
         delivered, issued = injector.inject(origin)
         exchanges.append(delivered)

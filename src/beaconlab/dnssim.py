@@ -27,6 +27,13 @@ from beaconlab.httplog import CsvLog, LogAppender, finite_time
 _LABEL = r"[a-z0-9_](?:[a-z0-9_-]{0,61}[a-z0-9_])?"
 _LABEL_RE = re.compile(_LABEL)
 
+
+def _in_zone_pattern(zone: str) -> str:
+    """The pattern whose full match is a valid name in ``zone``, a valid
+    normalized name: labels of the _LABEL rule, then the zone. With the
+    MAX_NAME_CHARS limit it says what is_valid_name and in_zone say together."""
+    return rf"(?:{_LABEL}\.)*{re.escape(zone)}"
+
 # Longest valid name in dotted text form (RFC 1035 section 2.3.4).
 MAX_NAME_CHARS = 253
 
@@ -48,6 +55,10 @@ class DnsQueryRecord(NamedTuple):
     name: str
     source: str
     timestamp: float
+
+
+# DnsQueryRecord(*fields) without the generated __new__'s Python-level call.
+_new_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,7 @@ class WildcardResolver:
         self.zone = normalize_name(config.zone)
         self.log = [] if log is None else log
         self._lock = threading.Lock()
+        self._in_zone_name = re.compile(_in_zone_pattern(self.zone))
 
     def in_zone(self, name: str) -> bool:
         return name == self.zone or name.endswith("." + self.zone)
@@ -126,17 +138,16 @@ class WildcardResolver:
         and are logged; invalid and out-of-zone names are not logged.
         """
         normalized = normalize_name(name)
-        if not is_valid_name(normalized):
-            return None
-        if not self.in_zone(normalized):
+        if len(normalized) > MAX_NAME_CHARS or self._in_zone_name.fullmatch(normalized) is None:
             return None
         return self.answer(normalized, source, now)
 
     def answer(self, name: str, source: str, now: float) -> str:
         """Log ``name`` and return the payload address, checking nothing:
         the caller has normalized ``name`` and found it valid and in zone."""
+        record = _new_record(DnsQueryRecord, (name, source, now))
         with self._lock:
-            self.log.append(DnsQueryRecord(name=name, source=source, timestamp=now))
+            self.log.append(record)
         return self.config.payload_address
 
 
@@ -252,10 +263,9 @@ class DnsResponder:
     ):
         self.resolver = WildcardResolver(config, log)
         self.config = config
-        # Valid names in the zone: labels of the _LABEL rule, then the zone,
-        # which ZoneConfig has found valid. Matched on the lowered wire bytes.
-        zone = re.escape(self.resolver.zone.encode("ascii"))
-        self._in_zone_name = re.compile(rb"(?:%s\.)*%s" % (_LABEL.encode("ascii"), zone))
+        # Valid names in the zone, which ZoneConfig has found valid (so
+        # ASCII). Matched on the lowered wire bytes.
+        self._in_zone_name = re.compile(_in_zone_pattern(self.resolver.zone).encode("ascii"))
         # Each reply is the query's ID, one of three fixed header remainders,
         # the question, and for an answer one fixed record (RFC 1035 4.1.1).
         self._refused = build_response(0, b"", RCODE_REFUSED)[2:]

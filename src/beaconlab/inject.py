@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from beaconlab.dnssim import is_valid_name, normalize_name
 from beaconlab.httplog import (
-    CsvLog, Headers, HttpExchange, finite_time, mime_type, read_exchange_log, write_exchange_log
+    CsvLog, Headers, HttpExchange, finite_time, read_exchange_log, write_exchange_log
 )
 
 MARKER_BEGIN = "<!--bx:begin-->"
@@ -25,9 +25,12 @@ DEFAULT_STATIC_LABEL = "pixel"
 OBJECT_NAME = "p.gif"
 
 _BODY_OPEN_RE = re.compile(rb"<body[\s>]", re.IGNORECASE)
-_BODY_CLOSE_RE = re.compile(rb"</body\s*>", re.IGNORECASE)
+# The bytes before the last closing body tag: the greedy run backtracks
+# from the end to the first place the tag follows. Where the block goes.
+_BEFORE_LAST_BODY_CLOSE_RE = re.compile(rb".*(?=</body\s*>)", re.IGNORECASE | re.DOTALL)
+_MARKER_BEGIN_BYTES = MARKER_BEGIN.encode("ascii")
 _STRIP_RE = re.compile(
-    re.escape(MARKER_BEGIN.encode()) + rb".*?" + re.escape(MARKER_END.encode()),
+    re.escape(_MARKER_BEGIN_BYTES) + rb".*?" + re.escape(MARKER_END.encode()),
     re.DOTALL,
 )
 _LABEL_RE = re.compile(r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?")
@@ -44,6 +47,17 @@ class Tag(NamedTuple):
     url: str
     exchange_id: str
     injected_at: float
+
+
+# Tag(*fields) without the generated __new__'s Python-level call.
+_new_tag = tuple.__new__
+
+
+def _image_element(url: str) -> str:
+    return (
+        f'<img src="{url}" width="1" height="1" '
+        f'style="position:absolute;visibility:hidden" alt="">'
+    )
 
 
 class Injector:
@@ -65,6 +79,14 @@ class Injector:
         self.static_url = self.beacon_url(static_label)  # one string shared by every static tag
         self.seed = seed
         self.counter = 0
+        # The beacon block is both image elements between the sentinel
+        # comments. Every block differs only in its dynamic URL, so the
+        # ASCII bytes around that URL are built once ("\n" is in no URL here).
+        block = MARKER_BEGIN + _image_element(self.static_url) + _image_element("\n") + MARKER_END
+        before, _, after = block.partition("\n")
+        self._block_before = before.encode("ascii")
+        self._block_after = after.encode("ascii")
+        self._url_after_label = f".{self.zone}/{OBJECT_NAME}"
 
     def beacon_url(self, label: str) -> str:
         return f"http://{label}.{self.zone}/{OBJECT_NAME}"
@@ -78,23 +100,7 @@ class Injector:
 
     def is_taggable(self, exchange: HttpExchange) -> bool:
         """HTML with a body element, not yet tagged, not opaque or encoded."""
-        if exchange.is_encrypted:
-            return False
-        if mime_type(exchange) != "text/html":
-            return False
-        encoding = exchange.header("content-encoding")
-        if encoding is not None and encoding.strip().lower() not in ("", "identity"):
-            return False
-        body = exchange.response_body
-        if MARKER_BEGIN.encode() in body:
-            return False
-        return _BODY_OPEN_RE.search(body) is not None
-
-    def _image_element(self, url: str) -> str:
-        return (
-            f'<img src="{url}" width="1" height="1" '
-            f'style="position:absolute;visibility:hidden" alt="">'
-        )
+        return _length_fields_if_taggable(exchange) is not None
 
     def inject(self, exchange: HttpExchange) -> tuple[HttpExchange, list[Tag]]:
         """Insert the static and one fresh dynamic beacon before </body>.
@@ -102,45 +108,78 @@ class Injector:
         Non-taggable exchanges pass through byte-identical with no tags.
         Content-Length is updated to the rewritten body length.
         """
-        if not self.is_taggable(exchange):
+        length_fields = _length_fields_if_taggable(exchange)
+        if length_fields is None:
             return exchange, []
         dynamic_label = self.generate_subdomain()
-        static_url = self.static_url
-        dynamic_url = self.beacon_url(dynamic_label)
-        block = (
-            MARKER_BEGIN
-            + self._image_element(static_url)
-            + self._image_element(dynamic_url)
-            + MARKER_END
-        ).encode("ascii")
+        dynamic_url = "http://" + dynamic_label + self._url_after_label
         body = exchange.response_body
-        closes = list(_BODY_CLOSE_RE.finditer(body))
-        if closes:
-            # Before the last closing body tag; malformed pages get the
-            # block appended after the final byte instead.
-            at = closes[-1].start()
-            new_body = body[:at] + block + body[at:]
+        # Before the last closing body tag; malformed pages get the block
+        # appended after the final byte instead.
+        before = _BEFORE_LAST_BODY_CLOSE_RE.match(body)
+        at = len(body) if before is None else before.end()
+        new_body = b"".join((
+            body[:at], self._block_before, dynamic_url.encode("ascii"), self._block_after, body[at:]
+        ))
+        headers = exchange.response_headers
+        if len(length_fields) == 1:  # the usual case: replaced in place
+            i = length_fields[0]
+            headers = headers[:i] + ((headers[i][0], str(len(new_body))),) + headers[i + 1:]
         else:
-            new_body = body + block
+            headers = _set_content_length(headers, len(new_body))
+        exchange_id = exchange.exchange_id
+        timestamp = exchange.timestamp
         rewritten = HttpExchange(
-            exchange_id=exchange.exchange_id,
-            timestamp=exchange.timestamp,
-            flow_id=exchange.flow_id,
-            method=exchange.method,
-            url=exchange.url,
-            request_headers=exchange.request_headers,
-            response_status=exchange.response_status,
-            response_headers=_set_content_length(exchange.response_headers, len(new_body)),
-            response_body=new_body,
-            is_encrypted=exchange.is_encrypted,
-            ground_truth_client=exchange.ground_truth_client,
-            extra=exchange.extra,
+            exchange_id,
+            timestamp,
+            exchange.flow_id,
+            exchange.method,
+            exchange.url,
+            exchange.request_headers,
+            exchange.response_status,
+            headers,
+            new_body,
+            exchange.is_encrypted,
+            exchange.ground_truth_client,
+            exchange.extra,
         )
         tags = [
-            Tag(STATIC, self.static_label, static_url, exchange.exchange_id, exchange.timestamp),
-            Tag(DYNAMIC, dynamic_label, dynamic_url, exchange.exchange_id, exchange.timestamp),
+            _new_tag(Tag, (STATIC, self.static_label, self.static_url, exchange_id, timestamp)),
+            _new_tag(Tag, (DYNAMIC, dynamic_label, dynamic_url, exchange_id, timestamp)),
         ]
         return rewritten, tags
+
+
+def _length_fields_if_taggable(exchange: HttpExchange) -> list[int] | None:
+    """The positions of the Content-Length response fields of a taggable
+    exchange, None for one that is not: it must be plain HTML (the media
+    type mime_type gives, no Content-Encoding but identity) with a body
+    element and no beacon block yet. The walk ends at the first field
+    unless the page is HTML, so most exchanges cost one field."""
+    if exchange.is_encrypted:
+        return None
+    headers = exchange.response_headers
+    for name, value in headers:
+        if name.lower() == "content-type":
+            if value.split(";", 1)[0].strip().lower() != "text/html":
+                return None
+            break
+    else:
+        return None
+    encoding = None
+    length_fields = []
+    for i, (name, value) in enumerate(headers):
+        lowered = name.lower()
+        if lowered == "content-length":
+            length_fields.append(i)
+        elif lowered == "content-encoding" and encoding is None:
+            encoding = value
+    if encoding is not None and encoding.strip().lower() not in ("", "identity"):
+        return None
+    body = exchange.response_body
+    if _MARKER_BEGIN_BYTES in body or _BODY_OPEN_RE.search(body) is None:
+        return None
+    return length_fields
 
 
 def _set_content_length(headers: Headers, length: int) -> Headers:

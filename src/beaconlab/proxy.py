@@ -14,14 +14,16 @@ connections are asyncio Protocols: each frames heads and bodies from its
 own receive buffer as the bytes arrive, and an upstream exchange ends in
 one callback, so a request served on a pooled upstream connection takes
 no task, no stream reader and no future. Heads are split with str
-methods. Request bodies are framed by Content-Length only; responses are
-framed as RFC 7230 3.3.3 frames them.
+methods. Request bodies are framed by Content-Length only, up to
+MAX_REQUEST_BODY_BYTES; responses are framed as RFC 7230 3.3.3 frames them.
 
 Each relayed response leaves in one write on a TCP_NODELAY socket, so a
 keep-alive client never waits out Nagle's algorithm against its own
 delayed ACK (RFC 896, RFC 1122 4.2.3.2). Upstream connections are kept
-alive and reused per origin; a stale reused connection is retried once,
-for idempotent methods only (RFC 7230 6.3.1, RFC 7231 4.2.2).
+alive and reused per origin. A pooled connection the origin closed while
+it was idle is replaced before anything is sent on it, whatever the
+method; a request lost on a reused connection after it was sent is
+retried once, for idempotent methods only (RFC 7230 6.3.1, RFC 7231 4.2.2).
 """
 
 from __future__ import annotations
@@ -82,6 +84,10 @@ MAX_HEAD_BYTES = 65536
 
 # Largest upstream response body relayed, in bytes; a longer one gets 502.
 MAX_UPSTREAM_BODY_BYTES = 16 * 1024 * 1024
+
+# Largest request body relayed, in bytes. A request whose Content-Length
+# names more gets 413 before any of its body is read.
+MAX_REQUEST_BODY_BYTES = 16 * 1024 * 1024
 
 # Deadline of one upstream exchange (connect, request and response), of a
 # tunnel's connect and of a tunnel's last drain, in seconds.
@@ -321,7 +327,7 @@ class _Upstream(asyncio.Protocol):
         self.transport = transport
 
     def exchange(self, client: _Client, message: bytes, method: str) -> None:
-        if self.transport.is_closing():  # the origin closed it while it was idle
+        if self.transport.is_closing():  # the origin closed it as soon as it opened
             client.upstream_failed(ConnectionResetError("remote end closed connection without response"))
             return
         self.client = client
@@ -799,6 +805,10 @@ class _Client(asyncio.Protocol):
             self.body_length = 0
         self.deadline = self._later(self._expire)
         conn = self.service._upstream.take(self.origin)
+        if conn is not None and conn.transport.is_closing():
+            # The origin closed it while it was idle. Nothing was sent on it,
+            # so a request of any method goes on a fresh connection.
+            conn = None
         if conn is None:
             self.reused = False
             self._open(_Upstream, self._exchange_on)
@@ -845,9 +855,10 @@ class _Client(asyncio.Protocol):
             self._crash()
 
     def upstream_failed(self, exc: Exception) -> None:
-        """The upstream exchange failed. A reused connection that the origin
-        had closed is replaced once for an idempotent request (RFC 7230
-        6.3.1); any other failure gets a 502."""
+        """The upstream exchange failed. A request sent on a reused
+        connection that the origin closed before answering is sent again
+        on a fresh one, once, if it is idempotent (RFC 7230 6.3.1); any
+        other failure gets a 502."""
         self.upstream = None
         if (
             self.reused
@@ -1144,6 +1155,11 @@ class ProxyService:
                 f"malformed Content-Length {headers.get_all('Content-Length')!r} for {url}"
             )
             return self._refuse(request, 400, "malformed Content-Length")
+        if length > MAX_REQUEST_BODY_BYTES:
+            self._log_error(
+                f"request body of {length} bytes is over {MAX_REQUEST_BODY_BYTES} bytes for {url}"
+            )
+            return self._refuse(request, 413, "request body too large")
         method = request.method
         # The request line and fields http.client would send for the same call,
         # then every other end-to-end field in arrival order (RFC 7230 3.2.2).

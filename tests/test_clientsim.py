@@ -5,7 +5,11 @@ import tracemalloc
 from contextlib import contextmanager
 from itertools import accumulate
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beaconlab.clientsim import (
     ConfigError,
@@ -24,7 +28,7 @@ from beaconlab.clientsim import (
     read_fetch_log,
 )
 from beaconlab.correlate import build_report, write_report
-from beaconlab.dnssim import WildcardResolver, ZoneConfig
+from beaconlab.dnssim import WildcardResolver, ZoneConfig, normalize_name, url_host
 from beaconlab.httplog import mime_distribution
 from beaconlab.inject import Injector
 
@@ -289,6 +293,61 @@ class TestCachingModel:
             b'<img src="http://abc.feedback.test/p.gif">'
         )
         assert _beacons(body, ZONE) == [("http://abc.feedback.test/p.gif", "abc.feedback.test")]
+
+
+# _beacons as it was before the image pattern sliced plain hosts itself:
+# every URL through url_host.
+_REF_IMG_SRC_RE = re.compile(rb'<img src="(http://[^"]+)"')
+
+
+def _reference_beacons(body, zone):
+    suffix = "." + normalize_name(zone)
+    beacons = []
+    for match in _REF_IMG_SRC_RE.finditer(body):
+        url = match.group(1).decode("ascii", errors="replace")
+        host = url_host(url)
+        if host.endswith(suffix):
+            beacons.append((url, host))
+    return beacons
+
+
+_SRC_PIECES = [
+    b"http://", b"a", b"B", b".", b"feedback.test", b"FEEDBACK.TEST.", b"/p.gif", b"?", b"#", b"@",
+    b":80", b"[", b"]", b"\\", b"\t", b"\n", b"%41", b" ", b"\xc3\xa9", b"\xff", b"\"", b">",
+]
+_src_st = st.lists(st.sampled_from(_SRC_PIECES), max_size=8).map(b"".join)
+_page_st = st.lists(
+    st.builds(lambda src: b'<img src="' + src + b'">', _src_st)
+    | st.sampled_from([b"<img src=", b'<img src="http://', b"<p>", b'"'])
+    | st.binary(max_size=6),
+    max_size=6,
+).map(b"".join)
+
+
+def _outcome(beacons, body, zone):
+    """What ``beacons`` returns, or the type of error it raises (urlsplit
+    refuses some URLs)."""
+    try:
+        return beacons(body, zone)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestBeaconsAgreeWithUrlHost:
+    @settings(max_examples=400)
+    @given(_page_st, st.sampled_from([ZONE, "Feedback.Test.", "test"]))
+    def test_same_urls_and_hosts_as_the_reference(self, body, zone):
+        assert _outcome(_beacons, body, zone) == _outcome(_reference_beacons, body, zone)
+
+    @pytest.mark.parametrize("src", [
+        b"http://A.Feedback.Test./p.gif", b"http://a.feedback.test", b"http://a.feedback.test?x",
+        b"http://u@a.feedback.test/", b"http://a.feedback.test:80/", b"http://[::1]/",
+        b"http://\xc3\xa9.feedback.test/", b"http://a.feedback.test/\xff", b"http:///p.gif",
+        b"http://a.feedback.test\\x/", b"http://a.feedback.test\t/",
+    ])
+    def test_named_sources(self, src):
+        body = b'<img src="' + src + b'">'
+        assert _outcome(_beacons, body, ZONE) == _outcome(_reference_beacons, body, ZONE)
 
 
 class TestScenario:

@@ -79,6 +79,64 @@ class TestResolve:
         assert answered == 200 == len(resolver.log)
 
 
+def _padded(length: int, zone: str = "attacker.test") -> str:
+    """A name in ``zone`` of exactly ``length`` characters, in labels of up
+    to 63 characters."""
+    labels = []
+    room = length - len(zone)
+    while room > 0:
+        size = min(63, room - 1) or 1
+        labels.append("x" * size)
+        room -= size + 1
+    return ".".join(labels + [zone])[-length:]
+
+
+# Labels around every rule of the name check: case, hyphens at either end,
+# underscores, empty labels, 63 and 64 characters, a newline, a non-ASCII
+# letter and "\u212a" (KELVIN SIGN), which lowercases to an ASCII "k".
+_label_st = st.text(st.sampled_from("aZ09-_\u212aé\n"), max_size=6) | st.sampled_from(
+    ["", "-a", "a-", "_", "x" * 63, "x" * 64, "attacker", "test", "ATTACKER"]
+)
+_name_st = st.builds(
+    lambda labels, zone, end: ".".join(labels + zone) + end,
+    st.lists(_label_st, max_size=4),
+    st.sampled_from([[], ["attacker", "test"], ["Attacker", "TEST"], ["test"], ["xattacker", "test"]]),
+    st.sampled_from(["", ".", "..", "\n", ".\n"]),
+) | st.sampled_from([_padded(n) for n in (252, 253, 254)] + [_padded(253).upper() + "."])
+
+
+class TestResolveOnePatternCheck:
+    """resolve answers exactly the names that are valid and in the zone
+    once normalized, and logs exactly those."""
+
+    def _check(self, name):
+        resolver = WildcardResolver(CONFIG)
+        normalized = normalize_name(name)
+        expected = is_valid_name(normalized) and resolver.in_zone(normalized)
+        answer = resolver.resolve(name, "src", 1.0)
+        assert answer == (CONFIG.payload_address if expected else None)
+        assert resolver.log == ([DnsQueryRecord(normalized, "src", 1.0)] if expected else [])
+
+    @pytest.mark.parametrize("name", [
+        "attacker.test", "ATTACKER.test.", "attacker.test\n", "a.attacker.test\n", "\u212a.attacker.test",
+        _padded(253), _padded(254), _padded(253) + ".", "x" * 63 + ".attacker.test",
+        "x" * 64 + ".attacker.test", "-a.attacker.test", "a-.attacker.test", "_a_.attacker.test",
+        "a..attacker.test", ".attacker.test", "", ".", "notattacker.test",
+    ])
+    def test_edges(self, name):
+        self._check(name)
+
+    @settings(max_examples=300)
+    @given(_name_st)
+    def test_agrees_with_the_label_and_zone_checks(self, name):
+        self._check(name)
+
+    def test_lengths_of_the_padded_names(self):
+        assert [len(_padded(n)) for n in (252, 253, 254)] == [252, 253, 254]
+        assert is_valid_name(_padded(253)) and not is_valid_name(_padded(254))
+        assert WildcardResolver(CONFIG).resolve(_padded(253), "src", 1.0) is not None
+
+
 class TestQueryLog:
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "dns.csv")

@@ -1,6 +1,7 @@
 import base64
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconlab.httplog import (
+    _NO_EXTRA,
     ExchangeView,
     HttpExchange,
     LogFormatError,
@@ -25,7 +27,7 @@ from beaconlab.httplog import (
     view_from_json,
     write_exchange_log,
 )
-from beaconlab import correlate
+from beaconlab import correlate, httplog
 from beaconlab.clientsim import FETCH_LOG, FetchRecord, read_fetch_log
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, read_query_log
 from beaconlab.inject import TAG_LOG, Tag, read_tag_labels
@@ -135,6 +137,92 @@ class TestSlottedExchange:
             '"text/plain"]],"response_body":"b2s=","is_encrypted":false,"note":"é","n":[1,null]}'
         )
         assert exchange_to_json(_bare_exchange(extra={})) == exchange_to_json(_bare_exchange())
+
+
+_REQUIRED_FIELDS = (
+    "x1", 0.0, "f1", "GET", "http://example.test/", (("Host", "example.test"),), 200,
+    (("Content-Type", "text/plain"),), b"ok",
+)
+
+
+class TestHandWrittenInit:
+    def test_parameters_are_the_fields_in_order_with_their_defaults(self):
+        parameters = list(inspect.signature(HttpExchange).parameters.values())
+        fields = dataclasses.fields(HttpExchange)
+        assert [p.name for p in parameters] == [f.name for f in fields]
+        for parameter, field in zip(parameters, fields):
+            assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if field.default_factory is not dataclasses.MISSING:
+                assert parameter.default is field.default_factory() is _NO_EXTRA
+            elif field.default is dataclasses.MISSING:
+                assert parameter.default is inspect.Parameter.empty
+            else:
+                assert parameter.default is field.default
+        assert HttpExchange(*_REQUIRED_FIELDS).extra is _NO_EXTRA
+
+    def test_by_position_equals_by_keyword(self):
+        by_position = HttpExchange(*_REQUIRED_FIELDS, False, "c1", {"n": 1})
+        assert by_position == _bare_exchange(ground_truth_client="c1", extra={"n": 1})
+        assert [getattr(by_position, f.name) for f in dataclasses.fields(HttpExchange)] == [
+            *_REQUIRED_FIELDS, False, "c1", {"n": 1}
+        ]
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HttpExchange)])
+    def test_frozen(self, name):
+        exchange = _bare_exchange()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(exchange, name, "changed")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(exchange, name)
+        assert exchange == _bare_exchange()
+        assert not hasattr(exchange, "__dict__")
+
+    def test_replace_and_equality(self):
+        exchange = _bare_exchange(ground_truth_client="c1")
+        changed = dataclasses.replace(exchange, url="http://other.test/", extra={"n": 1})
+        assert changed.url == "http://other.test/" and changed.extra == {"n": 1}
+        assert changed.ground_truth_client == "c1" and changed.response_body == b"ok"
+        assert changed != exchange
+        assert dataclasses.replace(changed, url=exchange.url, extra={}) == exchange
+        assert dataclasses.replace(exchange) == exchange
+        with pytest.raises(TypeError):
+            dataclasses.replace(exchange, not_a_field=1)
+        with pytest.raises(ValueError, match="encrypted exchanges carry no body"):
+            dataclasses.replace(exchange, is_encrypted=True)
+
+    def test_encrypted_record_with_a_body_is_refused(self):
+        with pytest.raises(ValueError, match="encrypted exchanges carry no body"):
+            HttpExchange(*_REQUIRED_FIELDS, True)
+        with pytest.raises(ValueError, match="encrypted exchanges carry no body"):
+            _bare_exchange(is_encrypted=True)
+        assert HttpExchange(*_REQUIRED_FIELDS[:-1], b"", True).is_encrypted
+        assert _bare_exchange(response_body=b"", is_encrypted=True).is_encrypted
+
+    def test_missing_or_unknown_arguments_are_refused(self):
+        with pytest.raises(TypeError):
+            HttpExchange(*_REQUIRED_FIELDS[:-1])
+        with pytest.raises(TypeError):
+            _bare_exchange(not_a_field=1)
+        with pytest.raises(TypeError):
+            HttpExchange(*_REQUIRED_FIELDS, False, None, _NO_EXTRA, "one too many")
+
+
+class TestHeaderPairMemo:
+    def test_equal_pairs_of_other_types_keep_their_own_text(self):
+        pairs = [("n", "1"), ("n", 1), ("n", 1.0), ("n", True), ("n", HTTPStatus.OK), ["n", "1"]]
+        for _ in range(2):  # the second round reads whatever the first one left
+            for pair in pairs:
+                exchange = _bare_exchange(response_headers=(pair,))
+                assert exchange_to_json(exchange) == encoder_line(exchange)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(httplog, "_pair_json", {})
+        monkeypatch.setattr(httplog, "_PAIR_JSON_SIZE", 8)
+        headers = tuple((f"X-{i}", str(i)) for i in range(20))
+        exchange = _bare_exchange(request_headers=headers)
+        assert exchange_to_json(exchange) == encoder_line(exchange)
+        assert 0 < len(httplog._pair_json) <= 8
+        assert exchange_to_json(exchange) == encoder_line(exchange)
 
 
 class TestMimeDistribution:

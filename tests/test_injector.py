@@ -1,13 +1,18 @@
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beaconlab.httplog import HttpExchange
+from beaconlab.httplog import HttpExchange, mime_type
 from beaconlab.inject import (
     DYNAMIC,
+    MARKER_BEGIN,
+    MARKER_END,
     STATIC,
+    Tag,
     Injector,
     read_tag_log,
     rewrite_log,
@@ -222,3 +227,126 @@ class TestTagLogAndRewrite:
         rewritten = read_exchange_log(out_path)
         assert b"<img " in rewritten[0].response_body
         assert rewritten[1].response_body == b"x"
+
+
+# Injector.inject as it was when it built the whole block on every call:
+# the reference for the block built once.
+_REF_BODY_OPEN_RE = re.compile(rb"<body[\s>]", re.IGNORECASE)
+_REF_BODY_CLOSE_RE = re.compile(rb"</body\s*>", re.IGNORECASE)
+
+
+def _reference_image_element(url):
+    return (
+        f'<img src="{url}" width="1" height="1" '
+        f'style="position:absolute;visibility:hidden" alt="">'
+    )
+
+
+def _reference_taggable(exchange):
+    if exchange.is_encrypted or mime_type(exchange) != "text/html":
+        return False
+    encoding = exchange.header("content-encoding")
+    if encoding is not None and encoding.strip().lower() not in ("", "identity"):
+        return False
+    body = exchange.response_body
+    return MARKER_BEGIN.encode() not in body and _REF_BODY_OPEN_RE.search(body) is not None
+
+
+def _reference_set_content_length(headers, length):
+    out = []
+    replaced = False
+    for pair in headers:
+        if pair[0].lower() == "content-length":
+            if not replaced:
+                out.append((pair[0], str(length)))
+                replaced = True
+        else:
+            out.append(pair)
+    if not replaced:
+        out.append(("Content-Length", str(length)))
+    return tuple(out)
+
+
+def _reference_inject(injector, exchange):
+    if not _reference_taggable(exchange):
+        return exchange, []
+    dynamic_label = injector.generate_subdomain()
+    static_url = injector.beacon_url(injector.static_label)
+    dynamic_url = injector.beacon_url(dynamic_label)
+    block = (
+        MARKER_BEGIN
+        + _reference_image_element(static_url)
+        + _reference_image_element(dynamic_url)
+        + MARKER_END
+    ).encode("ascii")
+    body = exchange.response_body
+    closes = list(_REF_BODY_CLOSE_RE.finditer(body))
+    if closes:
+        at = closes[-1].start()
+        new_body = body[:at] + block + body[at:]
+    else:
+        new_body = body + block
+    rewritten = dataclasses.replace(
+        exchange,
+        response_headers=_reference_set_content_length(exchange.response_headers, len(new_body)),
+        response_body=new_body,
+    )
+    tags = [
+        Tag(STATIC, injector.static_label, static_url, exchange.exchange_id, exchange.timestamp),
+        Tag(DYNAMIC, dynamic_label, dynamic_url, exchange.exchange_id, exchange.timestamp),
+    ]
+    return rewritten, tags
+
+
+_BODY_PIECES = [
+    b"<html>", b"<body>", b"<BODY class=x>", b"<body\t>", b"<bodyx>", b"</body>", b"</BODY >",
+    b"</Body\r\n\t>", b"</body", b"</bodyx>", b"</ body>", b"<p>text</p>", b"\xff\x00", b"<", b">",
+    MARKER_BEGIN.encode(), MARKER_END.encode(), b"<!--bx:", b"</html>",
+]
+_body_st = st.lists(st.sampled_from(_BODY_PIECES) | st.binary(max_size=8), max_size=12).map(b"".join)
+_field_st = st.sampled_from([
+    ("Content-Type", "text/html"), ("content-type", "TEXT/HTML; charset=utf-8"),
+    ("Content-Type", " text/html ;x"), ("Content-Type", "text/plain"), ("Content-Type", ""),
+    ("Content-Length", "1"), ("CONTENT-LENGTH", "99"), ("content-length", ""),
+    ("Content-Encoding", "gzip"), ("Content-Encoding", " Identity "), ("content-encoding", ""),
+    ("X-Other", "text/html"),
+])
+
+
+class TestBlockBuiltOnce:
+    @settings(max_examples=400)
+    @given(
+        _body_st,
+        st.lists(_field_st, max_size=6).map(tuple),
+        st.sampled_from(["tracker.test", "Tracker.TEST."]),
+        st.sampled_from(["pixel", "p-1"]),
+        st.integers(0, 3),
+    )
+    def test_same_body_headers_and_tags_as_the_reference(self, body, headers, zone, label, seed):
+        injector = Injector(zone=zone, static_label=label, seed=seed)
+        reference = Injector(zone=zone, static_label=label, seed=seed)
+        exchange = HttpExchange(
+            "x7", 2.5, "f7", "GET", "http://o.test/", (), 200, headers, body, False, "c1"
+        )
+        for _ in range(2):  # the second pass meets the block of the first
+            rewritten, tags = injector.inject(exchange)
+            expected, expected_tags = _reference_inject(reference, exchange)
+            assert rewritten == expected
+            assert rewritten.response_headers == expected.response_headers
+            assert tags == expected_tags
+            assert injector.counter == reference.counter
+            assert injector.is_taggable(exchange) == _reference_taggable(exchange)
+            exchange = rewritten
+
+    def test_cases_named(self):
+        injector, reference = fresh_injector(), fresh_injector()
+        html = (("Content-Type", "text/html"),)
+        for body, headers in [
+            (b"<html><BODY>a</BODY >b</body>c</html>", html + (("Content-Length", "1"),)),
+            (b"<body>no close tag", html),
+            (b"<p>no body element</p></body>", html),
+            (b"<body>x</body>", html + (("Content-Length", "1"), ("X", "y"), ("content-length", "2"))),
+        ]:
+            exchange = make_exchange(b"", headers=())
+            exchange = dataclasses.replace(exchange, response_headers=headers, response_body=body)
+            assert injector.inject(exchange) == _reference_inject(reference, exchange)

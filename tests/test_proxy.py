@@ -513,19 +513,39 @@ class TestKeepAlive:
         assert os.path.getsize(service.config.error_log_path) == 0
 
     def test_stale_connection_not_retried_for_post(self, service, keepalive_origin):
+        # Nothing is sent on a pooled connection the origin has closed, so
+        # the POST goes once, on a fresh connection.
         assert proxy_get(service, keepalive_origin.server_address, "/page")[0] == 200
         close_idle_origin_connections(keepalive_origin)
         host, port = service.listen_address
         conn = http.client.HTTPConnection(host, port, timeout=5)
         conn.request("POST", "http://%s:%d/form" % keepalive_origin.server_address, body=b"a=1")
         response = conn.getresponse()
+        assert response.read() == PAGE_4K
+        conn.close()
+        assert response.status == 200
+        assert keepalive_origin.posts == 1
+        assert keepalive_origin.accepted == 2
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_post_lost_after_it_was_sent_is_not_resent(self, service, trickle_origin):
+        # The origin reads the POST on the pooled connection and closes it
+        # unanswered; the third reply would answer a second attempt.
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        origin = trickle_origin((ok, False), (b"", True), (ok, False), pieces=(64,))
+        assert proxy_get(service, origin.address, "/first") == (200, b"ok")
+        host, port = service.listen_address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        conn.request("POST", "http://%s:%d/form" % origin.address, body=b"a=1")
+        response = conn.getresponse()
         response.read()
         conn.close()
         assert response.status == 502
-        assert keepalive_origin.posts == 0
-        assert keepalive_origin.accepted == 1
+        assert origin.accepted == 1
+        assert len(origin.replies) == 1
         with open(service.config.error_log_path, encoding="utf-8") as fh:
-            assert len(fh.readlines()) == 1
+            (line,) = fh.readlines()
+        assert "ConnectionResetError" in line
 
     def test_stop_closes_pooled_connections(self, service, keepalive_origin):
         assert proxy_get(service, keepalive_origin.server_address, "/page")[0] == 200
@@ -937,6 +957,40 @@ class TestUpstreamBodyCap:
             sock.sendall(b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % url)
             reply = read_until_closed(sock)
         assert reply.startswith(b"HTTP/1.1 502 ")
+
+
+class TestRequestBodyCap:
+    def test_body_at_the_cap_is_relayed(self, service, raw_origin, monkeypatch):
+        monkeypatch.setattr(proxy, "MAX_REQUEST_BODY_BYTES", CAP)
+        origin = raw_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False))
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        conn.request("POST", origin.url("/form"), body=b"p" * CAP)
+        response = conn.getresponse()
+        assert (response.status, response.read()) == (200, b"ok")
+        conn.close()
+        (request,) = origin.requests
+        assert request.endswith(b"\r\n\r\n" + b"p" * CAP)
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_body_over_the_cap_gets_413_before_it_is_read(self, service, monkeypatch):
+        monkeypatch.setattr(proxy, "MAX_REQUEST_BODY_BYTES", CAP)
+        with socket.create_server(("127.0.0.1", 0)) as origin:
+            url = b"http://127.0.0.1:%d/form" % origin.getsockname()[1]
+            # the head alone: the refusal may not wait for the body, nor ask for it
+            head = b"POST %s HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+            with socket.create_connection(service.listen_address, timeout=2) as sock:
+                sock.sendall(head % (url, CAP + 1))
+                reply = read_until_closed(sock)
+            origin.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                origin.accept()  # the origin never saw a connection
+        status, headers, _ = split_reply(reply)
+        assert status.startswith(b"HTTP/1.1 413 ")
+        assert headers[b"connection"] == b"close"
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        assert f"request body of {CAP + 1} bytes is over {CAP} bytes" in line
+        assert read_exchange_log(service.config.exchange_log_path) == []
 
 
 class TestIncrementalFraming:
