@@ -27,6 +27,9 @@ from beaconlab.httplog import CsvLog, LogAppender, finite_time
 _LABEL = r"[a-z0-9_](?:[a-z0-9_-]{0,61}[a-z0-9_])?"
 _LABEL_RE = re.compile(_LABEL)
 
+# Longest valid name in dotted text form (RFC 1035 section 2.3.4).
+MAX_NAME_CHARS = 253
+
 
 def _in_zone_pattern(zone: str) -> str:
     """The pattern whose full match is a valid name in ``zone``, a valid
@@ -34,8 +37,6 @@ def _in_zone_pattern(zone: str) -> str:
     MAX_NAME_CHARS limit it says what is_valid_name and in_zone say together."""
     return rf"(?:{_LABEL}\.)*{re.escape(zone)}"
 
-# Longest valid name in dotted text form (RFC 1035 section 2.3.4).
-MAX_NAME_CHARS = 253
 
 QTYPE_A = 1
 QCLASS_IN = 1

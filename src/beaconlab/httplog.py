@@ -21,8 +21,8 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import islice
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
 from typing import IO, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar

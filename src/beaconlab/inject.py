@@ -25,9 +25,8 @@ DEFAULT_STATIC_LABEL = "pixel"
 OBJECT_NAME = "p.gif"
 
 _BODY_OPEN_RE = re.compile(rb"<body[\s>]", re.IGNORECASE)
-# The bytes before the last closing body tag: the greedy run backtracks
-# from the end to the first place the tag follows. Where the block goes.
-_BEFORE_LAST_BODY_CLOSE_RE = re.compile(rb".*(?=</body\s*>)", re.IGNORECASE | re.DOTALL)
+# A closing body tag in a lowercased body.
+_BODY_CLOSE_RE = re.compile(rb"</body\s*>")
 _MARKER_BEGIN_BYTES = MARKER_BEGIN.encode("ascii")
 _STRIP_RE = re.compile(
     re.escape(_MARKER_BEGIN_BYTES) + rb".*?" + re.escape(MARKER_END.encode()),
@@ -75,6 +74,7 @@ class Injector:
         self.zone = normalize_name(zone)
         if not is_valid_name(self.zone):
             raise ValueError(f"invalid zone: {zone!r}")
+        self._url_after_label = f".{self.zone}/{OBJECT_NAME}"
         self.static_label = static_label
         self.static_url = self.beacon_url(static_label)  # one string shared by every static tag
         self.seed = seed
@@ -86,10 +86,9 @@ class Injector:
         before, _, after = block.partition("\n")
         self._block_before = before.encode("ascii")
         self._block_after = after.encode("ascii")
-        self._url_after_label = f".{self.zone}/{OBJECT_NAME}"
 
     def beacon_url(self, label: str) -> str:
-        return f"http://{label}.{self.zone}/{OBJECT_NAME}"
+        return "http://" + label + self._url_after_label
 
     def generate_subdomain(self) -> str:
         """Next unique dynamic label: lowercase alphanumeric, <= 32 chars."""
@@ -112,21 +111,17 @@ class Injector:
         if length_fields is None:
             return exchange, []
         dynamic_label = self.generate_subdomain()
-        dynamic_url = "http://" + dynamic_label + self._url_after_label
+        dynamic_url = self.beacon_url(dynamic_label)
         body = exchange.response_body
         # Before the last closing body tag; malformed pages get the block
         # appended after the final byte instead.
-        before = _BEFORE_LAST_BODY_CLOSE_RE.match(body)
-        at = len(body) if before is None else before.end()
+        at = _last_body_close(body)
+        if at < 0:
+            at = len(body)
         new_body = b"".join((
             body[:at], self._block_before, dynamic_url.encode("ascii"), self._block_after, body[at:]
         ))
-        headers = exchange.response_headers
-        if len(length_fields) == 1:  # the usual case: replaced in place
-            i = length_fields[0]
-            headers = headers[:i] + ((headers[i][0], str(len(new_body))),) + headers[i + 1:]
-        else:
-            headers = _set_content_length(headers, len(new_body))
+        headers = _with_content_length(exchange.response_headers, length_fields, len(new_body))
         exchange_id = exchange.exchange_id
         timestamp = exchange.timestamp
         rewritten = HttpExchange(
@@ -154,8 +149,8 @@ def _length_fields_if_taggable(exchange: HttpExchange) -> list[int] | None:
     """The positions of the Content-Length response fields of a taggable
     exchange, None for one that is not: it must be plain HTML (the media
     type mime_type gives, no Content-Encoding but identity) with a body
-    element and no beacon block yet. The walk ends at the first field
-    unless the page is HTML, so most exchanges cost one field."""
+    element and no beacon block yet. The first walk stops at the first
+    Content-Type, and only HTML gets the second."""
     if exchange.is_encrypted:
         return None
     headers = exchange.response_headers
@@ -182,19 +177,31 @@ def _length_fields_if_taggable(exchange: HttpExchange) -> list[int] | None:
     return length_fields
 
 
-def _set_content_length(headers: Headers, length: int) -> Headers:
-    out = []
-    replaced = False
-    for pair in headers:
-        if pair[0].lower() == "content-length":
-            if not replaced:
-                out.append((pair[0], str(length)))
-                replaced = True
-            # duplicate Content-Length headers are dropped
-        else:
-            out.append(pair)  # the same object, so a pair the caller shares stays shared
-    if not replaced:
-        out.append(("Content-Length", str(length)))
+def _last_body_close(body: bytes) -> int:
+    """Where the last closing body tag (any case) starts, -1 if there is none.
+
+    Usually the last "</body" is the tag; only when it is not are the
+    bytes before it searched, all in one scan."""
+    lowered = body.lower()
+    at = lowered.rfind(b"</body")
+    if at >= 0 and _BODY_CLOSE_RE.match(lowered, at) is None:
+        closes = list(_BODY_CLOSE_RE.finditer(lowered, 0, at))
+        at = closes[-1].start() if closes else -1
+    return at
+
+
+def _with_content_length(headers: Headers, length_fields: list[int], length: int) -> Headers:
+    """``headers`` with the first of the Content-Length fields at
+    ``length_fields`` set to ``length`` and the others dropped, or with one
+    appended if there is none. Every other pair is the same object, so a
+    pair the caller shares stays shared."""
+    if not length_fields:
+        return headers + (("Content-Length", str(length)),)
+    first, *duplicates = length_fields
+    out = list(headers)
+    out[first] = (headers[first][0], str(length))
+    for i in reversed(duplicates):
+        del out[i]
     return tuple(out)
 
 

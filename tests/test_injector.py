@@ -344,6 +344,7 @@ class TestBlockBuiltOnce:
         for body, headers in [
             (b"<html><BODY>a</BODY >b</body>c</html>", html + (("Content-Length", "1"),)),
             (b"<body>no close tag", html),
+            (b"<body>a</BODY>b</body\n>c</bodyx></body", html),  # the last "</body" is no tag
             (b"<p>no body element</p></body>", html),
             (b"<body>x</body>", html + (("Content-Length", "1"), ("X", "y"), ("content-length", "2"))),
         ]:
