@@ -22,7 +22,6 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
 from typing import IO, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -289,33 +288,33 @@ def _json_value(value) -> str:
     return _dumps(value)
 
 
-# The JSON text of recently written header pairs of two exact strs, by
-# pair: a log repeats a few hundred Host, User-Agent, Content-Type and
-# Content-Length pairs. Emptied when it holds _PAIR_JSON_SIZE pairs, so it
-# never grows with the log.
-_pair_json: dict[tuple[str, str], str] = {}
+# The most header pairs whose JSON text one exchange-log write keeps: a log
+# repeats a few thousand Host, User-Agent, Content-Type and Content-Length
+# pairs. The table is emptied when full, so it never grows with the log.
 _PAIR_JSON_SIZE = 4096
 
 
-def _new_pair_json(pair) -> str:
+def _new_pair_json(pair, pair_json: dict[tuple[str, str], str]) -> str:
     name, value = pair
     text = f"[{_json_value(name)},{_json_value(value)}]"
     # only exact strs: an equal pair of other types may encode otherwise (1 == 1.0)
     if type(name) is str and type(value) is str:
-        if len(_pair_json) >= _PAIR_JSON_SIZE:
-            _pair_json.clear()
-        _pair_json[name, value] = text
+        if len(pair_json) >= _PAIR_JSON_SIZE:
+            pair_json.clear()
+        pair_json[name, value] = text
     return text
 
 
-def _headers_json(headers: Headers) -> str:
+def _headers_json(headers: Headers, pair_json: dict[tuple[str, str], str]) -> str:
+    """The JSON list of ``headers``, each pair's text taken from ``pair_json``
+    when it holds the pair, and kept there when it is new."""
     texts = []
     for pair in headers:
         try:
-            text = _pair_json.get(pair)
+            text = pair_json.get(pair)
         except TypeError:  # an unhashable pair
             text = None
-        texts.append(text or _new_pair_json(pair))
+        texts.append(text or _new_pair_json(pair, pair_json))
     return "[" + ",".join(texts) + "]"
 
 
@@ -327,6 +326,12 @@ def exchange_to_json(exchange: HttpExchange) -> str:
     The body's base64 text is written as it is; base64 has no character
     JSON escapes.
     """
+    return _exchange_line(exchange, {})
+
+
+def _exchange_line(exchange: HttpExchange, pair_json: dict[tuple[str, str], str]) -> str:
+    """exchange_to_json's line, with the header pairs encoded in ``pair_json``
+    reused: one table serves a whole write."""
     body = exchange.response_body
     body_text = binascii.b2a_base64(body, newline=False).decode("ascii") if body else ""
     line = (
@@ -336,9 +341,9 @@ def exchange_to_json(exchange: HttpExchange) -> str:
         f',"ground_truth_client":{_json_value(exchange.ground_truth_client)}'
         f',"method":{_json_value(exchange.method)}'
         f',"url":{_json_value(exchange.url)}'
-        f',"request_headers":{_headers_json(exchange.request_headers)}'
+        f',"request_headers":{_headers_json(exchange.request_headers, pair_json)}'
         f',"response_status":{_json_value(exchange.response_status)}'
-        f',"response_headers":{_headers_json(exchange.response_headers)}'
+        f',"response_headers":{_headers_json(exchange.response_headers, pair_json)}'
         f',"response_body":"{body_text}"'
         f',"is_encrypted":{_json_value(exchange.is_encrypted)}'
     )
@@ -458,9 +463,16 @@ _LINES_PER_WRITE = 256
 
 
 def _write_exchanges(fh: IO[str], exchanges: Iterable[HttpExchange]) -> None:
-    records = iter(exchanges)
-    while lines := [exchange_to_json(exchange) for exchange in islice(records, _LINES_PER_WRITE)]:
-        lines.append("")  # so the last line ends in a newline too
+    pair_json: dict[tuple[str, str], str] = {}
+    lines = []
+    for exchange in exchanges:
+        lines.append(_exchange_line(exchange, pair_json))
+        if len(lines) == _LINES_PER_WRITE:
+            lines.append("")  # so the last line ends in a newline too
+            fh.write("\n".join(lines))
+            lines = []
+    if lines:
+        lines.append("")
         fh.write("\n".join(lines))
 
 

@@ -207,22 +207,34 @@ class TestHandWrittenInit:
             HttpExchange(*_REQUIRED_FIELDS, False, None, _NO_EXTRA, "one too many")
 
 
-class TestHeaderPairMemo:
-    def test_equal_pairs_of_other_types_keep_their_own_text(self):
+class TestHeaderPairTable:
+    def test_equal_pairs_of_other_types_keep_their_own_text(self, tmp_path):
         pairs = [("n", "1"), ("n", 1), ("n", 1.0), ("n", True), ("n", HTTPStatus.OK), ["n", "1"]]
-        for _ in range(2):  # the second round reads whatever the first one left
-            for pair in pairs:
-                exchange = _bare_exchange(response_headers=(pair,))
-                assert exchange_to_json(exchange) == encoder_line(exchange)
+        # twice over, so each pair meets whatever the others left in the table
+        exchanges = [_bare_exchange(response_headers=(pair,)) for pair in pairs * 2]
+        path = str(tmp_path / "log.jsonl")
+        write_exchange_log(exchanges, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read().splitlines() == [encoder_line(exchange) for exchange in exchanges]
 
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(httplog, "_pair_json", {})
+    def test_table_is_bounded(self, monkeypatch):
         monkeypatch.setattr(httplog, "_PAIR_JSON_SIZE", 8)
         headers = tuple((f"X-{i}", str(i)) for i in range(20))
-        exchange = _bare_exchange(request_headers=headers)
-        assert exchange_to_json(exchange) == encoder_line(exchange)
-        assert 0 < len(httplog._pair_json) <= 8
-        assert exchange_to_json(exchange) == encoder_line(exchange)
+        expected = json.dumps([list(pair) for pair in headers], separators=(",", ":"))
+        pair_json: dict = {}
+        assert httplog._headers_json(headers, pair_json) == expected
+        assert 0 < len(pair_json) <= 8
+        assert httplog._headers_json(headers, pair_json) == expected
+
+    def test_long_log_written_in_batches(self, tmp_path):
+        exchanges = [
+            _bare_exchange(exchange_id=f"x{i}", request_headers=(("User-Agent", f"ua{i % 7}"),))
+            for i in range(3 * httplog._LINES_PER_WRITE + 5)
+        ]
+        path = str(tmp_path / "log.jsonl")
+        write_exchange_log(exchanges, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == "".join(exchange_to_json(e) + "\n" for e in exchanges)
 
 
 class TestMimeDistribution:
