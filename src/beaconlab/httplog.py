@@ -22,6 +22,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import IO, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -462,8 +463,10 @@ def read_exchange_views(path: str) -> list[ExchangeView]:
 _LINES_PER_WRITE = 256
 
 
-def _write_exchanges(fh: IO[str], exchanges: Iterable[HttpExchange]) -> None:
-    pair_json: dict[tuple[str, str], str] = {}
+def _write_exchanges(
+    fh: IO[str], exchanges: Iterable[HttpExchange], pair_json: dict[tuple[str, str], str]
+) -> None:
+    """One line per exchange, the header pairs encoded through ``pair_json``."""
     lines = []
     for exchange in exchanges:
         lines.append(_exchange_line(exchange, pair_json))
@@ -478,7 +481,7 @@ def _write_exchanges(fh: IO[str], exchanges: Iterable[HttpExchange]) -> None:
 
 def write_exchange_log(exchanges: Iterable[HttpExchange], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_exchanges(fh, exchanges)
+        _write_exchanges(fh, exchanges, {})
 
 
 def write_json(obj, path: str) -> None:
@@ -552,7 +555,9 @@ class LogAppender(Generic[T]):
 
 
 def exchange_log_appender(path: str) -> LogAppender[HttpExchange]:
-    return LogAppender(path, _write_exchanges)
+    """An appender of exchange lines that keeps one header-pair table for
+    its life, as a live log appends one exchange per call."""
+    return LogAppender(path, partial(_write_exchanges, pair_json={}))
 
 
 class CsvLog(Generic[T]):

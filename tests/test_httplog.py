@@ -216,6 +216,14 @@ class TestHeaderPairTable:
         write_exchange_log(exchanges, path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read().splitlines() == [encoder_line(exchange) for exchange in exchanges]
+        # an appender keeps its table from one append to the next
+        appended = str(tmp_path / "appended.jsonl")
+        appender = httplog.exchange_log_appender(appended)
+        for exchange in exchanges:
+            appender.append(exchange)
+        appender.close()
+        with open(appended, encoding="utf-8") as fh, open(path, encoding="utf-8") as written:
+            assert fh.read() == written.read()
 
     def test_table_is_bounded(self, monkeypatch):
         monkeypatch.setattr(httplog, "_PAIR_JSON_SIZE", 8)
