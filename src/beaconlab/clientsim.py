@@ -185,10 +185,14 @@ class FetchRecord(NamedTuple):
     url: str
 
 
+# FetchRecord(*fields) without the generated __new__'s Python-level call.
+_new_fetch = tuple.__new__
+
+
 def _fetch_from_row(row: list[str]) -> FetchRecord:
     timestamp = finite_time(row[0])
     url_host(row[2])  # a URL urlsplit rejects fails the read at its line
-    return FetchRecord(timestamp, row[1], row[2])
+    return _new_fetch(FetchRecord, (timestamp, row[1], row[2]))
 
 
 # fetches.csv: beacon-object hits at the payload server.
@@ -234,10 +238,6 @@ def _beacons(body: bytes, zone: str) -> list[tuple[str, str]]:
         if host.endswith(suffix):
             beacons.append((url, host))
     return beacons
-
-
-# FetchRecord(*fields) without the generated __new__'s Python-level call.
-_new_fetch = tuple.__new__
 
 
 def client_process_response(

@@ -119,13 +119,6 @@ class CorrelationReport:
         }
 
 
-def _label_of(name: str, suffix: str) -> str | None:
-    """The part of ``name`` before the zone suffix ("." + the normalized zone)."""
-    if name.endswith(suffix):
-        return name[: -len(suffix)]
-    return None
-
-
 def tag_accounting(
     tags: Iterable[Tag | TagLabel],
     dns_log: Iterable[DnsQueryRecord],
@@ -153,14 +146,17 @@ def tag_accounting(
             static_issued += 1
         elif tag.kind == DYNAMIC:
             first_lookup[tag.subdomain] = None
+    # a name in the zone ends in "." + the zone; its label is what comes before
     suffix = "." + normalize_name(zone)
+    cut = -len(suffix)
     static_dns = dynamic_dns = 0
     repeated: dict[str, list[float]] = {}
     anomalies: set[str] = set()
     for record in dns_log:
-        label = _label_of(record.name, suffix)
-        if label is None:
+        name = record.name
+        if not name.endswith(suffix):
             continue
+        label = name[:cut]
         if label == static_label:
             static_dns += 1
         elif label in first_lookup:
@@ -176,7 +172,10 @@ def tag_accounting(
             anomalies.add(label)
     static_obj = dynamic_obj = 0
     for record in fetch_log:
-        label = _label_of(url_host(record.url), suffix)
+        host = url_host(record.url)
+        if not host.endswith(suffix):
+            continue
+        label = host[:cut]
         if label == static_label:
             static_obj += 1
         elif label in first_lookup:
@@ -215,13 +214,17 @@ def detect_reappearances(
     return list(accounting.reappearances), list(accounting.anomalies)
 
 
+# UaRecord(*fields) without the generated __new__'s Python-level call.
+_new_ua_record = tuple.__new__
+
+
 def ua_records_from_exchanges(
     exchanges: Iterable[HttpExchange | ExchangeView],
 ) -> list[UaRecord]:
     """Observable user-agent stream: one record per non-encrypted exchange,
     empty raw when the request carried no user-agent header."""
     return [
-        UaRecord(exchange.user_agent or "", exchange.timestamp)
+        _new_ua_record(UaRecord, (exchange.user_agent or "", exchange.timestamp))
         for exchange in exchanges
         if not exchange.is_encrypted
     ]

@@ -155,7 +155,7 @@ class WildcardResolver:
 # dns_queries.csv: every answered in-zone address query.
 QUERY_LOG = CsvLog(
     ("timestamp", "source", "name"),
-    lambda row: DnsQueryRecord(name=row[2], source=row[1], timestamp=finite_time(row[0])),
+    lambda row: _new_record(DnsQueryRecord, (row[2], row[1], finite_time(row[0]))),
 )
 write_query_log = QUERY_LOG.write
 read_query_log = QUERY_LOG.read

@@ -156,6 +156,10 @@ class ExchangeView(NamedTuple):
     content_type: str | None  # first response Content-Type header
 
 
+# ExchangeView(*fields) without the generated __new__'s Python-level call.
+_new_view = tuple.__new__
+
+
 def _first_header(headers, lowered: str) -> str | None:
     for key, value in headers:
         if key.lower() == lowered:
@@ -176,6 +180,15 @@ class MimeDistribution:
         return 100.0 * self.counts.get(mime, 0) / self.total
 
 
+def _media_type(content_type: str | None) -> str:
+    """The media type of a Content-Type value: parameters cut at the first
+    ";", stripped, lowercased; "unknown" when that is empty or the header
+    is absent."""
+    if content_type is None:
+        return "unknown"
+    return content_type.split(";", 1)[0].strip().lower() or "unknown"
+
+
 def mime_type(exchange: HttpExchange | ExchangeView) -> str:
     """Media type of the response, or "unknown".
 
@@ -185,23 +198,21 @@ def mime_type(exchange: HttpExchange | ExchangeView) -> str:
     """
     if exchange.is_encrypted:
         return "unknown"
-    value = exchange.content_type
-    if value is None:
-        return "unknown"
-    media = value.split(";", 1)[0].strip().lower()
-    return media or "unknown"
+    return _media_type(exchange.content_type)
 
 
 def mime_distribution(exchanges: Iterable[HttpExchange | ExchangeView]) -> MimeDistribution:
-    """Count every non-encrypted exchange once under its media type."""
-    counts: Counter = Counter()
-    total = 0
-    for exchange in exchanges:
-        if exchange.is_encrypted:
-            continue
-        counts[mime_type(exchange)] += 1
-        total += 1
-    return MimeDistribution(counts=dict(counts), total=total)
+    """Count every non-encrypted exchange once under its media type.
+
+    The raw Content-Type values are counted first, and each distinct value
+    is mapped to its media type once, as mime_type maps it.
+    """
+    raw = Counter(exchange.content_type for exchange in exchanges if not exchange.is_encrypted)
+    counts: dict[str, int] = {}
+    for content_type, count in raw.items():
+        media = _media_type(content_type)
+        counts[media] = counts.get(media, 0) + count
+    return MimeDistribution(counts=counts, total=sum(raw.values()))
 
 
 def _headers_from_json(raw: list) -> Headers:
@@ -238,28 +249,69 @@ def finite_time(value) -> float:
     return seconds
 
 
-def _validate_record(obj) -> tuple[int, bytes, str | None, str | None]:
-    """Check one decoded log record; return its status, decoded body, first
-    User-Agent request header and first Content-Type response header.
-    Each header list is walked once, to check it and to find the header.
+# The characters of base64 text, besides the "=" padding at its end.
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _base64_checked(value) -> bytes | str:
+    """What the gate needs of a2b_base64(value) without decoding, where
+    that can be told from the text: canonical base64, an ASCII str whose
+    length is a multiple of 4, made of the 64 base64 characters with at
+    most two "=" at its end. a2b_base64 accepts every such text, and its
+    bytes are empty exactly when the text is, so the text itself stands
+    for them. Any other value is decoded, and a2b_base64 accepts or
+    refuses it with its own error.
+    """
+    if type(value) is str and not len(value) % 4 and value.isascii():
+        text = value.encode("ascii")
+        padding = text.translate(None, _BASE64_ALPHABET)
+        if padding in (b"", b"=", b"==") and text.endswith(padding):
+            return value
+    return binascii.a2b_base64(value)
+
+
+def _validate_record(
+    obj, body_of: Callable[[object], bytes | str]
+) -> tuple[int, bytes | str, str | None, str | None]:
+    """Check one decoded log record; return its status, its body as
+    ``body_of`` gives it from the base64 text, its first User-Agent request
+    header and its first Content-Type response header. Each header list is
+    walked once, to check it and to find the header.
 
     The one gate every exchange-log reader applies, so all of them reject
-    the same lines. Raises ValueError (or TypeError for a value of the
-    wrong JSON type) naming the first defect.
+    the same lines. ``body_of`` is its only variable step: a2b_base64 for a
+    reader that keeps the bytes, _base64_checked for one that only needs
+    them checked. Raises ValueError (or TypeError for a value of the wrong
+    JSON type) naming the first defect.
     """
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
-    if not _REQUIRED <= obj.keys():
+    try:
+        timestamp = obj["timestamp"]
+        request_headers = obj["request_headers"]
+        status = obj["response_status"]
+        response_headers = obj["response_headers"]
+        body = obj["response_body"]
+        encrypted = obj["is_encrypted"]
+        # the other required fields, which only exchange_from_json reads
+        if not ("exchange_id" in obj and "flow_id" in obj and "method" in obj and "url" in obj):
+            raise KeyError
+    except KeyError:
         missing = [f for f in _FIELDS if f in _REQUIRED and f not in obj]
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    if type(obj["timestamp"]) not in (int, float):  # bool is not a time
+        raise ValueError(f"missing fields: {', '.join(missing)}") from None
+    kind = type(timestamp)
+    if kind is float:
+        if not -math.inf < timestamp < math.inf:  # false for an infinity and for NaN
+            raise ValueError(f"time is not a finite number: {timestamp!r}")
+    elif kind is int:  # bool is not a time
+        finite_time(timestamp)  # an int beyond the float range is refused
+    else:
         raise ValueError("timestamp is not a number")
-    finite_time(obj["timestamp"])
-    user_agent = _walk_headers(obj["request_headers"], "request_headers", "user-agent")
-    status = int(obj["response_status"])
-    content_type = _walk_headers(obj["response_headers"], "response_headers", "content-type")
-    body = binascii.a2b_base64(obj["response_body"])
-    if obj["is_encrypted"] and body:
+    user_agent = _walk_headers(request_headers, "request_headers", "user-agent")
+    status = int(status)
+    content_type = _walk_headers(response_headers, "response_headers", "content-type")
+    body = body_of(body)
+    if encrypted and body:
         raise ValueError("encrypted exchanges carry no body")
     return status, body, user_agent, content_type
 
@@ -356,7 +408,7 @@ def _exchange_line(exchange: HttpExchange, pair_json: dict[tuple[str, str], str]
 
 
 def exchange_from_json(obj: dict) -> HttpExchange:
-    status, body, _, _ = _validate_record(obj)
+    status, body, _, _ = _validate_record(obj, binascii.a2b_base64)
     extra = {k: v for k, v in obj.items() if k not in _FIELD_NAMES} or _NO_EXTRA
     return HttpExchange(
         exchange_id=str(obj["exchange_id"]),
@@ -375,13 +427,17 @@ def exchange_from_json(obj: dict) -> HttpExchange:
 
 
 def view_from_json(obj: dict) -> ExchangeView:
-    """The ExchangeView of a record, accepting exactly what exchange_from_json accepts."""
-    _, _, user_agent, content_type = _validate_record(obj)
-    return ExchangeView(
-        obj["timestamp"],
-        bool(obj["is_encrypted"]),
-        None if user_agent is None else sys.intern(user_agent),
-        None if content_type is None else sys.intern(content_type),
+    """The ExchangeView of a record, accepting exactly what exchange_from_json
+    accepts; a canonical base64 body is checked without being decoded."""
+    _, _, user_agent, content_type = _validate_record(obj, _base64_checked)
+    return _new_view(
+        ExchangeView,
+        (
+            obj["timestamp"],
+            bool(obj["is_encrypted"]),
+            None if user_agent is None else sys.intern(user_agent),
+            None if content_type is None else sys.intern(content_type),
+        ),
     )
 
 
@@ -442,7 +498,8 @@ def _convert_lines(path: str, lines: Iterable[str], convert: Callable[[object], 
             if end != len(stripped):
                 obj = json.loads(stripped)  # raises the error json.loads gives
             yield convert(obj)
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nesting too deep
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            # OverflowError: an infinite status; RecursionError: nesting too deep
             raise LogFormatError(path, line_no, str(exc)) from exc
 
 
@@ -603,6 +660,7 @@ class CsvLog(Generic[T]):
 
     def _records(self, path: str, lines: Iterable[str]) -> Iterator[T]:
         columns = len(self.header)
+        from_row = self.from_row
         reader = csv.reader(lines)
         try:
             next(reader, None)
@@ -614,7 +672,7 @@ class CsvLog(Generic[T]):
                         path, reader.line_num, f"expected {columns} fields, got {len(row)}"
                     )
                 try:
-                    record = self.from_row(row)
+                    record = from_row(row)
                 except ValueError as exc:
                     raise LogFormatError(path, reader.line_num, str(exc)) from exc
                 yield record

@@ -48,7 +48,8 @@ class Tag(NamedTuple):
     injected_at: float
 
 
-# Tag(*fields) without the generated __new__'s Python-level call.
+# Tag(*fields), and TagLabel(*fields) below, without the generated
+# __new__'s Python-level call.
 _new_tag = tuple.__new__
 
 
@@ -228,7 +229,7 @@ class TagLabel(NamedTuple):
 
 def _tag_label(row: list[str]) -> TagLabel:
     finite_time(row[4])  # rejected as TAG_LOG rejects it
-    return TagLabel(row[0], row[1])
+    return _new_tag(TagLabel, (row[0], row[1]))
 
 
 # tags.csv with TAG_LOG's header and checks, keeping only each row's kind

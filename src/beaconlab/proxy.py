@@ -89,8 +89,10 @@ MAX_UPSTREAM_BODY_BYTES = 16 * 1024 * 1024
 # names more gets 413 before any of its body is read.
 MAX_REQUEST_BODY_BYTES = 16 * 1024 * 1024
 
-# Deadline of one upstream exchange (connect, request and response), of a
-# tunnel's connect and of a tunnel's last drain, in seconds.
+# Deadline, in seconds, of one upstream exchange (connect, request and
+# response), of a tunnel's connect and of a tunnel's last drain; and of a
+# client that has sent part of a request head, or a head and part of its
+# body, for the rest of it (408 when it passes).
 UPSTREAM_TIMEOUT_S = 15.0
 
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
@@ -612,14 +614,17 @@ class _Client(asyncio.Protocol):
     served, later bytes wait in the buffer and reading pauses, so pipelined
     requests are served one at a time, in order. A relayed request's
     upstream exchange runs under one deadline of UPSTREAM_TIMEOUT_S, and
-    only opening a new upstream connection runs as a task. After a CONNECT
-    the connection is the client's end of a tunnel.
+    only opening a new upstream connection runs as a task. A client that
+    has sent part of a head, or part of a body, has UPSTREAM_TIMEOUT_S for
+    the rest of it, and gets 408 after that; an idle connection, or a
+    request that arrives whole, runs under no deadline of its own. After a
+    CONNECT the connection is the client's end of a tunnel.
     """
 
     __slots__ = (
         "service", "transport", "buffer", "scanned", "request", "body_length", "paused",
         "write_paused", "eof", "origin", "message", "upstream", "reused", "connecting",
-        "deadline", "tunnel", "tunnel_ended",
+        "deadline", "read_deadline", "tunnel", "tunnel_ended",
     )
 
     def __init__(self, service: ProxyService):
@@ -639,6 +644,8 @@ class _Client(asyncio.Protocol):
         self.reused = False
         self.connecting: asyncio.Task | None = None
         self.deadline: asyncio.TimerHandle | None = None
+        # while part of a head or body is buffered: when the rest is due
+        self.read_deadline: asyncio.TimerHandle | None = None
         self.tunnel: asyncio.Transport | None = None  # the origin's end, after a CONNECT
         self.tunnel_ended = False  # the origin has ended its side of the tunnel
 
@@ -649,6 +656,8 @@ class _Client(asyncio.Protocol):
         self.service._connections += 1
 
     def connection_lost(self, exc: Exception | None) -> None:
+        if self.read_deadline is not None:
+            self.read_deadline.cancel()
         if self.tunnel is not None:
             self.tunnel.close()
         self.service._connections -= 1
@@ -661,6 +670,7 @@ class _Client(asyncio.Protocol):
         self.buffer += data
         if self.body_length:
             if len(self.buffer) >= self.body_length:
+                self._read_done()
                 self._send(self.body_length)
         elif self.request is None and not self.write_paused:
             self._serve()
@@ -697,6 +707,23 @@ class _Client(asyncio.Protocol):
         """``callback`` called UPSTREAM_TIMEOUT_S from now, unless cancelled."""
         loop = self.service._loop
         return loop.call_at(loop.time() + UPSTREAM_TIMEOUT_S, callback)
+
+    def _read_done(self) -> None:
+        """The head or body the client was sending is whole: no deadline for it."""
+        if self.read_deadline is not None:
+            self.read_deadline.cancel()
+            self.read_deadline = None
+
+    def _read_expired(self) -> None:
+        """The rest of a head or body did not come in time: 408, and close."""
+        self.read_deadline = None
+        peer = self.transport.get_extra_info("peername") or ("?", 0)
+        what = "body" if self.body_length else "head"
+        self.service._log_error(
+            f"client {peer[0]}:{peer[1]}: no whole request {what} within {UPSTREAM_TIMEOUT_S} s"
+        )
+        self.transport.write(_error_reply(408, "Request Timeout"))
+        self.transport.close()
 
     def _crash(self) -> None:
         """An error escaped serving this connection: log it and close."""
@@ -744,10 +771,14 @@ class _Client(asyncio.Protocol):
                 if head is None:
                     if self.eof:
                         transport.close()
-                    elif self.paused:
+                        return
+                    if self.paused:
                         self.paused = False
                         transport.resume_reading()
+                    if self.buffer and self.read_deadline is None:
+                        self.read_deadline = self._later(self._read_expired)
                     return
+                self._read_done()
                 self.request = request = _parse_request(head, self)
             except _Refused as refusal:
                 transport.write(_error_reply(*refusal.args))
@@ -790,6 +821,7 @@ class _Client(asyncio.Protocol):
         if self.request.expects_continue:
             self.transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         self.body_length = length
+        self.read_deadline = self._later(self._read_expired)
         if self.paused:
             self.paused = False
             self.transport.resume_reading()

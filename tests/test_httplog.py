@@ -1,4 +1,5 @@
 import base64
+import binascii
 import csv
 import dataclasses
 import inspect
@@ -266,6 +267,32 @@ class TestMimeDistribution:
         dist = mime_distribution([make_exchange(None), make_exchange("text/css")])
         assert dist.counts == {"unknown": 1, "text/css": 1}
 
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.none(),
+                    st.sampled_from(["", ";", " ", " Text/HTML ; charset=x", "text/html", "TEXT/html;", "a,b"]),
+                    st.text(alphabet="Tt/; =,x", max_size=8),
+                ),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    def test_counts_each_value_as_mime_type_does(self, rows):
+        # mapped once per distinct value, counted as once per exchange
+        views = [ExchangeView(0.0, encrypted, None, value) for value, encrypted in rows]
+        exchanges = [make_exchange(value, encrypted=encrypted) for value, encrypted in rows]
+        for records in (views, exchanges):
+            expected: dict = {}
+            for record in records:
+                if not record.is_encrypted:
+                    expected[mime_type(record)] = expected.get(mime_type(record), 0) + 1
+            dist = mime_distribution(records)
+            assert (dist.counts, dist.total) == (expected, sum(expected.values()))
+
 
 header_st = st.tuples(
     st.text(alphabet="ABCDEFabcdef-", min_size=1, max_size=12),
@@ -480,6 +507,7 @@ MALFORMED_LINES = {
     "non_object": "[1, 2, 3]",
     "status_not_a_number": json.dumps(_record(response_status="ok")),
     "status_null": json.dumps(_record(response_status=None)),
+    "status_infinity": json.dumps(_record(response_status=math.inf)),
     "body_not_a_string": json.dumps(_record(response_body=5)),
     "torn_last_line": '{"exchange_id": "x3", "timest',
     "timestamp_string": json.dumps(_record(timestamp="soon")),
@@ -635,6 +663,222 @@ class TestOneGate:
                 ExchangeView(e.timestamp, e.is_encrypted, e.user_agent, e.content_type)
                 for e in full
             ]
+
+
+# The exchange-log record gate as it stood while it decoded every body,
+# kept frozen here: the readers must refuse exactly what it refuses, at the
+# same line, with the same reason, and read what it accepts.
+_REFERENCE_FIELDS = (
+    "exchange_id", "timestamp", "flow_id", "ground_truth_client", "method", "url",
+    "request_headers", "response_status", "response_headers", "response_body", "is_encrypted",
+)
+_REFERENCE_REQUIRED = frozenset(_REFERENCE_FIELDS) - {"ground_truth_client"}
+
+
+def _reference_walk_headers(raw, what, lowered):
+    if isinstance(raw, list):
+        found = None
+        for pair in raw:
+            if not isinstance(pair, list) or len(pair) != 2:
+                break
+            if found is None and str(pair[0]).lower() == lowered:
+                found = str(pair[1])
+        else:
+            return found
+    raise ValueError(f"{what} must be a list of [name, value] pairs")
+
+
+def _reference_finite_time(value):
+    try:
+        seconds = float(value)
+    except OverflowError:
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise ValueError(f"time is not a finite number: {value!r}")
+    return seconds
+
+
+def _reference_gate(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    if not _REFERENCE_REQUIRED <= obj.keys():
+        missing = [f for f in _REFERENCE_FIELDS if f in _REFERENCE_REQUIRED and f not in obj]
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    if type(obj["timestamp"]) not in (int, float):
+        raise ValueError("timestamp is not a number")
+    _reference_finite_time(obj["timestamp"])
+    user_agent = _reference_walk_headers(obj["request_headers"], "request_headers", "user-agent")
+    status = int(obj["response_status"])
+    content_type = _reference_walk_headers(obj["response_headers"], "response_headers", "content-type")
+    body = binascii.a2b_base64(obj["response_body"])
+    if obj["is_encrypted"] and body:
+        raise ValueError("encrypted exchanges carry no body")
+    return status, body, user_agent, content_type
+
+
+# A JSON value written into the line as this raw text (e.g. 1e400, which
+# json.dumps cannot write), through a placeholder string.
+class _RawJson(str):
+    pass
+
+
+def _line_of(obj: dict) -> str:
+    raws = {}
+
+    def placeholder(value):
+        if isinstance(value, _RawJson):
+            key = f"@raw{len(raws)}@"
+            raws[key] = str(value)
+            return key
+        return value
+
+    line = json.dumps({key: placeholder(value) for key, value in obj.items()})
+    for key, text in raws.items():
+        line = line.replace(json.dumps(key), text)
+    return line
+
+
+_BASE64_TEXT = st.binary(max_size=9).map(lambda b: base64.b64encode(b).decode("ascii"))
+_BODIES = st.one_of(
+    _BASE64_TEXT,
+    # 0-4 pad characters after canonical text, or after text cut short
+    st.tuples(_BASE64_TEXT, st.integers(0, 3), st.integers(0, 4)).map(
+        lambda t: t[0].rstrip("=")[: len(t[0].rstrip("=")) - t[1]] + "=" * t[2]
+    ),
+    # a space, "=", a line break or a non-ASCII letter put anywhere
+    st.tuples(_BASE64_TEXT, st.integers(0, 12), st.sampled_from([" ", "=", "\n", "\t", "é", "ß", "Ω"])).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1]:]
+    ),
+    st.text(alphabet="ABab09+/= é", max_size=10),
+    st.sampled_from(["", " ", "    ", "=", "==", "A===", "AB=C", "QUJD", "QUI=", "QQ==", "QQ=", "ABCDE"]),
+    st.integers(-5, 5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.booleans(),
+    st.lists(st.text(alphabet="AB=", max_size=4), max_size=2),
+)
+_TIMESTAMPS = st.one_of(
+    st.integers(-1000, 1000),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([
+        _RawJson("1e400"), _RawJson("-1e400"), math.nan, math.inf, -math.inf,
+        10**400, -(10**400), 2**1024, 2**1023, "7.5", None,
+    ]),
+)
+
+
+def _gate_body(obj, data):
+    obj["response_body"] = data.draw(_BODIES)
+
+
+def _gate_timestamp(obj, data):
+    obj["timestamp"] = data.draw(_TIMESTAMPS)
+
+
+def _gate_drop_key(obj, data):
+    obj.pop(data.draw(st.sampled_from(sorted(_REFERENCE_REQUIRED))), None)
+
+
+def _gate_extra_key(obj, data):
+    obj[data.draw(st.sampled_from(["note", "x-extra", "ground_truth_client"]))] = data.draw(_ANY_JSON)
+
+
+def _gate_encrypted(obj, data):
+    obj["is_encrypted"] = data.draw(st.sampled_from([True, 1, "yes", False, 0, None]))
+    obj["response_body"] = data.draw(st.sampled_from(["QUJD", "QQ==", "", " ", "\n", "  \t "]))
+
+
+_GATE_MUTATIONS = [_gate_body, _gate_timestamp, _gate_drop_key, _gate_extra_key, _gate_encrypted]
+
+
+def _check_against_reference(obj: dict) -> str:
+    """Read a log whose second line is ``obj`` with both readers and check
+    them against _reference_gate; returns what the reference made of it."""
+    line = _line_of(obj)
+    good = make_exchange("image/gif", body=b"GIF")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(exchange_to_json(good) + "\n" + line + "\n" + exchange_to_json(good) + "\n")
+        try:
+            status, body, user_agent, content_type = _reference_gate(json.loads(line))
+        except (ValueError, TypeError) as exc:
+            for read in (read_exchange_log, read_exchange_views):
+                with pytest.raises(LogFormatError) as refused:
+                    read(path)
+                assert (refused.value.line_no, refused.value.reason) == (2, str(exc))
+            return "refused"
+        parsed = json.loads(line)
+        view = ExchangeView(parsed["timestamp"], bool(parsed["is_encrypted"]), user_agent, content_type)
+        good_view = ExchangeView(good.timestamp, False, None, "image/gif")
+        assert read_exchange_views(path) == [good_view, view, good_view]
+        first, full, last = read_exchange_log(path)
+        assert first == last == good
+        assert (full.response_status, full.response_body) == (status, body)
+        assert (full.user_agent, full.content_type) == (user_agent, content_type)
+        assert (full.timestamp, full.is_encrypted) == (view.timestamp, view.is_encrypted)
+        return "accepted"
+
+
+class TestGateAgainstReference:
+    """Both readers refuse exactly what the decoding gate refused, at the
+    same line with the same reason, and read what it accepted as it read it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BODIES, st.sampled_from([False, True, 0, 1, None, "", "x"]))
+    def test_bodies(self, body, encrypted):
+        obj = _canonical_record()
+        obj["response_body"] = body
+        obj["is_encrypted"] = encrypted
+        _check_against_reference(obj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(_GATE_MUTATIONS), min_size=1, max_size=3), st.data())
+    def test_mutated_records(self, mutations, data):
+        obj = _canonical_record()
+        for mutate in mutations:
+            mutate(obj, data)
+        _check_against_reference(obj)
+
+    @pytest.mark.parametrize("body, outcome", [
+        ("PHA+eDwvcD4=", "accepted"),
+        ("", "accepted"),
+        ("  \n", "accepted"),  # no data characters: empty bytes
+        ("QQ==QQ==", "accepted"),  # what follows the padding is ignored
+        ("QQ=", "refused"),
+        ("A B=", "refused"),
+        ("Q===", "refused"),
+        ("QUJDé", "refused"),
+        (None, "refused"),
+    ])
+    def test_fixed_bodies(self, body, outcome):
+        obj = _canonical_record()
+        obj["response_body"] = body
+        assert _check_against_reference(obj) == outcome
+
+
+class _Decoded(Exception):
+    pass
+
+
+def test_view_reader_decodes_no_canonical_body(tmp_path, monkeypatch):
+    from beaconlab.clientsim import calibrated_config, run_scenario
+
+    result = run_scenario(calibrated_config(seed=5, client_count=20, duration_seconds=600.0))
+    path = str(tmp_path / "exchanges.jsonl")
+    write_exchange_log(result.exchanges, path)
+    expected = read_exchange_views(path)
+    assert any(e.response_body for e in result.exchanges)
+    assert any(e.is_encrypted for e in result.exchanges)
+
+    def decode(value):
+        raise _Decoded(value)
+
+    monkeypatch.setattr(binascii, "a2b_base64", decode)
+    assert read_exchange_views(path) == expected
+    with pytest.raises(_Decoded):
+        read_exchange_log(path)
 
 
 # Every CSV layout, with strings the writer must quote (comma, quote, line

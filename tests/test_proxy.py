@@ -481,22 +481,31 @@ class TestKeepAlive:
         assert keepalive_origin.accepted == 1
 
     def test_pooled_requests_create_no_task(self, service, keepalive_origin):
+        # nor a client-side timer: each request arrives whole
         url = "http://%s:%d/page" % keepalive_origin.server_address
         conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        loop = service._loop
         tasks = []
+        timers = []
 
         def counting_factory(loop, coro, **kwargs):
             tasks.append(coro)
             return asyncio.Task(coro, loop=loop, **kwargs)
 
+        def counting_call_at(when, callback, *args, **kwargs):
+            timers.append(callback)
+            return type(loop).call_at(loop, when, callback, *args, **kwargs)
+
+        def count():
+            loop.set_task_factory(counting_factory)
+            loop.call_at = counting_call_at
+
         try:
             conn.request("GET", url)  # opens the client and upstream connections
             assert conn.getresponse().read() == PAGE_4K
-            set_factory = threading.Event()
-            service._loop.call_soon_threadsafe(
-                lambda: (service._loop.set_task_factory(counting_factory), set_factory.set())
-            )
-            assert set_factory.wait(timeout=5)
+            counting = threading.Event()
+            loop.call_soon_threadsafe(lambda: (count(), counting.set()))
+            assert counting.wait(timeout=5)
             for _ in range(5):
                 conn.request("GET", url)
                 assert conn.getresponse().read() == PAGE_4K
@@ -504,6 +513,8 @@ class TestKeepAlive:
             conn.close()
         assert keepalive_origin.accepted == 1
         assert tasks == []
+        # one upstream deadline per request, and no other timer
+        assert [timer.__func__ for timer in timers] == [proxy._Client._expire] * 5
 
     def test_stale_connection_retried_for_get(self, service, keepalive_origin):
         assert proxy_get(service, keepalive_origin.server_address, "/page") == (200, PAGE_4K)
@@ -1035,6 +1046,59 @@ class TestIncrementalFraming:
             reply = read_until_closed(sock)  # times out unless the proxy answers and closes
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert keepalive_origin.accepted == 0
+
+
+class TestClientDeadline:
+    """A client that sends part of a request has UPSTREAM_TIMEOUT_S for the rest."""
+
+    def _partial(self, service, monkeypatch, request: bytes) -> tuple[bytes, float]:
+        monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
+        with socket.create_connection(service.listen_address, timeout=3) as sock:
+            sock.sendall(request)
+            started = time.monotonic()
+            reply = read_until_closed(sock)  # times out unless the proxy answers and closes
+            return reply, time.monotonic() - started
+
+    def _error_line(self, service) -> str:
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        return line
+
+    def test_partial_head_gets_408_and_a_close(self, service, monkeypatch):
+        reply, waited = self._partial(service, monkeypatch, b"GET http://127.0.0.1:9/ HTTP/1.1\r\n")
+        status, headers, _ = split_reply(reply)
+        assert status == b"HTTP/1.1 408 Request Timeout"
+        assert headers[b"connection"] == b"close"
+        assert 0.15 < waited < 2
+        assert "no whole request head within 0.2 s" in self._error_line(service)
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
+    def test_partial_body_gets_408_and_a_close(self, service, raw_origin, monkeypatch):
+        origin = raw_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False))
+        head = b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n" % origin.url("/form").encode()
+        reply, waited = self._partial(service, monkeypatch, head + b"12345")
+        status, headers, _ = split_reply(reply)
+        assert status == b"HTTP/1.1 408 Request Timeout"
+        assert headers[b"connection"] == b"close"
+        assert 0.15 < waited < 2
+        assert "no whole request body within 0.2 s" in self._error_line(service)
+        assert origin.requests == []
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
+    def test_idle_keep_alive_connection_gets_no_408(self, service, keepalive_origin, monkeypatch):
+        monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
+        url = "http://%s:%d/page" % keepalive_origin.server_address
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        try:
+            conn.request("GET", url)
+            assert conn.getresponse().read() == PAGE_4K
+            time.sleep(0.4)  # idle, with nothing buffered
+            conn.request("GET", url)
+            assert conn.getresponse().read() == PAGE_4K
+        finally:
+            conn.close()
+        assert keepalive_origin.accepted == 1
+        assert os.path.getsize(service.config.error_log_path) == 0
 
 
 class TestUpstreamDeadline:
