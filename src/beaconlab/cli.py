@@ -161,7 +161,9 @@ def _split_hostport(value: str, default_host: str = "127.0.0.1") -> tuple[str, i
     return host or default_host, number
 
 
-def _run_until_signal(stop) -> None:
+def _run_until_signal(stop, ready: str) -> None:
+    """Print ``ready`` once SIGINT and SIGTERM are handled, so a caller that
+    signals after reading it never kills the service; on either, ``stop``."""
     done = {"flag": False}
 
     def handler(_signum, _frame):
@@ -169,6 +171,7 @@ def _run_until_signal(stop) -> None:
 
     signal.signal(signal.SIGINT, handler)
     signal.signal(signal.SIGTERM, handler)
+    print(ready)
     while not done["flag"]:
         time.sleep(0.2)
     stop()
@@ -204,11 +207,11 @@ def cmd_proxy(args) -> int:
         listen=list(service.listen_address),
         control=list(service.control_address),
     )
-    print(
+    _run_until_signal(
+        service.stop,
         f"proxy on {service.listen_address[0]}:{service.listen_address[1]} "
-        f"control {service.control_address[0]}:{service.control_address[1]} mode={args.mode}"
+        f"control {service.control_address[0]}:{service.control_address[1]} mode={args.mode}",
     )
-    _run_until_signal(service.stop)
     return 0
 
 
@@ -225,13 +228,14 @@ def cmd_dns(args) -> int:
     _write_manifest(
         out, "dns", zone=args.zone, payload=args.payload, listen=list(responder.address)
     )
-    print(f"dns responder on {responder.address[0]}:{responder.address[1]} zone={args.zone}")
 
     def stop():
         responder.stop()
         query_log.close()
 
-    _run_until_signal(stop)
+    _run_until_signal(
+        stop, f"dns responder on {responder.address[0]}:{responder.address[1]} zone={args.zone}"
+    )
     return 0
 
 

@@ -204,18 +204,20 @@ read_fetch_log = FETCH_LOG.read
 @dataclass(slots=True)
 class _ClientState:
     """One simulated browser. Caches are cleared at restart, the cached
-    copy of the start page survives (it is what gets reloaded)."""
+    copy of the start page survives (it is what gets reloaded). After the
+    browser's last event its caches are dropped (None)."""
 
     client_id: str
     source: str
     user_agent: str
     fetches_objects: bool
     restart_schedule: tuple[float, ...]
-    dns_cache: set[str] = field(default_factory=set)
-    object_cache: set[str] = field(default_factory=set)
+    dns_cache: set[str] | None = field(default_factory=set)
+    object_cache: set[str] | None = field(default_factory=set)
     cached_home_body: bytes | None = None
     home_dynamic_subdomain: str | None = None
     lifetimes: int = 1
+    events_left: int = 0
 
     def restart(self) -> None:
         self.dns_cache.clear()
@@ -393,10 +395,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         )
         clients.append(state)
         visit_rng = random.Random(rng.randrange(2**62))
-        for seq, (t, enc, mime) in enumerate(_client_visits(visit_rng, config, draw_mime)):
+        visits = _client_visits(visit_rng, config, draw_mime)
+        for seq, (t, enc, mime) in enumerate(visits):
             events.append((t, i, seq, "visit", (enc, mime)))
         for t in state.restart_schedule:
             events.append((t, i, 10**9, "restart", None))
+        state.events_left = len(visits) + len(state.restart_schedule)
     # (time, client, seq) is unique, so the rest is never compared. Popped
     # from the end, in time order, so each event is released once handled.
     events.sort(reverse=True)
@@ -404,6 +408,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     body_rng = random.Random(config.seed ^ 0x5EED)
     sites = [f"site{n}.example" for n in range(40)]
     tunnel_urls = [f"https://{site}:443" for site in sites]
+    # page_urls[site][page]: each page's URL, built at its first visit
+    page_urls: list[list[str | None]] = [[None] * 500 for _ in sites]
     # Each distinct header pair, and each (Content-Type, Content-Length)
     # head, is built once and shared by every exchange that carries it.
     host_pairs = {host: ("Host", host) for host in (HOME_HOST, *sites)}
@@ -422,56 +428,62 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 client_process_response(
                     state, state.cached_home_body, t, resolver, fetch_log, config.zone
                 )
-            continue
-        enc, mime = payload
-        is_home = _seq == 0
-        exchange_id = f"x{exchange_seq:08d}"
-        flow_id = f"fl{exchange_seq:08d}"
-        exchange_seq += 1
-        if enc:
-            # positional: the fields in order, exchange_id to ground_truth_client
+        elif payload[0]:  # encrypted: one CONNECT tunnel, positional fields
             exchanges.append(HttpExchange(
-                exchange_id, t, flow_id, "CONNECT", tunnel_urls[body_rng.randrange(40)],
-                (), 200, (), b"", True, state.client_id,
+                f"x{exchange_seq:08d}", t, f"fl{exchange_seq:08d}", "CONNECT",
+                tunnel_urls[body_rng.randrange(40)], (), 200, (), b"", True, state.client_id,
             ))
-            continue
-        if is_home:
-            host, url = HOME_HOST, HOME_PAGE_URL
+            exchange_seq += 1
         else:
-            host = sites[body_rng.randrange(40)]
-            url = f"http://{host}/p{body_rng.randrange(500)}"
-        if mime == "text/html":
-            html_visits += 1
-            body = _html_body(body_rng)
-            content_type = HTML_CONTENT_TYPE
-        else:
-            body = _placeholder_body(body_rng)
-            content_type = mime
-        host_pair = host_pairs[host]
-        request_headers = (host_pair, ua_pairs[state.user_agent]) if state.user_agent else (host_pair,)
-        size = len(body)
-        response_headers = response_heads.get((content_type, size))
-        if response_headers is None:
-            length_pair = length_pairs.setdefault(size, ("Content-Length", str(size)))
-            response_headers = response_heads[content_type, size] = (
-                type_pairs[content_type], length_pair
+            mime = payload[1]
+            is_home = _seq == 0
+            exchange_id = f"x{exchange_seq:08d}"
+            flow_id = f"fl{exchange_seq:08d}"
+            exchange_seq += 1
+            if is_home:
+                host, url = HOME_HOST, HOME_PAGE_URL
+            else:
+                site = body_rng.randrange(40)
+                host = sites[site]
+                page = body_rng.randrange(500)
+                url = page_urls[site][page]
+                if url is None:
+                    url = page_urls[site][page] = f"http://{host}/p{page}"
+            if mime == "text/html":
+                html_visits += 1
+                body = _html_body(body_rng)
+                content_type = HTML_CONTENT_TYPE
+            else:
+                body = _placeholder_body(body_rng)
+                content_type = mime
+            host_pair = host_pairs[host]
+            request_headers = (host_pair, ua_pairs[state.user_agent]) if state.user_agent else (host_pair,)
+            size = len(body)
+            response_headers = response_heads.get((content_type, size))
+            if response_headers is None:
+                length_pair = length_pairs.setdefault(size, ("Content-Length", str(size)))
+                response_headers = response_heads[content_type, size] = (
+                    type_pairs[content_type], length_pair
+                )
+            origin = HttpExchange(
+                exchange_id, t, flow_id, "GET", url,
+                request_headers, 200, response_headers, body, False, state.client_id,
             )
-        origin = HttpExchange(
-            exchange_id, t, flow_id, "GET", url,
-            request_headers, 200, response_headers, body, False, state.client_id,
-        )
-        delivered, issued = injector.inject(origin)
-        exchanges.append(delivered)
-        tags.extend(issued)
-        if is_home and state.cached_home_body is None:
-            state.cached_home_body = delivered.response_body
-            for tag in issued:
-                if tag.kind == DYNAMIC:
-                    state.home_dynamic_subdomain = tag.subdomain
-        if state.fetches_objects:
-            client_process_response(
-                state, delivered.response_body, t, resolver, fetch_log, config.zone
-            )
+            delivered, issued = injector.inject(origin)
+            exchanges.append(delivered)
+            tags.extend(issued)
+            if is_home and state.cached_home_body is None:
+                state.cached_home_body = delivered.response_body
+                for tag in issued:
+                    if tag.kind == DYNAMIC:
+                        state.home_dynamic_subdomain = tag.subdomain
+            if state.fetches_objects:
+                client_process_response(
+                    state, delivered.response_body, t, resolver, fetch_log, config.zone
+                )
+        state.events_left -= 1
+        if not state.events_left:  # no event reads the caches again
+            state.dns_cache = state.object_cache = None
 
     ground_truth = {
         "unique_user_lifetimes": sum(c.lifetimes for c in clients if c.fetches_objects),

@@ -81,7 +81,10 @@ class ZoneConfig:
 
 
 def normalize_name(name: str) -> str:
-    return name.lower().rstrip(".")
+    """``name`` lowered, without trailing dots. A name that is already so is
+    returned itself, so a record keeps the caller's string, not a copy."""
+    normalized = name.lower().rstrip(".")
+    return name if normalized == name else normalized
 
 
 # A plain "http://host" prefix whose host runs to "/", "?", "#" or the end.
@@ -299,7 +302,8 @@ class DnsResponder:
     def handle_packet(self, data: bytes, source: str) -> bytes | None:
         """The reply to one query packet, None for no reply; an answered
         query is logged first. One pass: the name is walked as parse_query
-        walks it, then normalized and checked once, as bytes."""
+        walks it, then lowered and checked once, as bytes. A label that
+        holds a dot is REFUSED: joined, it would read as two labels."""
         # QR and OPCODE are the top five bits of byte 2; QDCOUNT is bytes 4-5
         end = len(data)
         if end < 12 or data[2] & 0xF8 or data[4:6] != b"\x00\x01":
@@ -320,9 +324,10 @@ class DnsResponder:
         if pos + 4 > end:
             return None
         question = data[12 : pos + 4]
-        name = b".".join(labels).lower().rstrip(b".")
+        name = b".".join(labels).lower()
         if (
             data[pos + 2 : pos + 4] != b"\x00\x01"  # QCLASS other than IN
+            or name.count(b".") >= len(labels)  # a label holds a dot
             or len(name) > MAX_NAME_CHARS
             or self._in_zone_name.fullmatch(name) is None
         ):

@@ -621,10 +621,12 @@ class CsvLog(Generic[T]):
     """One CSV log's layout: its header and how a record maps to a row and
     back; ``to_row`` defaults to the record's attributes the header names.
 
-    On read, blank rows are skipped; a row with another field count than
-    the header, one ``from_row`` rejects with ValueError, or a line that is
-    not UTF-8 raises LogFormatError naming its line. ``stream`` reads one
-    record at a time; ``read`` is the list of what it yields.
+    On read, a zero-byte file is an empty log. A first row other than the
+    header, a row with another field count than the header, one
+    ``from_row`` rejects with ValueError, or a line that is not UTF-8
+    raises LogFormatError naming its line; blank rows after the header are
+    skipped. ``stream`` reads one record at a time; ``read`` is the list
+    of what it yields.
     """
 
     def __init__(
@@ -663,7 +665,9 @@ class CsvLog(Generic[T]):
         from_row = self.from_row
         reader = csv.reader(lines)
         try:
-            next(reader, None)
+            first = next(reader, None)
+            if first is not None and first != list(self.header):
+                raise LogFormatError(path, 1, f"expected the header {','.join(self.header)}")
             for row in reader:
                 if not row:
                     continue

@@ -80,6 +80,9 @@ class Injector:
         self.static_url = self.beacon_url(static_label)  # one string shared by every static tag
         self.seed = seed
         self.counter = 0
+        # Each Content-Length pair rewritten, by (field name, length), so
+        # that responses of one length share it (_with_content_length).
+        self._length_pairs: dict[tuple[str, int], tuple[str, str]] = {}
         # The beacon block is both image elements between the sentinel
         # comments. Every block differs only in its dynamic URL, so the
         # ASCII bytes around that URL are built once ("\n" is in no URL here).
@@ -122,7 +125,9 @@ class Injector:
         new_body = b"".join((
             body[:at], self._block_before, dynamic_url.encode("ascii"), self._block_after, body[at:]
         ))
-        headers = _with_content_length(exchange.response_headers, length_fields, len(new_body))
+        headers = _with_content_length(
+            exchange.response_headers, length_fields, len(new_body), self._length_pairs
+        )
         exchange_id = exchange.exchange_id
         timestamp = exchange.timestamp
         rewritten = HttpExchange(
@@ -191,16 +196,34 @@ def _last_body_close(body: bytes) -> int:
     return at
 
 
-def _with_content_length(headers: Headers, length_fields: list[int], length: int) -> Headers:
+# The most Content-Length pairs one Injector keeps: a page's length takes
+# a few hundred values. The table is emptied when full, so it never grows
+# with the traffic.
+_LENGTH_PAIRS_SIZE = 4096
+
+
+def _with_content_length(
+    headers: Headers,
+    length_fields: list[int],
+    length: int,
+    pairs: dict[tuple[str, int], tuple[str, str]],
+) -> Headers:
     """``headers`` with the first of the Content-Length fields at
     ``length_fields`` set to ``length`` and the others dropped, or with one
     appended if there is none. Every other pair is the same object, so a
-    pair the caller shares stays shared."""
+    pair the caller shares stays shared; the Content-Length pair is taken
+    from ``pairs`` by (field name, length), and kept there when it is new."""
+    name = headers[length_fields[0]][0] if length_fields else "Content-Length"
+    pair = pairs.get((name, length))
+    if pair is None:
+        if len(pairs) >= _LENGTH_PAIRS_SIZE:
+            pairs.clear()
+        pair = pairs[name, length] = (name, str(length))
     if not length_fields:
-        return headers + (("Content-Length", str(length)),)
+        return headers + (pair,)
     first, *duplicates = length_fields
     out = list(headers)
-    out[first] = (headers[first][0], str(length))
+    out[first] = pair
     for i in reversed(duplicates):
         del out[i]
     return tuple(out)
@@ -211,10 +234,17 @@ def strip_injected(body: bytes) -> bytes:
     return _STRIP_RE.sub(b"", body)
 
 
+def _tag_kind(cell: str) -> str:
+    """A tags.csv kind cell; ValueError for any text but the two kinds."""
+    if cell != STATIC and cell != DYNAMIC:
+        raise ValueError(f"unknown tag kind {cell!r}")
+    return cell
+
+
 # tags.csv: every beacon issued, one row per Tag.
 TAG_LOG = CsvLog(
     ("kind", "subdomain", "url", "exchange_id", "injected_at"),
-    lambda row: Tag(row[0], row[1], row[2], row[3], finite_time(row[4])),
+    lambda row: Tag(_tag_kind(row[0]), row[1], row[2], row[3], finite_time(row[4])),
 )
 write_tag_log = TAG_LOG.write
 read_tag_log = TAG_LOG.read
@@ -228,8 +258,9 @@ class TagLabel(NamedTuple):
 
 
 def _tag_label(row: list[str]) -> TagLabel:
+    kind = _tag_kind(row[0])
     finite_time(row[4])  # rejected as TAG_LOG rejects it
-    return _new_tag(TagLabel, (row[0], row[1]))
+    return _new_tag(TagLabel, (kind, row[1]))
 
 
 # tags.csv with TAG_LOG's header and checks, keeping only each row's kind

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -240,6 +241,34 @@ class TestAnalyze:
         assert f"{path}:3: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["bogus", "STATIC", "DYNAMIC"])
+    def test_unknown_tag_kind_is_named(self, tmp_path, sim_dir, capsys, kind):
+        path = os.path.join(sim_dir, "tags.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\r\n")
+        lines[2] = kind + lines[2][lines[2].index(","):]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\r\n".join(lines))
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: unknown tag kind {kind!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("log", ["tags.csv", "dns_queries.csv", "fetches.csv"])
+    def test_header_in_another_column_order_is_named(self, tmp_path, sim_dir, capsys, log):
+        # the last two columns swapped in the header and in every row, as a
+        # fetches.csv of timestamp,url,source would be
+        path = os.path.join(sim_dir, log)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header = ",".join(rows[0])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(row[:-2] + row[:-3:-1] for row in rows)
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: expected the header {header}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "timestamp", ["soon", None, float("nan")], ids=["string", "null", "nan"]
     )
@@ -456,7 +485,7 @@ class TestExitCodes:
         ids=["proxy_listen", "proxy_control", "proxy_negative", "dns_listen"],
     )
     def test_port_out_of_range_is_two(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "_run_until_signal", lambda stop: stop())  # never serve
+        monkeypatch.setattr(cli, "_run_until_signal", lambda stop, ready: stop())  # never serve
         out = str(tmp_path / "out")
         assert run(*argv, "--out", out) == 2
         err = capsys.readouterr().err
@@ -483,7 +512,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(socket, "create_server", bind)
         monkeypatch.setattr(socket.socket, "bind", bind)
-        monkeypatch.setattr(cli, "_run_until_signal", lambda stop: stop())  # never serve
+        monkeypatch.setattr(cli, "_run_until_signal", lambda stop, ready: stop())  # never serve
         assert run(*argv, "--listen", "127.0.0.1:0", "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert problem in err

@@ -70,6 +70,15 @@ class TestResolve:
         resolver.resolve("a.attacker.test", "src2", 2.0)
         assert {record.name for record in resolver.log} == {"a.attacker.test"}
 
+    def test_a_normalized_name_is_logged_as_the_asked_string(self):
+        resolver = WildcardResolver(CONFIG)
+        asked = ["".join(("a.", zone)) for zone in ("attacker.test", "Attacker.test", "attacker.test.")]
+        for name in asked:
+            resolver.resolve(name, "src1", 1.0)
+        assert [record.name for record in resolver.log] == ["a.attacker.test"] * 3
+        assert resolver.log[0].name is asked[0]
+        assert resolver.log[1].name is not asked[1] and resolver.log[2].name is not asked[2]
+
     def test_wildcard_totality_and_log_completeness(self):
         resolver = WildcardResolver(CONFIG)
         answered = 0
@@ -148,6 +157,11 @@ class TestQueryLog:
 class TestNames:
     def test_normalize(self):
         assert normalize_name("A.B.C.") == "a.b.c"
+
+    @pytest.mark.parametrize("name", ["a.b.c", "x1.feedback.test", "", "10.0.0.1"])
+    def test_a_normalized_name_is_returned_itself(self, name):
+        name = "".join(list(name))  # a string of its own, not a shared constant
+        assert normalize_name(name) is name
 
     @pytest.mark.parametrize(
         "name,valid",
@@ -271,9 +285,19 @@ def _name(labels):
     return b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
 
 
+def _wire_labels(question):
+    """The labels of a question parse_query has sliced, as bytes."""
+    labels, pos = [], 0
+    while question[pos]:
+        labels.append(question[pos + 1 : pos + 1 + question[pos]])
+        pos += 1 + question[pos]
+    return labels
+
+
 def _reference_reply(responder, packet, source, now):
     """handle_packet's reply and log record (None for none), composed from
-    the public wire helpers and the resolver's own name checks."""
+    the public wire helpers and the resolver's own name checks, plus the
+    wire rule that no label may hold a dot."""
     if len(packet) < 12 or packet[2] & 0xF8 or packet[4:6] != b"\x00\x01":
         return None, None
     parsed = parse_query(packet)
@@ -284,6 +308,7 @@ def _reference_reply(responder, packet, source, now):
     normalized = normalize_name(name)
     if (
         qclass != QCLASS_IN
+        or any(b"." in label for label in _wire_labels(question))
         or not is_valid_name(normalized)
         or not responder.resolver.in_zone(normalized)
     ):
@@ -532,10 +557,11 @@ class TestOnePassReplies:
             # 47 + 3 * 63 octets of labels, the zone and 5 dots: 253 characters
             (_question([b"b" * 47] + [b"a" * 63] * 3 + ZONE_LABELS), "answered"),
             (_question([b"b" * 48] + [b"a" * 63] * 3 + ZONE_LABELS), "refused"),
-            (_question([b"a.b"] + ZONE_LABELS), "answered"),
+            (_question([b"a.b"] + ZONE_LABELS), "refused"),
+            (_question([b"pixel.attacker", b"test"]), "refused"),
             (_question([b"PiXeL", b"ATTACKER", b"Test"]), "answered"),
-            (_question([b"x", b"attacker", b"test."]), "answered"),
-            (_question([b"x"] + ZONE_LABELS + [b"."]), "answered"),
+            (_question([b"x", b"attacker", b"test."]), "refused"),
+            (_question([b"x"] + ZONE_LABELS + [b"."]), "refused"),
             (_question(ZONE_LABELS), "answered"),
             (_question([b"pixel\n"] + ZONE_LABELS), "refused"),
             (_question([b"pix\xffel"] + ZONE_LABELS), "refused"),
@@ -562,8 +588,8 @@ class TestOnePassReplies:
             (encode_query(1, "x")[:11], "ignored"),
         ],
         ids=[
-            "label_63", "label_64", "name_253", "name_254", "label_with_dot", "upper_case",
-            "last_label_ends_in_dot", "dot_label", "apex", "newline_label", "non_ascii",
+            "label_63", "label_64", "name_253", "name_254", "label_with_dot", "dot_in_zone_label",
+            "upper_case", "last_label_ends_in_dot", "dot_label", "apex", "newline_label", "non_ascii",
             "leading_hyphen", "no_label_boundary", "out_of_zone", "zone_not_last",
             "zone_label_longer", "aaaa", "txt", "any",
             "aaaa_out_of_zone", "class_in", "class_chaos", "class_any", "class_257",
@@ -573,6 +599,25 @@ class TestOnePassReplies:
     )
     def test_edges_equal_the_reference(self, responder, packet, outcome):
         assert _outcome(_reply_as_reference(responder, packet)) == outcome
+
+    def test_a_dotted_label_adds_no_static_beacon_hit(self):
+        # Joined with dots, each of these questions reads pixel.feedback.test,
+        # the static beacon; only the one with plain labels is that name.
+        responder = DnsResponder(ZoneConfig("feedback.test", "192.0.2.7"), port=0)
+        try:
+            outcomes = [
+                _outcome(responder.handle_packet(_question(labels), "10.0.0.9"))
+                for labels in (
+                    [b"pixel", b"feedback", b"test"],
+                    [b"pixel.feedback", b"test"],
+                    [b"pixel", b"feedback.test"],
+                    [b"pixel", b"feedback", b"test."],
+                )
+            ]
+        finally:
+            responder.stop()
+        assert outcomes == ["answered", "refused", "refused", "refused"]
+        assert [record.name for record in responder.resolver.log] == ["pixel.feedback.test"]
 
 
 class TestQueryLogSink:

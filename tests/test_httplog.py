@@ -931,6 +931,23 @@ class TestCsvLog:
         with open(written, "rb") as fh_w, open(appended, "rb") as fh_a:
             assert fh_a.read() == fh_w.read()
 
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_a_header_in_another_column_order_fails_at_line_1(self, tmp_path, name):
+        layout, records = LAYOUTS[name]
+        path = str(tmp_path / "log.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(layout.header[::-1])
+            writer.writerows(list(layout.to_row(record))[::-1] for record in records)
+        expected = f"expected the header {','.join(layout.header)}"
+        assert outcome(layout.read, path) == (LogFormatError, path, 1, expected)
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_a_zero_byte_file_is_an_empty_log(self, tmp_path, name):
+        path = str(tmp_path / "log.csv")
+        open(path, "w").close()
+        assert LAYOUTS[name][0].read(path) == []
+
 
 # Cells each layout's from_row parses, or nearly so, and cells that break a
 # row: a quote, a separator, a line break, NUL.
@@ -942,11 +959,15 @@ _CSV_CELLS = st.one_of(
     ),
     st.text(max_size=8),
 )
+# Rows of cells, under no header or one of the layouts' headers, so that a
+# reader past its header check sees them.
 _CSV_FILES = st.one_of(
     st.binary(max_size=160),
-    st.lists(st.lists(_CSV_CELLS, max_size=6).map(",".join), max_size=6)
-    .map("\r\n".join)
-    .map(lambda text: text.encode("utf-8", "surrogateescape")),
+    st.builds(
+        lambda head, rows: "\r\n".join(head + rows).encode("utf-8", "surrogateescape"),
+        st.sampled_from([[]] + [[",".join(layout.header)] for layout, _ in LAYOUTS.values()]),
+        st.lists(st.lists(_CSV_CELLS, max_size=6).map(",".join), max_size=6),
+    ),
 )
 
 
@@ -998,6 +1019,23 @@ class TestCsvLogOnArbitraryBytes:
             with open(path, "wb") as fh:
                 fh.write(content)
             assert outcome(listed(stream), path) == outcome(read, path)
+
+
+class TestTagKinds:
+    @pytest.mark.parametrize("kind", ["bogus", "STATIC", "Dynamic", ""])
+    @pytest.mark.parametrize(
+        "read",
+        [TAG_LOG.read, read_tag_labels, listed(correlate.read_tag_log)],
+        ids=["tag_log", "tag_labels", "analyze_stream"],
+    )
+    def test_a_kind_other_than_static_or_dynamic_fails_at_its_line(self, tmp_path, read, kind):
+        path = str(tmp_path / "tags.csv")
+        rows = [("static", "pixel", "http://pixel.z.test/p.gif", "x1", "1.5"),
+                (kind, "d1", "http://d1.z.test/p.gif", "x1", "1.5")]
+        TAG_LOG.write([], path)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert outcome(read, path) == (LogFormatError, path, 3, f"unknown tag kind {kind!r}")
 
 
 # The time column of each CSV layout that has one.

@@ -1253,6 +1253,13 @@ class TestRestart:
         with pytest.raises(LogFormatError, match="tags.csv:2:"):
             ProxyService(active_config(tmp_path))
 
+    def test_unknown_tag_kind_stops_a_restart(self, tmp_path):
+        with open(tmp_path / "tags.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("kind,subdomain,url,exchange_id,injected_at\r\n"
+                     "STATIC,pixel,http://pixel.tracker.test/p.gif,x00000000,1.0\r\n")
+        with pytest.raises(LogFormatError, match="tags.csv:2: unknown tag kind 'STATIC'"):
+            ProxyService(active_config(tmp_path))
+
     @pytest.mark.parametrize("failure", ["tag_log", "listen_port", "control_port"])
     def test_failed_constructor_closes_what_it_opened(self, tmp_path, monkeypatch, failure):
         config = active_config(tmp_path)

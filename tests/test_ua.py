@@ -405,6 +405,7 @@ class TestFileFormats:
         "too_many_columns": ("product,min_version,max_version\nacme,1,2\nb,1,2,3\n", 3),
         "min_above_max": ("product,min_version,max_version\nacme,3.0,2.0\n", 2),
         "empty_product": ("product,min_version,max_version\n\nok,1,2\n ,1.0,2.0\n", 4),
+        "swapped_header": ("min_version,product,max_version\n1.0,acme,2.0\n", 1),
     }
 
     @pytest.mark.parametrize("name", BAD_DBS)
