@@ -189,29 +189,34 @@ def encode_query(txid: int, name: str, qtype: int = QTYPE_A) -> bytes:
     return header + encode_name(name) + struct.pack(">HH", qtype, QCLASS_IN)
 
 
-def parse_query(data: bytes) -> tuple[int, str, int, bytes] | None:
-    """(txid, name, qtype, question bytes), or None for an unparsable packet."""
-    if len(data) < 12:
-        return None
-    txid = struct.unpack(">H", data[0:2])[0]
+def _question(data: bytes) -> tuple[list[bytes], int] | None:
+    """The wire labels of the question name that starts at byte 12, and the
+    offset of the type and class after it; None for a label over 63 octets,
+    or a name, type or class that runs past the end of the packet."""
+    end = len(data)
     labels = []
     pos = 12
-    while pos < len(data):
+    while pos < end:
         length = data[pos]
         pos += 1
         if length == 0:
-            break
-        if length > 63 or pos + length > len(data):
+            return (labels, pos) if pos + 4 <= end else None
+        if length > 63 or pos + length > end:
             return None
-        labels.append(data[pos : pos + length].decode("ascii", errors="replace"))
+        labels.append(data[pos : pos + length])
         pos += length
-    else:
+    return None
+
+
+def parse_query(data: bytes) -> tuple[int, list[bytes], int, bytes] | None:
+    """(txid, wire labels, qtype, question bytes), or None for an unparsable
+    packet. The labels are not joined, so a label that holds a dot stays one."""
+    parsed = _question(data)
+    if parsed is None:
         return None
-    if pos + 4 > len(data):
-        return None
-    qtype, _qclass = struct.unpack(">HH", data[pos : pos + 4])
-    question = data[12 : pos + 4]
-    return txid, ".".join(labels), qtype, question
+    labels, pos = parsed
+    qtype = int.from_bytes(data[pos : pos + 2], "big")
+    return int.from_bytes(data[:2], "big"), labels, qtype, data[12 : pos + 4]
 
 
 def build_response(
@@ -233,13 +238,13 @@ def build_response(
 
 def parse_answer_address(data: bytes) -> str | None:
     """Address from the first A answer of a response packet, if any."""
-    parsed = parse_query(data)
+    parsed = _question(data)
     if parsed is None:
         return None
     ancount = struct.unpack(">H", data[6:8])[0]
     if ancount == 0:
         return None
-    pos = 12 + len(parsed[3])
+    pos = parsed[1] + 4
     if pos + 12 + 4 > len(data):
         return None
     rdlength = struct.unpack(">H", data[pos + 10 : pos + 12])[0]
@@ -301,28 +306,16 @@ class DnsResponder:
 
     def handle_packet(self, data: bytes, source: str) -> bytes | None:
         """The reply to one query packet, None for no reply; an answered
-        query is logged first. One pass: the name is walked as parse_query
-        walks it, then lowered and checked once, as bytes. A label that
+        query is logged first. One pass: the name is walked by parse_query's
+        own walk, then lowered and checked once, as bytes. A label that
         holds a dot is REFUSED: joined, it would read as two labels."""
         # QR and OPCODE are the top five bits of byte 2; QDCOUNT is bytes 4-5
-        end = len(data)
-        if end < 12 or data[2] & 0xF8 or data[4:6] != b"\x00\x01":
+        if len(data) < 12 or data[2] & 0xF8 or data[4:6] != b"\x00\x01":
             return None
-        labels = []
-        pos = 12
-        while pos < end:
-            length = data[pos]
-            pos += 1
-            if length == 0:
-                break
-            if length > 63 or pos + length > end:
-                return None
-            labels.append(data[pos : pos + length])
-            pos += length
-        else:
+        parsed = _question(data)
+        if parsed is None:
             return None
-        if pos + 4 > end:
-            return None
+        labels, pos = parsed
         question = data[12 : pos + 4]
         name = b".".join(labels).lower()
         if (

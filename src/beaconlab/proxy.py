@@ -10,12 +10,16 @@ for the operator's command channel.
 One asyncio event loop, in one thread, serves the listen socket, the
 control socket and every connection. So the injector, the counters and
 the logs have a single writer and need no lock. Client and upstream
-connections are asyncio Protocols: each frames heads and bodies from its
-own receive buffer as the bytes arrive, and an upstream exchange ends in
-one callback, so a request served on a pooled upstream connection takes
-no task, no stream reader and no future. Heads are split with str
-methods. Request bodies are framed by Content-Length only, up to
-MAX_REQUEST_BODY_BYTES; responses are framed as RFC 7230 3.3.3 frames them.
+connections are asyncio Protocols on one framer: each frames heads and
+bodies from its own receive buffer as the bytes arrive, and an upstream
+exchange ends in one callback, so a request served on a pooled upstream
+connection takes no task, no stream reader and no future. Request and
+response heads alike end their lines in CRLF, are refused at a bare LF at
+once, and hold at most MAX_HEAD_BYTES with their empty line; they are
+split with str methods. Request bodies are framed by Content-Length only,
+up to MAX_REQUEST_BODY_BYTES; responses are framed as RFC 7230 3.3.3
+frames them. Each end of a CONNECT tunnel is a Pipe protocol; after
+either end's EOF the tunnel has UPSTREAM_TIMEOUT_S to drain.
 
 Each relayed response leaves in one write on a TCP_NODELAY socket, so a
 keep-alive client never waits out Nagle's algorithm against its own
@@ -69,17 +73,17 @@ _NOT_FORWARDED = _HOP_BY_HOP | {"host", "content-length"}
 _RELAYED = {"GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS"}
 
 # Methods a proxy may resend after a failed attempt (RFC 7231 4.2.2).
-_IDEMPOTENT = {"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"}
+_IDEMPOTENT = {"GET", "HEAD", "PUT", "DELETE", "OPTIONS"}
 
 # Methods whose request carries Content-Length upstream even without a body.
-_BODY_EXPECTED = {"PATCH", "POST", "PUT"}
+_BODY_EXPECTED = {"POST", "PUT"}
 
 # Idle upstream keep-alive connections kept across all origins; past this
 # the least recently used one is closed.
 MAX_IDLE_UPSTREAM = 32
 
-# Largest request or response head (start line and header fields), and
-# longest chunk-size or control line, in bytes.
+# Largest request or response head (start line, header fields and the
+# empty line after them), and longest chunk-size or control line, in bytes.
 MAX_HEAD_BYTES = 65536
 
 # Largest upstream response body relayed, in bytes; a longer one gets 502.
@@ -298,7 +302,67 @@ def _write_eof(transport: asyncio.WriteTransport) -> None:
             pass
 
 
-class _Upstream(asyncio.Protocol):
+class _HeadTooLarge(ValueError):
+    """A head over MAX_HEAD_BYTES."""
+
+
+class _Framer(asyncio.Protocol):
+    """A connection whose requests or responses are framed from its own
+    receive buffer as the bytes arrive, under one set of rules: ``_head``
+    takes the next head, ``_fixed`` the next ``length`` bytes of a body."""
+
+    __slots__ = ("transport", "buffer", "scanned", "length")
+
+    def __init__(self):
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.scanned = 0  # leading buffer bytes already checked for a bare LF
+        self.length = 0  # the bytes _fixed takes next
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def _head(self) -> bytearray | None:
+        """The next head, through the empty line that ends it, taken from the
+        buffer; None until it is whole. ValueError, at once, for a line that
+        ends in a bare LF, after which a CRLF CRLF may never come, and
+        _HeadTooLarge for a head over MAX_HEAD_BYTES, its empty line included."""
+        buf = self.buffer
+        scanned = self.scanned
+        if buf.startswith(b"\r\n"):  # an empty first line ends an empty head
+            end = 2
+        else:
+            found = buf.find(b"\r\n\r\n", max(scanned - 3, 0))
+            end = found + 4 if found >= 0 else 0
+        checked = end or len(buf)
+        # a CR just before the unchecked bytes pairs with an LF just after it
+        start = scanned - 1 if scanned and buf[scanned - 1] == 13 else scanned
+        if buf.count(b"\n", start, checked) != buf.count(b"\r\n", start, checked):
+            raise ValueError("bare LF in head")
+        if checked > MAX_HEAD_BYTES:
+            raise _HeadTooLarge(f"head over {MAX_HEAD_BYTES} bytes")
+        if not end:
+            self.scanned = checked
+            return None
+        head = buf[:end]
+        del buf[:end]
+        self.scanned = 0
+        return head
+
+    def _fixed(self, prefix: bytes = b"", tail: int = 0) -> bytes | None:
+        """``prefix`` and the next ``length`` bytes, taken from the buffer
+        with ``tail`` more bytes after them; None until all have come."""
+        buf = self.buffer
+        length = self.length
+        if len(buf) < length + tail:
+            return None
+        with memoryview(buf) as view:
+            data = prefix + view[:length]
+        del buf[:length + tail]
+        return data
+
+
+class _Upstream(_Framer):
     """One connection to an origin, reused while the origin keeps it alive.
 
     ``exchange`` sends a whole request in one write. The response is framed
@@ -312,21 +376,13 @@ class _Upstream(asyncio.Protocol):
     closed the connection before the first byte of the response.
     """
 
-    __slots__ = (
-        "transport", "client", "method", "buffer", "step", "status", "headers",
-        "must_close", "length", "room", "chunks", "body",
-    )
+    __slots__ = ("client", "method", "step", "status", "headers", "must_close", "room", "chunks", "body")
 
     def __init__(self):
-        self.transport: asyncio.Transport | None = None
+        super().__init__()
         self.client: _Client | None = None  # whose exchange is in flight
-        self.method = ""
-        self.buffer = bytearray()
         self.step = None  # the framing step the buffered bytes go to next
         self.body = b""
-
-    def connection_made(self, transport: asyncio.Transport) -> None:
-        self.transport = transport
 
     def exchange(self, client: _Client, message: bytes, method: str) -> None:
         if self.transport.is_closing():  # the origin closed it as soon as it opened
@@ -334,7 +390,7 @@ class _Upstream(asyncio.Protocol):
             return
         self.client = client
         self.method = method
-        self.step = self._head
+        self.step = self._status
         self.transport.write(message)
 
     def close(self) -> None:
@@ -361,7 +417,7 @@ class _Upstream(asyncio.Protocol):
             return
         if self.step == self._to_close:
             self._end(bytes(self.buffer))
-        elif self.step == self._head and not self.buffer:
+        elif self.step == self._status and not self.buffer:
             self._fail(ConnectionResetError("remote end closed connection without response"))
         else:
             self._fail(EOFError("remote end closed connection mid-response"))
@@ -388,15 +444,11 @@ class _Upstream(asyncio.Protocol):
         self.step = None
         return False
 
-    def _head(self) -> bool:
-        buf = self.buffer
-        end = buf.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES + 4)
-        if end < 0:
-            if len(buf) >= MAX_HEAD_BYTES + 4:
-                raise ValueError("response head too large")
+    def _status(self) -> bool:
+        head = self._head()
+        if head is None:
             return False
-        status, headers, must_close = _status_head(buf[:end + 4])
-        del buf[:end + 4]
+        status, headers, must_close = _status_head(head)
         if status < 200:
             return True  # an interim response; the final one follows
         self.status, self.headers, self.must_close = status, headers, must_close
@@ -420,18 +472,12 @@ class _Upstream(asyncio.Protocol):
         if length > MAX_UPSTREAM_BODY_BYTES:
             raise _BodyTooLarge(f"Content-Length {length}")
         self.length = length
-        self.step = self._fixed
+        self.step = self._content
         return True
 
-    def _fixed(self) -> bool:
-        buf = self.buffer
-        length = self.length
-        if len(buf) < length:
-            return False
-        with memoryview(buf) as view:
-            body = bytes(view[:length])
-        del buf[:length]
-        return self._done(body)
+    def _content(self) -> bool:
+        body = self._fixed()
+        return False if body is None else self._done(body)
 
     def _to_close(self) -> bool:
         if len(self.buffer) > MAX_UPSTREAM_BODY_BYTES:
@@ -468,12 +514,10 @@ class _Upstream(asyncio.Protocol):
         return True
 
     def _chunk_data(self) -> bool:
-        buf = self.buffer
-        size = self.length
-        if len(buf) < size + 2:
+        data = self._fixed(tail=2)  # the data, then its CRLF
+        if data is None:
             return False
-        self.chunks.append(bytes(buf[:size]))
-        del buf[:size + 2]  # the data and its CRLF
+        self.chunks.append(data)
         self.step = self._chunk_size
         return True
 
@@ -487,33 +531,53 @@ class _Upstream(asyncio.Protocol):
 
 
 class _Pipe(asyncio.Protocol):
-    """The origin's end of a CONNECT tunnel: what it sends goes to the
-    client as it comes, and reading pauses while either side cannot keep up.
-    Nothing is read before the client has its 200."""
+    """One end of a CONNECT tunnel: what it reads goes to the other end as it
+    comes, and reading pauses while the other end cannot keep up. After either
+    end's EOF, passed on, both close at the other's or UPSTREAM_TIMEOUT_S later.
+    The origin's end reads nothing before the client has its 200."""
 
-    __slots__ = ("client",)
+    __slots__ = ("transport", "peer", "ended", "deadline", "lost")
 
-    def __init__(self, client: _Client):
-        self.client = client
+    def __init__(self, lost=None, peer: _Pipe | None = None):
+        self.transport: asyncio.Transport | None = None
+        self.peer = peer  # the other end, once the tunnel is open
+        self.ended = False  # this end has sent EOF
+        self.deadline: asyncio.TimerHandle | None = None
+        self.lost = lost  # called when this end's connection is lost
 
     def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
         transport.pause_reading()
 
     def data_received(self, data: bytes) -> None:
-        self.client.transport.write(data)
+        self.peer.transport.write(data)
 
     def eof_received(self) -> bool:
-        self.client.tunnel_eof_from_origin()
+        self.ended = True
+        _write_eof(self.peer.transport)
+        if self.peer.ended:
+            self._close()
+        else:
+            self.deadline = asyncio.get_running_loop().call_later(UPSTREAM_TIMEOUT_S, self._close)
         return True
 
     def pause_writing(self) -> None:
-        self.client.transport.pause_reading()
+        self.peer.transport.pause_reading()
 
     def resume_writing(self) -> None:
-        self.client.transport.resume_reading()
+        self.peer.transport.resume_reading()
 
     def connection_lost(self, exc: Exception | None) -> None:
-        self.client.transport.close()
+        if self.deadline is not None:
+            self.deadline.cancel()
+        if self.peer is not None:
+            self.peer.transport.close()
+        if self.lost is not None:
+            self.lost(exc)
+
+    def _close(self) -> None:
+        self.transport.close()
+        self.peer.transport.close()
 
 
 class _UpstreamPool:
@@ -607,7 +671,7 @@ def _parse_request(head: bytes, client: _Client) -> Request:
     return Request(method, target, headers, client, close, expects_continue)
 
 
-class _Client(asyncio.Protocol):
+class _Client(_Framer):
     """One client connection.
 
     Request heads are framed from the receive buffer. While a request is
@@ -618,22 +682,18 @@ class _Client(asyncio.Protocol):
     has sent part of a head, or part of a body, has UPSTREAM_TIMEOUT_S for
     the rest of it, and gets 408 after that; an idle connection, or a
     request that arrives whole, runs under no deadline of its own. After a
-    CONNECT the connection is the client's end of a tunnel.
+    CONNECT's 200 the connection is handed to a _Pipe, the tunnel's end.
     """
 
     __slots__ = (
-        "service", "transport", "buffer", "scanned", "request", "body_length", "paused",
-        "write_paused", "eof", "origin", "message", "upstream", "reused", "connecting",
-        "deadline", "read_deadline", "tunnel", "tunnel_ended",
+        "service", "request", "paused", "write_paused", "eof", "origin", "message", "upstream",
+        "reused", "connecting", "deadline", "read_deadline",
     )
 
     def __init__(self, service: ProxyService):
+        super().__init__()
         self.service = service
-        self.transport: asyncio.Transport | None = None
-        self.buffer = bytearray()
-        self.scanned = 0  # leading buffer bytes already checked for a bare LF
         self.request: Request | None = None  # the request being served
-        self.body_length = 0  # the body length while the request waits for its body
         self.paused = False  # reading paused while a request is served
         self.write_paused = False
         self.eof = False
@@ -646,8 +706,6 @@ class _Client(asyncio.Protocol):
         self.deadline: asyncio.TimerHandle | None = None
         # while part of a head or body is buffered: when the rest is due
         self.read_deadline: asyncio.TimerHandle | None = None
-        self.tunnel: asyncio.Transport | None = None  # the origin's end, after a CONNECT
-        self.tunnel_ended = False  # the origin has ended its side of the tunnel
 
     # -- the connection ------------------------------------------------------
 
@@ -658,20 +716,13 @@ class _Client(asyncio.Protocol):
     def connection_lost(self, exc: Exception | None) -> None:
         if self.read_deadline is not None:
             self.read_deadline.cancel()
-        if self.tunnel is not None:
-            self.tunnel.close()
         self.service._connections -= 1
         self.service._finish_if_idle()
 
     def data_received(self, data: bytes) -> None:
-        if self.tunnel is not None:
-            self.tunnel.write(data)
-            return
         self.buffer += data
-        if self.body_length:
-            if len(self.buffer) >= self.body_length:
-                self._read_done()
-                self._send(self.body_length)
+        if self.length:  # the body of the request being served
+            self._send()
         elif self.request is None and not self.write_paused:
             self._serve()
         elif not self.paused:
@@ -681,24 +732,16 @@ class _Client(asyncio.Protocol):
     def eof_received(self) -> bool:
         if not self.eof:
             self.eof = True
-            if self.tunnel is not None:
-                self._tunnel_eof_from_client()
-            elif self.body_length:
+            if self.length:
                 self.transport.close()  # the client closed the connection mid-body
             elif self.request is None:
                 self._serve()
         return True  # the reply to a request in flight may still go out
 
     def pause_writing(self) -> None:
-        if self.tunnel is not None:
-            self.tunnel.pause_reading()
-        else:
-            self.write_paused = True
+        self.write_paused = True
 
     def resume_writing(self) -> None:
-        if self.tunnel is not None:
-            self.tunnel.resume_reading()
-            return
         self.write_paused = False
         if self.request is None:
             self._serve()
@@ -718,7 +761,7 @@ class _Client(asyncio.Protocol):
         """The rest of a head or body did not come in time: 408, and close."""
         self.read_deadline = None
         peer = self.transport.get_extra_info("peername") or ("?", 0)
-        what = "body" if self.body_length else "head"
+        what = "body" if self.length else "head"
         self.service._log_error(
             f"client {peer[0]}:{peer[1]}: no whole request {what} within {UPSTREAM_TIMEOUT_S} s"
         )
@@ -734,40 +777,18 @@ class _Client(asyncio.Protocol):
 
     # -- requests --------------------------------------------------------------
 
-    def _head(self) -> bytearray | None:
-        """The next request head, through the empty line that ends it, taken
-        from the buffer; None until it is whole. _Refused, at once, for a
-        line that ends in a bare LF, after which a CRLF CRLF may never come,
-        and for a head over MAX_HEAD_BYTES."""
-        buf = self.buffer
-        scanned = self.scanned
-        if buf.startswith(b"\r\n"):  # an empty first line ends an empty head
-            end = 2
-        else:
-            found = buf.find(b"\r\n\r\n", max(scanned - 3, 0))
-            end = found + 4 if found >= 0 else 0
-        checked = end or len(buf)
-        # a CR just before the unchecked bytes pairs with an LF just after it
-        start = scanned - 1 if scanned and buf[scanned - 1] == 13 else scanned
-        if buf.count(b"\n", start, checked) != buf.count(b"\r\n", start, checked):
-            raise _Refused(400, "Bad request syntax")
-        if checked > MAX_HEAD_BYTES:
-            raise _Refused(431, "Request Header Fields Too Large")
-        if not end:
-            self.scanned = checked
-            return None
-        head = buf[:end]
-        del buf[:end]
-        self.scanned = 0
-        return head
-
     def _serve(self) -> None:
         """Serve buffered requests one at a time, until one is in flight, no
         whole head is buffered, or the connection closes."""
         transport = self.transport
         while self.request is None and not self.write_paused and not transport.is_closing():
             try:
-                head = self._head()
+                try:
+                    head = self._head()
+                except _HeadTooLarge:
+                    raise _Refused(431, "Request Header Fields Too Large") from None
+                except ValueError:  # a line that ends in a bare LF
+                    raise _Refused(400, "Bad request syntax") from None
                 if head is None:
                     if self.eof:
                         transport.close()
@@ -812,29 +833,29 @@ class _Client(asyncio.Protocol):
         the ``length`` bytes of its body have followed the head."""
         self.origin = origin
         self.message = message
-        if len(self.buffer) >= length:
-            self._send(length)
+        self.length = length
+        if self._send():
             return
         if self.eof:
             self.transport.close()  # the client closed the connection mid-body
             return
         if self.request.expects_continue:
             self.transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        self.body_length = length
         self.read_deadline = self._later(self._read_expired)
         if self.paused:
             self.paused = False
             self.transport.resume_reading()
 
-    def _send(self, length: int) -> None:
-        """Send the message and the buffered body upstream, on an idle pooled
-        connection to the origin if there is one."""
-        if length:
-            buf = self.buffer
-            with memoryview(buf) as view:  # one copy of the body, into the message
-                self.message += view[:length]
-            del buf[:length]
-            self.body_length = 0
+    def _send(self) -> bool:
+        """Send the message, with the body once it is whole in the buffer,
+        upstream on an idle pooled connection to the origin if any; False until then."""
+        if self.length:
+            message = self._fixed(self.message)  # one copy of the body
+            if message is None:
+                return False
+            self.message = message
+            self.length = 0
+            self._read_done()
         self.deadline = self._later(self._expire)
         conn = self.service._upstream.take(self.origin)
         if conn is not None and conn.transport.is_closing():
@@ -847,6 +868,7 @@ class _Client(asyncio.Protocol):
         else:
             self.reused = True
             self._exchange_on(None, conn)
+        return True
 
     def _exchange_on(self, transport, conn: _Upstream) -> None:
         self.upstream = conn
@@ -923,47 +945,47 @@ class _Client(asyncio.Protocol):
         """Connect the CONNECT being served to ``origin``, under the deadline."""
         self.origin = origin
         self.deadline = self._later(self._expire)
-        self._open(lambda: _Pipe(self), self._tunnel_on)
+        self._open(_Pipe, self._tunnel_on)
 
-    def _tunnel_on(self, transport: asyncio.Transport, pipe: _Pipe) -> None:
+    def _tunnel_on(self, tunnel: asyncio.Transport, origin_end: _Pipe) -> None:
+        """Log the CONNECT, whose origin connection is open, answer 200 and
+        hand this connection to a _Pipe that relays both ways."""
         self.deadline.cancel()
-        self.service._tunnel_opened(self.request, transport)
-
-    def pipe(self, tunnel: asyncio.Transport) -> None:
-        """Answer 200 and relay both ways between this connection and ``tunnel``."""
-        if self.transport.is_closing():
+        service = self.service
+        exchange_id, flow_id = service._next_ids()
+        logged = service._log_exchange(
+            HttpExchange(
+                exchange_id=exchange_id,
+                timestamp=time.time(),
+                flow_id=flow_id,
+                method="CONNECT",
+                url=f"https://{self.request.target}",
+                request_headers=(),
+                response_status=200,
+                response_headers=(),
+                response_body=b"",
+                is_encrypted=True,
+            ),
+            [],
+        )
+        if not logged:
             tunnel.close()
-            return
-        self.tunnel = tunnel
-        self.transport.write(b"HTTP/1.1 200 Connection Established\r\n\r\n")
+            return service._refuse(self.request, 503, "proxy stopped")
+        transport = self.transport
+        if transport.is_closing():
+            return tunnel.close()
+        transport.write(b"HTTP/1.1 200 Connection Established\r\n\r\n")
+        origin_end.peer = client_end = _Pipe(self.connection_lost, origin_end)
+        client_end.transport = transport
+        transport.set_protocol(client_end)
         if self.buffer:
             tunnel.write(bytes(self.buffer))
             self.buffer.clear()
         tunnel.resume_reading()
         if self.eof:
-            self._tunnel_eof_from_client()
+            client_end.eof_received()
         elif self.paused:
-            self.paused = False
-            self.transport.resume_reading()
-
-    def _tunnel_eof_from_client(self) -> None:
-        """Pass the client's EOF on; close both ends once the origin has
-        ended its side too, or UPSTREAM_TIMEOUT_S later."""
-        _write_eof(self.tunnel)
-        if self.tunnel_ended:
-            self._close_tunnel()
-        else:
-            self.deadline = self._later(self._close_tunnel)
-
-    def tunnel_eof_from_origin(self) -> None:
-        _write_eof(self.transport)
-        self.tunnel_ended = True
-        if self.eof:
-            self._close_tunnel()
-
-    def _close_tunnel(self) -> None:
-        self.tunnel.close()
-        self.transport.close()
+            transport.resume_reading()
 
 
 class ProxyService:
@@ -1263,33 +1285,9 @@ class ProxyService:
 
     def handle_connect(self, request: Request) -> None:
         """Opaque tunnel: logged as an encrypted exchange, never rewritten."""
-        request.close = True
         if self._stopped:
             return self._refuse(request, 503, "proxy stopped")
         authority = _connect_authority(request.target)
         if authority is None:
             return self._refuse(request, 400, "malformed CONNECT target")
         request.client.open_tunnel(authority)
-
-    def _tunnel_opened(self, request: Request, tunnel: asyncio.Transport) -> None:
-        """Log a CONNECT whose origin connection is open, then relay it."""
-        exchange_id, flow_id = self._next_ids()
-        logged = self._log_exchange(
-            HttpExchange(
-                exchange_id=exchange_id,
-                timestamp=time.time(),
-                flow_id=flow_id,
-                method="CONNECT",
-                url=f"https://{request.target}",
-                request_headers=(),
-                response_status=200,
-                response_headers=(),
-                response_body=b"",
-                is_encrypted=True,
-            ),
-            [],
-        )
-        if not logged:
-            tunnel.close()
-            return self._refuse(request, 503, "proxy stopped")
-        request.client.pipe(tunnel)

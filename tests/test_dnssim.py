@@ -249,9 +249,14 @@ class TestUrlHost:
 class TestWireFormat:
     def test_query_round_trip(self):
         packet = encode_query(0x1234, "img.attacker.test")
-        txid, name, qtype, question = parse_query(packet)
-        assert (txid, name, qtype) == (0x1234, "img.attacker.test", QTYPE_A)
+        txid, labels, qtype, question = parse_query(packet)
+        assert (txid, labels, qtype) == (0x1234, [b"img", b"attacker", b"test"], QTYPE_A)
         assert question == packet[12:]
+
+    def test_a_label_that_holds_a_dot_stays_one_label(self):
+        dotted = encode_query(1, "")[:12] + _name([b"pixel.feedback", b"test"]) + b"\x00\x01\x00\x01"
+        assert parse_query(dotted)[1] == [b"pixel.feedback", b"test"]
+        assert parse_query(encode_query(1, "pixel.feedback.test"))[1] == [b"pixel", b"feedback", b"test"]
 
     def test_garbage_rejected(self):
         assert parse_query(b"\x00\x01") is None
@@ -264,7 +269,7 @@ class TestWireFormat:
         assert encode_name("x" * 63 + ".z") == b"\x3f" + b"x" * 63 + b"\x01z\x00"
         name = ".".join(["x" * 63] * 3 + ["x" * 61])  # 253 characters, 255 octets
         assert len(encode_name(name)) == 255
-        assert parse_query(encode_query(1, name))[1] == name
+        assert b".".join(parse_query(encode_query(1, name))[1]) == name.encode("ascii")
 
     @pytest.mark.parametrize(
         "name",
@@ -285,15 +290,6 @@ def _name(labels):
     return b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
 
 
-def _wire_labels(question):
-    """The labels of a question parse_query has sliced, as bytes."""
-    labels, pos = [], 0
-    while question[pos]:
-        labels.append(question[pos + 1 : pos + 1 + question[pos]])
-        pos += 1 + question[pos]
-    return labels
-
-
 def _reference_reply(responder, packet, source, now):
     """handle_packet's reply and log record (None for none), composed from
     the public wire helpers and the resolver's own name checks, plus the
@@ -303,12 +299,12 @@ def _reference_reply(responder, packet, source, now):
     parsed = parse_query(packet)
     if parsed is None:
         return None, None
-    txid, name, qtype, question = parsed
+    txid, labels, qtype, question = parsed
     qclass = int.from_bytes(question[-2:], "big")
-    normalized = normalize_name(name)
+    normalized = normalize_name(b".".join(labels).decode("ascii", errors="replace"))
     if (
         qclass != QCLASS_IN
-        or any(b"." in label for label in _wire_labels(question))
+        or any(b"." in label for label in labels)
         or not is_valid_name(normalized)
         or not responder.resolver.in_zone(normalized)
     ):
@@ -375,10 +371,11 @@ class TestArbitraryPackets:
         parsed = parse_query(packet)
         if parsed is None:
             return
-        txid, name, qtype, question = parsed
+        txid, labels, qtype, question = parsed
         assert txid == int.from_bytes(packet[:2], "big")
-        assert isinstance(name, str) and 0 <= qtype <= 0xFFFF
+        assert all(isinstance(label, bytes) for label in labels) and 0 <= qtype <= 0xFFFF
         assert question == packet[12 : 12 + len(question)]
+        assert question[:-4] == _name(labels)  # the labels are the name's, unjoined
         assert question[-4:-2] == qtype.to_bytes(2, "big")
 
     @pytest.fixture(scope="class")
@@ -397,10 +394,10 @@ class TestArbitraryPackets:
         if len(log) == before:
             return
         assert len(log) == before + 1
-        _, name, qtype, question = parse_query(packet)
+        _, labels, qtype, question = parse_query(packet)
         assert qtype == QTYPE_A
         assert question[-2:] == b"\x00\x01"  # class IN
-        assert log[-1].name == normalize_name(name)
+        assert log[-1].name == normalize_name(b".".join(labels).decode("ascii"))
         assert responder.resolver.in_zone(log[-1].name)
         assert parse_answer_address(reply) == CONFIG.payload_address
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,9 @@ class RawOrigin:
         return "http://%s:%d%s" % (*self.address, path)
 
     def close(self):
+        # a thread blocked in accept() wakes at a shutdown, not at a close
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
         self.sock.close()
         self.thread.join(timeout=5)
 
@@ -1048,6 +1052,171 @@ class TestIncrementalFraming:
         assert keepalive_origin.accepted == 0
 
 
+class TestResponseHead:
+    """A response head is framed under the request head's rules."""
+
+    def test_bare_lf_response_head_gets_502_at_once(self, service, raw_origin, capfd):
+        # no CRLF CRLF ever comes, and the origin keeps the connection open
+        # for a second request
+        origin = raw_origin((b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok", False), (b"", False))
+        url = origin.url("/lf").encode()
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % url)
+            started = time.monotonic()
+            reply = read_until_closed(sock)  # times out unless the proxy answers and closes
+            waited = time.monotonic() - started
+        assert reply.startswith(b"HTTP/1.1 502 ")
+        assert waited < 1
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        assert "bare LF in head" in line
+        assert read_exchange_log(service.config.exchange_log_path) == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("extra, reply", [
+        (0, (200, b"ok")), (1, (502, b"502 upstream unreachable\n"))
+    ], ids=["at-the-cap", "one-over"])
+    def test_head_is_capped_with_its_empty_line(self, service, raw_origin, monkeypatch, extra, reply):
+        monkeypatch.setattr(proxy, "MAX_HEAD_BYTES", 256)
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Pad: \r\n\r\n"
+        head = head.replace(b"X-Pad: ", b"X-Pad: " + b"p" * (256 - len(head) + extra))
+        assert len(head) == 256 + extra
+        origin = raw_origin((head + b"ok", False))
+        assert proxy_get(service, origin.address, "/capped") == reply
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == extra  # one error line for the 502
+
+
+class _FakeTransport:
+    """A transport that drops what is written to it and records a close."""
+
+    def __init__(self):
+        self.closed = False
+
+    def write(self, data):
+        pass
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+class _StubService:
+    """What a _Client asks of ProxyService and its upstream pool. Each
+    request is relayed to one stub connection, which keeps the message and
+    leaves the exchange pending until the test answers it."""
+
+    def __init__(self):
+        self._connections = 0
+        self._loop = SimpleNamespace(
+            time=lambda: 0.0, call_at=lambda when, callback: SimpleNamespace(cancel=lambda: None)
+        )
+        self._upstream = SimpleNamespace(take=lambda origin: self.conn)
+        self.conn = SimpleNamespace(transport=_FakeTransport(), exchange=self._exchange)
+        self.framed = []  # (method, target, header fields, message with body) per request
+        self.pending = []
+
+    def handle_request_socketless(self, request):
+        length = proxy._content_length(request.headers)
+        request.client.relay(("origin.test", 80), b"%s %s\r\n" % (
+            request.method.encode(), request.target.encode()), length)
+
+    def _exchange(self, client, message, method):
+        request = client.request
+        self.framed.append((request.method, request.target, request.headers.fields, message))
+        self.pending.append(client)
+
+
+class _StubExchange:
+    """The _Client side of one upstream exchange: keeps how it ended."""
+
+    def __init__(self):
+        self.ended = []
+
+    def response(self, conn, status, headers, body, close):
+        self.ended.append((status, headers.fields, body, close))
+
+    def upstream_failed(self, exc):
+        self.ended.append(exc)
+
+
+_CHUNKED_RESPONSE = (
+    b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>\r\n\r\n"
+    b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"5;ext=1\r\nhello\r\n06\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n"
+)
+_PIPELINED_REQUESTS = (
+    b"POST http://origin.test/form HTTP/1.1\r\nHost: origin.test\r\nContent-Length: 11\r\n\r\n"
+    b"hello world"
+    b"GET http://origin.test/page HTTP/1.1\r\nHost: origin.test\r\nX-A: 1\r\n\r\n"
+)
+
+
+def _pieces(data: bytes):
+    """``data`` cut at arbitrary points."""
+    return st.lists(st.integers(1, len(data) - 1), unique=True, max_size=len(data) - 1).map(
+        lambda cuts: [data[i:j] for i, j in zip([0, *sorted(cuts)], [*sorted(cuts), len(data)])]
+    )
+
+
+def _frame_response(pieces):
+    conn = proxy._Upstream()
+    conn.connection_made(_FakeTransport())
+    client = _StubExchange()
+    conn.exchange(client, b"GET / HTTP/1.1\r\n\r\n", "GET")
+    for piece in pieces:
+        conn.data_received(piece)
+    return client.ended, bytes(conn.buffer), conn.transport.closed
+
+
+def _frame_requests(pieces):
+    service = _StubService()
+    client = proxy._Client(service)
+    client.connection_made(_FakeTransport())
+    for piece in pieces:
+        client.data_received(piece)
+        while service.pending:  # answer each exchange once it is sent
+            service.pending.pop().finish(b"")
+    return service.framed, bytes(client.buffer), client.transport.closed
+
+
+class TestFramerOnSplitBytes:
+    """Each side frames the same messages however its bytes are split,
+    with no socket: _Upstream and _Client fed through data_received."""
+
+    def test_unsplit_bytes_frame_the_expected_messages(self):
+        ended, left, closed = _frame_response([_CHUNKED_RESPONSE])
+        assert ended == [(200, [("Content-Type", "text/plain"), ("Transfer-Encoding", "chunked")],
+                          b"hello world", False)]
+        assert (left, closed) == (b"", False)
+        framed, left, closed = _frame_requests([_PIPELINED_REQUESTS])
+        assert framed == [
+            ("POST", "http://origin.test/form", [("Host", "origin.test"), ("Content-Length", "11")],
+             b"POST http://origin.test/form\r\nhello world"),
+            ("GET", "http://origin.test/page", [("Host", "origin.test"), ("X-A", "1")],
+             b"GET http://origin.test/page\r\n"),
+        ]
+        assert (left, closed) == (b"", False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pieces(_CHUNKED_RESPONSE))
+    def test_chunked_response_with_a_trailer(self, pieces):
+        assert _frame_response(pieces) == _frame_response([_CHUNKED_RESPONSE])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pieces(_PIPELINED_REQUESTS))
+    def test_two_pipelined_requests_one_with_a_body(self, pieces):
+        assert _frame_requests(pieces) == _frame_requests([_PIPELINED_REQUESTS])
+
+
 class TestClientDeadline:
     """A client that sends part of a request has UPSTREAM_TIMEOUT_S for the rest."""
 
@@ -1375,6 +1544,24 @@ class TestConnectTunnel:
         assert [(e.method, e.url, e.is_encrypted) for e in log] == [
             ("CONNECT", f"https://[::1]:{port}", True)
         ]
+
+    def test_tunnel_closes_when_only_the_origin_ends(self, service, monkeypatch):
+        # the drain deadline runs from either end's EOF; this client never ends
+        monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
+        echo = socket.create_server(("127.0.0.1", 0))
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(b"CONNECT 127.0.0.1:%d HTTP/1.1\r\n\r\n" % echo.getsockname()[1])
+            conn, _ = echo.accept()
+            with conn:
+                conn.settimeout(2)
+                conn.shutdown(socket.SHUT_WR)
+                started = time.monotonic()
+                assert conn.recv(1024) == b""  # times out unless the proxy closes the tunnel
+                waited = time.monotonic() - started
+            # the origin's EOF reached the client
+            assert read_until_closed(sock) == b"HTTP/1.1 200 Connection Established\r\n\r\n"
+        echo.close()
+        assert 0.15 < waited < 1.5
 
 
 class TestConfig:
