@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the calibrated desk-scale experiment end to end.
 
-Simulates a seeded client population through the active injector, then
+Simulates the calibrated client population (``beaconlab simulate`` with
+--seed, --client-count and --duration) through the active injector, then
 correlates the logs and prints the headline measurements. Outputs land in
-the chosen directory (default ./out/desk_experiment).
+the chosen directory (default ./out/desk_experiment): the logs in sim/,
+the report in report/.
 """
 
 import argparse
@@ -12,7 +14,6 @@ import os
 import sys
 
 from beaconlab import cli
-from beaconlab.clientsim import calibrated_config
 
 
 def main() -> int:
@@ -23,20 +24,11 @@ def main() -> int:
     parser.add_argument("--out", default="out/desk_experiment")
     args = parser.parse_args()
 
-    os.makedirs(args.out, exist_ok=True)
-    config = calibrated_config(
-        seed=args.seed,
-        client_count=args.clients,
-        duration_seconds=args.duration,
-        visit_rate=0.01,
-        non_fetching_share=0.1,
-        restart_count=5,
-    )
-    config_path = os.path.join(args.out, "scenario.json")
-    config.save(config_path)
     sim_dir = os.path.join(args.out, "sim")
     report_dir = os.path.join(args.out, "report")
-    if cli.main(["simulate", "--config", config_path, "--out", sim_dir]) != 0:
+    simulate = ["simulate", "--seed", str(args.seed), "--client-count", str(args.clients),
+                "--duration", str(args.duration), "--out", sim_dir]
+    if cli.main(simulate) != 0:
         return 2
     if cli.main(["analyze", "--logs", sim_dir, "--out", report_dir]) != 0:
         return 2

@@ -38,16 +38,16 @@ def _write_manifest(out_dir: str, subcommand: str, **fields) -> None:
 
 
 def _load_scenario(args) -> clientsim.ScenarioConfig:
-    if args.config:
-        config = clientsim.ScenarioConfig.load(args.config)
-    else:
-        config = clientsim.calibrated_config()
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "client_count", None) is not None:
-        config.client_count = args.client_count
-    if getattr(args, "duration", None) is not None:
-        config.duration_seconds = args.duration
+    """The calibrated scenario the flags given describe, or the --config file
+    with those flags set over it."""
+    flags = (("seed", args.seed), ("client_count", args.client_count),
+             ("duration_seconds", args.duration))
+    given = {name: value for name, value in flags if value is not None}
+    if not args.config:
+        return clientsim.calibrated_config(**given)
+    config = clientsim.ScenarioConfig.load(args.config)
+    for name, value in given.items():
+        setattr(config, name, value)
     return config
 
 

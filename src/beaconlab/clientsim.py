@@ -127,18 +127,21 @@ class ScenarioConfig:
             raise ConfigError("non_fetching_share must lie in [0, 1]")
         if self.restart_count < 0:
             raise ConfigError("restart_count must be >= 0")
+        # run_scenario draws with finite weights >= 0; a NaN fails every
+        # comparison, so each weight must be shown to lie in that range
+        if not all(0 <= w < math.inf for w in self.mime_mix.values()):
+            raise ConfigError("mime_mix weights must be finite numbers >= 0")
         if abs(sum(self.mime_mix.values()) - 1.0) > 1e-6:
             raise ConfigError("mime_mix must sum to 1")
-        if any(w < 0 for w in self.mime_mix.values()):
-            raise ConfigError("mime_mix weights must be >= 0")
         try:
             self.zone_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.ua_population and self.client_count > 0:
-            raise ConfigError("ua_population must not be empty")
-        if any(spec.weight < 0 for spec in self.ua_population):
-            raise ConfigError("ua_population weights must be >= 0")
+        weights = [spec.weight for spec in self.ua_population]
+        if not all(0 <= w < math.inf for w in weights):
+            raise ConfigError("ua_population weights must be finite numbers >= 0")
+        if self.client_count > 0 and not 0 < sum(weights) < math.inf:
+            raise ConfigError("ua_population must have a positive, finite total weight")
 
     def zone_config(self) -> ZoneConfig:
         """The zone run_scenario's resolver answers for."""
@@ -370,7 +373,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     exchanges: list[HttpExchange] = []
     tags: list[Tag] = []
 
-    if config.client_count:  # validate() leaves a population empty only without clients
+    if config.client_count:  # validate() leaves a total weight of 0 only without clients
         draw_spec = _one_of(config.ua_population, [spec.weight for spec in config.ua_population])
         draw_mime = _one_of(list(config.mime_mix), config.mime_mix.values())
     non_fetching = round(config.client_count * config.non_fetching_share)

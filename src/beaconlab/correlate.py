@@ -27,7 +27,7 @@ from beaconlab.httplog import (
     read_exchange_views,
     write_json,
 )
-from beaconlab.inject import DYNAMIC, STATIC, TAG_LABEL_LOG, Tag, TagLabel
+from beaconlab.inject import DYNAMIC, TAG_LOG, Tag
 from beaconlab.ua import (
     DEFAULT_WINDOW_SECONDS,
     RatioSeries,
@@ -44,9 +44,8 @@ read_exchange_log = read_exchange_views
 
 
 # build_report_from_dir reads the three CSV logs through these names, one
-# record at a time, so tag_accounting folds each row as it is read: of
-# tags.csv only each row's kind and label.
-read_tag_log = TAG_LABEL_LOG.stream
+# record at a time, so tag_accounting folds each row as it is read.
+read_tag_log = TAG_LOG.stream
 read_query_log = QUERY_LOG.stream
 read_fetch_log = FETCH_LOG.stream
 
@@ -70,12 +69,10 @@ class Reappearance:
 class TagAccounting:
     """Everything the tag, DNS and fetch logs say, keyed by subdomain label."""
 
-    static_issued: int
     dynamic_issued: int
     static_dns_hits: int  # one per browser lifetime: the unique-user count
     dynamic_dns_hits: int
     static_object_hits: int
-    dynamic_object_hits: int
     reappearances: tuple[Reappearance, ...]  # sorted by label
     anomalies: tuple[str, ...]  # in-zone hit labels never issued, sorted
 
@@ -120,13 +117,13 @@ class CorrelationReport:
 
 
 def tag_accounting(
-    tags: Iterable[Tag | TagLabel],
+    tags: Iterable[Tag],
     dns_log: Iterable[DnsQueryRecord],
     fetch_log: Iterable[FetchRecord],
     static_label: str,
     zone: str,
 ) -> TagAccounting:
-    """Issue and hit totals per tag kind, reappearances and anomalies, from
+    """Dynamic tags issued, hit totals, reappearances and anomalies, from
     one pass over each log, in the order tags, DNS, fetches. Each record is
     used as it comes and the state kept grows with the distinct labels, so
     the logs may be streams read as the fold goes.
@@ -137,14 +134,11 @@ def tag_accounting(
     after a cache-clearing event. In-zone lookups of labels never issued
     (other than the static label; the apex is not in-zone) are anomalies.
     """
-    static_issued = 0
     # each issued dynamic label: None until it is looked up, then the time
     # of its first lookup; a list of times only for a label looked up again
     first_lookup: dict[str, float | None] = {}
     for tag in tags:
-        if tag.kind == STATIC:
-            static_issued += 1
-        elif tag.kind == DYNAMIC:
+        if tag.kind == DYNAMIC:
             first_lookup[tag.subdomain] = None
     # a name in the zone ends in "." + the zone; its label is what comes before
     suffix = "." + normalize_name(zone)
@@ -170,23 +164,16 @@ def tag_accounting(
                 repeated[label] = [first, record.timestamp]
         else:
             anomalies.add(label)
-    static_obj = dynamic_obj = 0
+    static_obj = 0
     for record in fetch_log:
         host = url_host(record.url)
-        if not host.endswith(suffix):
-            continue
-        label = host[:cut]
-        if label == static_label:
+        if host.endswith(suffix) and host[:cut] == static_label:
             static_obj += 1
-        elif label in first_lookup:
-            dynamic_obj += 1
     return TagAccounting(
-        static_issued=static_issued,
         dynamic_issued=len(first_lookup),
         static_dns_hits=static_dns,
         dynamic_dns_hits=dynamic_dns,
         static_object_hits=static_obj,
-        dynamic_object_hits=dynamic_obj,
         reappearances=tuple(
             Reappearance(subdomain=label, hit_count=len(stamps), timestamps=tuple(sorted(stamps)))
             for label, stamps in sorted(repeated.items())
@@ -209,7 +196,7 @@ def detect_reappearances(
     zone: str,
 ) -> tuple[list[Reappearance], list[str]]:
     """Issued dynamic subdomains with >= 2 hits, plus anomalous labels."""
-    tags = [TagLabel(DYNAMIC, label) for label in issued_dynamic]
+    tags = [Tag(DYNAMIC, label, "", "", 0.0) for label in issued_dynamic]
     accounting = tag_accounting(tags, dns_log, (), static_label, zone)
     return list(accounting.reappearances), list(accounting.anomalies)
 
@@ -232,7 +219,7 @@ def ua_records_from_exchanges(
 
 def build_report(
     exchanges: Sequence[HttpExchange | ExchangeView],
-    tags: Iterable[Tag | TagLabel],
+    tags: Iterable[Tag],
     dns_log: Iterable[DnsQueryRecord],
     fetch_log: Iterable[FetchRecord],
     db: VulnDb,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from beaconlab.dnssim import is_valid_name, normalize_name
 from beaconlab.httplog import (
-    CsvLog, Headers, HttpExchange, finite_time, read_exchange_log, write_exchange_log
+    CsvLog, Headers, HttpExchange, _media_type, finite_time, read_exchange_log, write_exchange_log
 )
 
 MARKER_BEGIN = "<!--bx:begin-->"
@@ -48,8 +48,7 @@ class Tag(NamedTuple):
     injected_at: float
 
 
-# Tag(*fields), and TagLabel(*fields) below, without the generated
-# __new__'s Python-level call.
+# Tag(*fields) without the generated __new__'s Python-level call.
 _new_tag = tuple.__new__
 
 
@@ -162,7 +161,7 @@ def _length_fields_if_taggable(exchange: HttpExchange) -> list[int] | None:
     headers = exchange.response_headers
     for name, value in headers:
         if name.lower() == "content-type":
-            if value.split(";", 1)[0].strip().lower() != "text/html":
+            if _media_type(value) != "text/html":
                 return None
             break
     else:
@@ -244,29 +243,10 @@ def _tag_kind(cell: str) -> str:
 # tags.csv: every beacon issued, one row per Tag.
 TAG_LOG = CsvLog(
     ("kind", "subdomain", "url", "exchange_id", "injected_at"),
-    lambda row: Tag(_tag_kind(row[0]), row[1], row[2], row[3], finite_time(row[4])),
+    lambda row: _new_tag(Tag, (_tag_kind(row[0]), row[1], row[2], row[3], finite_time(row[4]))),
 )
 write_tag_log = TAG_LOG.write
 read_tag_log = TAG_LOG.read
-
-
-class TagLabel(NamedTuple):
-    """The part of a tags.csv row that analysis and a restarted proxy read."""
-
-    kind: str
-    subdomain: str
-
-
-def _tag_label(row: list[str]) -> TagLabel:
-    kind = _tag_kind(row[0])
-    finite_time(row[4])  # rejected as TAG_LOG rejects it
-    return _new_tag(TagLabel, (kind, row[1]))
-
-
-# tags.csv with TAG_LOG's header and checks, keeping only each row's kind
-# and label.
-TAG_LABEL_LOG = CsvLog(TAG_LOG.header, _tag_label)
-read_tag_labels = TAG_LABEL_LOG.read
 
 
 def rewrite_log(

@@ -49,7 +49,7 @@ from beaconlab.httplog import (
     HttpExchange, LogAppender, count_lines, exchange_log_appender
 )
 from beaconlab.inject import (
-    DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LABEL_LOG, TAG_LOG, Injector, Tag
+    DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag
 )
 
 PASSIVE = "passive"
@@ -205,14 +205,19 @@ def _split_head(head: bytes) -> tuple[str, _Headers]:
 
 def _content_length(headers: _Headers) -> int | None:
     """Request body length from Content-Length (RFC 7230 3.3.2): 0 if absent,
-    None if malformed or repeated with different values."""
+    None if malformed or repeated with different values. A length with more
+    digits than MAX_REQUEST_BODY_BYTES, leading zeros aside, is not converted
+    (int() refuses more than 4,300 digits): it gives one over that cap."""
     values = {value.strip() for value in headers.get_all("Content-Length")}
     if not values:
         return 0
     value = values.pop()
     if values or not _CONTENT_LENGTH.fullmatch(value):
         return None
-    return int(value)
+    digits = value.lstrip("0")
+    if len(digits) > len(str(MAX_REQUEST_BODY_BYTES)):
+        return MAX_REQUEST_BODY_BYTES + 1
+    return int(digits or "0")
 
 
 def _host_field(hostname: str, port: int) -> str:
@@ -1020,7 +1025,7 @@ class ProxyService:
                     self._log_error(f"{log.path}: dropped {log.dropped} bytes of a torn last line")
             self.injector = None
             if config.zone:
-                tags = TAG_LABEL_LOG.stream(config.tag_log_path)  # one row held at a time
+                tags = TAG_LOG.stream(config.tag_log_path)  # one row held at a time
                 issued = sum(tag.kind == DYNAMIC for tag in tags)
                 self.injector = Injector(
                     zone=config.zone, static_label=config.static_label, seed=config.seed
@@ -1211,7 +1216,8 @@ class ProxyService:
             return self._refuse(request, 400, "malformed Content-Length")
         if length > MAX_REQUEST_BODY_BYTES:
             self._log_error(
-                f"request body of {length} bytes is over {MAX_REQUEST_BODY_BYTES} bytes for {url}"
+                f"request body of {headers.get('Content-Length').strip()} bytes is over "
+                f"{MAX_REQUEST_BODY_BYTES} bytes for {url}"
             )
             return self._refuse(request, 413, "request body too large")
         method = request.method

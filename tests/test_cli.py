@@ -8,8 +8,10 @@ import socket
 import pytest
 
 from beaconlab import cli
-from beaconlab.clientsim import calibrated_config, calibrated_vuln_db
-from beaconlab.httplog import read_exchange_log, write_exchange_log
+from beaconlab.clientsim import calibrated_config, calibrated_vuln_db, run_scenario, write_fetch_log
+from beaconlab.dnssim import write_query_log
+from beaconlab.httplog import read_exchange_log, write_exchange_log, write_json
+from beaconlab.inject import write_tag_log
 from tests.test_clientsim import small_config
 from tests.test_injector import HTML, make_exchange
 
@@ -126,6 +128,23 @@ class TestSimulate:
         assert set(stages) == {"run_scenario", "write_logs"}
         assert all(isinstance(s, float) and s >= 0 for s in stages.values())
 
+    def test_flags_without_config_build_the_calibrated_scenario(self, tmp_path):
+        out = str(tmp_path / "cli")
+        assert run(
+            "simulate", "--seed", "9", "--client-count", "60", "--duration", "300", "--out", out
+        ) == 0
+        config = calibrated_config(seed=9, client_count=60, duration_seconds=300.0)
+        result = run_scenario(config)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_exchange_log(result.exchanges, str(ref / "exchanges.jsonl"))
+        write_tag_log(result.tags, str(ref / "tags.csv"))
+        write_query_log(result.dns_log, str(ref / "dns_queries.csv"))
+        write_fetch_log(result.fetch_log, str(ref / "fetches.csv"))
+        write_json(result.ground_truth, str(ref / "ground_truth.json"))
+        config.save(str(ref / "scenario_config.json"))
+        assert _dir_digest(out) == _dir_digest(str(ref))
+
     def test_seed_flag_overrides(self, tmp_path, scenario_file):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -161,6 +180,24 @@ class TestMalformedScenario:
         path.write_text(f'{{"client_count": 2, "{field}": {value}}}', encoding="utf-8")
         assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         assert f"{field} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("mime_mix", '{"text/html": NaN}'),
+        ("mime_mix", '{"text/html": 1.0, "image/png": NaN}'),
+        ("mime_mix", '{"text/html": Infinity, "image/png": NaN}'),
+        ("ua_population", '[{"user_agent": "A/1", "weight": NaN}]'),
+        ("ua_population", '[{"user_agent": "A/1", "weight": Infinity}]'),
+        ("ua_population", '[{"user_agent": "A/1", "weight": 0}, {"user_agent": "B/2", "weight": 0}]'),
+        ("ua_population", '[{"user_agent": "A/1", "weight": 1e308}, {"user_agent": "B/2", "weight": 1e308}]'),
+    ], ids=["mime_nan", "mime_nan_beside_one", "mime_nan_and_infinity", "ua_nan", "ua_infinity",
+            "ua_all_zero", "ua_total_overflows"])
+    def test_weights_that_cannot_be_drawn_are_refused(self, tmp_path, capsys, field, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{{"client_count": 2, "{field}": {value}}}', encoding="utf-8")
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {field} ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", MALFORMED_SCENARIOS.values(), ids=MALFORMED_SCENARIOS.keys())
     def test_analyze_names_the_file(self, tmp_path, sim_dir, capsys, text):

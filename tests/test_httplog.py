@@ -31,7 +31,7 @@ from beaconlab.httplog import (
 from beaconlab import correlate, httplog
 from beaconlab.clientsim import FETCH_LOG, FetchRecord, read_fetch_log
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, read_query_log
-from beaconlab.inject import TAG_LOG, Tag, read_tag_labels
+from beaconlab.inject import TAG_LOG, Tag
 from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb
 
 
@@ -977,10 +977,9 @@ def listed(stream):
 
 
 READERS = {name: layout.read for name, (layout, _) in LAYOUTS.items()}
-READERS["tag_labels"] = read_tag_labels
 # The streams analyze folds, and the list readers of the same logs.
 ANALYZE_STREAMS = {
-    "tag_labels": (read_tag_labels, correlate.read_tag_log),
+    "tags": (TAG_LOG.read, correlate.read_tag_log),
     "dns": (read_query_log, correlate.read_query_log),
     "fetch": (read_fetch_log, correlate.read_fetch_log),
 }
@@ -1025,8 +1024,8 @@ class TestTagKinds:
     @pytest.mark.parametrize("kind", ["bogus", "STATIC", "Dynamic", ""])
     @pytest.mark.parametrize(
         "read",
-        [TAG_LOG.read, read_tag_labels, listed(correlate.read_tag_log)],
-        ids=["tag_log", "tag_labels", "analyze_stream"],
+        [TAG_LOG.read, listed(correlate.read_tag_log)],
+        ids=["tag_log", "analyze_stream"],
     )
     def test_a_kind_other_than_static_or_dynamic_fails_at_its_line(self, tmp_path, read, kind):
         path = str(tmp_path / "tags.csv")
@@ -1093,8 +1092,7 @@ _PAST_READ_AHEAD = 1000
 
 def layout_of(reader: str) -> str:
     """The LAYOUTS name of the log a READERS entry reads."""
-    name = reader.removeprefix("analyze_")
-    return "tags" if name == "tag_labels" else name
+    return reader.removeprefix("analyze_")
 
 
 def _corrupt_line(path: str, line_no: int, newlines=(b"\n",)) -> None:

@@ -987,14 +987,30 @@ class TestRequestBodyCap:
         assert request.endswith(b"\r\n\r\n" + b"p" * CAP)
         assert os.path.getsize(service.config.error_log_path) == 0
 
-    def test_body_over_the_cap_gets_413_before_it_is_read(self, service, monkeypatch):
+    def test_length_under_the_cap_after_5000_zeros_is_relayed(self, service, raw_origin, monkeypatch):
+        monkeypatch.setattr(proxy, "MAX_REQUEST_BODY_BYTES", CAP)
+        origin = raw_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", True))
+        head = b"POST %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: %s\r\n\r\n"
+        with socket.create_connection(service.listen_address, timeout=2) as sock:
+            sock.sendall(head % (origin.url("/form").encode(), b"0" * 5_000 + b"10") + b"p" * 10)
+            status, _, body = split_reply(read_until_closed(sock))
+        assert (status, body) == (b"HTTP/1.1 200 OK", b"ok")
+        (request,) = origin.requests
+        assert request.endswith(b"\r\nContent-Length: 10\r\n\r\n" + b"p" * 10)
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    # one byte over the cap, and more digits than int() converts
+    @pytest.mark.parametrize(
+        "length", [b"%d" % (CAP + 1), b"9" * 5_000], ids=["one-over", "5000-digits"]
+    )
+    def test_body_over_the_cap_gets_413_before_it_is_read(self, service, monkeypatch, length):
         monkeypatch.setattr(proxy, "MAX_REQUEST_BODY_BYTES", CAP)
         with socket.create_server(("127.0.0.1", 0)) as origin:
             url = b"http://127.0.0.1:%d/form" % origin.getsockname()[1]
             # the head alone: the refusal may not wait for the body, nor ask for it
-            head = b"POST %s HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+            head = b"POST %s HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: %s\r\n\r\n"
             with socket.create_connection(service.listen_address, timeout=2) as sock:
-                sock.sendall(head % (url, CAP + 1))
+                sock.sendall(head % (url, length))
                 reply = read_until_closed(sock)
             origin.setblocking(False)
             with pytest.raises(BlockingIOError):
@@ -1004,7 +1020,7 @@ class TestRequestBodyCap:
         assert headers[b"connection"] == b"close"
         with open(service.config.error_log_path, encoding="utf-8") as fh:
             (line,) = fh.readlines()
-        assert f"request body of {CAP + 1} bytes is over {CAP} bytes" in line
+        assert f"request body of {length.decode()} bytes is over {CAP} bytes" in line
         assert read_exchange_log(service.config.exchange_log_path) == []
 
 

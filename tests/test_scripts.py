@@ -1,9 +1,23 @@
+import hashlib
 import os
 import re
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# sha256 of each log the desk script's simulate step writes at --clients 20
+# --duration 300 (seed 101): the calibrated scenario simulate builds for
+# those flags.
+DESK_SIM_LOGS = {
+    "exchanges.jsonl": "aea3f813195827985cbe8118d0b146e7df0d9dac9d5baa8a8d65aed3641f3f17",
+    "tags.csv": "eff4b709409c029ebd15e66833112124b489a45ddc64f9ce24fbe95bf01cbd85",
+    "dns_queries.csv": "02cd7f0f46fe49589d73d53cd46412bf3abce9f5345a6f585af10d929e92b2d0",
+    "fetches.csv": "4427244df4b7eb94e7fc9e5495e40221c65236ccd2a7a8129eaabdd32ac1ac7f",
+    "ground_truth.json": "bcef9a69b613802e54aa279f81c71ec0ff83bb92bd0f79da448e4ab268d6f3b2",
+    "scenario_config.json": "b6488992499c35b40a3a8217a6e9709d112d89375f157be8c10c046c5f03d23b",
+}
 
 
 def test_desk_experiment_recovers_the_truth(tmp_path):
@@ -17,6 +31,10 @@ def test_desk_experiment_recovers_the_truth(tmp_path):
     pairs = re.findall(r"\(recovered / truth\): (\d+) / (\d+)$", done.stdout, re.MULTILINE)
     assert len(pairs) == 3, done.stdout
     assert all(recovered == truth for recovered, truth in pairs), done.stdout
+    assert sorted(os.listdir(tmp_path)) == ["report", "sim"]
+    for name, digest in DESK_SIM_LOGS.items():
+        with open(tmp_path / "sim" / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_loopback_demo_resolves_both_beacons(tmp_path):
@@ -31,3 +49,39 @@ def test_loopback_demo_resolves_both_beacons(tmp_path):
     query_log = done.stdout.split("\nDNS query log:\n", 1)[1].split("\n\n", 1)[0]
     assert len(query_log.splitlines()) == 2, done.stdout
     assert len(os.listdir(tmp_path)) == 1, os.listdir(tmp_path)
+
+
+# Four code lines: the assignment, the def, and both lines of the string
+# returned, which is no docstring.
+_SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment
+x = 1  # and a trailing one
+
+
+def f():
+    """A function docstring."""
+    return """not a
+docstring"""
+'''
+
+
+def test_code_lines_counts_each_module_and_the_total(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(_SAMPLE, encoding="utf-8")
+    package = os.path.join(ROOT, "src", "beaconlab")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "code_lines.py"), str(sample), package],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    counts = [int(count) for count, _ in rows]
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert [path for _, path in rows] == (
+        [str(sample)] + [os.path.join(package, name) for name in modules] + ["total"]
+    )
+    assert counts[0] == 4
+    assert all(count > 0 for count in counts)
+    assert counts[-1] == sum(counts[:-1])
