@@ -39,7 +39,8 @@ def _write_manifest(out_dir: str, subcommand: str, **fields) -> None:
 
 def _load_scenario(args) -> clientsim.ScenarioConfig:
     """The calibrated scenario the flags given describe, or the --config file
-    with those flags set over it."""
+    with those flags set over it, validated; a refusal of the file's
+    scenario names the file, as a parse error does."""
     flags = (("seed", args.seed), ("client_count", args.client_count),
              ("duration_seconds", args.duration))
     given = {name: value for name, value in flags if value is not None}
@@ -48,6 +49,10 @@ def _load_scenario(args) -> clientsim.ScenarioConfig:
     config = clientsim.ScenarioConfig.load(args.config)
     for name, value in given.items():
         setattr(config, name, value)
+    try:
+        config.validate()
+    except clientsim.ConfigError as exc:
+        raise clientsim.ConfigError(f"{args.config}: {exc}") from None
     return config
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from beaconlab.clientsim import FETCH_LOG, FetchRecord
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, normalize_name, url_host
 from beaconlab.httplog import (
     ExchangeView,
-    HttpExchange,
     MimeDistribution,
     collector_paused,
     mime_distribution,
@@ -31,15 +30,15 @@ from beaconlab.inject import DYNAMIC, TAG_LOG, Tag
 from beaconlab.ua import (
     DEFAULT_WINDOW_SECONDS,
     RatioSeries,
-    UaRecord,
     VulnDb,
     check_window,
     ratio_series,
     unique_ua_growth,
 )
 
-# Analysis reads each exchange-log line only as far as its ExchangeView;
-# build_report_from_dir reads the log through this name.
+# Analysis keeps of each exchange-log line only its ExchangeView, and
+# nothing of an encrypted one; build_report_from_dir reads the log through
+# this name.
 read_exchange_log = read_exchange_views
 
 
@@ -201,24 +200,29 @@ def detect_reappearances(
     return list(accounting.reappearances), list(accounting.anomalies)
 
 
-# UaRecord(*fields) without the generated __new__'s Python-level call.
-_new_ua_record = tuple.__new__
+def ua_records_from_exchanges(views: list[ExchangeView]) -> list[ExchangeView]:
+    """Observable user-agent stream: one record per plaintext exchange,
+    empty raw when the request carried no user-agent header. Each view
+    begins with its exchange's UaRecord, so the views are that stream and
+    nothing is built; the report still takes the stream through this name,
+    one of the layer calls perfbench traces."""
+    return views
 
 
-def ua_records_from_exchanges(
-    exchanges: Iterable[HttpExchange | ExchangeView],
-) -> list[UaRecord]:
-    """Observable user-agent stream: one record per non-encrypted exchange,
-    empty raw when the request carried no user-agent header."""
-    return [
-        _new_ua_record(UaRecord, (exchange.user_agent or "", exchange.timestamp))
-        for exchange in exchanges
-        if not exchange.is_encrypted
-    ]
+def _report(
+    accounting: TagAccounting, views: list[ExchangeView], db: VulnDb, window_seconds: float
+) -> CorrelationReport:
+    ua_records = ua_records_from_exchanges(views)
+    return CorrelationReport(
+        accounting=accounting,
+        mime_distribution=mime_distribution(views),
+        ratio_series=ratio_series(ua_records, db, window_seconds),
+        ua_growth=tuple(unique_ua_growth(ua_records, window_seconds)),
+    )
 
 
 def build_report(
-    exchanges: Sequence[HttpExchange | ExchangeView],
+    views: list[ExchangeView],
     tags: Iterable[Tag],
     dns_log: Iterable[DnsQueryRecord],
     fetch_log: Iterable[FetchRecord],
@@ -229,19 +233,13 @@ def build_report(
 ) -> CorrelationReport:
     """Fuse all sources into one report. All logs must share one epoch.
 
-    The exchanges may be HttpExchanges or their ExchangeViews; the report
-    is the same, and they are iterated more than once. The tag, DNS and
-    fetch logs may be any iterables, streams included: each is iterated
-    once, by tag_accounting, tags first.
+    ``views`` are the exchanges' ExchangeViews, as read_exchange_views
+    reads them or httplog.exchange_views makes them; they are iterated more
+    than once. The tag, DNS and fetch logs may be any iterables, streams
+    included: each is iterated once, by tag_accounting, tags first.
     """
     accounting = tag_accounting(tags, dns_log, fetch_log, static_label, zone)
-    ua_records = ua_records_from_exchanges(exchanges)
-    return CorrelationReport(
-        accounting=accounting,
-        mime_distribution=mime_distribution(exchanges),
-        ratio_series=ratio_series(ua_records, db, window_seconds),
-        ua_growth=tuple(unique_ua_growth(ua_records, window_seconds)),
-    )
+    return _report(accounting, views, db, window_seconds)
 
 
 LOG_FILENAMES = {
@@ -264,10 +262,11 @@ def build_report_from_dir(
 
     A window check_window refuses raises ValueError before any log is read;
     a missing file raises MissingLogError naming which source is absent.
-    The exchange log is read whole, as views; the tag, DNS and fetch logs
-    are folded as they are read. So a malformed line raises LogFormatError
-    from the first bad log in the order exchanges, tags, DNS, fetches, with
-    every file closed. Runs with the cyclic collector paused.
+    The tag, DNS and fetch logs are folded first, as they are read, so the
+    fold's per-label state is gone before the exchange log is read whole,
+    as views. So a malformed line raises LogFormatError from the first bad
+    log in the order tags, DNS, fetches, exchanges, with every file closed.
+    Runs with the cyclic collector paused.
     """
     check_window(window_seconds)
     paths = {}
@@ -276,16 +275,14 @@ def build_report_from_dir(
         if not os.path.exists(path):
             raise MissingLogError(source, path)
         paths[source] = path
-    return build_report(
-        exchanges=read_exchange_log(paths["exchange"]),
-        tags=read_tag_log(paths["tag"]),
-        dns_log=read_query_log(paths["dns"]),
-        fetch_log=read_fetch_log(paths["fetch"]),
-        db=db,
-        static_label=static_label,
-        zone=zone,
-        window_seconds=window_seconds,
+    accounting = tag_accounting(
+        read_tag_log(paths["tag"]),
+        read_query_log(paths["dns"]),
+        read_fetch_log(paths["fetch"]),
+        static_label,
+        zone,
     )
+    return _report(accounting, read_exchange_log(paths["exchange"]), db, window_seconds)
 
 
 def write_report(report: CorrelationReport, out_dir: str) -> None:

@@ -126,14 +126,6 @@ class HttpExchange:
         """First response header value matching ``name`` case-insensitively."""
         return _first_header(self.response_headers, name.lower())
 
-    @property
-    def user_agent(self) -> str | None:
-        return _first_header(self.request_headers, "user-agent")
-
-    @property
-    def content_type(self) -> str | None:
-        return _first_header(self.response_headers, "content-type")
-
 
 # The slot setters of HttpExchange.__init__, in field order.
 (
@@ -144,20 +136,50 @@ class HttpExchange:
 
 
 class ExchangeView(NamedTuple):
-    """The part of an exchange that analysis reads.
+    """What analysis keeps of one plaintext exchange; an encrypted one is
+    opaque and has no view.
 
-    Has the attributes of HttpExchange that mime_distribution and the
-    user-agent stream use, so either record type can feed them.
+    Its first two fields are the exchange's ua.UaRecord, so a list of views
+    is the user-agent stream itself: ``raw`` is the first request
+    User-Agent header, "" when it is absent or empty, and ``first_seen``
+    the exchange's time. ``content_type`` is the first response
+    Content-Type header, None when it is absent.
     """
 
-    timestamp: float
-    is_encrypted: bool
-    user_agent: str | None  # first request User-Agent header
-    content_type: str | None  # first response Content-Type header
+    raw: str
+    first_seen: float
+    content_type: str | None
 
 
 # ExchangeView(*fields) without the generated __new__'s Python-level call.
 _new_view = tuple.__new__
+
+
+def _view(user_agent: str | None, timestamp: float, content_type: str | None) -> ExchangeView:
+    """The view of a plaintext exchange with these headers and time. Header
+    values are interned: a log repeats a few hundred of them."""
+    return _new_view(
+        ExchangeView,
+        (
+            sys.intern(user_agent) if user_agent else "",
+            timestamp,
+            None if content_type is None else sys.intern(content_type),
+        ),
+    )
+
+
+def exchange_views(exchanges: Iterable[HttpExchange]) -> list[ExchangeView]:
+    """The views read_exchange_views reads from a log of these exchanges:
+    one per plaintext exchange, in order."""
+    return [
+        _view(
+            _first_header(exchange.request_headers, "user-agent"),
+            exchange.timestamp,
+            _first_header(exchange.response_headers, "content-type"),
+        )
+        for exchange in exchanges
+        if not exchange.is_encrypted
+    ]
 
 
 def _first_header(headers, lowered: str) -> str | None:
@@ -169,7 +191,7 @@ def _first_header(headers, lowered: str) -> str | None:
 
 @dataclass(frozen=True)
 class MimeDistribution:
-    """Counts of response media types over the non-encrypted exchanges."""
+    """Counts of response media types over the plaintext exchanges."""
 
     counts: dict
     total: int
@@ -189,7 +211,7 @@ def _media_type(content_type: str | None) -> str:
     return content_type.split(";", 1)[0].strip().lower() or "unknown"
 
 
-def mime_type(exchange: HttpExchange | ExchangeView) -> str:
+def mime_type(exchange: HttpExchange) -> str:
     """Media type of the response, or "unknown".
 
     Derived only from the Content-Type response header: first header wins,
@@ -198,16 +220,16 @@ def mime_type(exchange: HttpExchange | ExchangeView) -> str:
     """
     if exchange.is_encrypted:
         return "unknown"
-    return _media_type(exchange.content_type)
+    return _media_type(exchange.header("content-type"))
 
 
-def mime_distribution(exchanges: Iterable[HttpExchange | ExchangeView]) -> MimeDistribution:
-    """Count every non-encrypted exchange once under its media type.
+def mime_distribution(views: Iterable[ExchangeView]) -> MimeDistribution:
+    """Count every view, one per plaintext exchange, once under its media type.
 
     The raw Content-Type values are counted first, and each distinct value
     is mapped to its media type once, as mime_type maps it.
     """
-    raw = Counter(exchange.content_type for exchange in exchanges if not exchange.is_encrypted)
+    raw = Counter(view.content_type for view in views)
     counts: dict[str, int] = {}
     for content_type, count in raw.items():
         media = _media_type(content_type)
@@ -426,19 +448,14 @@ def exchange_from_json(obj: dict) -> HttpExchange:
     )
 
 
-def view_from_json(obj: dict) -> ExchangeView:
-    """The ExchangeView of a record, accepting exactly what exchange_from_json
-    accepts; a canonical base64 body is checked without being decoded."""
+def view_from_json(obj: dict) -> ExchangeView | None:
+    """The ExchangeView of a record, None for an encrypted one, accepting
+    exactly what exchange_from_json accepts; a canonical base64 body is
+    checked without being decoded."""
     _, _, user_agent, content_type = _validate_record(obj, _base64_checked)
-    return _new_view(
-        ExchangeView,
-        (
-            obj["timestamp"],
-            bool(obj["is_encrypted"]),
-            None if user_agent is None else sys.intern(user_agent),
-            None if content_type is None else sys.intern(content_type),
-        ),
-    )
+    if obj["is_encrypted"]:
+        return None
+    return _view(user_agent, obj["timestamp"], content_type)
 
 
 # The scanner json.loads runs. Called on a stripped line, it accepts
@@ -510,9 +527,10 @@ def read_exchange_log(path: str) -> list[HttpExchange]:
 
 def read_exchange_views(path: str) -> list[ExchangeView]:
     """Read a whole log as ExchangeViews: every line is validated as
-    read_exchange_log validates it, but no HttpExchange is built and no
-    body is kept, so memory grows with the line count only."""
-    return list(_iter_log(path, view_from_json))
+    read_exchange_log validates it, but no HttpExchange is built, no body
+    is kept and an encrypted exchange keeps nothing, so memory grows with
+    the plaintext line count only."""
+    return [view for view in _iter_log(path, view_from_json) if view is not None]
 
 
 # Lines joined into one write: each write call on a text file costs more

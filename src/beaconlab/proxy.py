@@ -203,21 +203,27 @@ def _split_head(head: bytes) -> tuple[str, _Headers]:
     return lines[0], _Headers(fields)
 
 
+def _capped_length(value: str, cap: int) -> int:
+    """The value of a Content-Length made only of ASCII digits, or cap + 1
+    when it has more digits than ``cap``, leading zeros aside: such a length
+    is not converted, as int() refuses more than 4,300 digits."""
+    digits = value.lstrip("0")
+    if len(digits) > len(str(cap)):
+        return cap + 1
+    return int(digits or "0")
+
+
 def _content_length(headers: _Headers) -> int | None:
     """Request body length from Content-Length (RFC 7230 3.3.2): 0 if absent,
-    None if malformed or repeated with different values. A length with more
-    digits than MAX_REQUEST_BODY_BYTES, leading zeros aside, is not converted
-    (int() refuses more than 4,300 digits): it gives one over that cap."""
+    None if malformed or repeated with different values; one over
+    MAX_REQUEST_BODY_BYTES for a length too long to convert."""
     values = {value.strip() for value in headers.get_all("Content-Length")}
     if not values:
         return 0
     value = values.pop()
     if values or not _CONTENT_LENGTH.fullmatch(value):
         return None
-    digits = value.lstrip("0")
-    if len(digits) > len(str(MAX_REQUEST_BODY_BYTES)):
-        return MAX_REQUEST_BODY_BYTES + 1
-    return int(digits or "0")
+    return _capped_length(value, MAX_REQUEST_BODY_BYTES)
 
 
 def _host_field(hostname: str, port: int) -> str:
@@ -466,16 +472,20 @@ class _Upstream(_Framer):
             return True
         length = None
         if value := headers.get("Content-Length"):
-            try:
-                length = int(value)
-            except ValueError:
-                pass
+            value = value.strip()
+            if _CONTENT_LENGTH.fullmatch(value):
+                length = _capped_length(value, MAX_UPSTREAM_BODY_BYTES)
+            else:  # a sign, "_" or a non-ASCII digit is read as int() reads it
+                try:
+                    length = int(value)
+                except ValueError:
+                    pass
         if length is None or length < 0:
             self.must_close = True
             self.step = self._to_close
             return True
         if length > MAX_UPSTREAM_BODY_BYTES:
-            raise _BodyTooLarge(f"Content-Length {length}")
+            raise _BodyTooLarge(f"Content-Length {value}")
         self.length = length
         self.step = self._content
         return True

@@ -196,8 +196,17 @@ class TestMalformedScenario:
         path.write_text(f'{{"client_count": 2, "{field}": {value}}}', encoding="utf-8")
         assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid configuration: {field} ")
+        assert err.startswith(f"invalid configuration: {path}: {field} ")
         assert "Traceback" not in err
+
+    def test_flag_set_over_the_file_is_refused_naming_the_file(self, tmp_path, capsys, scenario_file):
+        out = str(tmp_path / "out")
+        assert run("simulate", "--config", scenario_file, "--duration", "nan", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"invalid configuration: {scenario_file}: duration_seconds must be a finite number >= 0\n"
+        )
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("text", MALFORMED_SCENARIOS.values(), ids=MALFORMED_SCENARIOS.keys())
     def test_analyze_names_the_file(self, tmp_path, sim_dir, capsys, text):
@@ -325,6 +334,20 @@ class TestAnalyze:
         assert f"{path}:2: " in err
         assert "Traceback" not in err
 
+    def test_tag_log_is_named_before_the_exchange_log(self, tmp_path, sim_dir, capsys):
+        # the tag, DNS and fetch logs are folded before the exchange log is read
+        for name, bad_line in (("exchanges.jsonl", "{not json"), ("tags.csv", "static,pixel")):
+            path = os.path.join(sim_dir, name)
+            with open(path, encoding="utf-8", newline="") as fh:
+                lines = fh.read().splitlines()
+            lines[1] = bad_line
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\r\n".join(lines) + "\r\n")
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {os.path.join(sim_dir, 'tags.csv')}:2: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "log", ["exchanges.jsonl", "tags.csv", "dns_queries.csv", "fetches.csv"]
     )
@@ -394,11 +417,13 @@ class TestAnalyze:
         assert db_path in capsys.readouterr().err
 
     def test_passive_only_logs_zero_tags(self, tmp_path, sim_dir):
-        open(os.path.join(sim_dir, "tags.csv"), "w").write(
-            "kind,subdomain,url,exchange_id,injected_at\n"
-        )
-        open(os.path.join(sim_dir, "dns_queries.csv"), "w").write("timestamp,source,name\n")
-        open(os.path.join(sim_dir, "fetches.csv"), "w").write("timestamp,source,url\n")
+        for name, header in (
+            ("tags.csv", "kind,subdomain,url,exchange_id,injected_at"),
+            ("dns_queries.csv", "timestamp,source,name"),
+            ("fetches.csv", "timestamp,source,url"),
+        ):
+            with open(os.path.join(sim_dir, name), "w") as fh:
+                fh.write(header + "\n")
         out = str(tmp_path / "passive")
         assert run("analyze", "--logs", sim_dir, "--out", out) == 0
         with open(os.path.join(out, "report.json")) as fh:

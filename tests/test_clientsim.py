@@ -29,7 +29,7 @@ from beaconlab.clientsim import (
 )
 from beaconlab.correlate import build_report, write_report
 from beaconlab.dnssim import WildcardResolver, ZoneConfig, normalize_name, url_host
-from beaconlab.httplog import mime_distribution
+from beaconlab.httplog import exchange_views, mime_distribution
 from beaconlab.inject import Injector
 
 ZONE = "feedback.test"
@@ -63,7 +63,7 @@ def report_of(result):
     """The report analysis builds from a simulation's logs."""
     config = result.config
     return build_report(
-        result.exchanges, result.tags, result.dns_log, result.fetch_log,
+        exchange_views(result.exchanges), result.tags, result.dns_log, result.fetch_log,
         calibrated_vuln_db(), config.static_label, config.zone,
     )
 
@@ -411,7 +411,7 @@ class TestScenario:
         config = _cfg(dict(seed=9, client_count=50, duration_seconds=1000.0, visit_rate=0.2,
                            non_fetching_share=0.0, restart_count=0))
         result = run_scenario(config)
-        dist = mime_distribution(result.exchanges)
+        dist = mime_distribution(exchange_views(result.exchanges))
         assert dist.total > 5000
         for mime, share in config.mime_mix.items():
             assert dist.percentage(mime) == pytest.approx(100 * share, abs=2.0)

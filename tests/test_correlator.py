@@ -5,6 +5,7 @@ import gc
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from beaconlab.correlate import (
     write_report,
 )
 from beaconlab.dnssim import DnsQueryRecord, read_query_log, write_query_log
-from beaconlab.httplog import LogFormatError, read_exchange_log, write_exchange_log
+from beaconlab.httplog import LogFormatError, exchange_views, read_exchange_log, write_exchange_log
 from beaconlab.inject import Tag, read_tag_log, write_tag_log
 from beaconlab.clientsim import read_fetch_log, write_fetch_log
 from beaconlab.dnssim import DnsResponder, ZoneConfig, encode_query
@@ -167,7 +168,7 @@ class TestBuildReport:
     def test_matches_ground_truth_end_to_end(self):
         result = run_scenario(small_config())
         report = build_report(
-            result.exchanges,
+            exchange_views(result.exchanges),
             result.tags,
             result.dns_log,
             result.fetch_log,
@@ -186,7 +187,7 @@ class TestBuildReport:
     def test_dynamic_hits_subset_of_issued(self):
         result = run_scenario(small_config())
         report = build_report(
-            result.exchanges,
+            exchange_views(result.exchanges),
             result.tags,
             result.dns_log,
             result.fetch_log,
@@ -201,7 +202,7 @@ class TestBuildReport:
     def test_passive_only_logs(self):
         result = run_scenario(small_config())
         report = build_report(
-            result.exchanges, [], [], [], DB, static_label="pixel", zone=result.config.zone
+            exchange_views(result.exchanges), [], [], [], DB, static_label="pixel", zone=result.config.zone
         )
         assert report.accounting.dynamic_issued == 0
         assert report.accounting.static_dns_hits == 0
@@ -210,7 +211,7 @@ class TestBuildReport:
 
     def test_pure_function_of_logs(self):
         result = run_scenario(small_config())
-        args = (result.exchanges, result.tags, result.dns_log, result.fetch_log, DB)
+        args = (exchange_views(result.exchanges), result.tags, result.dns_log, result.fetch_log, DB)
         first = build_report(*args, static_label="pixel", zone=result.config.zone)
         second = build_report(*args, static_label="pixel", zone=result.config.zone)
         assert first.to_json() == second.to_json()
@@ -272,7 +273,7 @@ class TestExchangeViewsGiveTheSameReport:
         path = lambda name: os.path.join(log_dir, name)
         from_dir = build_report_from_dir(log_dir, DB, static_label="pixel", zone=scenario.zone)
         full = build_report(
-            read_exchange_log(path("exchanges.jsonl")),
+            exchange_views(read_exchange_log(path("exchanges.jsonl"))),
             read_tag_log(path("tags.csv")),
             read_query_log(path("dns_queries.csv")),
             read_fetch_log(path("fetches.csv")),
@@ -314,7 +315,9 @@ class TestExchangeViewsGiveTheSameReport:
             )
             for i, content_type in enumerate(["text/html, x", "text/html", "text/html"])
         ]
-        report = build_report(exchanges, [], [], [], DB, static_label="pixel", zone="tracker.test")
+        report = build_report(
+            exchange_views(exchanges), [], [], [], DB, static_label="pixel", zone="tracker.test"
+        )
         text = report_files(report, str(tmp_path / "out"))["mime_distribution.csv"].decode("utf-8")
         assert text == 'mime_type,count,percent\ntext/html,2,66.67\n"text/html, x",1,33.33\n'
         rows = list(csv.reader(io.StringIO(text)))
@@ -332,7 +335,7 @@ class TestOneDnsPass:
 
         result = run_scenario(SCENARIOS["churn"])
         dns_log = CountingList(result.dns_log)
-        build_report(result.exchanges, result.tags, dns_log, result.fetch_log, DB,
+        build_report(exchange_views(result.exchanges), result.tags, dns_log, result.fetch_log, DB,
                      static_label="pixel", zone=result.config.zone)
         assert dns_log.passes == 1
 
@@ -369,14 +372,84 @@ class TestMemoryGrowsWithDistinctValues:
         # Held as records, the padding would take about 250 bytes a row.
         assert padded_peak - plain_peak < 64 * 1024
 
+    def test_peak_bytes_per_exchange(self, tmp_path):
+        # Keeping a four-field view per exchange, encrypted ones included,
+        # then a UaRecord per plaintext exchange beside it, with the tag
+        # fold's label state on top, this log (3,686 exchanges) peaked at
+        # 190 bytes per exchange. One three-field view per plaintext
+        # exchange, read after the fold, peaks at 109 (Python 3.11.7); the
+        # bound leaves about a fifth over that.
+        config = clientsim.calibrated_config(seed=3, client_count=100)
+        log_dir = str(tmp_path / "logs")
+        simulated_logs(config, log_dir)
+        lines = httplog.count_lines(os.path.join(log_dir, "exchanges.jsonl"))
+        _report, peak = self.traced_build(log_dir, config.zone)
+        assert lines > 3000
+        assert peak / lines <= 130
+
+
+def _connect_line(n: int) -> str:
+    """The exchange-log line the proxy writes for a CONNECT tunnel."""
+    return httplog.exchange_to_json(
+        httplog.HttpExchange(
+            exchange_id=f"c{n}", timestamp=float(n), flow_id=f"f{n}", method="CONNECT",
+            url=f"https://secure{n}.test:443", request_headers=(), response_status=200,
+            response_headers=(), response_body=b"", is_encrypted=True,
+        )
+    )
+
+
+class TestEncryptedExchangesKeepNothing:
+    @staticmethod
+    def connect_only_logs(log_dir, lines):
+        os.makedirs(log_dir)
+        with open(os.path.join(log_dir, "exchanges.jsonl"), "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        write_tag_log([], os.path.join(log_dir, "tags.csv"))
+        write_query_log([], os.path.join(log_dir, "dns_queries.csv"))
+        write_fetch_log([], os.path.join(log_dir, "fetches.csv"))
+
+    def test_connect_only_log_gives_empty_media_types_ratios_and_ua_records(self, tmp_path):
+        log_dir = str(tmp_path / "logs")
+        self.connect_only_logs(log_dir, [_connect_line(n) for n in range(5)])
+        kept = []
+        real = correlate.ua_records_from_exchanges
+
+        def keep(views):
+            kept.append(real(views))
+            return kept[-1]
+
+        with mock.patch.object(correlate, "ua_records_from_exchanges", keep):
+            report = build_report_from_dir(log_dir, DB, static_label="pixel", zone=ZONE)
+        assert kept == [[]]
+        assert (report.mime_distribution.counts, report.mime_distribution.total) == ({}, 0)
+        assert report.ratio_series.points == ()
+        assert report.ua_growth == ()
+
+    @pytest.mark.parametrize("bad", [
+        {"response_body": "QUJD"},  # an encrypted exchange carries no body
+        {"timestamp": None},
+        {"request_headers": [["Host"]]},
+    ], ids=["body", "timestamp", "header_pair"])
+    def test_malformed_encrypted_line_fails_at_its_line(self, tmp_path, bad):
+        log_dir = str(tmp_path / "logs")
+        record = json.loads(_connect_line(2))
+        record.update(bad)
+        self.connect_only_logs(log_dir, [_connect_line(0), _connect_line(1), json.dumps(record)])
+        with pytest.raises(LogFormatError) as excinfo:
+            build_report_from_dir(log_dir, DB, static_label="pixel", zone=ZONE)
+        assert (excinfo.value.path, excinfo.value.line_no) == (
+            os.path.join(log_dir, "exchanges.jsonl"), 3
+        )
+
 
 # A malformed line for each log, in the order analyze reads the logs; it
 # replaces line 4.
 _BAD_LINES = {
-    "exchange": "{not json",
     "tag": "static,pixel",
     "dns": "soon,10.0.0.1,pixel.x.test",
     "fetch": "1.0,10.0.0.1,http://[abc/p.gif",
+    "exchange": "{not json",
 }
 
 

@@ -660,18 +660,20 @@ class TestCrashSafeQueryLog:
         first = [f"k{n}.attacker.test" for n in range(5)]
         second = [f"r{n}.attacker.test" for n in range(3)]
         child, address = _start_dns(tmp_path)
-        try:
-            _answer_all(address, first)
-        finally:
-            child.kill()
-            child.wait(timeout=10)
+        with child:  # closes the child's stdout pipe
+            try:
+                _answer_all(address, first)
+            finally:
+                child.kill()
+                child.wait(timeout=10)
         assert [r.name for r in read_query_log(path)] == first
         child, address = _start_dns(tmp_path)
-        try:
-            _answer_all(address, second)
-        finally:
-            child.send_signal(signal.SIGTERM)
-            assert child.wait(timeout=10) == 0
+        with child:
+            try:
+                _answer_all(address, second)
+            finally:
+                child.send_signal(signal.SIGTERM)
+                assert child.wait(timeout=10) == 0
         assert [r.name for r in read_query_log(path)] == first + second
         with open(path, encoding="utf-8") as fh:
             assert fh.read().count("timestamp,source,name") == 1

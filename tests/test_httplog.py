@@ -21,6 +21,7 @@ from beaconlab.httplog import (
     cut_torn_tail,
     exchange_from_json,
     exchange_to_json,
+    exchange_views,
     mime_distribution,
     mime_type,
     read_exchange_log,
@@ -249,7 +250,7 @@ class TestHeaderPairTable:
 class TestMimeDistribution:
     def test_hand_counted_fixture(self):
         exchanges = [make_exchange("text/html")] * 3 + [make_exchange("image/gif")]
-        dist = mime_distribution(exchanges)
+        dist = mime_distribution(exchange_views(exchanges))
         assert dist.counts == {"text/html": 3, "image/gif": 1}
         assert dist.total == 4
 
@@ -260,11 +261,11 @@ class TestMimeDistribution:
 
     def test_encrypted_excluded(self):
         exchanges = [make_exchange("text/html"), make_exchange(None, encrypted=True)]
-        dist = mime_distribution(exchanges)
+        dist = mime_distribution(exchange_views(exchanges))
         assert dist.total == 1
 
     def test_unknown_bucketed_separately(self):
-        dist = mime_distribution([make_exchange(None), make_exchange("text/css")])
+        dist = mime_distribution(exchange_views([make_exchange(None), make_exchange("text/css")]))
         assert dist.counts == {"unknown": 1, "text/css": 1}
 
     @settings(max_examples=100)
@@ -283,15 +284,13 @@ class TestMimeDistribution:
     )
     def test_counts_each_value_as_mime_type_does(self, rows):
         # mapped once per distinct value, counted as once per exchange
-        views = [ExchangeView(0.0, encrypted, None, value) for value, encrypted in rows]
         exchanges = [make_exchange(value, encrypted=encrypted) for value, encrypted in rows]
-        for records in (views, exchanges):
-            expected: dict = {}
-            for record in records:
-                if not record.is_encrypted:
-                    expected[mime_type(record)] = expected.get(mime_type(record), 0) + 1
-            dist = mime_distribution(records)
-            assert (dist.counts, dist.total) == (expected, sum(expected.values()))
+        expected: dict = {}
+        for exchange in exchanges:
+            if not exchange.is_encrypted:
+                expected[mime_type(exchange)] = expected.get(mime_type(exchange), 0) + 1
+        dist = mime_distribution(exchange_views(exchanges))
+        assert (dist.counts, dist.total) == (expected, sum(expected.values()))
 
 
 header_st = st.tuples(
@@ -417,9 +416,11 @@ class TestLogRoundTrip:
         path = str(tmp_path / "log.jsonl")
         exchanges = [make_exchange("text/html", body=b"<html>\x00\xff</html>", timestamp=1.5)]
         write_exchange_log(exchanges, path)
-        first = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            first = fh.read()
         write_exchange_log(read_exchange_log(path), path)
-        assert open(path, "rb").read() == first
+        with open(path, "rb") as fh:
+            assert fh.read() == first
 
     def test_truncated_line_reports_line_number(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
@@ -486,7 +487,7 @@ class TestLogRoundTrip:
     @settings(max_examples=50)
     @given(st.lists(exchange_st, max_size=20))
     def test_distribution_total_matches_enumeration(self, exchanges):
-        dist = mime_distribution(exchanges)
+        dist = mime_distribution(exchange_views(exchanges))
         assert dist.total == sum(1 for e in exchanges if not e.is_encrypted)
         assert sum(dist.counts.values()) == dist.total
 
@@ -545,11 +546,12 @@ class TestExchangeViews:
             make_exchange(timestamp=3.0),
         ]
         write_exchange_log(exchanges, path)
+        # the encrypted exchange keeps no view
         assert read_exchange_views(path) == [
-            ExchangeView(1.0, False, None, "text/html"),
-            ExchangeView(2.0, True, None, None),
-            ExchangeView(3.0, False, None, None),
+            ExchangeView("", 1.0, "text/html"),
+            ExchangeView("", 3.0, None),
         ]
+        assert read_exchange_views(path) == exchange_views(exchanges)
 
     @settings(max_examples=100)
     @given(
@@ -570,10 +572,13 @@ class TestExchangeViews:
         )
         obj = json.loads(exchange_to_json(exchange))
         full = exchange_from_json(obj)
-        assert view_from_json(obj) == ExchangeView(
-            full.timestamp, full.is_encrypted, full.user_agent, full.content_type
-        )
-        assert mime_type(view_from_json(obj)) == mime_type(full)
+        assert [view_from_json(obj)] == (exchange_views([full]) or [None])
+        if not encrypted:
+            user_agent = next((v for k, v in headers if k.lower() == "user-agent"), None)
+            assert view_from_json(obj) == ExchangeView(
+                user_agent or "", full.timestamp, full.header("content-type")
+            )
+            assert mime_distribution([view_from_json(obj)]).counts == {mime_type(full): 1}
 
 
 # A canonical record, then one defect or harmless change at a time. Each
@@ -659,10 +664,7 @@ class TestOneGate:
                     read_exchange_views(path)
                 assert exc.line_no == views.value.line_no == 2
                 return
-            assert read_exchange_views(path) == [
-                ExchangeView(e.timestamp, e.is_encrypted, e.user_agent, e.content_type)
-                for e in full
-            ]
+            assert read_exchange_views(path) == exchange_views(full)
 
 
 # The exchange-log record gate as it stood while it decoded every body,
@@ -810,14 +812,18 @@ def _check_against_reference(obj: dict) -> str:
                 assert (refused.value.line_no, refused.value.reason) == (2, str(exc))
             return "refused"
         parsed = json.loads(line)
-        view = ExchangeView(parsed["timestamp"], bool(parsed["is_encrypted"]), user_agent, content_type)
-        good_view = ExchangeView(good.timestamp, False, None, "image/gif")
-        assert read_exchange_views(path) == [good_view, view, good_view]
+        good_view = ExchangeView("", good.timestamp, "image/gif")
+        views = []  # an encrypted exchange keeps no view
+        if not parsed["is_encrypted"]:
+            views.append(ExchangeView(user_agent or "", parsed["timestamp"], content_type))
+        assert read_exchange_views(path) == [good_view, *views, good_view]
         first, full, last = read_exchange_log(path)
         assert first == last == good
         assert (full.response_status, full.response_body) == (status, body)
-        assert (full.user_agent, full.content_type) == (user_agent, content_type)
-        assert (full.timestamp, full.is_encrypted) == (view.timestamp, view.is_encrypted)
+        full_user_agent = httplog._first_header(full.request_headers, "user-agent")
+        assert (full_user_agent, full.header("content-type")) == (user_agent, content_type)
+        assert (full.timestamp, full.is_encrypted) == (parsed["timestamp"], bool(parsed["is_encrypted"]))
+        assert exchange_views([full]) == views
         return "accepted"
 
 

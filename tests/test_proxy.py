@@ -973,6 +973,29 @@ class TestUpstreamBodyCap:
             reply = read_until_closed(sock)
         assert reply.startswith(b"HTTP/1.1 502 ")
 
+    def test_length_of_more_digits_than_int_converts_gets_502(self, service, raw_origin, capfd):
+        # int() refuses the 5,000 digits; read as no length, the body would
+        # run to the close and be relayed with a 200
+        origin = raw_origin(
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\nhello" % (b"9" * 5_000), True)
+        )
+        status, _ = proxy_get(service, origin.address, "/long-length")
+        assert status == 502
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        assert f"is over {proxy.MAX_UPSTREAM_BODY_BYTES} bytes" in line
+        assert read_exchange_log(service.config.exchange_log_path) == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_length_under_the_cap_after_5000_zeros_frames_the_body(self, service, trickle_origin):
+        # the origin keeps the connection open: only the length ends the body
+        origin = trickle_origin(
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %s5\r\n\r\nhello" % (b"0" * 5_000), False),
+            pieces=(1 << 16,),
+        )
+        assert proxy_get(service, origin.address, "/padded-length") == (200, b"hello")
+        assert os.path.getsize(service.config.error_log_path) == 0
+
 
 class TestRequestBodyCap:
     def test_body_at_the_cap_is_relayed(self, service, raw_origin, monkeypatch):
