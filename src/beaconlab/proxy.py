@@ -16,9 +16,11 @@ exchange ends in one callback, so a request served on a pooled upstream
 connection takes no task, no stream reader and no future. Request and
 response heads alike end their lines in CRLF, are refused at a bare LF at
 once, and hold at most MAX_HEAD_BYTES with their empty line; they are
-split with str methods. Request bodies are framed by Content-Length only,
-up to MAX_REQUEST_BODY_BYTES; responses are framed as RFC 7230 3.3.3
-frames them. Each end of a CONNECT tunnel is a Pipe protocol; after
+split with str methods and read under one set of RFC 7230 rules: one
+HTTP-version, one field syntax, one set of connection options deciding
+close and hop-by-hop fields, one Content-Length. Request bodies are framed
+by Content-Length only, up to MAX_REQUEST_BODY_BYTES; responses are framed
+as RFC 7230 3.3.3 frames them. Each end of a CONNECT tunnel is a Pipe protocol; after
 either end's EOF the tunnel has UPSTREAM_TIMEOUT_S to drain.
 
 Each relayed response leaves in one write on a TCP_NODELAY socket, so a
@@ -99,8 +101,7 @@ MAX_REQUEST_BODY_BYTES = 16 * 1024 * 1024
 # body, for the rest of it (408 when it passes).
 UPSTREAM_TIMEOUT_S = 15.0
 
-_CONTENT_LENGTH = re.compile(r"[0-9]+")
-# A field name: visible ASCII except ":" (what email's header parser takes).
+# A field name: visible ASCII except ":".
 _FIELD_NAME = re.compile(r"[!-9;-~]+")
 # Control characters and space, none of which may appear in a request target.
 _CONTROL = re.compile(r"[\x00-\x20\x7f]")
@@ -150,14 +151,21 @@ def parse_control_command(line: str) -> tuple[str, str | None]:
     raise ValueError(f"unknown command: {parts[0]}")
 
 
+def _digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits: no sign, blank, "_" or
+    digit of another script, all of which int() takes."""
+    return text.isascii() and text.isdigit()
+
+
 class _Headers:
     """Header fields in arrival order, names in the case they came in.
 
-    ``get`` returns the first value of a name, ignoring case, as
-    ``email.message.Message.get`` does.
+    ``get`` returns the first value of a name, ignoring case. ``options``
+    are the message's connection options (RFC 7230 6.1): the tokens of all
+    its Connection fields, lowercased.
     """
 
-    __slots__ = ("fields", "_first")
+    __slots__ = ("fields", "_first", "options")
 
     def __init__(self, fields: list[tuple[str, str]]):
         self.fields = fields
@@ -165,13 +173,25 @@ class _Headers:
         for name, value in fields:
             first.setdefault(name.lower(), value)
         self._first = first
+        self.options = frozenset(self.tokens("Connection")) if "connection" in first else frozenset()
 
     def get(self, name: str, default: str | None = None) -> str | None:
         return self._first.get(name.lower(), default)
 
     def get_all(self, name: str) -> list[str]:
         lowered = name.lower()
+        if lowered not in self._first:
+            return []
         return [value for key, value in self.fields if key.lower() == lowered]
+
+    def tokens(self, name: str) -> list[str]:
+        """The elements of the comma-separated lists of all ``name`` fields
+        (RFC 7230 7), lowercased, without blanks or empty elements."""
+        return [
+            token for value in self.get_all(name)
+            for token in (part.strip(" \t").lower() for part in value.split(","))
+            if token
+        ]
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._first
@@ -180,9 +200,9 @@ class _Headers:
 def _split_head(head: bytes) -> tuple[str, _Headers]:
     """Start line and header fields of a head that ends in CRLF CRLF.
 
-    A value loses its leading blanks and keeps an obs-fold continuation
-    line, joined by CRLF, as email's compat32 header parser gives it.
-    ValueError for a bare CR or LF, or a field line without a name.
+    A value loses its leading blanks and keeps its trailing ones. ValueError
+    for a bare CR or LF, a field line without a name, or an obs-fold
+    continuation line (RFC 7230 3.2.4).
     """
     text = head.decode("latin-1")
     lines = text.split("\r\n")
@@ -190,12 +210,6 @@ def _split_head(head: bytes) -> tuple[str, _Headers]:
         raise ValueError("bare CR or LF in head")
     fields: list[tuple[str, str]] = []
     for line in lines[1:-2]:
-        if line[0] in " \t":
-            if not fields:
-                raise ValueError("continuation line before any field")
-            name, value = fields[-1]
-            fields[-1] = (name, value + "\r\n" + line)
-            continue
         name, colon, value = line.partition(":")
         if not colon or not _FIELD_NAME.fullmatch(name):
             raise ValueError(f"malformed field line {line[:40]!r}")
@@ -203,27 +217,43 @@ def _split_head(head: bytes) -> tuple[str, _Headers]:
     return lines[0], _Headers(fields)
 
 
-def _capped_length(value: str, cap: int) -> int:
-    """The value of a Content-Length made only of ASCII digits, or cap + 1
-    when it has more digits than ``cap``, leading zeros aside: such a length
-    is not converted, as int() refuses more than 4,300 digits."""
-    digits = value.lstrip("0")
-    if len(digits) > len(str(cap)):
-        return cap + 1
-    return int(digits or "0")
+def _version(text: str) -> tuple[int, int] | None:
+    """(major, minor) of an HTTP-version, "HTTP/" DIGIT "." DIGIT in ASCII
+    (RFC 7230 2.6); None for any other text."""
+    if len(text) == 8 and text.startswith("HTTP/") and text[6] == "." and _digits(text[5] + text[7]):
+        return int(text[5]), int(text[7])
+    return None
+
+
+def _closes(version: tuple[int, int], headers: _Headers) -> bool:
+    """Whether the connection closes after a message (RFC 7230 6.3): it has
+    the close option, or is older than HTTP/1.1 and lacks keep-alive."""
+    options = headers.options
+    return "close" in options or (version < (1, 1) and "keep-alive" not in options)
 
 
 def _content_length(headers: _Headers) -> int | None:
-    """Request body length from Content-Length (RFC 7230 3.3.2): 0 if absent,
-    None if malformed or repeated with different values; one over
-    MAX_REQUEST_BODY_BYTES for a length too long to convert."""
+    """Body length from Content-Length (RFC 7230 3.3.2-3.3.3): 0 if absent,
+    None unless ASCII digits, or if repeated with different values. A length
+    of more digits than the larger body cap, leading zeros aside, is read as
+    one over that cap and not converted, as int() refuses over 4,300 digits."""
     values = {value.strip() for value in headers.get_all("Content-Length")}
     if not values:
         return 0
     value = values.pop()
-    if values or not _CONTENT_LENGTH.fullmatch(value):
+    if values or not _digits(value):
         return None
-    return _capped_length(value, MAX_REQUEST_BODY_BYTES)
+    digits = value.lstrip("0")
+    cap = max(MAX_REQUEST_BODY_BYTES, MAX_UPSTREAM_BODY_BYTES)
+    return cap + 1 if len(digits) > len(str(cap)) else int(digits or "0")
+
+
+def _end_to_end(headers: _Headers, dropped: set[str]) -> tuple[tuple[str, str], ...]:
+    """The fields, in arrival order, whose names are neither in ``dropped``
+    nor among the message's connection options (RFC 7230 6.1)."""
+    if headers.options:
+        dropped = dropped | headers.options
+    return tuple(field for field in headers.fields if field[0].lower() not in dropped)
 
 
 def _host_field(hostname: str, port: int) -> str:
@@ -255,8 +285,7 @@ def _connect_authority(target: str) -> tuple[str, int] | None:
         host, _, port_text = target.partition(":")
     if not port_text:
         return host, 443
-    # port = *DIGIT (RFC 3986 section 3.2.3): no sign, blank or "_" as int() takes
-    if not (port_text.isascii() and port_text.isdigit()):
+    if not _digits(port_text):  # port = *DIGIT (RFC 3986 section 3.2.3)
         return None
     try:
         port = int(port_text)
@@ -282,26 +311,15 @@ class _BodyTooLarge(Exception):
 
 def _status_head(head: bytes) -> tuple[int, _Headers, bool]:
     """(status, header fields, must close) of one response head that ends
-    in CRLF CRLF, read as http.client reads it; ValueError if malformed."""
+    in CRLF CRLF: an HTTP/1.x status line with a three-digit code (RFC 7230
+    3.1.2); ValueError if malformed."""
     start, headers = _split_head(head)
-    words = start.split(None, 2)
-    if len(words) < 2 or not words[0].startswith("HTTP/"):
+    protocol, _, rest = start.partition(" ")
+    version = _version(protocol)
+    code = rest.partition(" ")[0]
+    if not (version and version[0] == 1 and len(code) == 3 and _digits(code) and code >= "100"):
         raise ValueError(f"bad status line {start[:40]!r}")
-    status = int(words[1])
-    if not 100 <= status <= 999:
-        raise ValueError(f"bad status line {start[:40]!r}")
-    version = words[0]
-    if version in ("HTTP/1.0", "HTTP/0.9"):
-        connection = (headers.get("Connection") or "").lower()
-        keep_alive = (
-            "keep-alive" in headers
-            or "keep-alive" in connection
-            or "keep-alive" in (headers.get("Proxy-Connection") or "").lower()
-        )
-        return status, headers, not keep_alive
-    if version.startswith("HTTP/1."):
-        return status, headers, "close" in (headers.get("Connection") or "").lower()
-    raise ValueError(f"unknown protocol {version[:20]!r}")
+    return int(code), headers, _closes(version, headers)
 
 
 def _write_eof(transport: asyncio.WriteTransport) -> None:
@@ -377,11 +395,11 @@ class _Upstream(_Framer):
     """One connection to an origin, reused while the origin keeps it alive.
 
     ``exchange`` sends a whole request in one write. The response is framed
-    from the receive buffer as its bytes arrive, as http.client frames it
-    (RFC 7230 3.3.3): interim 1xx responses are skipped; there is no body
-    after HEAD or for 204 and 304; otherwise the body is chunked (decoded,
-    trailer fields dropped), Content-Length long, or runs to the origin's
-    close, and never longer than MAX_UPSTREAM_BODY_BYTES. The exchange ends
+    from the receive buffer as its bytes arrive (RFC 7230 3.3.3): interim
+    1xx responses are skipped; there is no body after HEAD or for 204 and
+    304; otherwise the body is chunked (the one transfer coding taken;
+    decoded, trailer fields dropped), Content-Length long, or runs to the
+    origin's close, and never longer than MAX_UPSTREAM_BODY_BYTES. The exchange ends
     in one call to the client: ``response`` with the whole response, or
     ``upstream_failed`` with the error, ConnectionResetError if the origin
     closed the connection before the first byte of the response.
@@ -465,27 +483,22 @@ class _Upstream(_Framer):
         self.status, self.headers, self.must_close = status, headers, must_close
         if self.method == "HEAD" or status in (204, 304):
             return self._done(b"")
-        if (headers.get("Transfer-Encoding") or "").lower() == "chunked":
+        if "Transfer-Encoding" in headers:
+            if headers.tokens("Transfer-Encoding") != ["chunked"]:  # no other coding is decoded
+                raise ValueError(f"Transfer-Encoding {headers.get_all('Transfer-Encoding')!r}")
             self.chunks = []
             self.room = MAX_UPSTREAM_BODY_BYTES
             self.step = self._chunk_size
             return True
-        length = None
-        if value := headers.get("Content-Length"):
-            value = value.strip()
-            if _CONTENT_LENGTH.fullmatch(value):
-                length = _capped_length(value, MAX_UPSTREAM_BODY_BYTES)
-            else:  # a sign, "_" or a non-ASCII digit is read as int() reads it
-                try:
-                    length = int(value)
-                except ValueError:
-                    pass
-        if length is None or length < 0:
+        if "Content-Length" not in headers:
             self.must_close = True
             self.step = self._to_close
             return True
+        length = _content_length(headers)
+        if length is None:
+            raise ValueError(f"malformed Content-Length {headers.get_all('Content-Length')!r}")
         if length > MAX_UPSTREAM_BODY_BYTES:
-            raise _BodyTooLarge(f"Content-Length {value}")
+            raise _BodyTooLarge(f"Content-Length {headers.get('Content-Length').strip()}")
         self.length = length
         self.step = self._content
         return True
@@ -656,7 +669,7 @@ class _Refused(Exception):
 
 
 def _parse_request(head: bytes, client: _Client) -> Request:
-    """The Request of a head, under http.server's rules; _Refused if malformed."""
+    """The Request of a head; _Refused if malformed."""
     try:
         start, headers = _split_head(head)
     except ValueError:
@@ -665,25 +678,15 @@ def _parse_request(head: bytes, client: _Client) -> Request:
     if len(words) != 3:
         raise _Refused(400, "Bad request syntax")
     method, target, protocol = words
-    major, dot, minor = protocol[5:].partition(".")
-    if not (
-        protocol.startswith("HTTP/") and dot and major.isdecimal() and minor.isdecimal()
-        and len(major) <= 10 and len(minor) <= 10
-    ):
+    version = _version(protocol)
+    if version is None:
         raise _Refused(400, "Bad request version")
-    version = (int(major), int(minor))
     if version >= (2, 0):
         raise _Refused(505, "Invalid HTTP version")
     if method not in _RELAYED and method != "CONNECT":
         raise _Refused(501, "Unsupported method")
-    close = version < (1, 1)
-    connection = (headers.get("Connection") or "").lower()
-    if connection == "close":
-        close = True
-    elif connection == "keep-alive":
-        close = False
     expects_continue = version >= (1, 1) and (headers.get("Expect") or "").lower() == "100-continue"
-    return Request(method, target, headers, client, close, expects_continue)
+    return Request(method, target, headers, client, _closes(version, headers), expects_continue)
 
 
 class _Client(_Framer):
@@ -1241,26 +1244,21 @@ class ProxyService:
             lines.append("Accept-Encoding: identity")
         if length or method in _BODY_EXPECTED:
             lines.append(f"Content-Length: {length}")
-        lines.extend(
-            f"{name}: {value}"
-            for name, value in headers.fields
-            if name.lower() not in _NOT_FORWARDED
-        )
+        lines.extend(f"{name}: {value}" for name, value in _end_to_end(headers, _NOT_FORWARDED))
         lines.append("\r\n")
         request.client.relay((hostname, port), "\r\n".join(lines).encode("latin-1"), length)
 
     def _deliver(self, request: Request, status: int, upstream_headers: _Headers, body: bytes) -> None:
         """Inject, log and deliver one upstream response."""
         method = request.method
-        fields = upstream_headers.fields
         if status == 204:  # no Content-Length at all (RFC 7230 3.3.2)
-            response_headers = tuple(field for field in fields if field[0].lower() not in _NOT_RELAYED)
+            response_headers = _end_to_end(upstream_headers, _NOT_RELAYED)
         elif method == "HEAD" or status == 304:  # the origin's length, if it sent one
-            response_headers = tuple(field for field in fields if field[0].lower() not in _HOP_BY_HOP)
+            response_headers = _end_to_end(upstream_headers, _HOP_BY_HOP)
         else:
-            response_headers = tuple(
-                field for field in fields if field[0].lower() not in _NOT_RELAYED
-            ) + (("Content-Length", str(len(body))),)
+            response_headers = _end_to_end(upstream_headers, _NOT_RELAYED) + (
+                ("Content-Length", str(len(body))),
+            )
         exchange_id, flow_id = self._next_ids()
         exchange = HttpExchange(
             exchange_id=exchange_id,
@@ -1268,9 +1266,7 @@ class ProxyService:
             flow_id=flow_id,
             method=method,
             url=request.target,
-            request_headers=tuple(
-                field for field in request.headers.fields if field[0].lower() not in _HOP_BY_HOP
-            ),
+            request_headers=_end_to_end(request.headers, _HOP_BY_HOP),
             response_status=status,
             response_headers=response_headers,
             response_body=body,

@@ -432,6 +432,61 @@ class TestAnalyze:
         assert report["mime_distribution"]["total"] > 0
         assert report["ratio_series"]["points"]
 
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda line: line + ' {"more": 1}', "Extra data"),
+            (lambda line: "not json", "Expecting value"),
+        ],
+        ids=["bytes-after-the-object", "not-json"],
+    )
+    def test_exchange_line_that_is_not_one_object_is_named(
+        self, tmp_path, sim_dir, capsys, damage, reason
+    ):
+        path = os.path.join(sim_dir, "exchanges.jsonl")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[1] = damage(lines[1])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: {reason}")
+        assert "Traceback" not in err
+
+    def test_blank_exchange_line_is_skipped(self, tmp_path, sim_dir):
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "before")) == 0
+        path = os.path.join(sim_dir, "exchanges.jsonl")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines.insert(1, " \t")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "after")) == 0
+        with open(tmp_path / "before" / "report.json", "rb") as before, open(
+            tmp_path / "after" / "report.json", "rb"
+        ) as after:
+            assert before.read() == after.read()
+
+    def test_csv_field_over_the_csv_limit_is_named(self, tmp_path, sim_dir, capsys):
+        path = os.path.join(sim_dir, "tags.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\r\n")
+        lines[2] = "x" * (csv.field_size_limit() + 1) + lines[2][lines[2].index(","):]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\r\n".join(lines))
+        assert run("analyze", "--logs", sim_dir, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: field larger than field limit")
+        assert "Traceback" not in err
+
+    def test_unknown_zone_exits_two(self, tmp_path, sim_dir, capsys):
+        os.remove(os.path.join(sim_dir, "scenario_config.json"))
+        out = str(tmp_path / "r")
+        assert run("analyze", "--logs", sim_dir, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: zone unknown: pass --zone")
+        assert not os.path.exists(out)
+
 
 class TestInjectCommand:
     def test_file_to_file(self, tmp_path):
@@ -473,6 +528,16 @@ class TestClassifyUa:
         assert run("classify-ua", "--ua", "") == 0
         assert "missing_agent" in capsys.readouterr().out
 
+    def test_out_file_gets_what_stdout_would(self, tmp_path, capsys):
+        argv = ["classify-ua", "--ua", "AcmeBrowser/3.5", "--ua", ""]
+        assert run(*argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "verdicts.tsv"
+        assert run(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+        assert len(printed.splitlines()) == 2
+
 
 class TestReportCommand:
     def test_pretty_print(self, tmp_path, sim_dir, capsys):
@@ -483,6 +548,19 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "unique users" in text
         assert "mime distribution" in text
+
+    def test_anomalies_are_listed(self, tmp_path, sim_dir, capsys):
+        out = str(tmp_path / "report")
+        run("analyze", "--logs", sim_dir, "--out", out)
+        path = os.path.join(out, "report.json")
+        with open(path) as fh:
+            report = json.load(fh)
+        report["anomalies"] = ["odd-1", "odd-2"]
+        with open(path, "w") as fh:
+            json.dump(report, fh)
+        capsys.readouterr()
+        assert run("report", "--report", path) == 0
+        assert "anomalous labels:    odd-1, odd-2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "text, problem",

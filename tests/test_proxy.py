@@ -562,6 +562,31 @@ class TestKeepAlive:
             (line,) = fh.readlines()
         assert "ConnectionResetError" in line
 
+    @pytest.mark.parametrize("method, status, accepted, errors", [
+        ("GET", 200, 2, 0), ("POST", 502, 1, 1)
+    ])
+    def test_request_lost_on_a_reused_connection(
+        self, service, raw_origin, method, status, accepted, errors
+    ):
+        # The origin reads the second request on the pooled connection and
+        # closes it without a byte; the third reply answers a second attempt.
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        origin = raw_origin((ok, False), (b"", True), (ok, False))
+        assert proxy_get(service, origin.address, "/first") == (200, b"ok")
+        conn = http.client.HTTPConnection(*service.listen_address, timeout=5)
+        try:
+            conn.request(method, origin.url("/again"), body=b"a=1" if method == "POST" else None)
+            response = conn.getresponse()
+            response.read()
+        finally:
+            conn.close()
+        assert response.status == status
+        assert origin.accepted == accepted
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert len(lines) == errors
+        assert all("ConnectionResetError" in line for line in lines)
+
     def test_stop_closes_pooled_connections(self, service, keepalive_origin):
         assert proxy_get(service, keepalive_origin.server_address, "/page")[0] == 200
         assert len(keepalive_origin.open) == 1
@@ -656,10 +681,14 @@ class TestMalformedRequest:
         (b"CONNECT [127.0.0.1]:%d HTTP/1.1\r\n\r\n", 400),
         (b"CONNECT 127.0.0.1:+%d HTTP/1.1\r\n\r\n", 400),
         (b"CONNECT 127.0.0.1:" + b"1" * 5000 + b" HTTP/1.1\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/1.10\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/01.1\r\n\r\n", 400),
     ], ids=["port-range", "control-char", "no-colon", "bare-lf", "no-version", "http2",
             "unsupported-method", "connect-port", "connect-unbracketed-ipv6",
             "connect-unclosed-bracket", "connect-after-bracket", "connect-bracketed-ipv4",
-            "connect-signed-port", "connect-5000-digit-port"])
+            "connect-signed-port", "connect-5000-digit-port", "obs-fold", "two-digit-minor",
+            "two-digit-major"])
     def test_malformed_request_gets_an_error_and_a_close(
         self, service, keepalive_origin, capfd, request_head, status
     ):
@@ -898,7 +927,12 @@ class TestWireBehaviour:
     @pytest.mark.parametrize("request_line, header", [
         (b"GET %s HTTP/1.1", b"Connection: close\r\n"),
         (b"GET %s HTTP/1.0", b""),
-    ], ids=["connection-close", "http10-client"])
+        (b"GET %s HTTP/1.1", b"Connection: Close \r\n"),
+        (b"GET %s HTTP/1.1", b"Connection: close, TE\r\n"),
+        (b"GET %s HTTP/1.1", b"Connection: TE,close\r\n"),
+        (b"GET %s HTTP/1.1", b"Connection: TE\r\nConnection: close\r\n"),
+    ], ids=["connection-close", "http10-client", "close-in-any-case", "close-first-of-two",
+            "close-last-of-two", "close-in-second-field"])
     def test_client_connection_closes_after_response(self, service, origin, request_line, header):
         url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
         with socket.create_connection(service.listen_address, timeout=5) as sock:
@@ -1126,6 +1160,85 @@ class TestResponseHead:
             assert len(fh.readlines()) == extra  # one error line for the 502
 
 
+class TestSharedRules:
+    """Requests and responses are read under one set of RFC 7230 rules."""
+
+    @pytest.mark.parametrize("first, accepted", [
+        (b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\nContent-Length: 2\r\n\r\nok", 1),
+        (b"HTTP/1.0 200 OK\r\nKeep-Alive: timeout=5\r\nContent-Length: 2\r\n\r\nok", 2),
+        (b"HTTP/1.0 200 OK\r\nProxy-Connection: keep-alive\r\nContent-Length: 2\r\n\r\nok", 2),
+        (b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", 2),
+        (b"HTTP/1.1 200 OK\r\nConnection: x-unclosed\r\nContent-Length: 2\r\n\r\nok", 1),
+    ], ids=["http10-keep-alive-option", "http10-keep-alive-field", "http10-proxy-connection",
+            "close-in-second-field", "close-inside-a-token"])
+    def test_upstream_connection_is_pooled_by_its_connection_options(
+        self, service, raw_origin, first, accepted
+    ):
+        # the origin keeps every connection open; the proxy closes it or not
+        origin = raw_origin((first, False), (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False))
+        assert proxy_get(service, origin.address, "/a") == (200, b"ok")
+        assert proxy_get(service, origin.address, "/b") == (200, b"ok")
+        assert origin.accepted == accepted
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_fields_named_by_a_connection_option_are_dropped_both_ways(self, service, raw_origin):
+        origin = raw_origin((
+            b"HTTP/1.1 200 OK\r\nConnection: X-Resp\r\nX-Resp: r\r\nX-Kept: k\r\n"
+            b"Content-Length: 2\r\n\r\nok", False
+        ))
+        reply = raw_exchange(
+            service,
+            b"GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\nConnection: x-secret\r\n"
+            b"X-Secret: s\r\nX-A: 1\r\n\r\n" % origin.url("/").encode(),
+        )
+        assert origin.requests == [
+            b"GET / HTTP/1.1\r\nHost: 127.0.0.1:%d\r\nAccept-Encoding: identity\r\n"
+            b"X-A: 1\r\n\r\n" % origin.address[1]
+        ]
+        status, headers, body = split_reply(reply)
+        assert (status, body) == (b"HTTP/1.1 200 OK", b"ok")
+        assert headers == {b"x-kept": b"k", b"content-length": b"2"}
+        (exchange,) = read_exchange_log(service.config.exchange_log_path)
+        assert exchange.request_headers == (("Host", "x"), ("X-A", "1"))
+        assert exchange.response_headers == (("X-Kept", "k"), ("Content-Length", "2"))
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nX-A: 1\r\n folded\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\nok\r\n0\r\n\r\n",
+        b"HTTP/1.1 2_00 OK\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1 +200 OK\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1x 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.\xb9 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/0.9 200 OK\r\nContent-Length: 2\r\n\r\nok",
+    ], ids=["obs-fold", "signed-length", "letters-length", "two-lengths", "gzip",
+            "gzip-then-chunked", "chunked-twice", "underscore-status", "signed-status",
+            "version-suffix", "superscript-version", "http09"])
+    def test_malformed_response_gets_502_and_one_error_line(self, service, raw_origin, capfd, reply):
+        origin = raw_origin((reply, True))
+        assert proxy_get(service, origin.address, "/bad") == (502, b"502 upstream unreachable\n")
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        assert "ValueError" in line
+        assert read_exchange_log(service.config.exchange_log_path) == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked \r\n\r\n2\r\nok\r\n0\r\n\r\n",
+        b"HTTP/1.1 200\r\nContent-Length: 2\r\n\r\nok",
+    ], ids=["repeated-equal-lengths", "chunked-in-any-case", "no-reason-phrase"])
+    def test_well_formed_response_is_relayed(self, service, raw_origin, reply):
+        origin = raw_origin((reply, False))
+        assert proxy_get(service, origin.address, "/good") == (200, b"ok")
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+
 class _FakeTransport:
     """A transport that drops what is written to it and records a close."""
 
@@ -1254,6 +1367,132 @@ class TestFramerOnSplitBytes:
     @given(_pieces(_PIPELINED_REQUESTS))
     def test_two_pipelined_requests_one_with_a_body(self, pieces):
         assert _frame_requests(pieces) == _frame_requests([_PIPELINED_REQUESTS])
+
+
+class _RecordingTransport(_FakeTransport):
+    """A _FakeTransport that records what is written and each flow-control call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+        self.protocol = None
+
+    def write(self, data):
+        self.calls.append(("write", bytes(data)))
+
+    def write_eof(self):
+        self.calls.append(("write_eof",))
+
+    def pause_reading(self):
+        self.calls.append(("pause_reading",))
+
+    def resume_reading(self):
+        self.calls.append(("resume_reading",))
+
+    def set_protocol(self, protocol):
+        self.protocol = protocol
+
+
+class _TunnelService(_StubService):
+    """A _StubService that also opens a CONNECT's tunnel up to its connect,
+    which the test then completes, and logs the exchange."""
+
+    def __init__(self):
+        super().__init__()
+        self._loop.create_task = lambda coro: coro.close()
+        self.logged = []
+
+    def handle_connect(self, request):
+        request.client.open_tunnel(("origin.test", 443))
+
+    def _next_ids(self):
+        return "x00000000", "fl00000000"
+
+    def _log_exchange(self, exchange, tags):
+        self.logged.append(exchange)
+        return True
+
+
+_GET = b"GET http://origin.test/%d HTTP/1.1\r\nHost: origin.test\r\n\r\n"
+
+
+def _stub_client(service):
+    client = proxy._Client(service)
+    client.connection_made(_RecordingTransport())
+    return client
+
+
+class TestFlowControl:
+    """Reading pauses while the connection cannot take more, with no socket."""
+
+    def test_pipelined_request_pauses_reading_until_it_is_served(self):
+        service = _StubService()
+        client = _stub_client(service)
+        client.data_received(_GET % 1)
+        client.data_received(_GET % 2)  # while the first is in flight
+        assert client.transport.calls == [("pause_reading",)]
+        service.pending.pop().finish(b"one")  # the second is served next
+        assert [target for _, target, _, _ in service.framed] == [
+            "http://origin.test/1", "http://origin.test/2"
+        ]
+        assert client.transport.calls == [("pause_reading",), ("write", b"one")]
+        service.pending.pop().finish(b"two")  # the buffer is served
+        assert client.transport.calls == [
+            ("pause_reading",), ("write", b"one"), ("write", b"two"), ("resume_reading",)
+        ]
+
+    def test_paused_writing_holds_the_next_request(self):
+        service = _StubService()
+        client = _stub_client(service)
+        client.pause_writing()
+        client.data_received(_GET % 1)
+        assert service.framed == []
+        assert client.transport.calls == [("pause_reading",)]
+        client.resume_writing()
+        assert [target for _, target, _, _ in service.framed] == ["http://origin.test/1"]
+        service.pending.pop().finish(b"one")
+        assert client.transport.calls == [("pause_reading",), ("write", b"one"), ("resume_reading",)]
+
+    def test_pipe_pauses_and_resumes_the_other_end(self):
+        ends = [proxy._Pipe(), proxy._Pipe()]
+        for end in ends:
+            end.connection_made(_RecordingTransport())
+            end.transport.calls.clear()  # each end starts with its reading paused
+        ends[0].peer, ends[1].peer = ends[1], ends[0]
+        ends[0].pause_writing()
+        ends[0].resume_writing()
+        assert ends[0].transport.calls == []
+        assert ends[1].transport.calls == [("pause_reading",), ("resume_reading",)]
+
+    @pytest.mark.parametrize("eof", [False, True], ids=["open", "eof"])
+    def test_bytes_sent_before_the_200_reach_the_origin(self, eof):
+        service = _TunnelService()
+        client = _stub_client(service)
+        client.data_received(b"CONNECT origin.test:443 HTTP/1.1\r\n\r\n")
+        client.data_received(b"early")  # before the tunnel is open
+        if eof:
+            client.eof_received()
+        tunnel = _RecordingTransport()
+        origin_end = proxy._Pipe()
+
+        async def connected():
+            # what the connect hands over once the origin's connection is open
+            origin_end.connection_made(tunnel)
+            client._tunnel_on(tunnel, origin_end)
+            client_end = client.transport.protocol
+            if client_end.deadline is not None:
+                client_end.deadline.cancel()
+            return client_end
+
+        client_end = asyncio.run(connected())
+        assert [exchange.url for exchange in service.logged] == ["https://origin.test:443"]
+        assert client_end.peer is origin_end and origin_end.peer is client_end
+        assert client.transport.calls == [
+            ("pause_reading",), ("write", b"HTTP/1.1 200 Connection Established\r\n\r\n"),
+        ] + ([] if eof else [("resume_reading",)])
+        assert tunnel.calls == [
+            ("pause_reading",), ("write", b"early"), ("resume_reading",),
+        ] + ([("write_eof",)] if eof else [])
 
 
 class TestClientDeadline:

@@ -85,3 +85,37 @@ def test_code_lines_counts_each_module_and_the_total(tmp_path):
     assert counts[0] == 4
     assert all(count > 0 for count in counts)
     assert counts[-1] == sum(counts[:-1])
+
+
+# A sample test run under the tracer: it calls one branch of
+# parse_control_command and leaves the others unrun.
+_TRACED_SAMPLE = '''from beaconlab.proxy import parse_control_command
+
+
+def test_status():
+    assert parse_control_command("STATUS") == ("STATUS", None)
+'''
+
+
+def test_uncovered_lines_names_the_lines_a_sample_never_ran(tmp_path):
+    sample = tmp_path / "test_sample.py"
+    sample.write_text(_TRACED_SAMPLE, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "uncovered_lines.py"), str(sample),
+         "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    path = os.path.join("src", "beaconlab", "proxy.py")
+    (row,) = [line for line in done.stdout.splitlines() if line.startswith(path + ": ")]
+    missed = set()
+    for span in row.split(" never run: ")[1].split(", "):
+        first, _, last = span.partition("-")
+        missed.update(range(int(first), int(last or first) + 1))
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        numbered = {line.strip(): n for n, line in enumerate(fh, start=1)}
+    ran = {numbered["parts = line.strip().split()"], numbered["return verb, None"]}
+    unrun = {numbered['raise ValueError("empty command")'], numbered["return verb, parts[1].lower()"]}
+    assert not missed & ran
+    assert unrun <= missed
+    assert done.stdout.splitlines()[-1].endswith(" lines never run")
