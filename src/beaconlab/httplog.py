@@ -3,9 +3,11 @@
 Every pipeline stage exchanges traffic through this one record type, so
 simulator output, live-proxy output, and correlator input are all
 file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
-The CSV logs of the other stages are each declared once as a CsvLog here,
-which reads, writes and appends them, so every log names a malformed line
-the same way (LogFormatError). LogAppender is the one live appender.
+read_exchange_views reads a line in the writer's exact shape from its
+text, and decodes any other line. The CSV logs of the other stages are
+each declared once as a CsvLog here, which reads, writes and appends them,
+so every log names a malformed line the same way (LogFormatError).
+LogAppender is the one live appender.
 collector_paused pauses the cyclic garbage collector while the offline
 builders (simulate, analyze) make their records.
 """
@@ -18,6 +20,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -463,6 +466,93 @@ def view_from_json(obj: dict) -> ExchangeView | None:
 _scan_once = json.JSONDecoder().scan_once
 
 
+def _decoded(line: str):
+    """What json.loads makes of a stripped line, or the error it raises."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except StopIteration:
+        end = -1
+    if end != len(line):
+        obj = json.loads(line)  # raises the error json.loads gives
+    return obj
+
+
+# A JSON string with no escape: no '"', "\" or control character. Each run
+# of characters is possessive (*+): what follows it cannot be in the run,
+# so backtracking into it could never match, and the engine keeps no state.
+_STRING = r'"[^"\\\x00-\x1f]*+"'
+# Such a string in ASCII, whose str.lower keeps its length.
+_ASCII_STRING = r'"[ !#-\[\]-\x7f]*+"'
+_PAIR = rf"\[{_ASCII_STRING},{_ASCII_STRING}\]"
+_HEADER_LIST = rf"\[(?:{_PAIR}(?:,{_PAIR})*)?\]"
+# A JSON integer of at most 300 digits: int() converts it (it refuses over
+# 4,300) and it is finite as a float (under 10**308).
+_INTEGER = r"-?(?:0|[1-9][0-9]{0,299})"
+# The line _exchange_line writes for an exchange with no extra key, whose
+# strings need no escape, whose status is such an integer and whose header
+# lists are pairs of ASCII strings. The groups are the time (a JSON number
+# with a fraction or an exponent, else an integer), both header lists, the
+# body (base64 characters, then at most two "=") and "true" for an
+# encrypted one.
+_CANONICAL_LINE = re.compile(
+    rf'\{{"exchange_id":{_STRING}'
+    rf',"timestamp":(?:(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))|({_INTEGER}))'
+    rf',"flow_id":{_STRING}'
+    rf',"ground_truth_client":(?:null|{_STRING})'
+    rf',"method":{_STRING}'
+    rf',"url":{_STRING}'
+    rf',"request_headers":({_HEADER_LIST})'
+    rf',"response_status":{_INTEGER}'
+    rf',"response_headers":({_HEADER_LIST})'
+    rf',"response_body":"([A-Za-z0-9+/]*+={{0,2}})"'
+    rf',"is_encrypted":(?:(true)|false)\}}'
+)
+
+
+def _first_value(headers: str, opening: str) -> str | None:
+    """The first value of a header list's text that _CANONICAL_LINE matched,
+    whose name lowercased is the one in ``opening``, '["name","'; None when
+    there is none. No string in the text holds a '"', so a '["' opens a
+    pair wherever it stands, and the text is ASCII, so its lowercase has
+    its characters at the same places."""
+    at = headers.lower().find(opening)
+    if at < 0:
+        return None
+    at += len(opening)
+    return headers[at:headers.index('"', at)]
+
+
+def _line_view(line: str) -> ExchangeView | None:
+    """view_from_json of the record on a stripped line.
+
+    A line the writer emits (_CANONICAL_LINE) whose body is canonical base64
+    and whose time is finite is read from its text, with no JSON object
+    built: the gate accepts every such line, unless it is encrypted with a
+    body. Any other line is decoded and goes through the gate, which alone
+    refuses a line.
+    """
+    match = _CANONICAL_LINE.fullmatch(line)
+    if match is not None:
+        float_text, int_text, request_headers, response_headers, encrypted = match.group(1, 2, 3, 4, 6)
+        body_start, body_end = match.span(5)
+        timestamp = int(int_text) if float_text is None else float(float_text)
+        if -math.inf < timestamp < math.inf and not (body_end - body_start) % 4:
+            if encrypted is None:
+                return _view(
+                    _first_value(request_headers, '["user-agent","'),
+                    timestamp,
+                    _first_value(response_headers, '["content-type","'),
+                )
+            if body_start == body_end:
+                return None
+    return view_from_json(_decoded(line))
+
+
+def _line_exchange(line: str) -> HttpExchange:
+    """exchange_from_json of the record on a stripped line."""
+    return exchange_from_json(_decoded(line))
+
+
 def _read_lines(
     path: str, newline: str | None, parse: Callable[[Iterable[str]], Iterator[T]]
 ) -> Iterator[T]:
@@ -498,23 +588,19 @@ def _lines_decoded_one_by_one(path: str, fh: IO[bytes]) -> Iterator[str]:
             yield line
 
 
-def _iter_log(path: str, convert: Callable[[object], T]) -> Iterator[T]:
+def _iter_log(path: str, convert: Callable[[str], T]) -> Iterator[T]:
     return _read_lines(path, None, lambda lines: _convert_lines(path, lines, convert))
 
 
-def _convert_lines(path: str, lines: Iterable[str], convert: Callable[[object], T]) -> Iterator[T]:
+def _convert_lines(path: str, lines: Iterable[str], convert: Callable[[str], T]) -> Iterator[T]:
+    """``convert`` of each non-blank line, stripped; a line it refuses
+    raises LogFormatError naming that line."""
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            try:
-                obj, end = _scan_once(stripped, 0)
-            except StopIteration:
-                end = -1
-            if end != len(stripped):
-                obj = json.loads(stripped)  # raises the error json.loads gives
-            yield convert(obj)
+            yield convert(stripped)
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             # OverflowError: an infinite status; RecursionError: nesting too deep
             raise LogFormatError(path, line_no, str(exc)) from exc
@@ -522,15 +608,16 @@ def _convert_lines(path: str, lines: Iterable[str], convert: Callable[[object], 
 
 def read_exchange_log(path: str) -> list[HttpExchange]:
     """Read a whole log; a malformed line raises LogFormatError, no partial result."""
-    return list(_iter_log(path, exchange_from_json))
+    return list(_iter_log(path, _line_exchange))
 
 
 def read_exchange_views(path: str) -> list[ExchangeView]:
     """Read a whole log as ExchangeViews: every line is validated as
     read_exchange_log validates it, but no HttpExchange is built, no body
     is kept and an encrypted exchange keeps nothing, so memory grows with
-    the plaintext line count only."""
-    return [view for view in _iter_log(path, view_from_json) if view is not None]
+    the plaintext line count only. A line the writer emits is read from its
+    text without being decoded (_line_view)."""
+    return [view for view in _iter_log(path, _line_view) if view is not None]
 
 
 # Lines joined into one write: each write call on a text file costs more

@@ -20,8 +20,10 @@ split with str methods and read under one set of RFC 7230 rules: one
 HTTP-version, one field syntax, one set of connection options deciding
 close and hop-by-hop fields, one Content-Length. Request bodies are framed
 by Content-Length only, up to MAX_REQUEST_BODY_BYTES; responses are framed
-as RFC 7230 3.3.3 frames them. Each end of a CONNECT tunnel is a Pipe protocol; after
-either end's EOF the tunnel has UPSTREAM_TIMEOUT_S to drain.
+as RFC 7230 3.3.3 frames them, and chunks as 4.1 does (hex sizes, CRLF
+lines). Each end of a CONNECT tunnel is a Pipe protocol; after either
+end's EOF the tunnel has UPSTREAM_TIMEOUT_S to drain. A client connection
+closes after any HTTP/1.0 request (6.3).
 
 Each relayed response leaves in one write on a TCP_NODELAY socket, so a
 keep-alive client never waits out Nagle's algorithm against its own
@@ -103,6 +105,8 @@ UPSTREAM_TIMEOUT_S = 15.0
 
 # A field name: visible ASCII except ":".
 _FIELD_NAME = re.compile(r"[!-9;-~]+")
+# A chunk size: one or more hex digits, in ASCII.
+_HEXDIGITS = re.compile(rb"[0-9A-Fa-f]+")
 # Control characters and space, none of which may appear in a request target.
 _CONTROL = re.compile(r"[\x00-\x20\x7f]")
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
@@ -226,8 +230,9 @@ def _version(text: str) -> tuple[int, int] | None:
 
 
 def _closes(version: tuple[int, int], headers: _Headers) -> bool:
-    """Whether the connection closes after a message (RFC 7230 6.3): it has
-    the close option, or is older than HTTP/1.1 and lacks keep-alive."""
+    """Whether the origin's connection closes after a response (RFC 7230
+    6.3): it has the close option, or is older than HTTP/1.1 and lacks
+    keep-alive. A client's closes after any HTTP/1.0 request."""
     options = headers.options
     return "close" in options or (version < (1, 1) and "keep-alive" not in options)
 
@@ -513,14 +518,17 @@ class _Upstream(_Framer):
         return False  # eof_received ends it
 
     def _line(self) -> bytes | None:
-        """The next chunk-size or trailer line, through its LF; None until whole."""
+        """The next chunk-size or trailer line, without its CRLF; None until
+        whole. ValueError for a line that ends in a bare LF."""
         buf = self.buffer
         end = buf.find(b"\n", 0, MAX_HEAD_BYTES + 1)
         if end < 0:
             if len(buf) > MAX_HEAD_BYTES:
                 raise ValueError("chunk line too long")
             return None
-        line = bytes(buf[:end + 1])
+        if buf[end - 1:end] != b"\r":
+            raise ValueError("bare LF in chunk line")
+        line = bytes(buf[:end - 1])
         del buf[:end + 1]
         return line
 
@@ -528,9 +536,14 @@ class _Upstream(_Framer):
         line = self._line()
         if line is None:
             return False
-        size = int(line.partition(b";")[0], 16)
-        if size < 0:
-            raise ValueError("negative chunk size")
+        # chunk-size [ chunk-ext ], chunk-size = 1*HEXDIG (RFC 7230 4.1),
+        # with blanks before the extension's ";" (RFC 9112 7.1.1)
+        size, semicolon, _ = line.partition(b";")
+        if semicolon:
+            size = size.rstrip(b" \t")
+        if not _HEXDIGITS.fullmatch(size):
+            raise ValueError(f"bad chunk size {line[:40]!r}")
+        size = int(size, 16)
         if size == 0:
             self.step = self._trailer
             return True
@@ -553,7 +566,7 @@ class _Upstream(_Framer):
         line = self._line()
         if line is None:
             return False
-        if line in (b"\r\n", b"\n"):
+        if not line:
             return self._done(b"".join(self.chunks))
         return True
 
@@ -686,7 +699,9 @@ def _parse_request(head: bytes, client: _Client) -> Request:
     if method not in _RELAYED and method != "CONNECT":
         raise _Refused(501, "Unsupported method")
     expects_continue = version >= (1, 1) and (headers.get("Expect") or "").lower() == "100-continue"
-    return Request(method, target, headers, client, _closes(version, headers), expects_continue)
+    # a proxy keeps no persistent connection with an HTTP/1.0 client (RFC 7230 6.3)
+    close = version < (1, 1) or "close" in headers.options
+    return Request(method, target, headers, client, close, expects_continue)
 
 
 class _Client(_Framer):

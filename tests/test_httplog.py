@@ -6,7 +6,9 @@ import inspect
 import json
 import math
 import os
+import re
 import tempfile
+import time
 from http import HTTPStatus
 
 import pytest
@@ -795,9 +797,17 @@ _GATE_MUTATIONS = [_gate_body, _gate_timestamp, _gate_drop_key, _gate_extra_key,
 
 
 def _check_against_reference(obj: dict) -> str:
-    """Read a log whose second line is ``obj`` with both readers and check
+    """_check_line_against_reference of ``obj`` written by json.dumps."""
+    return _check_line_against_reference(_line_of(obj))
+
+
+def _types(views) -> list:
+    return [tuple(map(type, view)) for view in views]
+
+
+def _check_line_against_reference(line: str) -> str:
+    """Read a log whose second line is ``line`` with both readers and check
     them against _reference_gate; returns what the reference made of it."""
-    line = _line_of(obj)
     good = make_exchange("image/gif", body=b"GIF")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.jsonl")
@@ -805,7 +815,7 @@ def _check_against_reference(obj: dict) -> str:
             fh.write(exchange_to_json(good) + "\n" + line + "\n" + exchange_to_json(good) + "\n")
         try:
             status, body, user_agent, content_type = _reference_gate(json.loads(line))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an infinite status
             for read in (read_exchange_log, read_exchange_views):
                 with pytest.raises(LogFormatError) as refused:
                     read(path)
@@ -816,7 +826,9 @@ def _check_against_reference(obj: dict) -> str:
         views = []  # an encrypted exchange keeps no view
         if not parsed["is_encrypted"]:
             views.append(ExchangeView(user_agent or "", parsed["timestamp"], content_type))
-        assert read_exchange_views(path) == [good_view, *views, good_view]
+        read = read_exchange_views(path)
+        assert read == [good_view, *views, good_view]
+        assert _types(read) == _types([good_view, *views, good_view])
         first, full, last = read_exchange_log(path)
         assert first == last == good
         assert (full.response_status, full.response_body) == (status, body)
@@ -827,9 +839,167 @@ def _check_against_reference(obj: dict) -> str:
         return "accepted"
 
 
+# Exchanges whose lines the view reader reads from their text, or decodes
+# for a header list that is not ASCII: header names in other cases,
+# repeated, or not ASCII (İ changes length under str.lower, ß does not; ſ
+# matches s under re.IGNORECASE but is not lowered to it).
+_CANONICAL_TEXT = st.text(alphabet="az09 /;=.-İßſ☃\x7f", max_size=8)
+_CANONICAL_HEADERS = st.lists(
+    st.tuples(
+        st.sampled_from(["User-Agent", "user-agent", "USER-AGENT", "uSeR-aGeNt", "Content-Type",
+                         "content-type", "CONTENT-TYPE", "Host", "İ", "ß", "İUser-Agent",
+                         "User-Agentß", "uſer-agent", "Content-Typeİ", ""]),
+        _CANONICAL_TEXT,
+    ),
+    max_size=4,
+).map(tuple)
+_CANONICAL_EXCHANGES = st.builds(
+    HttpExchange,
+    exchange_id=_CANONICAL_TEXT,
+    timestamp=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**20, 10**20),
+    flow_id=_CANONICAL_TEXT,
+    method=st.sampled_from(["GET", "POST", "CONNECT"]),
+    url=_CANONICAL_TEXT,
+    request_headers=_CANONICAL_HEADERS,
+    response_status=st.integers(-1000, 1000),
+    response_headers=_CANONICAL_HEADERS,
+    response_body=st.binary(max_size=12),
+    ground_truth_client=st.none() | _CANONICAL_TEXT,
+).flatmap(
+    lambda exchange: st.sampled_from([
+        exchange, dataclasses.replace(exchange, response_body=b"", is_encrypted=True)
+    ])
+)
+
+
+def _replace_value(line: str, key: str, text: str) -> str:
+    """``line`` with the JSON text of ``key``'s value, a number, a string or
+    a literal, replaced by ``text``."""
+    return re.sub(rf'"{key}":(?:"[^"\\]*"|[^,}}]*)', lambda _: f'"{key}":{text}', line, count=1)
+
+
+# Where a string starts: four fields' values and each header list's first
+# name; and what is put there: an escape, a control character, a character
+# that is not ASCII, or text that looks like a pair's start.
+_STRING_STARTS = [
+    '"exchange_id":"', '"flow_id":"', '"method":"', '"url":"', '"request_headers":[["',
+    '"response_headers":[["',
+]
+_STRING_INSERTS = [
+    '\\"', "\\\\", "\\n", "\\u0041", "\\u00e9", "\\/", "\\x", "\\u12", "\x00", "\x01", "\t", "\x1f",
+    "\x7f", "é", "İ", "[", '["user-agent","',
+]
+
+
+def _insert_into_string(line: str, start: str, text: str) -> str:
+    """``text`` put at ``start``, if the line has it."""
+    at = line.find(start)
+    if at < 0:  # an empty header list
+        return line
+    at += len(start)
+    return line[:at] + text + line[at:]
+
+
+def _canonical_unchanged(line, data):
+    return line
+
+
+def _canonical_string(line, data):
+    start = data.draw(st.sampled_from(_STRING_STARTS))
+    return _insert_into_string(line, start, data.draw(st.sampled_from(_STRING_INSERTS)))
+
+
+_DIGITS_5000 = "1" + "0" * 4999
+# JSON texts, and near misses, of the values the pattern reads: 301 digits
+# is finite as a float, 400 digits is not.
+_FIXED_VALUES = {
+    "timestamp": [
+        "7", "-0", "0", "-0.0", "1e3", "1E-2", "-7.5e+2", "2.5E+1", "1e-400", "1e400", "-1e400",
+        "1" + "0" * 299, "-1" + "0" * 299, "1" + "0" * 300, "1" + "0" * 400, _DIGITS_5000,
+        _DIGITS_5000 + ".5", "01", "1.", ".5", "+1", "NaN", "Infinity", "-Infinity", '"7"', "true",
+    ],
+    "response_status": ["200.0", "2e2", "1e400", "1" + "0" * 300, _DIGITS_5000, "null", '"200"', "true"],
+    "ground_truth_client": ["5", "true", "false", "[]", '{"a":1}', "1.5", '""', "null", "nul", "[", "NaN"],
+    "is_encrypted": ["true", "false", "1", "0", "null", '"yes"', "tru", "True"],
+    "response_body": ['""', '"QUJD"', '"QQ=="', '"QUI="', '"QQ="', '"A==="', '"AAAAA==="', '"===="',
+                      '"Q=Q="', '"QQ==QQ=="', '"-_AB"', '"QU D"', '"QUJDé"', "null", "5"],
+}
+
+
+def _canonical_value(line, data):
+    key = data.draw(st.sampled_from(sorted(_FIXED_VALUES)))
+    return _replace_value(line, key, data.draw(st.sampled_from(_FIXED_VALUES[key])))
+
+
+def _canonical_extra_key(line, data):
+    pair = data.draw(st.sampled_from(['"note":1', '"timestamp":5', '"is_encrypted":true', '"response_body":"!"']))
+    return line[:-1] + "," + pair + "}"
+
+
+def _canonical_reorder(line, data):
+    pairs = json.loads(line, object_pairs_hook=list)
+    at = data.draw(st.integers(0, len(pairs) - 2))
+    pairs[at], pairs[at + 1] = pairs[at + 1], pairs[at]
+    return json.dumps(dict(pairs), separators=(",", ":"), ensure_ascii=False)
+
+
+def _canonical_whitespace(line, data):
+    old = data.draw(st.sampled_from(['{"', ',"timestamp"', '"url":', ':[', "}"]))
+    new = {'{"': '{ "', ',"timestamp"': ', "timestamp"', '"url":': '"url" :', ':[': ':\t[', "}": " }"}[old]
+    return line.replace(old, new, 1) if old != "}" else line[:-1] + new
+
+
+def _canonical_body(line, data):
+    start = line.index('"response_body":"') + len('"response_body":"')
+    end = line.index('"', start)
+    body = line[start:end]
+    at = data.draw(st.integers(0, len(body)))
+    body = data.draw(st.sampled_from([
+        body[:-1], body + "A", body[:at] + "=" + body[at + 1:], body + "A===", body + "====",
+        body[:at] + "=" + body[at:], body[:at] + data.draw(st.sampled_from("-_ é")) + body[at + 1:],
+    ]))
+    return line[:start] + body + line[end:]
+
+
+def _canonical_encrypted(line, data):
+    return line.replace('"is_encrypted":false}', '"is_encrypted":true}')
+
+
+_CANONICAL_MUTATIONS = [
+    _canonical_unchanged, _canonical_string, _canonical_value,
+    _canonical_extra_key, _canonical_reorder, _canonical_whitespace, _canonical_body,
+    _canonical_encrypted,
+]
+
+
 class TestGateAgainstReference:
     """Both readers refuse exactly what the decoding gate refused, at the
     same line with the same reason, and read what it accepted as it read it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_CANONICAL_EXCHANGES, st.sampled_from(_CANONICAL_MUTATIONS), st.data())
+    def test_written_lines_with_one_mutation(self, exchange, mutate, data):
+        _check_line_against_reference(mutate(exchange_to_json(exchange), data))
+
+    @pytest.mark.parametrize("start", _STRING_STARTS)
+    @pytest.mark.parametrize("text", _STRING_INSERTS)
+    def test_written_line_with_one_string_changed(self, start, text):
+        exchange = dataclasses.replace(
+            make_exchange("text/css", timestamp=1.5),
+            request_headers=(("Host", "example.test"), ("User-Agent", "ua/1")),
+        )
+        _check_line_against_reference(_insert_into_string(exchange_to_json(exchange), start, text))
+
+    @pytest.mark.parametrize("key, text", [
+        (key, text) for key, texts in _FIXED_VALUES.items() for text in texts
+    ], ids=lambda value: value if len(value) < 20 else f"{len(value)}-chars")
+    @pytest.mark.parametrize("encrypted", [False, True])
+    def test_written_line_with_one_value_replaced(self, key, text, encrypted):
+        exchange = dataclasses.replace(
+            make_exchange("text/css", encrypted=encrypted, timestamp=1.5),
+            request_headers=(("User-Agent", "ua/1"),),
+        )
+        _check_line_against_reference(_replace_value(exchange_to_json(exchange), key, text))
 
     @settings(max_examples=150, deadline=None)
     @given(_BODIES, st.sampled_from([False, True, 0, 1, None, "", "x"]))
@@ -846,6 +1016,14 @@ class TestGateAgainstReference:
         for mutate in mutations:
             mutate(obj, data)
         _check_against_reference(obj)
+
+    @pytest.mark.parametrize("last", ["!", "é", '"'])
+    def test_several_mb_body_with_a_bad_last_character_is_refused_in_linear_time(self, last):
+        line = exchange_to_json(make_exchange("image/gif", body=b"\x00" * 6_000_000))
+        end = line.index('","is_encrypted"')
+        start = time.process_time()
+        assert _check_line_against_reference(line[:end - 1] + last + line[end:]) == "refused"
+        assert time.process_time() - start < 5.0  # a pattern that backtracks takes hours
 
     @pytest.mark.parametrize("body, outcome", [
         ("PHA+eDwvcD4=", "accepted"),
@@ -868,15 +1046,35 @@ class _Decoded(Exception):
     pass
 
 
-def test_view_reader_decodes_no_canonical_body(tmp_path, monkeypatch):
+def _simulated_log(tmp_path):
+    """A simulator's exchanges, with bodies and encrypted ones, and the log
+    path they are written to."""
     from beaconlab.clientsim import calibrated_config, run_scenario
 
     result = run_scenario(calibrated_config(seed=5, client_count=20, duration_seconds=600.0))
     path = str(tmp_path / "exchanges.jsonl")
     write_exchange_log(result.exchanges, path)
-    expected = read_exchange_views(path)
     assert any(e.response_body for e in result.exchanges)
     assert any(e.is_encrypted for e in result.exchanges)
+    return result.exchanges, path
+
+
+def test_view_reader_decodes_no_canonical_line(tmp_path, monkeypatch):
+    exchanges, path = _simulated_log(tmp_path)
+
+    def decode(*args):
+        raise _Decoded(args)
+
+    monkeypatch.setattr(httplog, "_scan_once", decode)
+    monkeypatch.setattr(json, "loads", decode)
+    assert read_exchange_views(path) == exchange_views(exchanges)
+    with pytest.raises(_Decoded):
+        read_exchange_log(path)
+
+
+def test_view_reader_decodes_no_canonical_body(tmp_path, monkeypatch):
+    exchanges, path = _simulated_log(tmp_path)
+    expected = read_exchange_views(path)
 
     def decode(value):
         raise _Decoded(value)

@@ -931,8 +931,9 @@ class TestWireBehaviour:
         (b"GET %s HTTP/1.1", b"Connection: close, TE\r\n"),
         (b"GET %s HTTP/1.1", b"Connection: TE,close\r\n"),
         (b"GET %s HTTP/1.1", b"Connection: TE\r\nConnection: close\r\n"),
+        (b"GET %s HTTP/1.0", b"Connection: keep-alive\r\n"),
     ], ids=["connection-close", "http10-client", "close-in-any-case", "close-first-of-two",
-            "close-last-of-two", "close-in-second-field"])
+            "close-last-of-two", "close-in-second-field", "http10-keep-alive"])
     def test_client_connection_closes_after_response(self, service, origin, request_line, header):
         url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
         with socket.create_connection(service.listen_address, timeout=5) as sock:
@@ -1160,6 +1161,23 @@ class TestResponseHead:
             assert len(fh.readlines()) == extra  # one error line for the 502
 
 
+_CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+# Chunked bodies off RFC 7230 4.1 by one rule: chunk-size = 1*HEXDIG, and
+# each chunk, last-chunk and trailer line ends in CRLF.
+_BAD_CHUNKS = {
+    "hex-prefix": b"0x2\r\nok\r\n0\r\n\r\n",
+    "signed-size": b"+2\r\nok\r\n0\r\n\r\n",
+    "negative-size": b"-2\r\nok\r\n0\r\n\r\n",
+    "blank-before-size": b" 2\r\nok\r\n0\r\n\r\n",
+    "underscore-size": b"0_2\r\nok\r\n0\r\n\r\n",
+    "no-size": b"\r\nok\r\n0\r\n\r\n",
+    "bare-lf-chunk-line": b"2\nok\r\n0\r\n\r\n",
+    "bare-lf-last-chunk": b"2\r\nok\r\n0\n\r\n",
+    "bare-lf-trailer-field": b"2\r\nok\r\n0\r\nX-T: t\n\r\n",
+    "bare-lf-end-of-trailer": b"2\r\nok\r\n0\r\n\n",
+}
+
+
 class TestSharedRules:
     """Requests and responses are read under one set of RFC 7230 rules."""
 
@@ -1216,9 +1234,10 @@ class TestSharedRules:
         b"HTTP/1.1x 200 OK\r\nContent-Length: 2\r\n\r\nok",
         b"HTTP/1.\xb9 200 OK\r\nContent-Length: 2\r\n\r\nok",
         b"HTTP/0.9 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        *(_CHUNKED_HEAD + chunks for chunks in _BAD_CHUNKS.values()),
     ], ids=["obs-fold", "signed-length", "letters-length", "two-lengths", "gzip",
             "gzip-then-chunked", "chunked-twice", "underscore-status", "signed-status",
-            "version-suffix", "superscript-version", "http09"])
+            "version-suffix", "superscript-version", "http09", *_BAD_CHUNKS])
     def test_malformed_response_gets_502_and_one_error_line(self, service, raw_origin, capfd, reply):
         origin = raw_origin((reply, True))
         assert proxy_get(service, origin.address, "/bad") == (502, b"502 upstream unreachable\n")
@@ -1236,6 +1255,50 @@ class TestSharedRules:
     def test_well_formed_response_is_relayed(self, service, raw_origin, reply):
         origin = raw_origin((reply, False))
         assert proxy_get(service, origin.address, "/good") == (200, b"ok")
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+
+class TestCutShort:
+    """Exchanges that a peer ends before their message is whole, or that an
+    origin follows with bytes no request asked for."""
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nok",
+        _CHUNKED_HEAD + b"2\r\nok\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Len",
+    ], ids=["content-length", "chunked", "head"])
+    def test_origin_eof_mid_response_gets_502_and_one_error_line(self, service, raw_origin, capfd, reply):
+        origin = raw_origin((reply, True))
+        assert proxy_get(service, origin.address, "/cut") == (502, b"502 upstream unreachable\n")
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        assert "EOFError: remote end closed connection mid-response" in line
+        assert read_exchange_log(service.config.exchange_log_path) == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_bytes_no_request_asked_for_drop_the_pooled_connection(self, service, trickle_origin):
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        # the response, then, a moment later, the start of one nobody asked for
+        origin = trickle_origin((ok + b"HTTP/1.1 200 OK\r\n", False), (ok, False), pieces=(len(ok), 64))
+        assert proxy_get(service, origin.address, "/a") == (200, b"ok")
+        deadline = time.monotonic() + 5
+        while origin.conns[0].fileno() != -1 and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the proxy has closed the pooled connection
+        assert origin.conns[0].fileno() == -1
+        assert proxy_get(service, origin.address, "/b") == (200, b"ok")
+        assert origin.accepted == 2
+        assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_client_eof_mid_body_closes_with_nothing_relayed(self, service, raw_origin):
+        origin = raw_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False))
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(
+                b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nabc" % origin.url("/form").encode()
+            )
+            sock.shutdown(socket.SHUT_WR)
+            assert read_until_closed(sock) == b""
+        assert (origin.accepted, origin.requests) == (0, [])
+        assert read_exchange_log(service.config.exchange_log_path) == []
         assert os.path.getsize(service.config.error_log_path) == 0
 
 
@@ -1367,6 +1430,48 @@ class TestFramerOnSplitBytes:
     @given(_pieces(_PIPELINED_REQUESTS))
     def test_two_pipelined_requests_one_with_a_body(self, pieces):
         assert _frame_requests(pieces) == _frame_requests([_PIPELINED_REQUESTS])
+
+
+class TestResponseFraming:
+    """Responses framed by _Upstream, socket-free: chunked bodies by RFC 7230
+    4.1, and bytes that follow a response unasked."""
+
+    @pytest.mark.parametrize("chunks", _BAD_CHUNKS.values(), ids=_BAD_CHUNKS.keys())
+    def test_chunk_off_the_grammar_fails_the_exchange(self, chunks):
+        ended, _, closed = _frame_response([_CHUNKED_HEAD + chunks])
+        assert [type(end) for end in ended] == [ValueError]
+        assert closed
+
+    @pytest.mark.parametrize("line", [
+        b"2;" + b"x" * proxy.MAX_HEAD_BYTES,
+        b"2;" + b"x" * proxy.MAX_HEAD_BYTES + b"\r\nok\r\n0\r\n\r\n",
+    ], ids=["unended", "ended"])
+    def test_chunk_line_over_the_head_cap_fails_the_exchange(self, line):
+        ended, _, closed = _frame_response([_CHUNKED_HEAD + line])
+        assert [str(end) for end in ended] == ["chunk line too long"]
+        assert closed
+
+    @pytest.mark.parametrize("chunks", [
+        b"2\r\nok\r\n0\r\n\r\n",
+        b"02;name=value\r\nok\r\n000\r\n\r\n",
+        b"2 \t;ext\r\nok\r\n0 ;ext\r\nX-T: t\r\n\r\n",
+        b"1\r\no\r\nA\r\nk123456789\r\n0\r\n\r\n",
+    ], ids=["plain", "leading-zeros-and-extension", "blanks-before-extension", "upper-hex"])
+    def test_chunks_on_the_grammar_are_framed(self, chunks):
+        ended, left, closed = _frame_response([_CHUNKED_HEAD + chunks])
+        ((status, _, body, close),) = ended
+        assert (status, body[:2], close, left, closed) == (200, b"ok", False, b"", False)
+
+    def test_bytes_no_request_asked_for_close_the_connection(self):
+        conn = proxy._Upstream()
+        conn.connection_made(_FakeTransport())
+        client = _StubExchange()
+        conn.exchange(client, b"GET / HTTP/1.1\r\n\r\n", "GET")
+        conn.data_received(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+        assert not conn.transport.closed
+        conn.data_received(b"HTTP/1.1 200 OK\r\n")
+        assert conn.transport.closed
+        assert [end[2] for end in client.ended] == [b"ok"]
 
 
 class _RecordingTransport(_FakeTransport):
