@@ -4,9 +4,10 @@ Every pipeline stage exchanges traffic through this one record type, so
 simulator output, live-proxy output, and correlator input are all
 file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
 read_exchange_views reads a line in the writer's exact shape from its
-text, and decodes any other line. The CSV logs of the other stages are
-each declared once as a CsvLog here, which reads, writes and appends them,
-so every log names a malformed line the same way (LogFormatError).
+text, and any other line through exchange_from_json, the one record gate.
+The CSV logs of the other stages are each declared once as a CsvLog here,
+which reads, writes and appends them, so every log names a malformed line
+the same way (LogFormatError).
 LogAppender is the one live appender.
 collector_paused pauses the cyclic garbage collector while the offline
 builders (simulate, analyze) make their records.
@@ -171,18 +172,19 @@ def _view(user_agent: str | None, timestamp: float, content_type: str | None) ->
     )
 
 
+def _view_of(exchange: HttpExchange) -> ExchangeView:
+    """The view of a plaintext exchange."""
+    return _view(
+        _first_header(exchange.request_headers, "user-agent"),
+        exchange.timestamp,
+        _first_header(exchange.response_headers, "content-type"),
+    )
+
+
 def exchange_views(exchanges: Iterable[HttpExchange]) -> list[ExchangeView]:
     """The views read_exchange_views reads from a log of these exchanges:
     one per plaintext exchange, in order."""
-    return [
-        _view(
-            _first_header(exchange.request_headers, "user-agent"),
-            exchange.timestamp,
-            _first_header(exchange.response_headers, "content-type"),
-        )
-        for exchange in exchanges
-        if not exchange.is_encrypted
-    ]
+    return [_view_of(exchange) for exchange in exchanges if not exchange.is_encrypted]
 
 
 def _first_header(headers, lowered: str) -> str | None:
@@ -240,29 +242,6 @@ def mime_distribution(views: Iterable[ExchangeView]) -> MimeDistribution:
     return MimeDistribution(counts=counts, total=sum(raw.values()))
 
 
-def _headers_from_json(raw: list) -> Headers:
-    return tuple((str(name), str(value)) for name, value in raw)
-
-
-def _walk_headers(raw, what: str, lowered: str) -> str | None:
-    """Check a JSON header list and return its first value named ``lowered``
-    (compared case-insensitively), as HttpExchange.header finds it.
-
-    One pass does both. The lookup cannot raise, so the first malformed
-    pair is reported wherever the wanted header stands.
-    """
-    if isinstance(raw, list):
-        found = None
-        for pair in raw:
-            if not isinstance(pair, list) or len(pair) != 2:
-                break
-            if found is None and str(pair[0]).lower() == lowered:
-                found = str(pair[1])
-        else:
-            return found
-    raise ValueError(f"{what} must be a list of [name, value] pairs")
-
-
 def finite_time(value) -> float:
     """A log record's time as a float; ValueError unless it is a finite number."""
     try:
@@ -272,73 +251,6 @@ def finite_time(value) -> float:
     if not math.isfinite(seconds):
         raise ValueError(f"time is not a finite number: {value!r}")
     return seconds
-
-
-# The characters of base64 text, besides the "=" padding at its end.
-_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-
-
-def _base64_checked(value) -> bytes | str:
-    """What the gate needs of a2b_base64(value) without decoding, where
-    that can be told from the text: canonical base64, an ASCII str whose
-    length is a multiple of 4, made of the 64 base64 characters with at
-    most two "=" at its end. a2b_base64 accepts every such text, and its
-    bytes are empty exactly when the text is, so the text itself stands
-    for them. Any other value is decoded, and a2b_base64 accepts or
-    refuses it with its own error.
-    """
-    if type(value) is str and not len(value) % 4 and value.isascii():
-        text = value.encode("ascii")
-        padding = text.translate(None, _BASE64_ALPHABET)
-        if padding in (b"", b"=", b"==") and text.endswith(padding):
-            return value
-    return binascii.a2b_base64(value)
-
-
-def _validate_record(
-    obj, body_of: Callable[[object], bytes | str]
-) -> tuple[int, bytes | str, str | None, str | None]:
-    """Check one decoded log record; return its status, its body as
-    ``body_of`` gives it from the base64 text, its first User-Agent request
-    header and its first Content-Type response header. Each header list is
-    walked once, to check it and to find the header.
-
-    The one gate every exchange-log reader applies, so all of them reject
-    the same lines. ``body_of`` is its only variable step: a2b_base64 for a
-    reader that keeps the bytes, _base64_checked for one that only needs
-    them checked. Raises ValueError (or TypeError for a value of the wrong
-    JSON type) naming the first defect.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("record is not an object")
-    try:
-        timestamp = obj["timestamp"]
-        request_headers = obj["request_headers"]
-        status = obj["response_status"]
-        response_headers = obj["response_headers"]
-        body = obj["response_body"]
-        encrypted = obj["is_encrypted"]
-        # the other required fields, which only exchange_from_json reads
-        if not ("exchange_id" in obj and "flow_id" in obj and "method" in obj and "url" in obj):
-            raise KeyError
-    except KeyError:
-        missing = [f for f in _FIELDS if f in _REQUIRED and f not in obj]
-        raise ValueError(f"missing fields: {', '.join(missing)}") from None
-    kind = type(timestamp)
-    if kind is float:
-        if not -math.inf < timestamp < math.inf:  # false for an infinity and for NaN
-            raise ValueError(f"time is not a finite number: {timestamp!r}")
-    elif kind is int:  # bool is not a time
-        finite_time(timestamp)  # an int beyond the float range is refused
-    else:
-        raise ValueError("timestamp is not a number")
-    user_agent = _walk_headers(request_headers, "request_headers", "user-agent")
-    status = int(status)
-    content_type = _walk_headers(response_headers, "response_headers", "content-type")
-    body = body_of(body)
-    if encrypted and body:
-        raise ValueError("encrypted exchanges carry no body")
-    return status, body, user_agent, content_type
 
 
 # json.dumps(value, separators=(",", ":"), ensure_ascii=False) for a value
@@ -432,49 +344,53 @@ def _exchange_line(exchange: HttpExchange, pair_json: dict[tuple[str, str], str]
     return line + "}"
 
 
+def _headers_from_json(raw, what: str) -> Headers:
+    """A JSON header list as Headers; ValueError unless it is a list of
+    [name, value] pairs."""
+    if isinstance(raw, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in raw):
+        return tuple((str(name), str(value)) for name, value in raw)
+    raise ValueError(f"{what} must be a list of [name, value] pairs")
+
+
 def exchange_from_json(obj: dict) -> HttpExchange:
-    status, body, _, _ = _validate_record(obj, binascii.a2b_base64)
-    extra = {k: v for k, v in obj.items() if k not in _FIELD_NAMES} or _NO_EXTRA
+    """The exchange of one decoded log record.
+
+    The one gate of every exchange-log reader, so all of them refuse the
+    same lines. It checks, in this order: an object, the required keys, a
+    timestamp that is a JSON number and finite, the request header pairs,
+    ``int(status)``, the response header pairs, a base64 body, and no body
+    if encrypted. Raises ValueError (or TypeError for a value of the wrong
+    JSON type) naming the first defect.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    if not _REQUIRED <= obj.keys():
+        missing = [f for f in _FIELDS if f in _REQUIRED and f not in obj]
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    timestamp = obj["timestamp"]
+    if type(timestamp) not in (int, float):  # bool is not a time
+        raise ValueError("timestamp is not a number")
+    finite_time(timestamp)
+    request_headers = _headers_from_json(obj["request_headers"], "request_headers")
+    status = int(obj["response_status"])
+    response_headers = _headers_from_json(obj["response_headers"], "response_headers")
+    body = binascii.a2b_base64(obj["response_body"])
+    if obj["is_encrypted"] and body:
+        raise ValueError("encrypted exchanges carry no body")
     return HttpExchange(
         exchange_id=str(obj["exchange_id"]),
-        timestamp=obj["timestamp"],
+        timestamp=timestamp,
         flow_id=str(obj["flow_id"]),
         ground_truth_client=obj.get("ground_truth_client"),
         method=str(obj["method"]),
         url=str(obj["url"]),
-        request_headers=_headers_from_json(obj["request_headers"]),
+        request_headers=request_headers,
         response_status=status,
-        response_headers=_headers_from_json(obj["response_headers"]),
+        response_headers=response_headers,
         response_body=body,
         is_encrypted=bool(obj["is_encrypted"]),
-        extra=extra,
+        extra={k: v for k, v in obj.items() if k not in _FIELD_NAMES} or _NO_EXTRA,
     )
-
-
-def view_from_json(obj: dict) -> ExchangeView | None:
-    """The ExchangeView of a record, None for an encrypted one, accepting
-    exactly what exchange_from_json accepts; a canonical base64 body is
-    checked without being decoded."""
-    _, _, user_agent, content_type = _validate_record(obj, _base64_checked)
-    if obj["is_encrypted"]:
-        return None
-    return _view(user_agent, obj["timestamp"], content_type)
-
-
-# The scanner json.loads runs. Called on a stripped line, it accepts
-# exactly what json.loads accepts if it ends at the end of the line.
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decoded(line: str):
-    """What json.loads makes of a stripped line, or the error it raises."""
-    try:
-        obj, end = _scan_once(line, 0)
-    except StopIteration:
-        end = -1
-    if end != len(line):
-        obj = json.loads(line)  # raises the error json.loads gives
-    return obj
 
 
 # A JSON string with no escape: no '"', "\" or control character. Each run
@@ -523,13 +439,13 @@ def _first_value(headers: str, opening: str) -> str | None:
 
 
 def _line_view(line: str) -> ExchangeView | None:
-    """view_from_json of the record on a stripped line.
+    """The view of the record on a stripped line, None for an encrypted one.
 
     A line the writer emits (_CANONICAL_LINE) whose body is canonical base64
     and whose time is finite is read from its text, with no JSON object
-    built: the gate accepts every such line, unless it is encrypted with a
-    body. Any other line is decoded and goes through the gate, which alone
-    refuses a line.
+    built: exchange_from_json accepts every such line, unless it is
+    encrypted with a body. Any other line is read as read_exchange_log
+    reads it, so the gate alone refuses a line.
     """
     match = _CANONICAL_LINE.fullmatch(line)
     if match is not None:
@@ -545,12 +461,13 @@ def _line_view(line: str) -> ExchangeView | None:
                 )
             if body_start == body_end:
                 return None
-    return view_from_json(_decoded(line))
+    exchange = _line_exchange(line)
+    return None if exchange.is_encrypted else _view_of(exchange)
 
 
 def _line_exchange(line: str) -> HttpExchange:
     """exchange_from_json of the record on a stripped line."""
-    return exchange_from_json(_decoded(line))
+    return exchange_from_json(json.loads(line))
 
 
 def _read_lines(

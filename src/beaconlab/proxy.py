@@ -21,9 +21,11 @@ HTTP-version, one field syntax, one set of connection options deciding
 close and hop-by-hop fields, one Content-Length. Request bodies are framed
 by Content-Length only, up to MAX_REQUEST_BODY_BYTES; responses are framed
 as RFC 7230 3.3.3 frames them, and chunks as 4.1 does (hex sizes, CRLF
-lines). Each end of a CONNECT tunnel is a Pipe protocol; after either
-end's EOF the tunnel has UPSTREAM_TIMEOUT_S to drain. A client connection
-closes after any HTTP/1.0 request (6.3).
+lines, a CRLF after each chunk's data). Each end of a CONNECT tunnel is a
+Pipe protocol; after either end's EOF the tunnel has UPSTREAM_TIMEOUT_S to
+drain. A client connection closes after any HTTP/1.0 request (6.3) or one
+with the close option, and the reply before that close says Connection:
+close (6.6).
 
 Each relayed response leaves in one write on a TCP_NODELAY socket, so a
 keep-alive client never waits out Nagle's algorithm against its own
@@ -555,10 +557,12 @@ class _Upstream(_Framer):
         return True
 
     def _chunk_data(self) -> bool:
-        data = self._fixed(tail=2)  # the data, then its CRLF
-        if data is None:
+        buf, length = self.buffer, self.length
+        if len(buf) < length + 2:  # the data, then its CRLF
             return False
-        self.chunks.append(data)
+        if buf[length:length + 2] != b"\r\n":
+            raise ValueError("chunk data not followed by CRLF")
+        self.chunks.append(self._fixed(tail=2))
         self.step = self._chunk_size
         return True
 
@@ -1290,12 +1294,13 @@ class ProxyService:
         delivered, tags = self.process_response(exchange, self.current_mode())
         if not self._log_exchange(delivered, tags):
             return self._refuse(request, 503, "proxy stopped")
-        # status line, fields and body in a single write
+        # status line, fields and body in a single write; a connection
+        # closed after the reply says so in it (RFC 7230 6.6)
         status = delivered.response_status
         reply = (
             f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
             + "".join(f"{name}: {value}\r\n" for name, value in delivered.response_headers)
-            + "\r\n"
+            + ("Connection: close\r\n\r\n" if request.close else "\r\n")
         ).encode("latin-1", "strict")
         if method != "HEAD":
             reply += delivered.response_body

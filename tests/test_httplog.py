@@ -28,7 +28,6 @@ from beaconlab.httplog import (
     mime_type,
     read_exchange_log,
     read_exchange_views,
-    view_from_json,
     write_exchange_log,
 )
 from beaconlab import correlate, httplog
@@ -574,13 +573,13 @@ class TestExchangeViews:
         )
         obj = json.loads(exchange_to_json(exchange))
         full = exchange_from_json(obj)
-        assert [view_from_json(obj)] == (exchange_views([full]) or [None])
+        assert [httplog._line_view(json.dumps(obj))] == (exchange_views([full]) or [None])
         if not encrypted:
             user_agent = next((v for k, v in headers if k.lower() == "user-agent"), None)
-            assert view_from_json(obj) == ExchangeView(
+            assert httplog._line_view(json.dumps(obj)) == ExchangeView(
                 user_agent or "", full.timestamp, full.header("content-type")
             )
-            assert mime_distribution([view_from_json(obj)]).counts == {mime_type(full): 1}
+            assert mime_distribution([httplog._line_view(json.dumps(obj))]).counts == {mime_type(full): 1}
 
 
 # A canonical record, then one defect or harmless change at a time. Each
@@ -1046,12 +1045,19 @@ class _Decoded(Exception):
     pass
 
 
-def _simulated_log(tmp_path):
-    """A simulator's exchanges, with bodies and encrypted ones, and the log
-    path they are written to."""
+# The scenario of each benchmark workload's offline part, at toy size.
+_WORKLOAD_SHAPES = {
+    "calibrated": {"client_count": 20, "duration_seconds": 600.0},
+    "churn": {"client_count": 60, "duration_seconds": 3600.0, "visit_rate": 0.0005, "restart_count": 6},
+}
+
+
+def _simulated_log(tmp_path, shape="calibrated"):
+    """A simulator's exchanges in one workload's shape, with bodies and
+    encrypted ones, and the log path they are written to."""
     from beaconlab.clientsim import calibrated_config, run_scenario
 
-    result = run_scenario(calibrated_config(seed=5, client_count=20, duration_seconds=600.0))
+    result = run_scenario(calibrated_config(seed=5, **_WORKLOAD_SHAPES[shape]))
     path = str(tmp_path / "exchanges.jsonl")
     write_exchange_log(result.exchanges, path)
     assert any(e.response_body for e in result.exchanges)
@@ -1059,13 +1065,13 @@ def _simulated_log(tmp_path):
     return result.exchanges, path
 
 
-def test_view_reader_decodes_no_canonical_line(tmp_path, monkeypatch):
-    exchanges, path = _simulated_log(tmp_path)
+@pytest.mark.parametrize("shape", _WORKLOAD_SHAPES)
+def test_view_reader_decodes_no_canonical_line(tmp_path, monkeypatch, shape):
+    exchanges, path = _simulated_log(tmp_path, shape)
 
     def decode(*args):
         raise _Decoded(args)
 
-    monkeypatch.setattr(httplog, "_scan_once", decode)
     monkeypatch.setattr(json, "loads", decode)
     assert read_exchange_views(path) == exchange_views(exchanges)
     with pytest.raises(_Decoded):

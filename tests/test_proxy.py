@@ -943,6 +943,10 @@ class TestWireBehaviour:
         assert status == b"HTTP/1.1 200 OK"
         assert body == HTML_PAGE
         assert headers[b"content-length"] == b"%d" % len(HTML_PAGE)
+        # the reply says the connection closes (RFC 7230 6.6); the log does not
+        assert headers[b"connection"] == b"close"
+        (exchange,) = read_exchange_log(service.config.exchange_log_path)
+        assert all(name.lower() != "connection" for name, _ in exchange.response_headers)
 
     def test_oversized_request_head_is_refused(self, service, origin, capfd):
         url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
@@ -1175,6 +1179,7 @@ _BAD_CHUNKS = {
     "bare-lf-last-chunk": b"2\r\nok\r\n0\n\r\n",
     "bare-lf-trailer-field": b"2\r\nok\r\n0\r\nX-T: t\n\r\n",
     "bare-lf-end-of-trailer": b"2\r\nok\r\n0\r\n\n",
+    "data-not-ended-by-crlf": b"2\r\nokXY0\r\n\r\n",
 }
 
 
@@ -1215,7 +1220,7 @@ class TestSharedRules:
         ]
         status, headers, body = split_reply(reply)
         assert (status, body) == (b"HTTP/1.1 200 OK", b"ok")
-        assert headers == {b"x-kept": b"k", b"content-length": b"2"}
+        assert headers == {b"x-kept": b"k", b"content-length": b"2", b"connection": b"close"}
         (exchange,) = read_exchange_log(service.config.exchange_log_path)
         assert exchange.request_headers == (("Host", "x"), ("X-A", "1"))
         assert exchange.response_headers == (("X-Kept", "k"), ("Content-Length", "2"))
@@ -1288,6 +1293,17 @@ class TestCutShort:
         assert proxy_get(service, origin.address, "/b") == (200, b"ok")
         assert origin.accepted == 2
         assert os.path.getsize(service.config.error_log_path) == 0
+
+    def test_origin_closed_as_soon_as_connected_fails_the_exchange(self):
+        conn = proxy._Upstream()
+        conn.connection_made(_FakeTransport())
+        conn.transport.close()  # the origin's EOF came before the request
+        client = _StubExchange()
+        conn.exchange(client, b"GET / HTTP/1.1\r\n\r\n", "GET")
+        assert [(type(end), str(end)) for end in client.ended] == [
+            (ConnectionResetError, "remote end closed connection without response")
+        ]
+        assert conn.client is None
 
     def test_client_eof_mid_body_closes_with_nothing_relayed(self, service, raw_origin):
         origin = raw_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False))
@@ -1704,6 +1720,32 @@ class TestStop:
         assert "Traceback" not in capfd.readouterr().err
         assert [os.path.getsize(path) for path in logs] == sizes
         assert len(read_exchange_log(config.exchange_log_path)) == 1
+
+    def test_response_that_arrives_after_stop_gets_503(self, service, capfd):
+        config = service.config
+        logs = (config.exchange_log_path, config.tag_log_path, config.error_log_path)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+            url = b"http://127.0.0.1:%d/page" % listener.getsockname()[1]
+            with socket.create_connection(service.listen_address, timeout=5) as sock:
+                sock.sendall(b"GET " + url + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+                upstream, _ = listener.accept()
+                with upstream:
+                    upstream.settimeout(5)
+                    request = b""
+                    while not request.endswith(b"\r\n\r\n"):
+                        chunk = upstream.recv(65536)
+                        assert chunk, "the proxy closed the upstream connection mid-request"
+                        request += chunk
+                    service.stop()  # the request is relayed, its response not yet in
+                    sizes = [os.path.getsize(path) for path in logs]
+                    upstream.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+                    reply = read_until_closed(sock)
+                    assert read_until_closed(upstream) == b""  # closed, not pooled
+        assert reply.startswith(b"HTTP/1.1 503 proxy stopped\r\nConnection: close\r\n")
+        assert "Traceback" not in capfd.readouterr().err
+        assert [os.path.getsize(path) for path in logs] == sizes
+        assert read_exchange_log(config.exchange_log_path) == []
 
     def test_stop_without_start_closes_sockets_and_logs(self, tmp_path):
         svc = ProxyService(active_config(tmp_path))
