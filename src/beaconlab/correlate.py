@@ -19,7 +19,7 @@ from typing import Iterable
 from beaconlab.clientsim import FETCH_LOG, FetchRecord
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, normalize_name, url_host
 from beaconlab.httplog import (
-    ExchangeView,
+    ExchangeViews,
     MimeDistribution,
     collector_paused,
     mime_distribution,
@@ -36,9 +36,9 @@ from beaconlab.ua import (
     unique_ua_growth,
 )
 
-# Analysis keeps of each exchange-log line only its ExchangeView, and
-# nothing of an encrypted one; build_report_from_dir reads the log through
-# this name.
+# Analysis keeps of each exchange-log line only its view, as three column
+# entries of ExchangeViews, and nothing of an encrypted one;
+# build_report_from_dir reads the log through this name.
 read_exchange_log = read_exchange_views
 
 
@@ -200,7 +200,7 @@ def detect_reappearances(
     return list(accounting.reappearances), list(accounting.anomalies)
 
 
-def ua_records_from_exchanges(views: list[ExchangeView]) -> list[ExchangeView]:
+def ua_records_from_exchanges(views: ExchangeViews) -> ExchangeViews:
     """Observable user-agent stream: one record per plaintext exchange,
     empty raw when the request carried no user-agent header. Each view
     begins with its exchange's UaRecord, so the views are that stream and
@@ -210,7 +210,7 @@ def ua_records_from_exchanges(views: list[ExchangeView]) -> list[ExchangeView]:
 
 
 def _report(
-    accounting: TagAccounting, views: list[ExchangeView], db: VulnDb, window_seconds: float
+    accounting: TagAccounting, views: ExchangeViews, db: VulnDb, window_seconds: float
 ) -> CorrelationReport:
     ua_records = ua_records_from_exchanges(views)
     return CorrelationReport(
@@ -222,7 +222,7 @@ def _report(
 
 
 def build_report(
-    views: list[ExchangeView],
+    views: ExchangeViews,
     tags: Iterable[Tag],
     dns_log: Iterable[DnsQueryRecord],
     fetch_log: Iterable[FetchRecord],
@@ -234,8 +234,8 @@ def build_report(
     """Fuse all sources into one report. All logs must share one epoch.
 
     ``views`` are the exchanges' ExchangeViews, as read_exchange_views
-    reads them or httplog.exchange_views makes them; they are iterated more
-    than once. The tag, DNS and fetch logs may be any iterables, streams
+    reads them or httplog.exchange_views makes them; their columns are read
+    more than once. The tag, DNS and fetch logs may be any iterables, streams
     included: each is iterated once, by tag_accounting, tags first.
     """
     accounting = tag_accounting(tags, dns_log, fetch_log, static_label, zone)
@@ -264,8 +264,9 @@ def build_report_from_dir(
     a missing file raises MissingLogError naming which source is absent.
     The tag, DNS and fetch logs are folded first, as they are read, so the
     fold's per-label state is gone before the exchange log is read whole,
-    as views. So a malformed line raises LogFormatError from the first bad
-    log in the order tags, DNS, fetches, exchanges, with every file closed.
+    into the columns of ExchangeViews. So a malformed line raises
+    LogFormatError from the first bad log in the order tags, DNS, fetches,
+    exchanges, with every file closed.
     Runs with the cyclic collector paused.
     """
     check_window(window_seconds)

@@ -4,7 +4,8 @@ Every pipeline stage exchanges traffic through this one record type, so
 simulator output, live-proxy output, and correlator input are all
 file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
 read_exchange_views reads a line in the writer's exact shape from its
-text, and any other line through exchange_from_json, the one record gate.
+text, and any other line through exchange_from_json, the one record gate;
+it holds what analysis keeps of the log as columns (ExchangeViews).
 The CSV logs of the other stages are each declared once as a CsvLog here,
 which reads, writes and appends them, so every log names a malformed line
 the same way (LogFormatError).
@@ -22,14 +23,16 @@ import json
 import math
 import os
 import re
-import sys
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, eq
 from types import MappingProxyType
-from typing import IO, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import IO, Callable, Generic, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -143,8 +146,8 @@ class ExchangeView(NamedTuple):
     """What analysis keeps of one plaintext exchange; an encrypted one is
     opaque and has no view.
 
-    Its first two fields are the exchange's ua.UaRecord, so a list of views
-    is the user-agent stream itself: ``raw`` is the first request
+    Its first two fields are the exchange's ua.UaRecord, so a sequence of
+    views is the user-agent stream itself: ``raw`` is the first request
     User-Agent header, "" when it is absent or empty, and ``first_seen``
     the exchange's time. ``content_type`` is the first response
     Content-Type header, None when it is absent.
@@ -159,17 +162,74 @@ class ExchangeView(NamedTuple):
 _new_view = tuple.__new__
 
 
+class ExchangeViews(Sequence[ExchangeView]):
+    """The views of a log's plaintext exchanges, in order, held as three
+    columns: ``times``, and for each view the index of its User-Agent value
+    in ``user_agents`` (``ua_ids``) and of its Content-Type value in
+    ``content_types`` (``type_ids``). A log repeats a few hundred header
+    values, so each view costs 16 bytes of columns.
+
+    ``times`` is an array of C doubles while every time is a float; at the
+    first time of another type (a JSON integer) it becomes a list, so every
+    time keeps its value and its type.
+
+    A read-only sequence of ExchangeView, built from any iterable of them
+    (or of (raw, first_seen, content_type) tuples); it equals any sequence
+    of equal views.
+    """
+
+    __slots__ = ("times", "ua_ids", "type_ids", "user_agents", "content_types")
+
+    def __init__(self, views: Iterable[tuple[str, float, str | None]] = ()):
+        times: array[float] | list[float] = array("d")
+        ua_ids, type_ids = array("I"), array("I")
+        user_agents: dict[str, int] = {}
+        content_types: dict[str | None, int] = {}
+        for raw, first_seen, content_type in views:
+            if type(first_seen) is not float and type(times) is array:
+                times = list(times)
+            times.append(first_seen)
+            ua_ids.append(user_agents.setdefault(raw, len(user_agents)))
+            type_ids.append(content_types.setdefault(content_type, len(content_types)))
+        self.times = times
+        self.ua_ids = ua_ids
+        self.type_ids = type_ids
+        self.user_agents: tuple[str, ...] = tuple(user_agents)
+        self.content_types: tuple[str | None, ...] = tuple(content_types)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index: int) -> ExchangeView:
+        return _new_view(
+            ExchangeView,
+            (
+                self.user_agents[self.ua_ids[index]],
+                self.times[index],
+                self.content_types[self.type_ids[index]],
+            ),
+        )
+
+    def __iter__(self) -> Iterator[ExchangeView]:
+        return map(
+            _new_view,
+            repeat(ExchangeView),
+            zip(
+                map(self.user_agents.__getitem__, self.ua_ids),
+                self.times,
+                map(self.content_types.__getitem__, self.type_ids),
+            ),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 def _view(user_agent: str | None, timestamp: float, content_type: str | None) -> ExchangeView:
-    """The view of a plaintext exchange with these headers and time. Header
-    values are interned: a log repeats a few hundred of them."""
-    return _new_view(
-        ExchangeView,
-        (
-            sys.intern(user_agent) if user_agent else "",
-            timestamp,
-            None if content_type is None else sys.intern(content_type),
-        ),
-    )
+    """The view of a plaintext exchange with these headers and time."""
+    return _new_view(ExchangeView, (user_agent or "", timestamp, content_type))
 
 
 def _view_of(exchange: HttpExchange) -> ExchangeView:
@@ -181,10 +241,10 @@ def _view_of(exchange: HttpExchange) -> ExchangeView:
     )
 
 
-def exchange_views(exchanges: Iterable[HttpExchange]) -> list[ExchangeView]:
+def exchange_views(exchanges: Iterable[HttpExchange]) -> ExchangeViews:
     """The views read_exchange_views reads from a log of these exchanges:
     one per plaintext exchange, in order."""
-    return [_view_of(exchange) for exchange in exchanges if not exchange.is_encrypted]
+    return ExchangeViews(_view_of(exchange) for exchange in exchanges if not exchange.is_encrypted)
 
 
 def _first_header(headers, lowered: str) -> str | None:
@@ -231,15 +291,17 @@ def mime_type(exchange: HttpExchange) -> str:
 def mime_distribution(views: Iterable[ExchangeView]) -> MimeDistribution:
     """Count every view, one per plaintext exchange, once under its media type.
 
-    The raw Content-Type values are counted first, and each distinct value
-    is mapped to its media type once, as mime_type maps it.
+    The views' Content-Type indexes are counted, and each distinct value is
+    mapped to its media type once, as mime_type maps it. Views that are not
+    an ExchangeViews are put into one first.
     """
-    raw = Counter(view.content_type for view in views)
+    if not isinstance(views, ExchangeViews):
+        views = ExchangeViews(views)
     counts: dict[str, int] = {}
-    for content_type, count in raw.items():
-        media = _media_type(content_type)
+    for type_id, count in Counter(views.type_ids).items():
+        media = _media_type(views.content_types[type_id])
         counts[media] = counts.get(media, 0) + count
-    return MimeDistribution(counts=counts, total=sum(raw.values()))
+    return MimeDistribution(counts=counts, total=len(views))
 
 
 def finite_time(value) -> float:
@@ -528,13 +590,14 @@ def read_exchange_log(path: str) -> list[HttpExchange]:
     return list(_iter_log(path, _line_exchange))
 
 
-def read_exchange_views(path: str) -> list[ExchangeView]:
+def read_exchange_views(path: str) -> ExchangeViews:
     """Read a whole log as ExchangeViews: every line is validated as
     read_exchange_log validates it, but no HttpExchange is built, no body
     is kept and an encrypted exchange keeps nothing, so memory grows with
-    the plaintext line count only. A line the writer emits is read from its
-    text without being decoded (_line_view)."""
-    return [view for view in _iter_log(path, _line_view) if view is not None]
+    the plaintext line count only, by a view's three column entries. A line
+    the writer emits is read from its text without being decoded
+    (_line_view)."""
+    return ExchangeViews(filter(None, _iter_log(path, _line_view)))
 
 
 # Lines joined into one write: each write call on a text file costs more

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from beaconlab.httplog import CsvLog, LogFormatError, finite_time
+from beaconlab.httplog import CsvLog, ExchangeViews, LogFormatError, finite_time
 
 DEFAULT_WINDOW_SECONDS = 900.0
 # Most windows one series may span (a day of 1 s windows is 86,400; each
 # window costs about 0.5 kB); a longer series is refused before it is built.
 MAX_WINDOWS = 100_000
-_NO_RAWS: frozenset[str] = frozenset()  # the raw strings of every window no record falls in
+_NO_UAS: frozenset[int] = frozenset()  # the UA indexes of every window no record falls in
 
 # Name/Version product tokens, e.g. "AcmeBrowser/3.2.1"
 _SLASH_TOKEN_RE = re.compile(r"^([A-Za-z][\w.+-]*)/(\d[\w.+-]*)$")
@@ -252,23 +252,32 @@ def check_window(window_seconds: float) -> None:
 
 def _windows(
     records: Iterable[UaRecord], window_seconds: float
-) -> list[tuple[float, set[str] | frozenset[str]]]:
-    """(k * window_seconds, raw strings seen in window k) for every window k
-    from the first record's to the last's; a record at time t is in window
-    t // window_seconds."""
+) -> tuple[tuple[str, ...], list[tuple[float, set[int] | frozenset[int]]]]:
+    """The distinct raw strings of the records, and (k * window_seconds, the
+    indexes into them of the raw strings seen in window k) for every window
+    k from the first record's to the last's; a record at time t is in
+    window t // window_seconds.
+
+    The records are read as columns: records that are not an ExchangeViews
+    are put into one first.
+    """
     check_window(window_seconds)
-    by_window: dict[int, set[str]] = defaultdict(set)
+    if not isinstance(records, ExchangeViews):
+        records = ExchangeViews((record.raw, record.first_seen, None) for record in records)
+    by_window: dict[int, set[int]] = defaultdict(set)
     try:
-        for record in records:
-            by_window[int(record.first_seen // window_seconds)].add(record.raw)
+        for first_seen, ua_id in zip(records.times, records.ua_ids):
+            by_window[int(first_seen // window_seconds)].add(ua_id)
     except OverflowError:  # t // window is infinite
         raise ValueError(f"window {window_seconds!r} s: too small to index the records") from None
     if not by_window:
-        return []
+        return records.user_agents, []
     first, last = min(by_window), max(by_window)
     if last - first + 1 > MAX_WINDOWS:
         raise ValueError(f"window {window_seconds!r} s: spans more than {MAX_WINDOWS} windows")
-    return [(k * window_seconds, by_window.get(k, _NO_RAWS)) for k in range(first, last + 1)]
+    return records.user_agents, [
+        (k * window_seconds, by_window.get(k, _NO_UAS)) for k in range(first, last + 1)
+    ]
 
 
 def ratio_series(
@@ -281,17 +290,15 @@ def ratio_series(
     A raw string is counted once per window it is observed in; classification
     happens once per distinct string. Empty input yields an empty series.
     """
-    windows = _windows(records, window_seconds)
+    raws, windows = _windows(records, window_seconds)
     vulnerable = {
-        raw
-        for raw in set().union(*(raws for _, raws in windows))
-        if classify(raw, db).verdict is Verdict.VULNERABLE
+        ua_id for ua_id, raw in enumerate(raws) if classify(raw, db).verdict is Verdict.VULNERABLE
     }
     points = []
-    for start, raws in windows:
-        hits = len(raws & vulnerable)
-        ratio = hits / len(raws) if raws else None
-        points.append(RatioPoint(start, hits, len(raws) - hits, ratio))
+    for start, ua_ids in windows:
+        hits = len(ua_ids & vulnerable)
+        ratio = hits / len(ua_ids) if ua_ids else None
+        points.append(RatioPoint(start, hits, len(ua_ids) - hits, ratio))
     return RatioSeries(window_seconds=window_seconds, points=tuple(points))
 
 
@@ -299,10 +306,10 @@ def unique_ua_growth(
     records: Iterable[UaRecord], window_seconds: float = DEFAULT_WINDOW_SECONDS
 ) -> list[tuple[float, int]]:
     """Cumulative distinct raw-string count at the end of each window."""
-    seen: set[str] = set()
+    seen: set[int] = set()
     growth = []
-    for start, raws in _windows(records, window_seconds):
-        seen |= raws
+    for start, ua_ids in _windows(records, window_seconds)[1]:
+        seen |= ua_ids
         growth.append((start, len(seen)))
     return growth
 

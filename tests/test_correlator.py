@@ -151,6 +151,25 @@ class TestTagAccounting:
             correlate.Reappearance(subdomain="d1", hit_count=3, timestamps=(1.0, 20.0, 50.0)),
         )
 
+    def test_names_outside_the_zone_and_the_apex_count_nowhere(self):
+        tags = [Tag("dynamic", "d1", f"http://d1.{ZONE}/p.gif", "x1", 0.0)]
+        outside = [ZONE, "pixel.other.test", "d1.other.test", f"pixel.x{ZONE}", f"d1.x{ZONE}",
+                   f"pixel.{ZONE}.other.test", "test"]
+        dns_log = [dns(name, float(i)) for i, name in enumerate(outside)]
+        fetch_log = [FetchRecord(float(i), "s", f"http://{name}/p.gif") for i, name in enumerate(outside)]
+        accounting = tag_accounting(tags, dns_log, fetch_log, "pixel", ZONE)
+        assert accounting == correlate.TagAccounting(
+            dynamic_issued=1, static_dns_hits=0, dynamic_dns_hits=0, static_object_hits=0,
+            reappearances=(), anomalies=(),
+        )
+        # the same logs with one in-zone name of each kind count each once
+        inside = [f"pixel.{ZONE}", f"d1.{ZONE}", f"new.{ZONE}"]
+        dns_log += [dns(name, 10.0) for name in inside]
+        fetch_log += [FetchRecord(10.0, "s", f"http://{name}/p.gif") for name in inside]
+        accounting = tag_accounting(tags, dns_log, fetch_log, "pixel", ZONE)
+        assert (accounting.static_dns_hits, accounting.dynamic_dns_hits) == (1, 1)
+        assert (accounting.static_object_hits, accounting.anomalies) == (1, ("new",))
+
     def test_zero_tag_run(self):
         accounting = tag_accounting([], [], [], "pixel", ZONE)
         assert accounting == dataclasses.replace(accounting)
@@ -376,16 +395,39 @@ class TestMemoryGrowsWithDistinctValues:
         # Keeping a four-field view per exchange, encrypted ones included,
         # then a UaRecord per plaintext exchange beside it, with the tag
         # fold's label state on top, this log (3,686 exchanges) peaked at
-        # 190 bytes per exchange. One three-field view per plaintext
-        # exchange, read after the fold, peaks at 109 (Python 3.11.7); the
-        # bound leaves about a fifth over that.
+        # 190 bytes per exchange; one three-field view per plaintext
+        # exchange, read after the fold, at 109. Held as three columns, the
+        # views peak at 47 (Python 3.11.7); the bound leaves about a fifth
+        # over that.
         config = clientsim.calibrated_config(seed=3, client_count=100)
         log_dir = str(tmp_path / "logs")
         simulated_logs(config, log_dir)
         lines = httplog.count_lines(os.path.join(log_dir, "exchanges.jsonl"))
         _report, peak = self.traced_build(log_dir, config.zone)
         assert lines > 3000
-        assert peak / lines <= 130
+        assert peak / lines <= 56
+
+    def test_a_repeated_view_adds_its_column_entries(self, tmp_path):
+        # A plaintext line whose User-Agent and Content-Type the log already
+        # holds adds a time (8 bytes) and two indexes (4 each) to the
+        # columns; the bound leaves room for the arrays' spare capacity.
+        exchange = httplog.HttpExchange(
+            "x1", 1.5, "f1", "GET", "http://a.test/", (("User-Agent", "ua/1"),), 200,
+            (("Content-Type", "text/html"),), b"<p>page</p>",
+        )
+        peaks = []
+        for lines in (10_000, 20_000):
+            path = str(tmp_path / f"{lines}.jsonl")
+            write_exchange_log([exchange] * lines, path)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                views = httplog.read_exchange_views(path)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(views) == lines
+        assert (peaks[1] - peaks[0]) / 10_000 <= 20
 
 
 def _connect_line(n: int) -> str:
@@ -425,6 +467,25 @@ class TestEncryptedExchangesKeepNothing:
         assert (report.mime_distribution.counts, report.mime_distribution.total) == ({}, 0)
         assert report.ratio_series.points == ()
         assert report.ua_growth == ()
+
+    @pytest.mark.parametrize("count", [0, 3], ids=["empty", "connect_only"])
+    def test_no_plaintext_line_gives_empty_columns_and_a_report(self, tmp_path, count):
+        log_dir = str(tmp_path / "logs")
+        self.connect_only_logs(log_dir, [_connect_line(n) for n in range(count)])
+        views = httplog.read_exchange_views(os.path.join(log_dir, "exchanges.jsonl"))
+        assert (len(views.times), len(views.ua_ids), len(views.type_ids)) == (0, 0, 0)
+        assert views == [] and list(views) == []
+        dist = httplog.mime_distribution(views)
+        assert (dist.counts, dist.total) == ({}, 0)
+        assert dist.percentage("text/html") == 0.0
+        out = str(tmp_path / "report")
+        assert cli.main(["analyze", "--logs", log_dir, "--zone", ZONE, "--out", out]) == 0
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["mime_distribution"] == {"counts": {}, "total": 0}
+        assert report["ratio_series"]["points"] == [] and report["ua_growth"] == []
+        with open(os.path.join(out, "mime_distribution.csv"), encoding="utf-8") as fh:
+            assert fh.read() == "mime_type,count,percent\n"
 
     @pytest.mark.parametrize("bad", [
         {"response_body": "QUJD"},  # an encrypted exchange carries no body

@@ -9,6 +9,7 @@ import os
 import re
 import tempfile
 import time
+from array import array
 from http import HTTPStatus
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from beaconlab.httplog import (
     _NO_EXTRA,
     ExchangeView,
+    ExchangeViews,
     HttpExchange,
     LogFormatError,
     cut_torn_tail,
@@ -34,7 +36,7 @@ from beaconlab import correlate, httplog
 from beaconlab.clientsim import FETCH_LOG, FetchRecord, read_fetch_log
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, read_query_log
 from beaconlab.inject import TAG_LOG, Tag
-from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb
+from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb, ratio_series, unique_ua_growth
 
 
 def make_exchange(
@@ -553,6 +555,59 @@ class TestExchangeViews:
             ExchangeView("", 3.0, None),
         ]
         assert read_exchange_views(path) == exchange_views(exchanges)
+
+    def test_columns_hold_each_distinct_value_once(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        rows = [("a/1", 1.0, "text/html"), ("", 2.0, None), ("a/1", 3.0, "text/html"),
+                ("b/2", 4.0, "image/gif"), ("", 5.0, "text/html")]
+        exchanges = [
+            dataclasses.replace(
+                make_exchange(content_type, timestamp=timestamp),
+                request_headers=(("User-Agent", raw),) if raw else (),
+            )
+            for raw, timestamp, content_type in rows
+        ]
+        write_exchange_log(exchanges, path)
+        views = read_exchange_views(path)
+        assert isinstance(views, ExchangeViews)
+        assert views.times == array("d", [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert views.user_agents == ("a/1", "", "b/2")
+        assert views.content_types == ("text/html", None, "image/gif")
+        assert views.ua_ids == array("I", [0, 1, 0, 2, 1])
+        assert views.type_ids == array("I", [0, 1, 0, 2, 0])
+        expected = [ExchangeView(*row) for row in rows]
+        assert len(views) == 5
+        assert list(views) == expected and views == expected and expected == views
+        assert views == tuple(expected) and views == ExchangeViews(rows)
+        assert views[3] == expected[3] and views[-1] == expected[-1]
+        assert type(views[0]) is ExchangeView and views[0].raw == "a/1"
+        assert views != expected[:-1] and views != [*expected[:-1], ExchangeView("", 5.0, None)]
+        assert views != 5
+        with pytest.raises(IndexError):
+            views[5]
+
+    def test_a_time_a_double_cannot_hold_keeps_its_value(self, tmp_path):
+        # 2**53 + 1 rounds to 2**53 as a C double: with a window of 3 s it
+        # would fall into the window of 2**53, the one before its own
+        path = str(tmp_path / "log.jsonl")
+        exchanges = [
+            dataclasses.replace(
+                make_exchange("text/html", timestamp=timestamp),
+                request_headers=(("User-Agent", raw),),
+            )
+            for raw, timestamp in (("A/1", 2.0**53 - 6), ("A/1", 2**53), ("B/1", 2**53 + 1))
+        ]
+        write_exchange_log(exchanges, path)
+        views = read_exchange_views(path)
+        assert views == exchange_views(exchanges)
+        assert [(view.first_seen, type(view.first_seen)) for view in views] == [
+            (2.0**53 - 6, float), (2**53, int), (2**53 + 1, int)
+        ]
+        first = (2**53 - 6) // 3  # the first time's window
+        starts = [3 * k for k in range(first, first + 4)]
+        assert unique_ua_growth(views, 3) == list(zip(starts, [1, 1, 1, 2]))
+        series = ratio_series(views, VulnDb(()), 3)
+        assert [(p.window_start, p.not_vulnerable) for p in series.points] == list(zip(starts, [1, 0, 1, 1]))
 
     @settings(max_examples=100)
     @given(

@@ -1747,6 +1747,41 @@ class TestStop:
         assert [os.path.getsize(path) for path in logs] == sizes
         assert read_exchange_log(config.exchange_log_path) == []
 
+    def test_connect_after_stop_is_refused(self, service, origin, capfd):
+        url = b"http://%s:%d/page" % (origin[0].encode(), origin[1])
+        config = service.config
+        logs = (config.exchange_log_path, config.tag_log_path, config.error_log_path)
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            sock.sendall(b"GET " + url + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+            reply = b""
+            while not reply.endswith(HTML_PAGE):
+                reply += sock.recv(65536)
+            service.stop()
+            sizes = [os.path.getsize(path) for path in logs]
+            # same keep-alive connection, after stop()
+            sock.sendall(b"CONNECT %s:%d HTTP/1.1\r\n\r\n" % (origin[0].encode(), origin[1]))
+            reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 503 proxy stopped\r\nConnection: close\r\n")
+        assert "Traceback" not in capfd.readouterr().err
+        assert [os.path.getsize(path) for path in logs] == sizes
+        assert [e.method for e in read_exchange_log(config.exchange_log_path)] == ["GET"]
+
+    def test_tunnel_that_opens_after_stop_gets_503(self):
+        # socket-free: the CONNECT's origin connection opens once the
+        # service has stopped, so logging the exchange is refused
+        service = _TunnelService()
+        service._log_exchange = lambda exchange, tags: False
+        service._refuse = ProxyService._refuse
+        client = _stub_client(service)
+        client.data_received(b"CONNECT origin.test:443 HTTP/1.1\r\n\r\n")
+        tunnel = _RecordingTransport()
+        client._tunnel_on(tunnel, proxy._Pipe())
+        assert tunnel.closed
+        writes = [call[1] for call in client.transport.calls if call[0] == "write"]
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 503 proxy stopped\r\nConnection: close\r\n")
+        assert client.transport.closed
+
     def test_stop_without_start_closes_sockets_and_logs(self, tmp_path):
         svc = ProxyService(active_config(tmp_path))
         stopper = threading.Thread(target=svc.stop, daemon=True)
