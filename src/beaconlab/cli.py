@@ -9,6 +9,7 @@ the directory is self-describing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -227,17 +228,18 @@ def cmd_dns(args) -> int:
     )
     out = args.out
     os.makedirs(out, exist_ok=True)
-    query_log = dnssim.QUERY_LOG.appender(os.path.join(out, correlate.LOG_FILENAMES["dns"]))
-    responder = dnssim.DnsResponder(config, host=host, port=port, log=query_log)
-    responder.start()
-    _write_manifest(
-        out, "dns", zone=args.zone, payload=args.payload, listen=list(responder.address)
-    )
-
-    def stop():
-        responder.stop()
-        query_log.close()
-
+    # what is opened is closed again, the responder first, on a failed
+    # step or at the signal
+    with contextlib.ExitStack() as opened:
+        query_log = dnssim.QUERY_LOG.appender(os.path.join(out, correlate.LOG_FILENAMES["dns"]))
+        opened.callback(query_log.close)
+        responder = dnssim.DnsResponder(config, host=host, port=port, log=query_log)
+        opened.callback(responder.stop)
+        responder.start()
+        _write_manifest(
+            out, "dns", zone=args.zone, payload=args.payload, listen=list(responder.address)
+        )
+        stop = opened.pop_all().close
     _run_until_signal(
         stop, f"dns responder on {responder.address[0]}:{responder.address[1]} zone={args.zone}"
     )

@@ -219,6 +219,7 @@ class _ClientState:
     object_cache: set[str] | None = field(default_factory=set)
     cached_home_body: bytes | None = None
     home_dynamic_subdomain: str | None = None
+    tagged_pages: int = 0  # plain-HTTP HTML pages delivered: each one tagged
     lifetimes: int = 1
     events_left: int = 0
 
@@ -362,8 +363,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     """Run one scenario end to end through an active injector.
 
     Deterministic for a fixed config: identical runs produce identical
-    logs. Every delivered exchange carries ground_truth_client, which is
-    oracle-only metadata. Runs with the cyclic collector paused.
+    logs. The oracle (which client saw what) goes only into ground_truth;
+    no exchange names its client. Runs with the cyclic collector paused.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -421,7 +422,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     length_pairs: dict[int, tuple[str, str]] = {}
     response_heads: dict[tuple[str, int], Headers] = {}
     exchange_seq = 0
-    html_visits = 0  # plain-HTTP HTML pages: each one the injector should tag
     while events:
         t, i, _seq, kind, payload = events.pop()
         state = clients[i]
@@ -434,7 +434,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         elif payload[0]:  # encrypted: one CONNECT tunnel, positional fields
             exchanges.append(HttpExchange(
                 f"x{exchange_seq:08d}", t, f"fl{exchange_seq:08d}", "CONNECT",
-                tunnel_urls[body_rng.randrange(40)], (), 200, (), b"", True, state.client_id,
+                tunnel_urls[body_rng.randrange(40)], (), 200, (), b"", True,
             ))
             exchange_seq += 1
         else:
@@ -453,7 +453,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 if url is None:
                     url = page_urls[site][page] = f"http://{host}/p{page}"
             if mime == "text/html":
-                html_visits += 1
+                state.tagged_pages += 1
                 body = _html_body(body_rng)
                 content_type = HTML_CONTENT_TYPE
             else:
@@ -470,7 +470,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 )
             origin = HttpExchange(
                 exchange_id, t, flow_id, "GET", url,
-                request_headers, 200, response_headers, body, False, state.client_id,
+                request_headers, 200, response_headers, body,
             )
             delivered, issued = injector.inject(origin)
             exchanges.append(delivered)
@@ -495,7 +495,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             for i in restarted
             if clients[i].home_dynamic_subdomain is not None
         ),
-        "taggable_responses": html_visits,
+        "taggable_responses": sum(c.tagged_pages for c in clients),
         "total_exchanges": len(exchanges),
         "clients": [
             {
@@ -505,6 +505,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 "fetches_objects": c.fetches_objects,
                 "restart_times": list(c.restart_schedule),
                 "home_dynamic_subdomain": c.home_dynamic_subdomain,
+                "tagged_pages": c.tagged_pages,
             }
             for c in clients
         ],

@@ -284,7 +284,11 @@ class DnsResponder:
         )
         self._one_answer, self._answer = answered[2:12], answered[12:]
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((host, port))
+        try:
+            self._sock.bind((host, port))
+        except BaseException:  # a port in use: nothing is left open
+            self._sock.close()
+            raise
         self._sock.settimeout(POLL_INTERVAL_S)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self._stopped = False

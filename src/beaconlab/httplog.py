@@ -43,7 +43,6 @@ _FIELDS = (
     "exchange_id",
     "timestamp",
     "flow_id",
-    "ground_truth_client",
     "method",
     "url",
     "request_headers",
@@ -52,7 +51,6 @@ _FIELDS = (
     "response_body",
     "is_encrypted",
 )
-_REQUIRED = frozenset(_FIELDS) - {"ground_truth_client"}
 
 # The extra of every exchange without unknown keys: one read-only mapping,
 # equal to {}, instead of an empty dict per record.
@@ -73,9 +71,9 @@ class LogFormatError(ValueError):
 class HttpExchange:
     """One request/response pair as seen at the interception point.
 
-    ``ground_truth_client`` is simulator-only oracle metadata; analysis
-    code must never consult it (tests enforce this by comparing reports
-    with and without it present). ``flow_id`` is the anonymized view.
+    It holds only what the interception point sees: no field names the
+    client behind an exchange, so analysis cannot read the simulator's
+    oracle from a capture. ``flow_id`` is the anonymized view.
     ``extra`` holds a log line's unknown keys; without any it is one shared
     read-only empty mapping. Slotted, as a simulation keeps every exchange.
 
@@ -96,7 +94,6 @@ class HttpExchange:
     response_headers: Headers
     response_body: bytes
     is_encrypted: bool = False
-    ground_truth_client: str | None = None
     extra: Mapping[str, object] = field(default_factory=lambda: _NO_EXTRA)
 
     def __init__(
@@ -111,7 +108,6 @@ class HttpExchange:
         response_headers: Headers,
         response_body: bytes,
         is_encrypted: bool = False,
-        ground_truth_client: str | None = None,
         extra: Mapping[str, object] = _NO_EXTRA,
     ):
         if is_encrypted and response_body:
@@ -126,7 +122,6 @@ class HttpExchange:
         _set_response_headers(self, response_headers)
         _set_response_body(self, response_body)
         _set_is_encrypted(self, is_encrypted)
-        _set_ground_truth_client(self, ground_truth_client)
         _set_extra(self, extra)
 
     def header(self, name: str) -> str | None:
@@ -138,7 +133,7 @@ class HttpExchange:
 (
     _set_exchange_id, _set_timestamp, _set_flow_id, _set_method, _set_url,
     _set_request_headers, _set_response_status, _set_response_headers,
-    _set_response_body, _set_is_encrypted, _set_ground_truth_client, _set_extra,
+    _set_response_body, _set_is_encrypted, _set_extra,
 ) = (getattr(HttpExchange, f.name).__set__ for f in fields(HttpExchange))
 
 
@@ -333,8 +328,6 @@ def _json_value(value) -> str:
         return int.__repr__(value)
     if kind is float and math.isfinite(value):
         return float.__repr__(value)
-    if value is None:
-        return "null"
     if kind is bool:
         return "true" if value else "false"
     return _dumps(value)
@@ -390,7 +383,6 @@ def _exchange_line(exchange: HttpExchange, pair_json: dict[tuple[str, str], str]
         f'{{"exchange_id":{_json_value(exchange.exchange_id)}'
         f',"timestamp":{_json_value(exchange.timestamp)}'
         f',"flow_id":{_json_value(exchange.flow_id)}'
-        f',"ground_truth_client":{_json_value(exchange.ground_truth_client)}'
         f',"method":{_json_value(exchange.method)}'
         f',"url":{_json_value(exchange.url)}'
         f',"request_headers":{_headers_json(exchange.request_headers, pair_json)}'
@@ -426,8 +418,8 @@ def exchange_from_json(obj: dict) -> HttpExchange:
     """
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
-    if not _REQUIRED <= obj.keys():
-        missing = [f for f in _FIELDS if f in _REQUIRED and f not in obj]
+    if not _FIELD_NAMES <= obj.keys():
+        missing = [f for f in _FIELDS if f not in obj]
         raise ValueError(f"missing fields: {', '.join(missing)}")
     timestamp = obj["timestamp"]
     if type(timestamp) not in (int, float):  # bool is not a time
@@ -443,7 +435,6 @@ def exchange_from_json(obj: dict) -> HttpExchange:
         exchange_id=str(obj["exchange_id"]),
         timestamp=timestamp,
         flow_id=str(obj["flow_id"]),
-        ground_truth_client=obj.get("ground_truth_client"),
         method=str(obj["method"]),
         url=str(obj["url"]),
         request_headers=request_headers,
@@ -476,7 +467,6 @@ _CANONICAL_LINE = re.compile(
     rf'\{{"exchange_id":{_STRING}'
     rf',"timestamp":(?:(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))|({_INTEGER}))'
     rf',"flow_id":{_STRING}'
-    rf',"ground_truth_client":(?:null|{_STRING})'
     rf',"method":{_STRING}'
     rf',"url":{_STRING}'
     rf',"request_headers":({_HEADER_LIST})'

@@ -140,7 +140,6 @@ class Injector:
             headers,
             new_body,
             exchange.is_encrypted,
-            exchange.ground_truth_client,
             exchange.extra,
         )
         tags = [

@@ -929,6 +929,7 @@ class _Client(_Framer):
         try:
             connected(transport, protocol)
         except Exception:
+            transport.close()  # the origin connection no one holds
             self._crash()
 
     def response(self, conn: _Upstream, status: int, headers: _Headers, body: bytes, close: bool) -> None:

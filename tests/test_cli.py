@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -10,9 +11,10 @@ import pytest
 from beaconlab import cli
 from beaconlab.clientsim import calibrated_config, calibrated_vuln_db, run_scenario, write_fetch_log
 from beaconlab.dnssim import write_query_log
-from beaconlab.httplog import read_exchange_log, write_exchange_log, write_json
+from beaconlab.httplog import exchange_to_json, read_exchange_log, write_exchange_log, write_json
 from beaconlab.inject import write_tag_log
 from tests.test_clientsim import small_config
+from tests.test_httplog import older_line
 from tests.test_injector import HTML, make_exchange
 
 
@@ -81,11 +83,11 @@ class TestSimulate:
     # sha256 of each log simulate writes for small_config(); a change to any
     # log's layout or to the simulator's output shows here.
     PINNED_LOGS = {
-        "exchanges.jsonl": "acf52cb82abf6a73c0ad08ff7efcb614ff765a47c72beb0a966788a5fa7a5491",
+        "exchanges.jsonl": "332eb7ea7a7e4ebc1226ca723f6fb8493b3d9d08a0f06bd7b22b95db256b00bb",
         "tags.csv": "63a292ce67c386c8bcb91f292d145e0075d99a311c04f530a60652e6d787d5ea",
         "dns_queries.csv": "86541bc5901935232ff00b962648144c07cbdcf3cee98458c408a09a04ab7741",
         "fetches.csv": "b1a54f86c51792d52f2a8aa2e62537c2c6398127b43e6d30ece1f8a59623ba7d",
-        "ground_truth.json": "35a45d37c3ef37264d0822e9ceb5bf61d970e6be7820bb69a581c7818761f0c7",
+        "ground_truth.json": "5954bb2a2e0f89f020d012495bd43f06cd90beac2961a3b1ffdbe1aef2f3e279",
         "scenario_config.json": "666396bf5b1417ab78f118890b592826c6f365b2a08eced8aa0c2170b86914ce",
     }
 
@@ -97,11 +99,11 @@ class TestSimulate:
     # The same for a churn-shaped scenario: 3,000 clients drawn from a
     # 3,000-entry weighted UA population, 300 restarts.
     PINNED_CHURN_LOGS = {
-        "exchanges.jsonl": "83d257c47326d15e2127614cc65c65b418b69e784a7fdaa6dc576fc4f5382a64",
+        "exchanges.jsonl": "fb92d3b774d89fe6888cc8f973fe95c052a2c6326767daa44a222ccc553e5ed0",
         "tags.csv": "a055a2c2ca593c9ba807c39d025de7ff47f1588542886f71eca1246b8f4528bc",
         "dns_queries.csv": "15f70f31479aee7942615636f24d95b0fb79354d3489bd1574684dd1840b0c34",
         "fetches.csv": "8a30384ccf1931ba078b4e3b6423cc7710ff499884959ab6a95cd43bbefe9c66",
-        "ground_truth.json": "a89f4d139055603f7dd8d26f0461fb14437d0914ce10982e595dec4261f5561f",
+        "ground_truth.json": "904ec3e2bcbcebf38a02c25afb1f248014960215086f68a27a987c490d451b69",
         "scenario_config.json": "4e0d9fc5536634273faed7487e7c97b7288832540a7ff745eef849c0dbbe5541",
     }
 
@@ -159,6 +161,7 @@ MALFORMED_SCENARIOS = {
     "unknown_key": json.dumps({"seed": 1, "clients": 5}),
     "top_level_list": json.dumps([{"seed": 1}]),
     "ua_entry_not_an_object": json.dumps({"ua_population": ["AcmeBrowser/3.1"]}),
+    "ua_entry_without_user_agent": json.dumps({"ua_population": [{"weight": 1.0}]}),
     "client_count_string": json.dumps({"client_count": "5"}),
 }
 
@@ -245,12 +248,9 @@ class TestAnalyze:
     def test_never_reads_ground_truth(self, tmp_path, sim_dir):
         out_with = str(tmp_path / "with")
         assert run("analyze", "--logs", sim_dir, "--out", out_with) == 0
-        # strip oracle metadata from the logs and remove the oracle file
+        # the capture has no key beyond the record's fields, and the oracle file goes
         exchanges = read_exchange_log(os.path.join(sim_dir, "exchanges.jsonl"))
-        import dataclasses
-
-        stripped = [dataclasses.replace(e, ground_truth_client=None) for e in exchanges]
-        write_exchange_log(stripped, os.path.join(sim_dir, "exchanges.jsonl"))
+        assert exchanges and all(e.extra == {} for e in exchanges)
         os.remove(os.path.join(sim_dir, "ground_truth.json"))
         out_without = str(tmp_path / "without")
         assert run("analyze", "--logs", sim_dir, "--out", out_without) == 0
@@ -500,6 +500,21 @@ class TestInjectCommand:
         ) == 0
         assert b"<img " in read_exchange_log(out_path)[0].response_body
 
+    def test_an_older_lines_client_id_is_written_back(self, tmp_path):
+        in_path = str(tmp_path / "in.jsonl")
+        with open(in_path, "w", encoding="utf-8") as fh:
+            fh.write(older_line(exchange_to_json(make_exchange(HTML))) + "\n")
+        out_path = str(tmp_path / "out.jsonl")
+        assert run(
+            "inject", "--in", in_path, "--out", out_path, "--tags", str(tmp_path / "tags.csv"),
+            "--zone", "tracker.test",
+        ) == 0
+        with open(out_path, encoding="utf-8") as fh:
+            assert fh.read().endswith(',"is_encrypted":false,"ground_truth_client":"c00001"}\n')
+        [rewritten] = read_exchange_log(out_path)
+        assert rewritten.extra == {"ground_truth_client": "c00001"}
+        assert b"<img " in rewritten.response_body
+
     def test_invalid_zone_is_two(self, tmp_path, capsys):
         in_path = str(tmp_path / "in.jsonl")
         write_exchange_log([make_exchange(HTML)], in_path)
@@ -632,6 +647,20 @@ class TestExitCodes:
         assert "outside 0-65535" in err
         assert "Traceback" not in err
         assert not os.path.exists(out)
+
+    def test_busy_dns_port_is_two_and_leaves_nothing_open(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_until_signal", lambda stop, ready: stop())  # never serve
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as busy:
+            busy.bind(("127.0.0.1", 0))
+            listen = f"127.0.0.1:{busy.getsockname()[1]}"
+            assert run(
+                "dns", "--listen", listen, "--zone", "z.test", "--payload", "127.0.0.1",
+                "--out", str(tmp_path / "out"),
+            ) == 2
+        gc.collect()  # a socket or query log left open warns when it is collected
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "in use" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, problem",

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from itertools import accumulate
 
@@ -141,6 +142,15 @@ class TestConfig:
         config = calibrated_config()
         setattr(config, field, value)
         with pytest.raises(ConfigError, match=problem):
+            config.validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("non_fetching_share", 1.5), ("non_fetching_share", math.nan), ("restart_count", -1),
+    ])
+    def test_share_or_count_out_of_range_is_refused_by_name(self, field, value):
+        config = calibrated_config()
+        setattr(config, field, value)
+        with pytest.raises(ConfigError, match=f"^{field} must"):
             config.validate()
 
     def test_negative_counts(self):
@@ -381,31 +391,30 @@ class TestScenario:
             assert count <= lifetimes
 
     def test_dynamic_query_exactness_for_fetching_clients(self):
+        # Attributed from the DNS log's sources and the oracle file alone:
+        # each dynamic label is looked up from one source, twice only when
+        # it reappeared, and a fetching client looks up one label per page
+        # tagged for it.
         result = run_scenario(small_config())
-        fetching = {
-            c["client_id"] for c in result.ground_truth["clients"] if c["fetches_objects"]
-        }
-        delivered_to_fetching = {
-            e.exchange_id for e in result.exchanges if e.ground_truth_client in fetching
-        }
-        dynamic_to_fetching = {
-            tag.subdomain
-            for tag in result.tags
-            if tag.kind == "dynamic" and tag.exchange_id in delivered_to_fetching
-        }
-        reappeared = set(result.ground_truth["reappearance_subdomains"])
-        counts = {}
+        truth = result.ground_truth
+        issued = {tag.subdomain for tag in result.tags if tag.kind == "dynamic"}
+        sources: dict[str, list[str]] = {}  # dynamic label -> source of each lookup
         for record in result.dns_log:
             label = record.name.split(".")[0]
-            if label in dynamic_to_fetching:
-                counts[label] = counts.get(label, 0) + 1
-        assert set(counts) == dynamic_to_fetching
-        for label, count in counts.items():
-            assert count == (2 if label in reappeared else 1)
-
-    def test_ground_truth_on_every_exchange(self):
-        result = run_scenario(small_config())
-        assert all(e.ground_truth_client is not None for e in result.exchanges)
+            if label != result.config.static_label:
+                sources.setdefault(label, []).append(record.source)
+        assert set(sources) <= issued
+        reappeared = set(truth["reappearance_subdomains"])
+        assert reappeared and reappeared <= set(sources)
+        for label, looked_up_from in sources.items():
+            assert len(set(looked_up_from)) == 1, label
+            assert len(looked_up_from) == (2 if label in reappeared else 1), label
+        labels_by_source = Counter(looked_up_from[0] for looked_up_from in sources.values())
+        for client in truth["clients"]:
+            expected = client["tagged_pages"] if client["fetches_objects"] else 0
+            assert labels_by_source[client["source"]] == expected, client["client_id"]
+        assert sum(c["tagged_pages"] for c in truth["clients"]) == truth["taggable_responses"]
+        assert any(c["tagged_pages"] and not c["fetches_objects"] for c in truth["clients"])
 
     def test_mime_mix_recovered_within_two_percent(self):
         config = _cfg(dict(seed=9, client_count=50, duration_seconds=1000.0, visit_rate=0.2,

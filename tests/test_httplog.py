@@ -114,6 +114,14 @@ def _bare_exchange(**fields):
     )
 
 
+def older_line(line: str, client: str = '"c00001"') -> str:
+    """A writer line as it was written while the capture carried the
+    simulator's client id: with "ground_truth_client", its value the JSON
+    text ``client``, after "flow_id"."""
+    at = line.index(',"method":')
+    return line[:at] + f',"ground_truth_client":{client}' + line[at:]
+
+
 class TestSlottedExchange:
     def test_has_no_instance_dict(self):
         assert not hasattr(_bare_exchange(), "__dict__")
@@ -136,12 +144,27 @@ class TestSlottedExchange:
         line = exchange_to_json(exchange)
         assert line == encoder_line(exchange)
         assert line == (
-            '{"exchange_id":"x1","timestamp":0.0,"flow_id":"f1","ground_truth_client":null,'
-            '"method":"GET","url":"http://example.test/","request_headers":[["Host",'
+            '{"exchange_id":"x1","timestamp":0.0,"flow_id":"f1","method":"GET",'
+            '"url":"http://example.test/","request_headers":[["Host",'
             '"example.test"]],"response_status":200,"response_headers":[["Content-Type",'
             '"text/plain"]],"response_body":"b2s=","is_encrypted":false,"note":"é","n":[1,null]}'
         )
         assert exchange_to_json(_bare_exchange(extra={})) == exchange_to_json(_bare_exchange())
+
+    @pytest.mark.parametrize("client", ['"c00001"', "null"])
+    def test_an_older_lines_client_id_is_an_unknown_key(self, tmp_path, client):
+        # Both readers take it as any unknown key: kept in extra, written
+        # back after the fixed keys; the line is decoded, not read from its text.
+        line = exchange_to_json(_bare_exchange())
+        older = older_line(line, client)
+        path = str(tmp_path / "log.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(older + "\n")
+        [read] = read_exchange_log(path)
+        assert read == _bare_exchange(extra={"ground_truth_client": json.loads(client)})
+        assert exchange_to_json(read) == line[:-1] + f',"ground_truth_client":{client}}}'
+        assert httplog._CANONICAL_LINE.fullmatch(older) is None
+        assert read_exchange_views(path) == exchange_views([read])
 
 
 _REQUIRED_FIELDS = (
@@ -166,10 +189,10 @@ class TestHandWrittenInit:
         assert HttpExchange(*_REQUIRED_FIELDS).extra is _NO_EXTRA
 
     def test_by_position_equals_by_keyword(self):
-        by_position = HttpExchange(*_REQUIRED_FIELDS, False, "c1", {"n": 1})
-        assert by_position == _bare_exchange(ground_truth_client="c1", extra={"n": 1})
+        by_position = HttpExchange(*_REQUIRED_FIELDS, False, {"n": 1})
+        assert by_position == _bare_exchange(extra={"n": 1})
         assert [getattr(by_position, f.name) for f in dataclasses.fields(HttpExchange)] == [
-            *_REQUIRED_FIELDS, False, "c1", {"n": 1}
+            *_REQUIRED_FIELDS, False, {"n": 1}
         ]
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HttpExchange)])
@@ -183,10 +206,10 @@ class TestHandWrittenInit:
         assert not hasattr(exchange, "__dict__")
 
     def test_replace_and_equality(self):
-        exchange = _bare_exchange(ground_truth_client="c1")
+        exchange = _bare_exchange(method="HEAD")
         changed = dataclasses.replace(exchange, url="http://other.test/", extra={"n": 1})
         assert changed.url == "http://other.test/" and changed.extra == {"n": 1}
-        assert changed.ground_truth_client == "c1" and changed.response_body == b"ok"
+        assert changed.method == "HEAD" and changed.response_body == b"ok"
         assert changed != exchange
         assert dataclasses.replace(changed, url=exchange.url, extra={}) == exchange
         assert dataclasses.replace(exchange) == exchange
@@ -209,7 +232,7 @@ class TestHandWrittenInit:
         with pytest.raises(TypeError):
             _bare_exchange(not_a_field=1)
         with pytest.raises(TypeError):
-            HttpExchange(*_REQUIRED_FIELDS, False, None, _NO_EXTRA, "one too many")
+            HttpExchange(*_REQUIRED_FIELDS, False, _NO_EXTRA, "one too many")
 
 
 class TestHeaderPairTable:
@@ -314,7 +337,6 @@ exchange_st = st.builds(
     response_headers=st.lists(header_st, max_size=4).map(tuple),
     response_body=st.binary(max_size=200),
     is_encrypted=st.just(False),
-    ground_truth_client=st.none() | st.text(alphabet="abc", max_size=4),
 )
 
 
@@ -325,7 +347,6 @@ def encoder_line(exchange):
         "exchange_id": exchange.exchange_id,
         "timestamp": exchange.timestamp,
         "flow_id": exchange.flow_id,
-        "ground_truth_client": exchange.ground_truth_client,
         "method": exchange.method,
         "url": exchange.url,
         "request_headers": [[name, value] for name, value in exchange.request_headers],
@@ -359,9 +380,9 @@ def splice_exchange_st(encrypted):
         response_headers=st.lists(st.tuples(_tricky_text, _tricky_text), max_size=3).map(tuple),
         response_body=st.just(b"") if encrypted else st.binary(max_size=300),
         is_encrypted=st.just(encrypted),
-        ground_truth_client=st.none() | _tricky_text,
         extra=st.dictionaries(
-            st.sampled_from(["response_body", "url", "note", "é"]) | st.text(max_size=8),
+            st.sampled_from(["response_body", "url", "note", "é", "ground_truth_client"])
+            | st.text(max_size=8),
             st.none() | st.integers() | _tricky_text | st.lists(_tricky_text, max_size=2),
             max_size=3,
         ),
@@ -401,9 +422,9 @@ def direct_line_exchange_st(encrypted):
         response_headers=st.lists(st.tuples(_any_text, _any_text), max_size=3).map(tuple),
         response_body=st.just(b"") if encrypted else st.binary(max_size=300),
         is_encrypted=st.just(encrypted),
-        ground_truth_client=st.none() | _any_text,
         extra=st.dictionaries(
-            st.sampled_from(["response_body", "timestamp", "url", "note", "é"]) | _any_text,
+            st.sampled_from(["response_body", "timestamp", "url", "note", "é", "ground_truth_client"])
+            | _any_text,
             _json_value,
             max_size=4,
         ),
@@ -918,7 +939,6 @@ _CANONICAL_EXCHANGES = st.builds(
     response_status=st.integers(-1000, 1000),
     response_headers=_CANONICAL_HEADERS,
     response_body=st.binary(max_size=12),
-    ground_truth_client=st.none() | _CANONICAL_TEXT,
 ).flatmap(
     lambda exchange: st.sampled_from([
         exchange, dataclasses.replace(exchange, response_body=b"", is_encrypted=True)
@@ -928,7 +948,10 @@ _CANONICAL_EXCHANGES = st.builds(
 
 def _replace_value(line: str, key: str, text: str) -> str:
     """``line`` with the JSON text of ``key``'s value, a number, a string or
-    a literal, replaced by ``text``."""
+    a literal, replaced by ``text``; "ground_truth_client", which the writer
+    no longer writes, is put where an older writer put it."""
+    if key == "ground_truth_client":
+        return older_line(line, text)
     return re.sub(rf'"{key}":(?:"[^"\\]*"|[^,}}]*)', lambda _: f'"{key}":{text}', line, count=1)
 
 

@@ -326,7 +326,7 @@ class TestBlockBuiltOnce:
         injector = Injector(zone=zone, static_label=label, seed=seed)
         reference = Injector(zone=zone, static_label=label, seed=seed)
         exchange = HttpExchange(
-            "x7", 2.5, "f7", "GET", "http://o.test/", (), 200, headers, body, False, "c1"
+            "x7", 2.5, "f7", "GET", "http://o.test/", (), 200, headers, body, False, {"n": 1}
         )
         for _ in range(2):  # the second pass meets the block of the first
             rewritten, tags = injector.inject(exchange)

@@ -407,7 +407,7 @@ class TestRelay:
         log = read_exchange_log(service.config.exchange_log_path)
         assert len(log) == 1
         assert log[0].response_body == HTML_PAGE
-        assert log[0].ground_truth_client is None
+        assert log[0].extra == {}
 
     def test_active_injects_both_beacons(self, service, origin):
         control(service, "MODE ACTIVE")
@@ -2024,7 +2024,77 @@ class TestConnectTunnel:
         assert 0.15 < waited < 1.5
 
 
+def _hook_failed(*_args):
+    raise RuntimeError("hook failed")
+
+
+class TestInternalError:
+    """An error that escapes serving a connection closes that connection
+    and writes one internal error line, whichever step it escapes from."""
+
+    @staticmethod
+    def _internal_error_lines(service) -> list[str]:
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "RuntimeError: hook failed" in text
+        return [line for line in text.splitlines() if " internal error: " in line]
+
+    @pytest.mark.parametrize("hook", ["handle_request_socketless", "_deliver"])
+    def test_request(self, service, origin, monkeypatch, hook):
+        # _serve runs handle_request_socketless; response runs _deliver
+        monkeypatch.setattr(service, hook, _hook_failed)
+        request = b"GET http://%s:%d/page HTTP/1.1\r\nHost: x\r\n\r\n" % (origin[0].encode(), origin[1])
+        assert raw_exchange(service, request) == b""
+        assert len(self._internal_error_lines(service)) == 1
+        assert control(service, "STATUS").startswith("OK mode=PASSIVE")
+
+    def test_upstream_failed(self, service, monkeypatch):
+        monkeypatch.setattr(service, "_bad_gateway", _hook_failed)
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            port = closed.getsockname()[1]  # nothing listens there once closed
+        request = b"GET http://127.0.0.1:%d/page HTTP/1.1\r\nHost: x\r\n\r\n" % port
+        assert raw_exchange(service, request) == b""
+        assert len(self._internal_error_lines(service)) == 1
+
+    def test_connect(self, service, monkeypatch):
+        # _connect hands the open origin connection to _tunnel_on, which logs
+        monkeypatch.setattr(service, "_log_exchange", _hook_failed)
+        with socket.create_server(("127.0.0.1", 0)) as echo:
+            request = b"CONNECT 127.0.0.1:%d HTTP/1.1\r\n\r\n" % echo.getsockname()[1]
+            assert raw_exchange(service, request) == b""
+            conn, _ = echo.accept()
+            with conn:
+                conn.settimeout(5)
+                assert conn.recv(1024) == b""  # the origin end is closed too
+        assert len(self._internal_error_lines(service)) == 1
+        assert read_exchange_log(service.config.exchange_log_path) == []
+
+
 class TestConfig:
+    def test_unknown_mode_is_refused(self, tmp_path):
+        config = ProxyConfig(
+            exchange_log_path=str(tmp_path / "e.jsonl"),
+            tag_log_path=str(tmp_path / "t.csv"),
+            error_log_path=str(tmp_path / "err.log"),
+            mode="sideways",
+        )
+        with pytest.raises(ProxyConfigError, match="unknown mode: 'sideways'"):
+            ProxyService(config)
+
+    def test_active_mode_without_a_zone_is_refused_over_control(self, tmp_path):
+        config = ProxyConfig(
+            exchange_log_path=str(tmp_path / "e.jsonl"),
+            tag_log_path=str(tmp_path / "t.csv"),
+            error_log_path=str(tmp_path / "err.log"),
+        )
+        service = ProxyService(config)
+        service.start()
+        try:
+            assert control(service, "MODE ACTIVE") == "ERR active mode requires an injector zone"
+            assert control(service, "STATUS").startswith("OK mode=PASSIVE")
+        finally:
+            service.stop()
+
     def test_active_mode_requires_zone(self, tmp_path):
         config = ProxyConfig(
             exchange_log_path=str(tmp_path / "e.jsonl"),

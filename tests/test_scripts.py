@@ -11,11 +11,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # --duration 300 (seed 101): the calibrated scenario simulate builds for
 # those flags.
 DESK_SIM_LOGS = {
-    "exchanges.jsonl": "aea3f813195827985cbe8118d0b146e7df0d9dac9d5baa8a8d65aed3641f3f17",
+    "exchanges.jsonl": "3d1111e75b373d27ca934d90030270b0af97b46fc885a0320d82207286b1041c",
     "tags.csv": "eff4b709409c029ebd15e66833112124b489a45ddc64f9ce24fbe95bf01cbd85",
     "dns_queries.csv": "02cd7f0f46fe49589d73d53cd46412bf3abce9f5345a6f585af10d929e92b2d0",
     "fetches.csv": "4427244df4b7eb94e7fc9e5495e40221c65236ccd2a7a8129eaabdd32ac1ac7f",
-    "ground_truth.json": "bcef9a69b613802e54aa279f81c71ec0ff83bb92bd0f79da448e4ab268d6f3b2",
+    "ground_truth.json": "8d97374c131b3b436fd1b19fd7ae227b685c075b77384493e4350edf9a71a603",
     "scenario_config.json": "b6488992499c35b40a3a8217a6e9709d112d89375f157be8c10c046c5f03d23b",
 }
 
