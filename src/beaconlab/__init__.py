@@ -7,7 +7,7 @@ client-population simulator, and an offline correlator that recovers
 unique-user counts, reappearances, and traffic statistics from the logs.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from beaconlab.httplog import (
     HttpExchange,

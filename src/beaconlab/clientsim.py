@@ -15,11 +15,14 @@ import json
 import math
 import random
 import re
+from array import array
 from bisect import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from itertools import accumulate, repeat
+from operator import eq
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from beaconlab.dnssim import (
     DnsQueryRecord, WildcardResolver, ZoneConfig, normalize_name, url_host
@@ -273,9 +276,86 @@ def client_process_response(
             object_cache.add(url)
 
 
+# HttpExchange.method by the "encrypted" byte.
+_METHODS = ("GET", "CONNECT")
+# f"x{i:08d}" and f"fl{i:08d}" for an int i >= 0, as C-level calls
+_exchange_id = "x%08d".__mod__
+_flow_id = "fl%08d".__mod__
+
+
+class SimulatedExchanges(Sequence[HttpExchange]):
+    """The exchanges of one simulation, in order, held as columns.
+
+    The simulator numbers exchanges by position, so exchange ``i`` is
+    ``HttpExchange(f"x{i:08d}", times[i], f"fl{i:08d}", method, urls[i],
+    request_headers[i], 200, response_headers[i], bodies[i], encrypted)``,
+    where ``encrypted[i]`` is 1 for a CONNECT and 0 for a GET. ``times`` is
+    an array of C doubles; the other columns hold references to the URL,
+    header tuples and body each record would hold, which the simulation
+    shares between exchanges. Each record is built when it is read, so a
+    read returns a fresh, equal object.
+
+    A read-only sequence; it equals any sequence of equal exchanges.
+    """
+
+    __slots__ = ("times", "encrypted", "urls", "request_headers", "response_headers", "bodies")
+
+    def __init__(
+        self,
+        times: array[float],
+        encrypted: bytearray,
+        urls: list[str],
+        request_headers: list[Headers],
+        response_headers: list[Headers],
+        bodies: list[bytes],
+    ):
+        self.times = times
+        self.encrypted = encrypted
+        self.urls = urls
+        self.request_headers = request_headers
+        self.response_headers = response_headers
+        self.bodies = bodies
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index: int) -> HttpExchange:
+        timestamp = self.times[index]  # IndexError out of range
+        if index < 0:
+            index += len(self.times)
+        encrypted = self.encrypted[index]
+        return HttpExchange(
+            _exchange_id(index), timestamp, _flow_id(index), _METHODS[encrypted],
+            self.urls[index], self.request_headers[index], 200,
+            self.response_headers[index], self.bodies[index], bool(encrypted),
+        )
+
+    def __iter__(self) -> Iterator[HttpExchange]:
+        # one map over the columns: no generator frame per record
+        positions = range(len(self.times))
+        return map(
+            HttpExchange,
+            map(_exchange_id, positions),
+            self.times,
+            map(_flow_id, positions),
+            map(_METHODS.__getitem__, self.encrypted),
+            self.urls,
+            self.request_headers,
+            repeat(200),
+            self.response_headers,
+            self.bodies,
+            map(bool, self.encrypted),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass
 class SimulationResult:
-    exchanges: list[HttpExchange]
+    exchanges: Sequence[HttpExchange]
     tags: list[Tag]
     dns_log: list[DnsQueryRecord]
     fetch_log: list[FetchRecord]
@@ -297,6 +377,18 @@ def _one_of(population: Sequence[T], weights: Iterable[float]) -> Callable[[rand
         raise ValueError("Total of weights must be finite")
     hi = len(cum_weights) - 1
     return lambda rng: population[bisect(cum_weights, rng.random() * total, 0, hi)]
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """What ``rng.randrange(n)`` draws for an int n > 0, given
+    ``rng.getrandbits``: as CPython's randrange draws it, n.bit_length()
+    random bits, drawn again until they are below n; without randrange's
+    argument checks, which cost more than the draw."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _client_visits(
@@ -345,7 +437,7 @@ _TO_FILLER = (_FILLER * 16)[:256]
 
 def _html_body(rng: random.Random) -> bytes:
     """A small page whose 40-399 filler characters come from _FILLER."""
-    filler = rng.randbytes(rng.randrange(40, 400)).translate(_TO_FILLER)
+    filler = rng.randbytes(40 + _below(rng.getrandbits, 360)).translate(_TO_FILLER)
     return (
         b"<html><head><title>page</title></head><body><h1>doc</h1><p>"
         + filler
@@ -355,7 +447,7 @@ def _html_body(rng: random.Random) -> bytes:
 
 def _placeholder_body(rng: random.Random) -> bytes:
     """16-127 random bytes standing in for a non-HTML body."""
-    return rng.randbytes(rng.randrange(16, 128))
+    return rng.randbytes(16 + _below(rng.getrandbits, 112))
 
 
 @collector_paused()
@@ -371,7 +463,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     injector = Injector(zone=config.zone, static_label=config.static_label, seed=config.seed)
     resolver = WildcardResolver(config.zone_config())
     fetch_log: list[FetchRecord] = []
-    exchanges: list[HttpExchange] = []
     tags: list[Tag] = []
 
     if config.client_count:  # validate() leaves a total weight of 0 only without clients
@@ -410,6 +501,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     events.sort(reverse=True)
 
     body_rng = random.Random(config.seed ^ 0x5EED)
+    draw_bits = body_rng.getrandbits
     sites = [f"site{n}.example" for n in range(40)]
     tunnel_urls = [f"https://{site}:443" for site in sites]
     # page_urls[site][page]: each page's URL, built at its first visit
@@ -421,7 +513,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     type_pairs = {mime: ("Content-Type", mime) for mime in (*config.mime_mix, HTML_CONTENT_TYPE)}
     length_pairs: dict[int, tuple[str, str]] = {}
     response_heads: dict[tuple[str, int], Headers] = {}
-    exchange_seq = 0
+    # The columns of SimulatedExchanges: an exchange's position is its number.
+    times: array[float] = array("d")
+    encrypted = bytearray()
+    urls: list[str] = []
+    request_columns: list[Headers] = []
+    response_columns: list[Headers] = []
+    bodies: list[bytes] = []
     while events:
         t, i, _seq, kind, payload = events.pop()
         state = clients[i]
@@ -431,24 +529,23 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 client_process_response(
                     state, state.cached_home_body, t, resolver, fetch_log, config.zone
                 )
-        elif payload[0]:  # encrypted: one CONNECT tunnel, positional fields
-            exchanges.append(HttpExchange(
-                f"x{exchange_seq:08d}", t, f"fl{exchange_seq:08d}", "CONNECT",
-                tunnel_urls[body_rng.randrange(40)], (), 200, (), b"", True,
-            ))
-            exchange_seq += 1
+        elif payload[0]:  # encrypted: one CONNECT tunnel, with no headers or body
+            times.append(t)
+            encrypted.append(1)
+            urls.append(tunnel_urls[_below(draw_bits, 40)])
+            request_columns.append(())
+            response_columns.append(())
+            bodies.append(b"")
         else:
             mime = payload[1]
             is_home = _seq == 0
-            exchange_id = f"x{exchange_seq:08d}"
-            flow_id = f"fl{exchange_seq:08d}"
-            exchange_seq += 1
+            exchange_seq = len(times)
             if is_home:
                 host, url = HOME_HOST, HOME_PAGE_URL
             else:
-                site = body_rng.randrange(40)
+                site = _below(draw_bits, 40)
                 host = sites[site]
-                page = body_rng.randrange(500)
+                page = _below(draw_bits, 500)
                 url = page_urls[site][page]
                 if url is None:
                     url = page_urls[site][page] = f"http://{host}/p{page}"
@@ -468,22 +565,27 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 response_headers = response_heads[content_type, size] = (
                     type_pairs[content_type], length_pair
                 )
-            origin = HttpExchange(
-                exchange_id, t, flow_id, "GET", url,
+            # through the injector as the live proxy hands it a response
+            delivered, issued = injector.inject(HttpExchange(
+                _exchange_id(exchange_seq), t, _flow_id(exchange_seq), "GET", url,
                 request_headers, 200, response_headers, body,
-            )
-            delivered, issued = injector.inject(origin)
-            exchanges.append(delivered)
+            ))
+            body = delivered.response_body
+            times.append(t)
+            encrypted.append(0)
+            urls.append(url)
+            request_columns.append(request_headers)
+            response_columns.append(delivered.response_headers)
+            bodies.append(body)
             tags.extend(issued)
             if is_home and state.cached_home_body is None:
-                state.cached_home_body = delivered.response_body
+                state.cached_home_body = body
                 for tag in issued:
                     if tag.kind == DYNAMIC:
                         state.home_dynamic_subdomain = tag.subdomain
-            if state.fetches_objects:
-                client_process_response(
-                    state, delivered.response_body, t, resolver, fetch_log, config.zone
-                )
+            # beacons are written only by the injector, into the pages it tags
+            if issued and state.fetches_objects:
+                client_process_response(state, body, t, resolver, fetch_log, config.zone)
         state.events_left -= 1
         if not state.events_left:  # no event reads the caches again
             state.dns_cache = state.object_cache = None
@@ -496,7 +598,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             if clients[i].home_dynamic_subdomain is not None
         ),
         "taggable_responses": sum(c.tagged_pages for c in clients),
-        "total_exchanges": len(exchanges),
+        "total_exchanges": len(times),
         "clients": [
             {
                 "client_id": c.client_id,
@@ -511,7 +613,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         ],
     }
     return SimulationResult(
-        exchanges=exchanges,
+        exchanges=SimulatedExchanges(
+            times, encrypted, urls, request_columns, response_columns, bodies
+        ),
         tags=tags,
         dns_log=resolver.log,
         fetch_log=fetch_log,

@@ -242,7 +242,7 @@ def _control(address, line):
 def test_live_loopback_integration(tmp_path):
     started = time.monotonic()
     origin = ThreadingHTTPServer(("127.0.0.1", 0), _Origin)
-    threading.Thread(target=origin.serve_forever, daemon=True).start()
+    threading.Thread(target=origin.serve_forever, args=(0.05,), daemon=True).start()
     responder = dnssim.DnsResponder(
         dnssim.ZoneConfig(zone="tracker.test", payload_address="127.0.0.1", ttl_seconds=30),
         port=0,

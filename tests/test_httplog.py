@@ -3,6 +3,7 @@ import binascii
 import csv
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
@@ -36,7 +37,9 @@ from beaconlab import correlate, httplog
 from beaconlab.clientsim import FETCH_LOG, FetchRecord, read_fetch_log
 from beaconlab.dnssim import QUERY_LOG, DnsQueryRecord, read_query_log
 from beaconlab.inject import TAG_LOG, Tag
-from beaconlab.ua import UA_LOG, VULN_DB_LOG, UaRecord, VulnDb, ratio_series, unique_ua_growth
+from beaconlab.ua import (
+    UA_LOG, VULN_DB_LOG, UaRecord, VersionRange, VulnDb, ratio_series, unique_ua_growth
+)
 
 
 def make_exchange(
@@ -1235,6 +1238,114 @@ class TestCsvLog:
         path = str(tmp_path / "log.csv")
         open(path, "w").close()
         assert LAYOUTS[name][0].read(path) == []
+
+
+# Text fields the CSV writer must quote (a comma, a quote, a line break, a
+# lone empty field) or may write as they are, non-ASCII text among them.
+_CSV_TEXT = st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "", "a,b", 'x"y', " lead", "é", "中文", "x\x00y"]),
+    st.text(max_size=8),
+)
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([1e-07, 100000000000000.0, 1e16, 0.1, -0.0, 1.5, 1e300]),
+    st.floats(),
+)
+# Records of each layout, from such fields.
+_CSV_RECORDS = {
+    "tags": st.builds(Tag, _CSV_TEXT, _CSV_TEXT, _CSV_TEXT, _CSV_TEXT, _CSV_FLOATS),
+    "dns": st.builds(DnsQueryRecord, _CSV_TEXT, _CSV_TEXT, _CSV_FLOATS),
+    "fetch": st.builds(FetchRecord, _CSV_FLOATS, _CSV_TEXT, _CSV_TEXT),
+    "ua": st.builds(UaRecord, _CSV_TEXT, _CSV_FLOATS),
+    "vuln_db": st.tuples(
+        _CSV_TEXT,
+        st.one_of(
+            st.builds(VersionRange, _CSV_TEXT, st.none()),
+            st.builds(VersionRange, st.none(), _CSV_TEXT),
+        ),
+    ),
+}
+
+
+class _OtherFloat(float):
+    """A float whose repr and str are not float's."""
+
+    def __repr__(self):
+        return "other"
+
+    __str__ = __repr__
+
+
+def _csv_writer_bytes(layout, records) -> bytes:
+    """The file csv.writer writes for ``records`` under ``layout``'s header."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(layout.header)
+    writer.writerows(map(layout.to_row, records))
+    return out.getvalue().encode("utf-8")
+
+
+def _written_and_appended(layout, records, tmp) -> tuple[bytes, bytes]:
+    """The bytes CsvLog.write writes for ``records``, and the bytes an
+    appender writes for them, a few records per append."""
+    written, appended = os.path.join(tmp, "w.csv"), os.path.join(tmp, "a.csv")
+    layout.write(records, written)
+    appender = layout.appender(appended)
+    for start in range(0, len(records), 3):
+        appender.append(*records[start:start + 3])
+    appender.close()
+    with open(written, "rb") as fh_w, open(appended, "rb") as fh_a:
+        return fh_w.read(), fh_a.read()
+
+
+class TestCsvWriterBytes:
+    """CsvLog writes every row as csv.writer writes it: rows it can join
+    by commas as they are, and the ones csv.writer quotes."""
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_layout(self, name, data):
+        layout = LAYOUTS[name][0]
+        records = data.draw(st.lists(_CSV_RECORDS[name], max_size=12))
+        with tempfile.TemporaryDirectory() as tmp:
+            expected = _csv_writer_bytes(layout, records)
+            assert _written_and_appended(layout, records, tmp) == (expected, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        fields=st.lists(
+            st.one_of(
+                _CSV_TEXT, _CSV_FLOATS, st.integers(), st.booleans(), st.none(),
+                st.builds(_OtherFloat, _CSV_FLOATS),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_fields_of_any_type(self, width, fields):
+        # rows of the header's width and shorter ones; None, bool and a
+        # float whose repr is not float's among the fields
+        layout = httplog.CsvLog([f"c{i}" for i in range(width)], list, tuple)
+        records = [fields[i:i + width] for i in range(0, len(fields), width)]
+        with tempfile.TemporaryDirectory() as tmp:
+            expected = _csv_writer_bytes(layout, records)
+            assert _written_and_appended(layout, records, tmp) == (expected, expected)
+
+    def test_a_single_empty_field_is_quoted(self, tmp_path):
+        layout = httplog.CsvLog(["only"], list, tuple)
+        records = [("",), ("a",), ("",)]
+        expected = _csv_writer_bytes(layout, records)
+        assert expected == b'only\r\n""\r\na\r\n""\r\n'
+        assert _written_and_appended(layout, records, str(tmp_path)) == (expected, expected)
+
+    def test_rows_quoted_across_write_batches(self, tmp_path):
+        count = 3 * httplog._LINES_PER_WRITE + 5
+        records = [
+            Tag("static", "pixel", "http://a,b/" if i % 97 == 0 else "http://a/", f"x{i}", i / 7)
+            for i in range(count)
+        ]
+        expected = _csv_writer_bytes(TAG_LOG, records)
+        assert _written_and_appended(TAG_LOG, records, str(tmp_path)) == (expected, expected)
 
 
 # Cells each layout's from_row parses, or nearly so, and cells that break a

@@ -58,7 +58,7 @@ class _OriginHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def origin():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _OriginHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server.server_address
     server.shutdown()
@@ -393,6 +393,33 @@ class TestControlProtocol:
         assert control(service, "FLY").startswith("ERR")
         # state unchanged
         assert control(service, "STATUS").startswith("OK mode=PASSIVE")
+
+    def test_line_over_the_head_limit_closes_only_its_connection(self, service):
+        with socket.create_connection(service.control_address, timeout=5) as sock:
+            sock.sendall(b"STATUS" + b" " * proxy.MAX_HEAD_BYTES + b"\n")
+            assert read_until_closed(sock) == b""
+        assert control(service, "STATUS").startswith("OK mode=PASSIVE")
+
+
+class TestHostField:
+    """The Host field sent upstream is the one http.client would send."""
+
+    @pytest.mark.parametrize("target, origin, host", [
+        ("http://bücher.test/p", ("bücher.test", 80), "xn--bcher-kva.test"),
+        ("http://bücher.test:8080/p", ("bücher.test", 8080), "xn--bcher-kva.test:8080"),
+        ("http://[::1]:8080/p", ("::1", 8080), "[::1]:8080"),
+        ("http://[fe80::1%25eth0]/p", ("fe80::1%25eth0", 80), "[fe80::1]"),
+    ], ids=["idna", "idna-with-port", "ipv6", "ipv6-zone"])
+    def test_idna_name_and_ipv6_literal(self, service, target, origin, host):
+        # handled socket-free: the connection only records what it is handed,
+        # so no name is looked up and nothing is connected
+        relayed, finished = [], []
+        client = SimpleNamespace(relay=lambda *args: relayed.append(args), finish=finished.append)
+        request = proxy.Request("GET", target, proxy._Headers([("Host", "x")]), client, False, False)
+        service.handle_request_socketless(request)
+        message = f"GET /p HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n\r\n"
+        assert relayed == [(origin, message.encode("ascii"), 0)]
+        assert finished == []
 
 
 class TestRelay:
