@@ -292,8 +292,8 @@ class SimulatedExchanges(Sequence[HttpExchange]):
     where ``encrypted[i]`` is 1 for a CONNECT and 0 for a GET. ``times`` is
     an array of C doubles; the other columns hold references to the URL,
     header tuples and body each record would hold, which the simulation
-    shares between exchanges. Each record is built when it is read, so a
-    read returns a fresh, equal object.
+    shares between exchanges. The simulation builds no record: each is
+    built when it is read, so a read returns a fresh, equal object.
 
     A read-only sequence; it equals any sequence of equal exchanges.
     """
@@ -456,7 +456,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
 
     Deterministic for a fixed config: identical runs produce identical
     logs. The oracle (which client saw what) goes only into ground_truth;
-    no exchange names its client. Runs with the cyclic collector paused.
+    no exchange names its client. Each plaintext response goes through
+    Injector.inject once, as its head and body; the exchanges are kept as
+    columns, and no HttpExchange is built. Runs with the cyclic collector
+    paused.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -539,7 +542,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         else:
             mime = payload[1]
             is_home = _seq == 0
-            exchange_seq = len(times)
             if is_home:
                 host, url = HOME_HOST, HOME_PAGE_URL
             else:
@@ -566,16 +568,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                     type_pairs[content_type], length_pair
                 )
             # through the injector as the live proxy hands it a response
-            delivered, issued = injector.inject(HttpExchange(
-                _exchange_id(exchange_seq), t, _flow_id(exchange_seq), "GET", url,
-                request_headers, 200, response_headers, body,
-            ))
-            body = delivered.response_body
+            response_headers, body, issued = injector.inject(
+                response_headers, body, _exchange_id(len(times)), t
+            )
             times.append(t)
             encrypted.append(0)
             urls.append(url)
             request_columns.append(request_headers)
-            response_columns.append(delivered.response_headers)
+            response_columns.append(response_headers)
             bodies.append(body)
             tags.extend(issued)
             if is_home and state.cached_home_body is None:

@@ -1,8 +1,9 @@
 """HTTP exchange data model and line-delimited exchange logs.
 
-Every pipeline stage exchanges traffic through this one record type, so
-simulator output, live-proxy output, and correlator input are all
-file-compatible. One JSON object per line, UTF-8, bodies base64-encoded.
+Simulator output, live-proxy output and correlator input all go through
+this one record type, so they are file-compatible; the injector, which
+needs only a response's head and body, takes no record. One JSON object
+per line, UTF-8, bodies base64-encoded.
 read_exchange_views reads a line in the writer's exact shape from its
 text, and any other line through exchange_from_json, the one record gate;
 it holds what analysis keeps of the log as columns (ExchangeViews).
@@ -27,7 +28,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from operator import attrgetter, eq
@@ -67,7 +68,7 @@ class LogFormatError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class HttpExchange:
     """One request/response pair as seen at the interception point.
 
@@ -76,14 +77,8 @@ class HttpExchange:
     oracle from a capture. ``flow_id`` is the anonymized view.
     ``extra`` holds a log line's unknown keys; without any it is one shared
     read-only empty mapping. Slotted, as read_exchange_log keeps every
-    exchange of a log.
-
-    The constructor is written by hand: the generated one of a frozen
-    class fills each field through object.__setattr__, and a calibrated
-    simulation builds about 170k records, one of them again for each
-    exchange it writes. This one fills the slots through their
-    member descriptors, at about half the cost; its parameters are the
-    fields, in order, with their defaults.
+    exchange of a log. An encrypted exchange with a body is refused
+    (ValueError).
     """
 
     exchange_id: str
@@ -98,45 +93,13 @@ class HttpExchange:
     is_encrypted: bool = False
     extra: Mapping[str, object] = field(default_factory=lambda: _NO_EXTRA)
 
-    def __init__(
-        self,
-        exchange_id: str,
-        timestamp: float,
-        flow_id: str,
-        method: str,
-        url: str,
-        request_headers: Headers,
-        response_status: int,
-        response_headers: Headers,
-        response_body: bytes,
-        is_encrypted: bool = False,
-        extra: Mapping[str, object] = _NO_EXTRA,
-    ):
-        if is_encrypted and response_body:
+    def __post_init__(self):
+        if self.is_encrypted and self.response_body:
             raise ValueError("encrypted exchanges carry no body")
-        _set_exchange_id(self, exchange_id)
-        _set_timestamp(self, timestamp)
-        _set_flow_id(self, flow_id)
-        _set_method(self, method)
-        _set_url(self, url)
-        _set_request_headers(self, request_headers)
-        _set_response_status(self, response_status)
-        _set_response_headers(self, response_headers)
-        _set_response_body(self, response_body)
-        _set_is_encrypted(self, is_encrypted)
-        _set_extra(self, extra)
 
     def header(self, name: str) -> str | None:
         """First response header value matching ``name`` case-insensitively."""
         return _first_header(self.response_headers, name.lower())
-
-
-# The slot setters of HttpExchange.__init__, in field order.
-(
-    _set_exchange_id, _set_timestamp, _set_flow_id, _set_method, _set_url,
-    _set_request_headers, _set_response_status, _set_response_headers,
-    _set_response_body, _set_is_encrypted, _set_extra,
-) = (getattr(HttpExchange, f.name).__set__ for f in fields(HttpExchange))
 
 
 class ExchangeView(NamedTuple):

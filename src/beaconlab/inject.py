@@ -6,17 +6,20 @@ client-side DNS caching) and one at a freshly generated unique subdomain
 (forces one DNS lookup per tagged page; repeat hits reveal reappearance).
 The whole insertion is bracketed by sentinel comments so rewritten pages
 are never re-tagged and the original body can be restored exactly.
+The injector works on a response's head and body, as a proxy holds them
+before it logs anything; rewrite_log applies it to the records of a log.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from dataclasses import replace
 from typing import NamedTuple
 
 from beaconlab.dnssim import is_valid_name, normalize_name
 from beaconlab.httplog import (
-    CsvLog, Headers, HttpExchange, _media_type, finite_time, read_exchange_log, write_exchange_log
+    CsvLog, Headers, _media_type, finite_time, read_exchange_log, write_exchange_log
 )
 
 MARKER_BEGIN = "<!--bx:begin-->"
@@ -100,22 +103,20 @@ class Injector:
         self.counter += 1
         return label
 
-    def is_taggable(self, exchange: HttpExchange) -> bool:
-        """HTML with a body element, not yet tagged, not opaque or encoded."""
-        return _length_fields_if_taggable(exchange) is not None
-
-    def inject(self, exchange: HttpExchange) -> tuple[HttpExchange, list[Tag]]:
+    def inject(
+        self, headers: Headers, body: bytes, exchange_id: str, timestamp: float
+    ) -> tuple[Headers, bytes, list[Tag]]:
         """Insert the static and one fresh dynamic beacon before </body>.
 
-        Non-taggable exchanges pass through byte-identical with no tags.
-        Content-Length is updated to the rewritten body length.
+        Takes a response's head and body, and the id and time its tags
+        carry. A response that is not taggable comes back as the same
+        objects with no tags; Content-Length is set to the rewritten length.
         """
-        length_fields = _length_fields_if_taggable(exchange)
+        length_fields = _length_fields_if_taggable(headers, body)
         if length_fields is None:
-            return exchange, []
+            return headers, body, []
         dynamic_label = self.generate_subdomain()
         dynamic_url = self.beacon_url(dynamic_label)
-        body = exchange.response_body
         # Before the last closing body tag; malformed pages get the block
         # appended after the final byte instead.
         at = _last_body_close(body)
@@ -124,40 +125,21 @@ class Injector:
         new_body = b"".join((
             body[:at], self._block_before, dynamic_url.encode("ascii"), self._block_after, body[at:]
         ))
-        headers = _with_content_length(
-            exchange.response_headers, length_fields, len(new_body), self._length_pairs
-        )
-        exchange_id = exchange.exchange_id
-        timestamp = exchange.timestamp
-        rewritten = HttpExchange(
-            exchange_id,
-            timestamp,
-            exchange.flow_id,
-            exchange.method,
-            exchange.url,
-            exchange.request_headers,
-            exchange.response_status,
-            headers,
-            new_body,
-            exchange.is_encrypted,
-            exchange.extra,
-        )
+        headers = _with_content_length(headers, length_fields, len(new_body), self._length_pairs)
         tags = [
             _new_tag(Tag, (STATIC, self.static_label, self.static_url, exchange_id, timestamp)),
             _new_tag(Tag, (DYNAMIC, dynamic_label, dynamic_url, exchange_id, timestamp)),
         ]
-        return rewritten, tags
+        return headers, new_body, tags
 
 
-def _length_fields_if_taggable(exchange: HttpExchange) -> list[int] | None:
-    """The positions of the Content-Length response fields of a taggable
-    exchange, None for one that is not: it must be plain HTML (the media
-    type mime_type gives, no Content-Encoding but identity) with a body
-    element and no beacon block yet. The first walk stops at the first
-    Content-Type, and only HTML gets the second."""
-    if exchange.is_encrypted:
-        return None
-    headers = exchange.response_headers
+def _length_fields_if_taggable(headers: Headers, body: bytes) -> list[int] | None:
+    """The positions of the Content-Length fields of a taggable response,
+    None for one that is not: it must be plain HTML (the media type
+    mime_type gives, no Content-Encoding but identity) with a body element
+    and no beacon block yet. An encrypted exchange has no body, so it never
+    qualifies. The first walk stops at the first Content-Type, and only
+    HTML gets the second."""
     for name, value in headers:
         if name.lower() == "content-type":
             if _media_type(value) != "text/html":
@@ -175,7 +157,6 @@ def _length_fields_if_taggable(exchange: HttpExchange) -> list[int] | None:
             encoding = value
     if encoding is not None and encoding.strip().lower() not in ("", "identity"):
         return None
-    body = exchange.response_body
     if _MARKER_BEGIN_BYTES in body or _BODY_OPEN_RE.search(body) is None:
         return None
     return length_fields
@@ -252,12 +233,15 @@ def rewrite_log(
     in_path: str, out_path: str, tag_path: str, injector: Injector
 ) -> tuple[int, int]:
     """Offline file-to-file rewrite: returns (exchanges, tags issued)."""
-    rewritten = []
+    rewritten = read_exchange_log(in_path)
     all_tags: list[Tag] = []
-    for exchange in read_exchange_log(in_path):
-        out, tags = injector.inject(exchange)
-        rewritten.append(out)
-        all_tags.extend(tags)
+    for i, exchange in enumerate(rewritten):
+        headers, body, tags = injector.inject(
+            exchange.response_headers, exchange.response_body, exchange.exchange_id, exchange.timestamp
+        )
+        if tags:
+            rewritten[i] = replace(exchange, response_headers=headers, response_body=body)
+            all_tags.extend(tags)
     write_exchange_log(rewritten, out_path)
     write_tag_log(all_tags, tag_path)
     return len(rewritten), len(all_tags)

@@ -52,7 +52,7 @@ from http import HTTPStatus
 from urllib.parse import urlsplit
 
 from beaconlab.httplog import (
-    HttpExchange, LogAppender, count_lines, exchange_log_appender
+    Headers, HttpExchange, LogAppender, count_lines, exchange_log_appender
 )
 from beaconlab.inject import (
     DEFAULT_STATIC_LABEL, DYNAMIC, TAG_LOG, Injector, Tag
@@ -1189,11 +1189,15 @@ class ProxyService:
 
     # -- exchange handling ----------------------------------------------------
 
-    def process_response(self, exchange: HttpExchange, mode: str) -> tuple[HttpExchange, list[Tag]]:
-        """Injection decision for one exchange under an already-read mode."""
+    def process_response(
+        self, headers: Headers, body: bytes, exchange_id: str, timestamp: float, mode: str
+    ) -> tuple[Headers, bytes, list[Tag]]:
+        """Injection decision for one response's head and body under an
+        already-read mode: Injector.inject's result, or the same objects
+        and no tags."""
         if mode == ACTIVE and self.injector is not None:
-            return self.injector.inject(exchange)
-        return exchange, []
+            return self.injector.inject(headers, body, exchange_id, timestamp)
+        return headers, body, []
 
     def _log_exchange(self, exchange: HttpExchange, tags: list[Tag]) -> bool:
         """Log one exchange and its tags; False, logging nothing, once stopped."""
@@ -1280,9 +1284,13 @@ class ProxyService:
                 ("Content-Length", str(len(body))),
             )
         exchange_id, flow_id = self._next_ids()
+        timestamp = time.time()
+        response_headers, body, tags = self.process_response(
+            response_headers, body, exchange_id, timestamp, self.current_mode()
+        )
         exchange = HttpExchange(
             exchange_id=exchange_id,
-            timestamp=time.time(),
+            timestamp=timestamp,
             flow_id=flow_id,
             method=method,
             url=request.target,
@@ -1292,19 +1300,17 @@ class ProxyService:
             response_body=body,
             is_encrypted=False,
         )
-        delivered, tags = self.process_response(exchange, self.current_mode())
-        if not self._log_exchange(delivered, tags):
+        if not self._log_exchange(exchange, tags):
             return self._refuse(request, 503, "proxy stopped")
         # status line, fields and body in a single write; a connection
         # closed after the reply says so in it (RFC 7230 6.6)
-        status = delivered.response_status
         reply = (
             f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
-            + "".join(f"{name}: {value}\r\n" for name, value in delivered.response_headers)
+            + "".join(f"{name}: {value}\r\n" for name, value in response_headers)
             + ("Connection: close\r\n\r\n" if request.close else "\r\n")
         ).encode("latin-1", "strict")
         if method != "HEAD":
-            reply += delivered.response_body
+            reply += body
         request.client.finish(reply)
 
     def _bad_gateway(self, request: Request, origin: tuple[str, int], exc: Exception) -> None:

@@ -26,6 +26,7 @@ from beaconlab.ua import (
     ratio_series,
     vulnerability_ratio,
 )
+from tests.test_injector import inject_record
 
 
 def _report_pass(name, started):
@@ -113,9 +114,9 @@ def test_injection_idempotence_and_passthrough():
     issued = []
     for index in range(1200):
         exchange = _random_exchange(rng, index)
-        once, tags = injector.inject(exchange)
+        once, tags = inject_record(injector, exchange)
         issued.extend(tags)
-        twice, tags_again = injector.inject(once)
+        twice, tags_again = inject_record(injector, once)
         assert twice == once  # byte-for-byte idempotence
         assert tags_again == []
         is_html = exchange.header("content-type").startswith("text/html")

@@ -12,7 +12,7 @@ from beaconlab import cli
 from beaconlab.clientsim import calibrated_config, calibrated_vuln_db, run_scenario, write_fetch_log
 from beaconlab.dnssim import write_query_log
 from beaconlab.httplog import exchange_to_json, read_exchange_log, write_exchange_log, write_json
-from beaconlab.inject import write_tag_log
+from beaconlab.inject import read_tag_log, write_tag_log
 from tests.test_clientsim import small_config
 from tests.test_httplog import older_line
 from tests.test_injector import HTML, make_exchange
@@ -491,7 +491,15 @@ class TestAnalyze:
 class TestInjectCommand:
     def test_file_to_file(self, tmp_path):
         in_path = str(tmp_path / "in.jsonl")
-        write_exchange_log([make_exchange(HTML)], in_path)
+        html = make_exchange(HTML)
+        tunnel = dataclasses.replace(
+            html, exchange_id="x2", method="CONNECT", url="https://origin.example:443",
+            response_headers=(), response_body=b"", is_encrypted=True,
+        )
+        image = dataclasses.replace(make_exchange(b"GIF89a", "image/gif"), exchange_id="x3")
+        # the head of an encrypted exchange says HTML, but it has no body
+        opaque = dataclasses.replace(tunnel, exchange_id="x4", response_headers=html.response_headers)
+        write_exchange_log([html, tunnel, image, opaque], in_path)
         out_path = str(tmp_path / "out.jsonl")
         tag_path = str(tmp_path / "tags.csv")
         assert run(
@@ -499,6 +507,14 @@ class TestInjectCommand:
             "--zone", "tracker.test",
         ) == 0
         assert b"<img " in read_exchange_log(out_path)[0].response_body
+        with open(in_path, "rb") as fh:
+            lines_in = fh.readlines()
+        with open(out_path, "rb") as fh:
+            lines_out = fh.readlines()
+        assert len(lines_out) == 4 and lines_out[1:] == lines_in[1:]
+        assert [(tag.kind, tag.exchange_id) for tag in read_tag_log(tag_path)] == [
+            ("static", "x1"), ("dynamic", "x1")
+        ]
 
     def test_an_older_lines_client_id_is_written_back(self, tmp_path):
         in_path = str(tmp_path / "in.jsonl")

@@ -33,7 +33,7 @@ from beaconlab.clientsim import (
 from beaconlab.correlate import build_report, write_report
 from beaconlab.dnssim import WildcardResolver, ZoneConfig, normalize_name, url_host
 from beaconlab.httplog import (
-    exchange_views, mime_distribution, read_exchange_log, write_exchange_log
+    HttpExchange, exchange_views, mime_distribution, read_exchange_log, write_exchange_log
 )
 from beaconlab.inject import Injector
 
@@ -450,12 +450,13 @@ class TestScenario:
         class Declining(Injector):
             seen = 0
 
-            def inject(self, exchange):
-                if self.is_taggable(exchange):
+            def inject(self, headers, body, exchange_id, timestamp):
+                result = super().inject(headers, body, exchange_id, timestamp)
+                if result[2]:
                     self.seen += 1
                     if self.seen % 2 == 0:
-                        return exchange, []
-                return super().inject(exchange)
+                        return headers, body, []
+                return result
 
         shipped = run_scenario(small_config())
         taggable = shipped.ground_truth["taggable_responses"]
@@ -497,6 +498,7 @@ class TestLeanRecords:
         lengths = [e.response_headers[1] for e in plain if e.exchange_id in tagged]
         assert len(lengths) > len(set(lengths)) > 1
 
+    @pytest.mark.tracemalloc
     def test_bytes_per_exchange(self):
         # With a __dict__ and an empty extra dict per exchange, fresh header
         # pairs and the event list kept to the end, this scenario (7,420
@@ -540,6 +542,20 @@ class TestSimulatedExchanges:
             for e in encrypted
         )
         assert all(e.method == "GET" and e.response_status == 200 for e in records if not e.is_encrypted)
+
+    def test_no_record_is_built_until_one_is_read(self, monkeypatch):
+        built = [0]
+        real = HttpExchange.__post_init__
+
+        def counting(exchange):
+            built[0] += 1
+            real(exchange)
+
+        monkeypatch.setattr(HttpExchange, "__post_init__", counting)
+        result = run_scenario(small_config())
+        assert built[0] == 0
+        records = list(result.exchanges)
+        assert built[0] == len(records) == len(result.exchanges) > 0
 
     def test_negative_index_and_index_error(self):
         exchanges = run_scenario(small_config()).exchanges

@@ -374,6 +374,7 @@ class TestMemoryGrowsWithDistinctValues:
             tracemalloc.stop()
         return report, peak - before
 
+    @pytest.mark.tracemalloc
     def test_static_rows_add_hits_but_no_memory(self, tmp_path):
         config = SCENARIOS["default"]
         log_dir = str(tmp_path / "logs")
@@ -391,6 +392,7 @@ class TestMemoryGrowsWithDistinctValues:
         # Held as records, the padding would take about 250 bytes a row.
         assert padded_peak - plain_peak < 64 * 1024
 
+    @pytest.mark.tracemalloc
     def test_peak_bytes_per_exchange(self, tmp_path):
         # Keeping a four-field view per exchange, encrypted ones included,
         # then a UaRecord per plaintext exchange beside it, with the tag
@@ -673,3 +675,16 @@ class TestBenchmarkHooks:
                 responder.stop()
         assert len(calls) == 1
         assert len(responder.resolver.log) == 1
+
+
+class TestSimulateInjectCalls:
+    def test_inject_hook_is_called_once_per_plaintext_exchange(self):
+        # what the benchmark's inject.calls counts: every plaintext response
+        # goes through the injector once, and no CONNECT does
+        owner, attr = next((o, a) for o, a in SIMULATE_HOOKS if a == "inject")
+        calls = []
+        with mock.patch.object(owner, attr, _counting(getattr(owner, attr), calls)):
+            result = run_scenario(small_config())
+        plain = [e for e in result.exchanges if not e.is_encrypted]
+        assert len(plain) < len(result.exchanges)
+        assert len(calls) == len(plain)

@@ -184,7 +184,7 @@ class TestHandWrittenInit:
         for parameter, field in zip(parameters, fields):
             assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
             if field.default_factory is not dataclasses.MISSING:
-                assert parameter.default is field.default_factory() is _NO_EXTRA
+                assert field.default_factory() is _NO_EXTRA
             elif field.default is dataclasses.MISSING:
                 assert parameter.default is inspect.Parameter.empty
             else:

@@ -47,36 +47,45 @@ def fresh_injector(seed=0):
     return Injector(zone="tracker.test", static_label="pixel", seed=seed)
 
 
+def inject_record(injector, exchange):
+    """``exchange`` through ``injector``, as a record and its tags."""
+    headers, body, tags = injector.inject(
+        exchange.response_headers, exchange.response_body, exchange.exchange_id, exchange.timestamp
+    )
+    return dataclasses.replace(exchange, response_headers=headers, response_body=body), tags
+
+
+def tagged(exchange):
+    return bool(inject_record(fresh_injector(), exchange)[1])
+
+
 HTML = b"<html><head></head><body>x</body></html>"
 
 
 class TestIsTaggable:
     def test_non_html_mime(self):
-        assert not fresh_injector().is_taggable(make_exchange(b"\xff\xd8", "image/jpeg"))
+        assert not tagged(make_exchange(b"\xff\xd8", "image/jpeg"))
 
     def test_already_marked(self):
         injector = fresh_injector()
-        rewritten, _ = injector.inject(make_exchange(HTML))
-        assert not injector.is_taggable(rewritten)
+        rewritten, _ = inject_record(injector, make_exchange(HTML))
+        assert inject_record(injector, rewritten)[1] == []
 
     def test_html_without_body_element(self):
-        assert not fresh_injector().is_taggable(make_exchange(b"<p>fragment</p>"))
-
-    def test_encrypted(self):
-        assert not fresh_injector().is_taggable(make_exchange(b"", encrypted=True))
+        assert not tagged(make_exchange(b"<p>fragment</p>"))
 
     def test_body_with_attributes(self):
-        assert fresh_injector().is_taggable(make_exchange(b'<HTML><BODY class="a">x</BODY></HTML>'))
+        assert tagged(make_exchange(b'<HTML><BODY class="a">x</BODY></HTML>'))
 
     def test_compressed_body_passthrough(self):
         exchange = make_exchange(b"<body>x</body>", headers=(("Content-Encoding", "gzip"),))
-        assert not fresh_injector().is_taggable(exchange)
+        assert not tagged(exchange)
 
 
 class TestInject:
     def test_minimal_page_gains_both_beacons(self):
         injector = fresh_injector()
-        rewritten, tags = injector.inject(make_exchange(b"<html><body>x</body></html>"))
+        rewritten, tags = inject_record(injector, make_exchange(b"<html><body>x</body></html>"))
         body = rewritten.response_body
         assert body.count(b"<img ") == 2
         assert b"pixel.tracker.test" in body
@@ -91,34 +100,37 @@ class TestInject:
     def test_not_taggable_byte_identical(self):
         injector = fresh_injector()
         exchange = make_exchange(b"GIF89a", "image/gif")
-        rewritten, tags = injector.inject(exchange)
-        assert rewritten is exchange
+        headers, body, tags = injector.inject(
+            exchange.response_headers, exchange.response_body, "x1", 1.0
+        )
+        assert headers is exchange.response_headers
+        assert body is exchange.response_body
         assert tags == []
         assert injector.counter == 0
 
     def test_idempotent(self):
         injector = fresh_injector()
-        once, _ = injector.inject(make_exchange(HTML))
-        twice, tags = injector.inject(once)
+        once, _ = inject_record(injector, make_exchange(HTML))
+        twice, tags = inject_record(injector, once)
         assert twice == once
         assert tags == []
 
     def test_unclosed_body_appends(self):
         injector = fresh_injector()
-        rewritten, tags = injector.inject(make_exchange(b"<body><p>never closed"))
+        rewritten, tags = inject_record(injector, make_exchange(b"<body><p>never closed"))
         assert tags
         assert rewritten.response_body.startswith(b"<body><p>never closed")
         assert rewritten.response_body.endswith(b"-->")
 
     def test_content_length_updated(self):
         injector = fresh_injector()
-        rewritten, _ = injector.inject(make_exchange(HTML))
+        rewritten, _ = inject_record(injector, make_exchange(HTML))
         assert rewritten.header("content-length") == str(len(rewritten.response_body))
 
     def test_reversible(self):
         injector = fresh_injector()
         for body in (HTML, b"<body>no close", b"<body>a</body><p>t</p></body>"):
-            rewritten, _ = injector.inject(make_exchange(body))
+            rewritten, _ = inject_record(injector, make_exchange(body))
             assert strip_injected(rewritten.response_body) == body
 
     def test_scenario_tag_count_equals_taggable_count(self):
@@ -132,7 +144,7 @@ class TestInject:
                 taggable += 1
             else:
                 exchange = make_exchange(b"data", "text/plain")
-            issued.extend(injector.inject(exchange)[1])
+            issued.extend(inject_record(injector, exchange)[1])
         dynamic_issued = sum(1 for tag in issued if tag.kind == DYNAMIC)
         assert dynamic_issued == taggable
 
@@ -189,8 +201,8 @@ class TestProperties:
     def test_inject_idempotent_and_consistent(self, body, content_type):
         injector = fresh_injector()
         exchange = make_exchange(body, content_type)
-        once, tags = injector.inject(exchange)
-        twice, tags2 = injector.inject(once)
+        once, tags = inject_record(injector, exchange)
+        twice, tags2 = inject_record(injector, once)
         assert twice == once
         assert tags2 == []
         if content_type != "text/html":
@@ -203,14 +215,14 @@ class TestProperties:
         injector = fresh_injector()
         issued = []
         for _ in range(500):
-            issued.extend(injector.inject(make_exchange(HTML))[1])
+            issued.extend(inject_record(injector, make_exchange(HTML))[1])
         dynamic = [tag.subdomain for tag in issued if tag.kind == DYNAMIC]
         assert len(set(dynamic)) == len(dynamic) == 500
 
 
 class TestTagLogAndRewrite:
     def test_tag_log_round_trip(self, tmp_path):
-        _, tags = fresh_injector().inject(make_exchange(HTML))
+        _, tags = inject_record(fresh_injector(), make_exchange(HTML))
         path = str(tmp_path / "tags.csv")
         write_tag_log(tags, path)
         assert read_tag_log(path) == tags
@@ -329,13 +341,13 @@ class TestBlockBuiltOnce:
             "x7", 2.5, "f7", "GET", "http://o.test/", (), 200, headers, body, False, {"n": 1}
         )
         for _ in range(2):  # the second pass meets the block of the first
-            rewritten, tags = injector.inject(exchange)
+            rewritten, tags = inject_record(injector, exchange)
             expected, expected_tags = _reference_inject(reference, exchange)
             assert rewritten == expected
             assert rewritten.response_headers == expected.response_headers
             assert tags == expected_tags
             assert injector.counter == reference.counter
-            assert injector.is_taggable(exchange) == _reference_taggable(exchange)
+            assert bool(tags) == _reference_taggable(exchange)
             exchange = rewritten
 
     def test_cases_named(self):
@@ -350,4 +362,4 @@ class TestBlockBuiltOnce:
         ]:
             exchange = make_exchange(b"", headers=())
             exchange = dataclasses.replace(exchange, response_headers=headers, response_body=body)
-            assert injector.inject(exchange) == _reference_inject(reference, exchange)
+            assert inject_record(injector, exchange) == _reference_inject(reference, exchange)

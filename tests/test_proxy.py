@@ -1856,10 +1856,10 @@ class TestRestart:
             svc = ProxyService(active_config(tmp_path, seed))
             real_inject = svc.injector.inject
 
-            def inject(exchange):
-                delivered, tags = real_inject(exchange)
+            def inject(*parts):
+                headers, body, tags = real_inject(*parts)
                 issued.extend(tags)
-                return delivered, tags
+                return headers, body, tags
 
             svc.injector.inject = inject
             svc.start()

@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -118,4 +120,37 @@ def test_uncovered_lines_names_the_lines_a_sample_never_ran(tmp_path):
     unrun = {numbered['raise ValueError("empty command")'], numbered["return verb, parts[1].lower()"]}
     assert not missed & ran
     assert unrun <= missed
+    assert done.stdout.splitlines()[-1].endswith(" lines never run")
+
+
+_TRACEMALLOC_SAMPLE = '''import sys
+
+import pytest
+
+
+def test_traced():
+    assert sys.gettrace() is not None
+
+
+@pytest.mark.tracemalloc
+def test_untraced():
+    assert sys.gettrace() is None
+'''
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_uncovered_lines_runs_tracemalloc_tests_untraced(tmp_path, failing):
+    (tmp_path / "pytest.ini").write_text("[pytest]\nmarkers =\n    tracemalloc: untraced\n")
+    sample = _TRACEMALLOC_SAMPLE
+    if failing:
+        sample += "\n\n@pytest.mark.tracemalloc\ndef test_fails():\n    assert False\n"
+    (tmp_path / "test_sample.py").write_text(sample, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "uncovered_lines.py"), "test_sample.py",
+         "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    assert done.returncode == (1 if failing else 0), done.stdout + done.stderr
+    # one pass each: the traced test and the untraced one each pass once
+    assert len(re.findall(r"^(?:1 failed, )?1 passed", done.stdout, re.MULTILINE)) == 2, done.stdout
     assert done.stdout.splitlines()[-1].endswith(" lines never run")
