@@ -6,7 +6,9 @@ with client-side DNS and object caching, and scripted restarts that clear
 caches and reload the cached start page (which is how a previously issued
 unique subdomain gets a second lookup). Everything is reproducible from
 (config, seed), and the ground-truth file records what the correlator is
-later expected to recover.
+later expected to recover. A simulation's exchanges are held as columns
+(SimulatedExchanges) and handed to the log writer as rows of those
+columns, so neither the simulation nor the write builds a record.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from bisect import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from operator import eq
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -28,7 +30,7 @@ from beaconlab.dnssim import (
     DnsQueryRecord, WildcardResolver, ZoneConfig, normalize_name, url_host
 )
 from beaconlab.httplog import (
-    CsvLog, Headers, HttpExchange, collector_paused, finite_time, write_json
+    _NO_EXTRA, CsvLog, Headers, HttpExchange, collector_paused, finite_time, write_json
 )
 from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
 
@@ -283,6 +285,17 @@ _exchange_id = "x%08d".__mod__
 _flow_id = "fl%08d".__mod__
 
 
+def _rows(positions, times, encrypted, urls, request_headers, response_headers, bodies):
+    """The rows (HttpExchange's fields in order) of the exchanges at
+    ``positions``, given their column values: one map over the columns,
+    with no generator frame per row."""
+    return zip(
+        map(_exchange_id, positions), times, map(_flow_id, positions),
+        map(_METHODS.__getitem__, encrypted), urls, request_headers, repeat(200),
+        response_headers, bodies, map(bool, encrypted), repeat(_NO_EXTRA),
+    )
+
+
 class SimulatedExchanges(Sequence[HttpExchange]):
     """The exchanges of one simulation, in order, held as columns.
 
@@ -293,7 +306,9 @@ class SimulatedExchanges(Sequence[HttpExchange]):
     an array of C doubles; the other columns hold references to the URL,
     header tuples and body each record would hold, which the simulation
     shares between exchanges. The simulation builds no record: each is
-    built when it is read, so a read returns a fresh, equal object.
+    built from its row when it is read, so a read returns a fresh, equal
+    object. ``rows()`` gives the rows themselves, which the exchange-log
+    writer formats, so writing the log builds no record.
 
     A read-only sequence; it equals any sequence of equal exchanges.
     """
@@ -319,33 +334,24 @@ class SimulatedExchanges(Sequence[HttpExchange]):
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, index: int) -> HttpExchange:
-        timestamp = self.times[index]  # IndexError out of range
-        if index < 0:
-            index += len(self.times)
-        encrypted = self.encrypted[index]
-        return HttpExchange(
-            _exchange_id(index), timestamp, _flow_id(index), _METHODS[encrypted],
-            self.urls[index], self.request_headers[index], 200,
-            self.response_headers[index], self.bodies[index], bool(encrypted),
+    def rows(self) -> Iterator[tuple]:
+        """Each exchange's row, in order: its HttpExchange fields, extra last."""
+        return _rows(
+            range(len(self.times)), self.times, self.encrypted, self.urls,
+            self.request_headers, self.response_headers, self.bodies,
         )
 
-    def __iter__(self) -> Iterator[HttpExchange]:
-        # one map over the columns: no generator frame per record
-        positions = range(len(self.times))
-        return map(
-            HttpExchange,
-            map(_exchange_id, positions),
-            self.times,
-            map(_flow_id, positions),
-            map(_METHODS.__getitem__, self.encrypted),
-            self.urls,
-            self.request_headers,
-            repeat(200),
-            self.response_headers,
-            self.bodies,
-            map(bool, self.encrypted),
+    def __getitem__(self, index: int) -> HttpExchange:
+        index = range(len(self.times))[index]  # IndexError out of range
+        at = slice(index, index + 1)
+        (row,) = _rows(
+            range(index, index + 1), self.times[at], self.encrypted[at], self.urls[at],
+            self.request_headers[at], self.response_headers[at], self.bodies[at],
         )
+        return HttpExchange(*row)
+
+    def __iter__(self) -> Iterator[HttpExchange]:
+        return starmap(HttpExchange, self.rows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

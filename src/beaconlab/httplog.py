@@ -3,7 +3,10 @@
 Simulator output, live-proxy output and correlator input all go through
 this one record type, so they are file-compatible; the injector, which
 needs only a response's head and body, takes no record. One JSON object
-per line, UTF-8, bodies base64-encoded.
+per line, UTF-8, bodies base64-encoded. The writer formats rows, a
+record's values in field order: a record's own attributes, or the rows a
+sequence gives through its rows() method, so the simulator's exchanges
+are written from their columns with no record built.
 read_exchange_views reads a line in the writer's exact shape from its
 text, and any other line through exchange_from_json, the one record gate;
 it holds what analysis keeps of the log as columns (ExchangeViews).
@@ -328,6 +331,10 @@ def _headers_json(headers: Headers, pair_json: dict[tuple[str, str], str]) -> st
     return "[" + ",".join(texts) + "]"
 
 
+# A record's row: its values in _FIELDS order, then its extra.
+_exchange_row = attrgetter(*_FIELDS, "extra")
+
+
 def exchange_to_json(exchange: HttpExchange) -> str:
     """One log line, compact JSON in _FIELDS order, then the extra keys:
     the line json.dumps(..., separators=(",", ":"), ensure_ascii=False)
@@ -336,28 +343,29 @@ def exchange_to_json(exchange: HttpExchange) -> str:
     The body's base64 text is written as it is; base64 has no character
     JSON escapes.
     """
-    return _exchange_line(exchange, {})
+    return _exchange_line(_exchange_row(exchange), {})
 
 
-def _exchange_line(exchange: HttpExchange, pair_json: dict[tuple[str, str], str]) -> str:
-    """exchange_to_json's line, with the header pairs encoded in ``pair_json``
-    reused: one table serves a whole write."""
-    body = exchange.response_body
+def _exchange_line(row: tuple, pair_json: dict[tuple[str, str], str]) -> str:
+    """exchange_to_json's line for a record's row, with the header pairs
+    encoded in ``pair_json`` reused: one table serves a whole write."""
+    (exchange_id, timestamp, flow_id, method, url, request_headers, status,
+     response_headers, body, is_encrypted, extra) = row
     body_text = binascii.b2a_base64(body, newline=False).decode("ascii") if body else ""
     line = (
-        f'{{"exchange_id":{_json_value(exchange.exchange_id)}'
-        f',"timestamp":{_json_value(exchange.timestamp)}'
-        f',"flow_id":{_json_value(exchange.flow_id)}'
-        f',"method":{_json_value(exchange.method)}'
-        f',"url":{_json_value(exchange.url)}'
-        f',"request_headers":{_headers_json(exchange.request_headers, pair_json)}'
-        f',"response_status":{_json_value(exchange.response_status)}'
-        f',"response_headers":{_headers_json(exchange.response_headers, pair_json)}'
+        f'{{"exchange_id":{_json_value(exchange_id)}'
+        f',"timestamp":{_json_value(timestamp)}'
+        f',"flow_id":{_json_value(flow_id)}'
+        f',"method":{_json_value(method)}'
+        f',"url":{_json_value(url)}'
+        f',"request_headers":{_headers_json(request_headers, pair_json)}'
+        f',"response_status":{_json_value(status)}'
+        f',"response_headers":{_headers_json(response_headers, pair_json)}'
         f',"response_body":"{body_text}"'
-        f',"is_encrypted":{_json_value(exchange.is_encrypted)}'
+        f',"is_encrypted":{_json_value(is_encrypted)}'
     )
-    if exchange.extra:
-        extra = {key: value for key, value in exchange.extra.items() if key not in _FIELD_NAMES}
+    if extra:
+        extra = {key: value for key, value in extra.items() if key not in _FIELD_NAMES}
         if extra:
             return line + "," + _dumps(extra)[1:]
     return line + "}"
@@ -563,10 +571,15 @@ _LINES_PER_WRITE = 256
 def _write_exchanges(
     fh: IO[str], exchanges: Iterable[HttpExchange], pair_json: dict[tuple[str, str], str]
 ) -> None:
-    """One line per exchange, the header pairs encoded through ``pair_json``."""
+    """One line per exchange, the header pairs encoded through ``pair_json``.
+
+    Lines are formatted from rows: those of ``exchanges.rows()`` when it has
+    that method (clientsim.SimulatedExchanges, which then builds no record),
+    else each record's attributes."""
+    rows = getattr(exchanges, "rows", None)
     lines = []
-    for exchange in exchanges:
-        lines.append(_exchange_line(exchange, pair_json))
+    for row in map(_exchange_row, exchanges) if rows is None else rows():
+        lines.append(_exchange_line(row, pair_json))
         if len(lines) == _LINES_PER_WRITE:
             lines.append("")  # so the last line ends in a newline too
             fh.write("\n".join(lines))

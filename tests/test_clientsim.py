@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate
 
 import re
@@ -521,6 +521,12 @@ class TestLeanRecords:
         assert peak / count <= 825
 
 
+# test_cli's churn-shaped pinned scenario: 3,000 clients, 300 restarts.
+CHURN_SHAPED = calibrated_config(
+    seed=5, client_count=3000, duration_seconds=600, visit_rate=0.0005, restart_count=300
+)
+
+
 class TestSimulatedExchanges:
     """result.exchanges holds columns and builds each record when read."""
 
@@ -557,6 +563,33 @@ class TestSimulatedExchanges:
         records = list(result.exchanges)
         assert built[0] == len(records) == len(result.exchanges) > 0
 
+    def test_writing_the_log_builds_no_record(self, tmp_path, monkeypatch):
+        result = run_scenario(small_config())
+        built = [0]
+        real = HttpExchange.__post_init__
+
+        def counting(exchange):
+            built[0] += 1
+            real(exchange)
+
+        monkeypatch.setattr(HttpExchange, "__post_init__", counting)
+        path = str(tmp_path / "exchanges.jsonl")
+        write_exchange_log(result.exchanges, path)
+        assert built[0] == 0
+        # the count works: reading the log back builds one record per line
+        assert len(read_exchange_log(path)) == built[0] > 0
+
+    @pytest.mark.parametrize("config", [small_config(), CHURN_SHAPED], ids=["small", "churn"])
+    def test_rows_write_the_bytes_the_records_write(self, tmp_path, config):
+        exchanges = run_scenario(config).exchanges
+        from_rows, from_records = tmp_path / "rows.jsonl", tmp_path / "records.jsonl"
+        write_exchange_log(exchanges, str(from_rows))
+        write_exchange_log(list(exchanges), str(from_records))
+        assert from_rows.read_bytes() == from_records.read_bytes()
+        assert list(exchanges.rows()) == [
+            tuple(getattr(exchange, f.name) for f in fields(exchange)) for exchange in exchanges
+        ]
+
     def test_negative_index_and_index_error(self):
         exchanges = run_scenario(small_config()).exchanges
         count = len(exchanges)
@@ -579,16 +612,7 @@ class TestSimulatedExchanges:
         assert a != records and records != a
         assert a != 5
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            small_config(),
-            calibrated_config(
-                seed=5, client_count=3000, duration_seconds=600, visit_rate=0.0005, restart_count=300
-            ),
-        ],
-        ids=["small", "churn"],
-    )
+    @pytest.mark.parametrize("config", [small_config(), CHURN_SHAPED], ids=["small", "churn"])
     def test_log_round_trip(self, tmp_path, config):
         result = run_scenario(config)
         path = str(tmp_path / "exchanges.jsonl")

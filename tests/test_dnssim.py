@@ -246,6 +246,12 @@ class TestUrlHost:
         _assert_same_host(url)
 
 
+# The question of a query for x.attacker.test, and a reply that answers it
+# with 192.0.2.7: the reply's last ten bytes are the TTL, RDLENGTH and address.
+_QUESTION = encode_query(1, "x.attacker.test")[12:]
+_ANSWERED = build_response(1, _QUESTION, RCODE_NOERROR, "192.0.2.7")
+
+
 class TestWireFormat:
     def test_query_round_trip(self):
         packet = encode_query(0x1234, "img.attacker.test")
@@ -260,6 +266,18 @@ class TestWireFormat:
 
     def test_garbage_rejected(self):
         assert parse_query(b"\x00\x01") is None
+
+    def test_answer_address_of_a_whole_a_answer(self):
+        assert parse_answer_address(_ANSWERED) == "192.0.2.7"
+
+    @pytest.mark.parametrize("packet", [
+        b"\x00\x01",
+        build_response(1, _QUESTION, RCODE_NOERROR),
+        _ANSWERED[:-1],
+        _ANSWERED[:-6] + b"\x00\x10" + _ANSWERED[-4:],
+    ], ids=["no-question", "no-answer", "answer-cut-short", "rdlength-16"])
+    def test_answer_address_refused(self, packet):
+        assert parse_answer_address(packet) is None
 
     @pytest.mark.parametrize("name", ["", ".", "..."])
     def test_root_encodes_as_one_zero_octet(self, name):

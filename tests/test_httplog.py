@@ -256,6 +256,26 @@ class TestHeaderPairTable:
         with open(appended, encoding="utf-8") as fh, open(path, encoding="utf-8") as written:
             assert fh.read() == written.read()
 
+    def test_extra_keys_and_foreign_types_write_the_line_of_the_record(self, tmp_path):
+        exchanges = [
+            _bare_exchange(
+                exchange_id=7, timestamp=12, response_status=HTTPStatus.OK, is_encrypted=0,
+                request_headers=(["Host", "example.test"], ("X-Count", 3)),
+                extra={"ground_truth_client": 3, "note": ["é", 1.5, None], "url": "shadowed"},
+            ),
+            _bare_exchange(extra={"flow_id": "shadowed"}),
+            _bare_exchange(response_body=b"", is_encrypted=True),
+        ]
+        lines = "".join(exchange_to_json(exchange) + "\n" for exchange in exchanges)
+        assert lines == "".join(encoder_line(exchange) + "\n" for exchange in exchanges)
+        written, appended = tmp_path / "written.jsonl", tmp_path / "appended.jsonl"
+        write_exchange_log(exchanges, str(written))
+        appender = httplog.exchange_log_appender(str(appended))
+        appender.append(exchanges[0])
+        appender.append(*exchanges[1:])
+        appender.close()
+        assert written.read_text(encoding="utf-8") == appended.read_text(encoding="utf-8") == lines
+
     def test_table_is_bounded(self, monkeypatch):
         monkeypatch.setattr(httplog, "_PAIR_JSON_SIZE", 8)
         headers = tuple((f"X-{i}", str(i)) for i in range(20))

@@ -422,6 +422,20 @@ class TestHostField:
         assert finished == []
 
 
+class TestConnectTarget:
+    @pytest.mark.parametrize("target, authority", [
+        ("origin.test", ("origin.test", 443)),
+        ("[::1]", ("::1", 443)),
+        ("origin.test:8443", ("origin.test", 8443)),
+    ], ids=["name", "ipv6", "port"])
+    def test_a_target_with_no_port_goes_to_port_443(self, service, target, authority):
+        # handled socket-free: the connection only records the tunnel it is asked for
+        opened = []
+        client = SimpleNamespace(open_tunnel=opened.append)
+        service.handle_connect(proxy.Request("CONNECT", target, proxy._Headers([]), client, False, False))
+        assert opened == [authority]
+
+
 class TestRelay:
     def test_passive_transparency(self, service, origin):
         status, body = proxy_get(service, origin, "/page")
@@ -698,6 +712,7 @@ class TestMalformedRequest:
         (b"GET http://127.0.0.1:%d/\x01 HTTP/1.1\r\n\r\n", 400),
         (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nHost x\r\n\r\n", 400),
         (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nX: a\nY: b\r\n\r\n", 400),
+        (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nX: a\rY: b\r\n\r\n", 400),
         (b"GET http://127.0.0.1:%d/\r\n\r\n", 400),
         (b"GET http://127.0.0.1:%d/ HTTP/2.0\r\n\r\n", 505),
         (b"PATCH http://127.0.0.1:%d/ HTTP/1.1\r\n\r\n", 501),
@@ -711,8 +726,8 @@ class TestMalformedRequest:
         (b"GET http://127.0.0.1:%d/ HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", 400),
         (b"GET http://127.0.0.1:%d/ HTTP/1.10\r\n\r\n", 400),
         (b"GET http://127.0.0.1:%d/ HTTP/01.1\r\n\r\n", 400),
-    ], ids=["port-range", "control-char", "no-colon", "bare-lf", "no-version", "http2",
-            "unsupported-method", "connect-port", "connect-unbracketed-ipv6",
+    ], ids=["port-range", "control-char", "no-colon", "bare-lf", "bare-cr", "no-version",
+            "http2", "unsupported-method", "connect-port", "connect-unbracketed-ipv6",
             "connect-unclosed-bracket", "connect-after-bracket", "connect-bracketed-ipv4",
             "connect-signed-port", "connect-5000-digit-port", "obs-fold", "two-digit-minor",
             "two-digit-major"])

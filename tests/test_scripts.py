@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -154,3 +155,37 @@ def test_uncovered_lines_runs_tracemalloc_tests_untraced(tmp_path, failing):
     # one pass each: the traced test and the untraced one each pass once
     assert len(re.findall(r"^(?:1 failed, )?1 passed", done.stdout, re.MULTILINE)) == 2, done.stdout
     assert done.stdout.splitlines()[-1].endswith(" lines never run")
+
+
+def _same_outputs(repo, *args):
+    return subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "same_outputs.py"), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_same_outputs_passes_the_same_tree_and_names_a_changed_file(tmp_path):
+    # a repository of this src/ and the script, so REV is known and fixed
+    repo = tmp_path / "repo"
+    shutil.copytree(os.path.join(ROOT, "src"), repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (repo / "scripts").mkdir()
+    shutil.copy(os.path.join(ROOT, "scripts", "same_outputs.py"), repo / "scripts")
+    git = ["git", "-C", str(repo), "-c", "user.name=lab", "-c", "user.email=lab@example.test"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "src"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+    done = _same_outputs(repo, "HEAD", "--scale", "0.01")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].endswith(": all the same")
+    # one byte of one writer: the indent of every JSON document written
+    httplog = repo / "src" / "beaconlab" / "httplog.py"
+    text = httplog.read_text(encoding="utf-8")
+    assert text.count("json.dump(obj, fh, indent=2)") == 1
+    httplog.write_text(text.replace("json.dump(obj, fh, indent=2)", "json.dump(obj, fh, indent=3)"),
+                       encoding="utf-8")
+    done = _same_outputs(repo, "HEAD", "--scale", "0.01")
+    assert done.returncode == 1, done.stdout + done.stderr
+    differing = [line for line in done.stdout.splitlines() if line.startswith("differs: ")]
+    assert "differs: " + os.path.join("calibrated-3", "sim", "ground_truth.json") in differing
+    assert not any(line.endswith("exchanges.jsonl") for line in differing)
