@@ -12,9 +12,9 @@ one that never ran is printed with those lines, then the total:
     python scripts/uncovered_lines.py tests/test_ua.py -k classify
 
 Arguments are passed to pytest as given; with none, it runs ``tests``.
-Lines that run only in a child process, such as the services that the
-``proxy`` and ``dns`` subcommands start, show as never run, since no child
-is traced. Tracing makes the run about twice as slow as an untraced one.
+Lines that run only in a child process show as never run, since no child
+is traced. The tests run the ``proxy`` and ``dns`` subcommands in this
+process as well, with their signal wait replaced, so those lines count. Tracing makes the run about twice as slow as an untraced one.
 The tests marked ``tracemalloc`` bound a peak that tracing would inflate
 (at each trace event CPython copies the traced frame's locals into a
 dict), so they run in a second pass, untraced, and their lines do not

@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 
 import beaconlab
@@ -167,31 +168,39 @@ def _split_hostport(value: str, default_host: str = "127.0.0.1") -> tuple[str, i
     return host or default_host, number
 
 
-def _run_until_signal(stop, ready: str) -> None:
+def _wait_for_signal(ready: str) -> None:
     """Print ``ready`` once SIGINT and SIGTERM are handled, so a caller that
-    signals after reading it never kills the service; on either, ``stop``."""
-    done = {"flag": False}
-
-    def handler(_signum, _frame):
-        done["flag"] = True
-
-    signal.signal(signal.SIGINT, handler)
-    signal.signal(signal.SIGTERM, handler)
+    signals after reading it never kills the service; return at either."""
+    signalled = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda _signum, _frame: signalled.set())
     print(ready)
-    while not done["flag"]:
-        time.sleep(0.2)
-    stop()
+    signalled.wait()
+
+
+def _serve(out: str, subcommand: str, open_service) -> int:
+    """Run one service in ``out`` until SIGINT or SIGTERM.
+
+    ``open_service(opened)`` opens the service, pushing onto the ExitStack
+    ``opened`` how to close each thing it opens, and returns the ready line
+    and the manifest's fields. What was opened is closed, last first, at
+    the signal or when a step fails.
+    """
+    os.makedirs(out, exist_ok=True)
+    with contextlib.ExitStack() as opened:
+        ready, fields = open_service(opened)
+        _write_manifest(out, subcommand, **fields)
+        _wait_for_signal(ready)
+    return 0
 
 
 def cmd_proxy(args) -> int:
     host, port = _split_hostport(args.listen)
     control_host, control_port = _split_hostport(args.control)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     config = proxy.ProxyConfig(
-        exchange_log_path=os.path.join(out, correlate.LOG_FILENAMES["exchange"]),
-        tag_log_path=os.path.join(out, correlate.LOG_FILENAMES["tag"]),
-        error_log_path=os.path.join(out, "errors.log"),
+        exchange_log_path=os.path.join(args.out, correlate.LOG_FILENAMES["exchange"]),
+        tag_log_path=os.path.join(args.out, correlate.LOG_FILENAMES["tag"]),
+        error_log_path=os.path.join(args.out, "errors.log"),
         listen_host=host,
         listen_port=port,
         control_host=control_host,
@@ -202,48 +211,34 @@ def cmd_proxy(args) -> int:
         payload_address=args.payload or "",
         seed=args.seed or 0,
     )
-    service = proxy.ProxyService(config)
-    service.start()
-    _write_manifest(
-        out,
-        "proxy",
-        mode=args.mode,
-        zone=args.zone,
-        static_label=args.static_label,
-        listen=list(service.listen_address),
-        control=list(service.control_address),
-    )
-    _run_until_signal(
-        service.stop,
-        f"proxy on {service.listen_address[0]}:{service.listen_address[1]} "
-        f"control {service.control_address[0]}:{service.control_address[1]} mode={args.mode}",
-    )
-    return 0
+
+    def open_proxy(opened):
+        service = proxy.ProxyService(config)
+        opened.callback(service.stop)
+        service.start()
+        listen, control = service.listen_address, service.control_address
+        ready = f"proxy on {listen[0]}:{listen[1]} control {control[0]}:{control[1]} mode={args.mode}"
+        return ready, dict(mode=args.mode, zone=args.zone, static_label=args.static_label,
+                           listen=list(listen), control=list(control))
+
+    return _serve(args.out, "proxy", open_proxy)
 
 
 def cmd_dns(args) -> int:
     host, port = _split_hostport(args.listen)
-    config = dnssim.ZoneConfig(
-        zone=args.zone, payload_address=args.payload, ttl_seconds=args.ttl
-    )
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    # what is opened is closed again, the responder first, on a failed
-    # step or at the signal
-    with contextlib.ExitStack() as opened:
-        query_log = dnssim.QUERY_LOG.appender(os.path.join(out, correlate.LOG_FILENAMES["dns"]))
+    config = dnssim.ZoneConfig(zone=args.zone, payload_address=args.payload, ttl_seconds=args.ttl)
+
+    def open_dns(opened):
+        query_log = dnssim.QUERY_LOG.appender(os.path.join(args.out, correlate.LOG_FILENAMES["dns"]))
         opened.callback(query_log.close)
         responder = dnssim.DnsResponder(config, host=host, port=port, log=query_log)
         opened.callback(responder.stop)
         responder.start()
-        _write_manifest(
-            out, "dns", zone=args.zone, payload=args.payload, listen=list(responder.address)
-        )
-        stop = opened.pop_all().close
-    _run_until_signal(
-        stop, f"dns responder on {responder.address[0]}:{responder.address[1]} zone={args.zone}"
-    )
-    return 0
+        listen = responder.address
+        ready = f"dns responder on {listen[0]}:{listen[1]} zone={args.zone}"
+        return ready, dict(zone=args.zone, payload=args.payload, listen=list(listen))
+
+    return _serve(args.out, "dns", open_dns)
 
 
 _REPORT_COUNTS = (

@@ -43,9 +43,6 @@ QCLASS_IN = 1
 RCODE_NOERROR = 0
 RCODE_REFUSED = 5
 
-# How often the receive loop looks for a shutdown request, in seconds.
-POLL_INTERVAL_S = 0.05
-
 # Largest query packet read; a longer one is cut to this length.
 MAX_PACKET_BYTES = 8192
 
@@ -289,18 +286,17 @@ class DnsResponder:
         except BaseException:  # a port in use: nothing is left open
             self._sock.close()
             raise
-        self._sock.settimeout(POLL_INTERVAL_S)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self._stopped = False
         self._thread: threading.Thread | None = None
 
     def _serve(self) -> None:
-        """One receive loop: an answer costs microseconds, less than a thread."""
-        while not self._stopped:
-            try:
-                data, peer = self._sock.recvfrom(MAX_PACKET_BYTES)
-            except TimeoutError:
-                continue
+        """One blocking receive loop: an answer costs microseconds, less
+        than a thread. ``stop`` wakes it with an empty datagram."""
+        while True:
+            data, peer = self._sock.recvfrom(MAX_PACKET_BYTES)
+            if self._stopped:  # the datagram stop sent, or one that came after it
+                return
             try:
                 reply = self.handle_packet(data, peer[0])
                 if reply is not None:
@@ -339,8 +335,12 @@ class DnsResponder:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop serving and close the socket; the log belongs to the caller."""
+        """Stop serving and close the socket; the log belongs to the caller.
+        The receive loop is woken by an empty datagram to the responder's
+        own address, which it neither answers nor logs."""
         self._stopped = True
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._sock.sendto(b"", self.address)
+            thread.join(timeout=5)
         self._sock.close()

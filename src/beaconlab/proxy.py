@@ -18,10 +18,12 @@ response heads alike end their lines in CRLF, are refused at a bare LF at
 once, and hold at most MAX_HEAD_BYTES with their empty line; they are
 split with str methods and read under one set of RFC 7230 rules: one
 HTTP-version, one field syntax, one set of connection options deciding
-close and hop-by-hop fields, one Content-Length. Request bodies are framed
-by Content-Length only, up to MAX_REQUEST_BODY_BYTES; responses are framed
-as RFC 7230 3.3.3 frames them, and chunks as 4.1 does (hex sizes, CRLF
-lines, a CRLF after each chunk's data). Each end of a CONNECT tunnel is a
+close and hop-by-hop fields, one Content-Length. Empty lines before a
+request line are skipped (RFC 7230 3.5), but not before a status line.
+Request bodies are framed by Content-Length only, up to
+MAX_REQUEST_BODY_BYTES; responses are framed as RFC 7230 3.3.3 frames
+them, and chunks as 4.1 does (hex sizes, CRLF lines, a CRLF after each
+chunk's data). Each end of a CONNECT tunnel is a
 Pipe protocol; after either end's EOF the tunnel has UPSTREAM_TIMEOUT_S to
 drain. A client connection closes after any HTTP/1.0 request (6.3) or one
 with the close option, and the reply before that close says Connection:
@@ -818,7 +820,11 @@ class _Client(_Framer):
         """Serve buffered requests one at a time, until one is in flight, no
         whole head is buffered, or the connection closes."""
         transport = self.transport
+        buf = self.buffer
         while self.request is None and not self.write_paused and not transport.is_closing():
+            while buf.startswith(b"\r\n"):  # empty lines before a request line (RFC 7230 3.5)
+                del buf[:2]
+                self.scanned = 0
             try:
                 try:
                     head = self._head()
@@ -1043,7 +1049,8 @@ class ProxyService:
         self.config = config
         self._mode = config.mode
         self._stopped = False  # the logs are closed once it is True
-        # what the constructor opens is closed again if a later step raises
+        # what is opened is closed again, last first, by _shutdown or if a
+        # later step of the constructor raises
         with contextlib.ExitStack() as opened:
             self._error_log = LogAppender(
                 config.error_log_path, lambda fh, lines: fh.writelines(lines)
@@ -1072,16 +1079,17 @@ class ProxyService:
             self._listen_sock = socket.create_server((config.listen_host, config.listen_port))
             opened.callback(self._listen_sock.close)
             self._control_sock = socket.create_server((config.control_host, config.control_port))
-            opened.pop_all()
+            opened.callback(self._control_sock.close)
+            self._upstream = _UpstreamPool()
+            opened.callback(self._upstream.close_all)
+            self._opened = opened.pop_all()
         self.exchanges_handled = 0
         self.tags_injected = 0
         self.listen_address: tuple[str, int] = self._listen_sock.getsockname()[:2]
         self.control_address: tuple[str, int] = self._control_sock.getsockname()[:2]
-        self._upstream = _UpstreamPool()
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._servers: list[asyncio.Server] = []
         self._connections = 0  # client connections open
-        self._finished: asyncio.Future | None = None
+        self._finished: asyncio.Future | None = None  # made once both servers are up
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1089,7 +1097,7 @@ class ProxyService:
         started = threading.Event()
         threading.Thread(target=self._run, args=(started,), daemon=True).start()
         started.wait()
-        if len(self._servers) != 2:
+        if self._finished is None:
             raise RuntimeError("the proxy's event loop did not start")
 
     def _run(self, started: threading.Event) -> None:
@@ -1100,11 +1108,13 @@ class ProxyService:
 
     async def _serve(self, started: threading.Event) -> None:
         loop = self._loop = asyncio.get_running_loop()
-        self._finished = loop.create_future()
-        self._servers.append(await loop.create_server(lambda: _Client(self), sock=self._listen_sock))
-        self._servers.append(
-            await asyncio.start_server(self._serve_control, sock=self._control_sock, limit=MAX_HEAD_BYTES)
+        server = await loop.create_server(lambda: _Client(self), sock=self._listen_sock)
+        self._opened.callback(server.close)
+        server = await asyncio.start_server(
+            self._serve_control, sock=self._control_sock, limit=MAX_HEAD_BYTES
         )
+        self._opened.callback(server.close)
+        self._finished = loop.create_future()
         started.set()
         await self._finished
 
@@ -1128,14 +1138,7 @@ class ProxyService:
     def _shutdown(self) -> None:
         """Stop accepting, close upstream connections and logs; on the loop once started."""
         self._stopped = True
-        for server in self._servers:
-            server.close()
-        self._listen_sock.close()
-        self._control_sock.close()
-        self._upstream.close_all()
-        self.exchange_log.close()
-        self.tag_log.close()
-        self._error_log.close()
+        self._opened.close()
         self._finish_if_idle()
 
     def _finish_if_idle(self) -> None:

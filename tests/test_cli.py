@@ -4,18 +4,23 @@ import gc
 import hashlib
 import json
 import os
+import signal
 import socket
+import threading
+import time
 
 import pytest
 
-from beaconlab import cli
+from beaconlab import cli, dnssim
 from beaconlab.clientsim import calibrated_config, calibrated_vuln_db, run_scenario, write_fetch_log
-from beaconlab.dnssim import write_query_log
+from beaconlab.dnssim import encode_query, parse_answer_address, read_query_log, write_query_log
 from beaconlab.httplog import exchange_to_json, read_exchange_log, write_exchange_log, write_json
 from beaconlab.inject import read_tag_log, write_tag_log
 from tests.test_clientsim import small_config
+from tests.test_dnssim import _udp_ask
 from tests.test_httplog import older_line
 from tests.test_injector import HTML, make_exchange
+from tests.test_proxy import RawOrigin, read_until_closed
 
 
 def run(*argv):
@@ -656,7 +661,7 @@ class TestExitCodes:
         ids=["proxy_listen", "proxy_control", "proxy_negative", "dns_listen"],
     )
     def test_port_out_of_range_is_two(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "_run_until_signal", lambda stop, ready: stop())  # never serve
+        monkeypatch.setattr(cli, "_wait_for_signal", lambda ready: None)  # never serve
         out = str(tmp_path / "out")
         assert run(*argv, "--out", out) == 2
         err = capsys.readouterr().err
@@ -665,7 +670,7 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     def test_busy_dns_port_is_two_and_leaves_nothing_open(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_run_until_signal", lambda stop, ready: stop())  # never serve
+        monkeypatch.setattr(cli, "_wait_for_signal", lambda ready: None)  # never serve
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as busy:
             busy.bind(("127.0.0.1", 0))
             listen = f"127.0.0.1:{busy.getsockname()[1]}"
@@ -697,7 +702,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(socket, "create_server", bind)
         monkeypatch.setattr(socket.socket, "bind", bind)
-        monkeypatch.setattr(cli, "_run_until_signal", lambda stop, ready: stop())  # never serve
+        monkeypatch.setattr(cli, "_wait_for_signal", lambda ready: None)  # never serve
         assert run(*argv, "--listen", "127.0.0.1:0", "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert problem in err
@@ -706,3 +711,144 @@ class TestExitCodes:
     def test_runtime_error_is_two(self, tmp_path):
         assert run("analyze", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path / "r"),
                    "--zone", "z.test") == 2
+
+
+def _serve(monkeypatch, *argv, during=lambda ready: None):
+    """``main(argv)`` with the signal wait replaced by ``during``, which gets
+    the ready line; (exit status, threads it started that are still alive)."""
+    before = set(threading.enumerate())
+    monkeypatch.setattr(cli, "_wait_for_signal", during)
+    status = run(*argv)
+    started = set(threading.enumerate()) - before
+    for thread in started:
+        thread.join(timeout=5)
+    gc.collect()  # a socket or log left open warns when it is collected
+    return status, [thread for thread in started if thread.is_alive()]
+
+
+def _manifest(out):
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestServe:
+    """`proxy` and `dns` run in-process: each opens its service, writes its
+    manifest, waits, then closes all it opened."""
+
+    PROXY = ("proxy", "--listen", "127.0.0.1:0", "--control", "127.0.0.1:0")
+    DNS = ("dns", "--zone", "z.test", "--payload", "192.0.2.7", "--listen", "127.0.0.1:0")
+
+    def test_proxy_relays_a_request_then_closes_all(self, tmp_path, monkeypatch):
+        origin = RawOrigin([(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False)])
+        out = str(tmp_path / "out")
+        seen = {}
+
+        def during(ready):
+            manifest = seen["manifest"] = _manifest(out)
+            with socket.create_connection(tuple(manifest["listen"]), timeout=5) as sock:
+                sock.sendall(b"GET %s HTTP/1.1\r\nConnection: close\r\n\r\n" % origin.url().encode())
+                seen["reply"] = read_until_closed(sock)
+            seen["ready"] = ready
+
+        try:
+            assert _serve(monkeypatch, *self.PROXY, "--out", out, during=during) == (0, [])
+        finally:
+            origin.close()
+        manifest = seen["manifest"]
+        assert (manifest["subcommand"], manifest["mode"]) == ("proxy", "passive")
+        listen, control = manifest["listen"], manifest["control"]
+        assert seen["ready"] == f"proxy on {listen[0]}:{listen[1]} control {control[0]}:{control[1]} mode=passive"
+        assert seen["reply"].startswith(b"HTTP/1.1 200 OK\r\n") and seen["reply"].endswith(b"\r\n\r\nok")
+        assert [e.url for e in read_exchange_log(os.path.join(out, "exchanges.jsonl"))] == [origin.url()]
+        for address in (listen, control):
+            socket.create_server(tuple(address)).close()  # the port is free again
+
+    def test_dns_answers_a_query_then_closes_all(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        seen = {}
+
+        def during(ready):
+            manifest = seen["manifest"] = _manifest(out)
+            reply = _udp_ask(tuple(manifest["listen"]), encode_query(7, "a.z.test"))
+            seen["answer"], seen["ready"] = parse_answer_address(reply), ready
+
+        assert _serve(monkeypatch, *self.DNS, "--out", out, during=during) == (0, [])
+        listen = seen["manifest"]["listen"]
+        assert seen["manifest"]["subcommand"] == "dns"
+        assert seen["ready"] == f"dns responder on {listen[0]}:{listen[1]} zone=z.test"
+        assert seen["answer"] == "192.0.2.7"
+        assert [r.name for r in read_query_log(os.path.join(out, "dns_queries.csv"))] == ["a.z.test"]
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(tuple(listen))  # the port is free again
+
+    def test_dns_answers_on_after_a_packet_fails(self, tmp_path, monkeypatch, capsys):
+        handle = dnssim.DnsResponder.handle_packet
+        calls = []
+
+        def fail_once(responder, data, source):
+            calls.append(data)
+            if len(calls) == 1:
+                raise RuntimeError("packet failed")
+            return handle(responder, data, source)
+
+        monkeypatch.setattr(dnssim.DnsResponder, "handle_packet", fail_once)
+        out = str(tmp_path / "out")
+        answers = []
+
+        def during(ready):
+            address = tuple(_manifest(out)["listen"])
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.sendto(encode_query(1, "lost.z.test"), address)  # no reply comes
+            answers.append(parse_answer_address(_udp_ask(address, encode_query(2, "next.z.test"))))
+
+        assert _serve(monkeypatch, *self.DNS, "--out", out, during=during) == (0, [])
+        assert answers == ["192.0.2.7"]
+        assert [r.name for r in read_query_log(os.path.join(out, "dns_queries.csv"))] == ["next.z.test"]
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: packet failed" in err
+
+    @pytest.mark.parametrize("argv", [PROXY, DNS], ids=["proxy", "dns"])
+    def test_failed_step_after_start_is_two_and_leaves_nothing_open(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)  # the manifest cannot be written
+        listen = {}
+        bind = socket.socket.bind
+
+        def remember(sock, address):
+            bind(sock, address)
+            listen[sock.getsockname()[:2]] = sock.type
+
+        monkeypatch.setattr(socket.socket, "bind", remember)
+        assert _serve(monkeypatch, *argv, "--out", str(out)) == (2, [])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json" in err
+        assert listen
+        for address, kind in listen.items():
+            with socket.socket(socket.AF_INET, kind) as sock:
+                sock.bind(address)  # the port is free again
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["sigterm", "sigint"])
+    def test_wait_returns_at_the_signal(self, capsys, signum):
+        handlers = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+        main = threading.get_ident()
+
+        def send():
+            deadline = time.monotonic() + 5
+            while signal.getsignal(signum) is handlers[signum]:  # until the wait handles it
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.001)
+            signal.pthread_kill(main, signum)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            cli._wait_for_signal("ready")
+        finally:
+            sender.join()
+            for s, handler in handlers.items():
+                signal.signal(s, handler)
+        assert capsys.readouterr().out == "ready\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beaconlab import inject
 from beaconlab.httplog import HttpExchange, mime_type
 from beaconlab.inject import (
     DYNAMIC,
@@ -126,6 +127,16 @@ class TestInject:
         injector = fresh_injector()
         rewritten, _ = inject_record(injector, make_exchange(HTML))
         assert rewritten.header("content-length") == str(len(rewritten.response_body))
+
+    def test_length_pair_table_is_emptied_when_full(self, monkeypatch):
+        monkeypatch.setattr(inject, "_LENGTH_PAIRS_SIZE", 2)
+        injector = fresh_injector()
+        sizes = []
+        for n in range(5):  # five pages of five lengths
+            rewritten, _ = inject_record(injector, make_exchange(HTML + b" " * n))
+            assert rewritten.header("content-length") == str(len(rewritten.response_body))
+            sizes.append(len(injector._length_pairs))
+        assert sizes == [1, 2, 1, 2, 1]
 
     def test_reversible(self):
         injector = fresh_injector()

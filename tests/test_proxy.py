@@ -1,10 +1,14 @@
 import asyncio
 import contextlib
+import gc
 import http.client
 import itertools
 import os
+import signal
 import socket
 import statistics
+import struct
+import subprocess
 import sys
 import threading
 import time
@@ -921,6 +925,26 @@ class TestWireBehaviour:
         assert b"100 Continue" not in reply
         assert keepalive_origin.posts == 1
 
+    def test_empty_line_after_a_post_body_is_skipped(self, service, raw_origin):
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        origin = raw_origin((ok, False), (ok, False))
+        url = origin.url("/form").encode()
+        with socket.create_connection(service.listen_address, timeout=5) as sock:
+            for request in (
+                b"POST %s HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello\r\n" % url,  # an extra CRLF
+                b"GET %s HTTP/1.1\r\n\r\n" % url,  # on the same connection
+            ):
+                sock.sendall(request)
+                reply = b""
+                while not reply.endswith(b"\r\n\r\nok"):
+                    chunk = sock.recv(65536)
+                    assert chunk, reply
+                    reply += chunk
+                assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert [request.split(b" ", 1)[0] for request in origin.requests] == [b"POST", b"GET"]
+        assert origin.requests[0].endswith(b"\r\n\r\nhello")
+        assert origin.accepted == 1
+
     def test_upstream_request_bytes(self, service, raw_origin):
         origin = raw_origin(
             (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False),
@@ -1323,6 +1347,27 @@ class TestCutShort:
         assert read_exchange_log(service.config.exchange_log_path) == []
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_origin_reset_mid_exchange_gets_502_and_one_error_line(self, service, capfd):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5)
+            url = b"http://127.0.0.1:%d/page" % listener.getsockname()[1]
+            with socket.create_connection(service.listen_address, timeout=5) as sock:
+                sock.sendall(b"GET " + url + b" HTTP/1.1\r\n\r\n")
+                upstream, _ = listener.accept()
+                upstream.settimeout(5)
+                request = b""
+                while not request.endswith(b"\r\n\r\n"):
+                    request += upstream.recv(65536)
+                upstream.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                upstream.close()  # a reset, not an EOF
+                reply = read_until_closed(sock)
+        assert reply.startswith(b"HTTP/1.1 502 upstream unreachable\r\n")
+        with open(service.config.error_log_path, encoding="utf-8") as fh:
+            (line,) = fh.readlines()
+        assert "ConnectionResetError" in line
+        assert read_exchange_log(service.config.exchange_log_path) == []
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_bytes_no_request_asked_for_drop_the_pooled_connection(self, service, trickle_origin):
         ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
         # the response, then, a moment later, the start of one nobody asked for
@@ -1433,6 +1478,10 @@ _PIPELINED_REQUESTS = (
 )
 
 
+# The same requests with empty lines before each request line (RFC 7230 3.5)
+_AFTER_EMPTY_LINES = b"\r\n" + _PIPELINED_REQUESTS.replace(b"hello world", b"hello world\r\n\r\n")
+
+
 def _pieces(data: bytes):
     """``data`` cut at arbitrary points."""
     return st.lists(st.integers(1, len(data) - 1), unique=True, max_size=len(data) - 1).map(
@@ -1488,6 +1537,16 @@ class TestFramerOnSplitBytes:
     @given(_pieces(_PIPELINED_REQUESTS))
     def test_two_pipelined_requests_one_with_a_body(self, pieces):
         assert _frame_requests(pieces) == _frame_requests([_PIPELINED_REQUESTS])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pieces(_AFTER_EMPTY_LINES))
+    def test_empty_lines_before_a_request_line_are_skipped(self, pieces):
+        assert _frame_requests(pieces) == _frame_requests([_PIPELINED_REQUESTS])
+
+    def test_an_empty_line_before_a_status_line_fails_the_exchange(self):
+        ended, _, closed = _frame_response([b"\r\n" + _CHUNKED_RESPONSE])
+        assert [type(end) for end in ended] == [ValueError]
+        assert closed
 
 
 class TestResponseFraming:
@@ -1585,8 +1644,31 @@ def _stub_client(service):
     return client
 
 
+_POST_HEAD = b"POST http://origin.test/form HTTP/1.1\r\nHost: origin.test\r\nContent-Length: 10\r\n\r\n"
+
+
 class TestFlowControl:
     """Reading pauses while the connection cannot take more, with no socket."""
+
+    def test_body_awaited_after_a_pipelined_request_resumes_reading(self):
+        service = _StubService()
+        client = _stub_client(service)
+        client.data_received(_GET % 1)
+        client.data_received(_POST_HEAD + b"abc")  # while the first is in flight
+        service.pending.pop().finish(b"one")  # the POST is served next, and its body awaited
+        assert client.transport.calls == [("pause_reading",), ("write", b"one"), ("resume_reading",)]
+        client.data_received(b"defghij")
+        assert service.framed[-1][3] == b"POST http://origin.test/form\r\nabcdefghij"
+
+    def test_eof_after_part_of_a_pipelined_body_closes(self):
+        service = _StubService()
+        client = _stub_client(service)
+        client.data_received(_GET % 1 + _POST_HEAD + b"abc")
+        client.eof_received()  # while the first is in flight
+        service.pending.pop().finish(b"one")  # the POST's body can never be whole
+        assert [target for _, target, _, _ in service.framed] == ["http://origin.test/1"]
+        assert client.transport.calls == [("write", b"one")]
+        assert client.transport.closed
 
     def test_pipelined_request_pauses_reading_until_it_is_served(self):
         service = _StubService()
@@ -1728,6 +1810,19 @@ class TestUpstreamDeadline:
         assert not service._upstream._idle
         assert read_exchange_log(service.config.exchange_log_path) == []
 
+    def test_deadline_passing_while_connecting_gets_502(self, service, monkeypatch):
+        monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
+
+        async def held(*_args, **_kwargs):
+            await asyncio.sleep(60)  # a connect that the deadline cancels
+
+        monkeypatch.setattr(service._loop, "create_connection", held)
+        started = time.monotonic()
+        assert proxy_get(service, ("127.0.0.1", 9), "/held")[0] == 502
+        assert time.monotonic() - started < 2
+        (line,) = self._error_lines(service)
+        assert "TimeoutError: no answer within 0.2 s" in line
+
     def test_timeout_on_pooled_connection_is_not_retried(self, service, trickle_origin, monkeypatch):
         monkeypatch.setattr(proxy, "UPSTREAM_TIMEOUT_S", 0.2)
         origin = trickle_origin((b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False), pieces=(64,))
@@ -1836,6 +1931,25 @@ class TestStop:
         for log in (svc.exchange_log, svc.tag_log, svc._error_log):
             with pytest.raises(ValueError):  # I/O operation on closed file
                 log.tell()
+
+    def test_start_after_stop_raises_and_leaves_nothing_open(self, tmp_path, monkeypatch):
+        svc = ProxyService(active_config(tmp_path))
+        svc.stop()
+        before = set(threading.enumerate())
+        failures = []
+        with monkeypatch.context() as patched:
+            patched.setattr(threading, "excepthook", failures.append)
+            with pytest.raises(RuntimeError, match="event loop did not start"):
+                svc.start()
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+        assert [type(failure.exc_value) for failure in failures] == [OSError]  # the closed socket
+        for address in (svc.listen_address, svc.control_address):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5)
+        failures.clear()
+        gc.collect()  # a socket, log or event loop left open warns when it is collected
 
     def test_snapshot_after_stop_is_an_error(self, service):
         service.stop()
@@ -1982,6 +2096,49 @@ class TestRestart:
         assert lines[0].endswith(dropped)
 
 
+def _start_proxy(out_dir):
+    """`beaconlab proxy` in active mode as a child process on ephemeral
+    ports; (child, listen address)."""
+    src = os.path.dirname(os.path.dirname(proxy.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-m", "beaconlab.cli", "proxy", "--listen", "127.0.0.1:0",
+         "--control", "127.0.0.1:0", "--mode", "active", "--zone", "tracker.test",
+         "--payload", "192.0.2.9", "--out", str(out_dir)],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    line = child.stdout.readline()  # "proxy on HOST:PORT control HOST:PORT mode=active"
+    assert line.startswith("proxy on "), line
+    host, _, port = line.split()[2].rpartition(":")
+    return child, (host, int(port))
+
+
+class TestCrashSafeExchangeLog:
+    def test_answered_exchanges_survive_sigkill_and_restart(self, tmp_path, origin):
+        urls = []
+        for stop, status in ((signal.SIGKILL, -signal.SIGKILL), (signal.SIGTERM, 0)):
+            child, address = _start_proxy(tmp_path)
+            with child:  # closes the child's stdout pipe
+                try:
+                    for _ in range(3):
+                        path = f"/page{len(urls)}"
+                        assert proxy_get(SimpleNamespace(listen_address=address), origin, path)[0] == 200
+                        urls.append("http://%s:%d%s" % (*origin, path))
+                finally:
+                    child.send_signal(stop)
+                    assert child.wait(timeout=10) == status
+        exchanges = read_exchange_log(str(tmp_path / "exchanges.jsonl"))
+        assert [exchange.url for exchange in exchanges] == urls  # one line per answered response
+        ids = [exchange.exchange_id for exchange in exchanges]
+        assert len(set(ids)) == len(ids)
+        tags = read_tag_log(str(tmp_path / "tags.csv"))
+        labels = [tag.subdomain for tag in tags if tag.kind == DYNAMIC]
+        assert len(labels) == len(urls) == len(set(labels))
+        assert {tag.exchange_id for tag in tags} <= set(ids)
+
+
 def tunnel_through(service, echo, authority: str) -> list:
     """CONNECT to ``authority``, where ``echo`` listens, through the proxy;
     relay one payload and return the exchange log."""
@@ -2038,6 +2195,30 @@ class TestConnectTunnel:
         echo.close()
         assert not thread.is_alive()
         assert reply == b"HTTP/1.1 200 Connection Established\r\n\r\n" + payload[::-1]
+
+    def test_client_gone_before_the_200_closes_the_origin_end(self, service, monkeypatch):
+        connect = service._loop.create_connection
+        connecting = threading.Event()
+
+        async def once_the_client_is_gone(*args, **kwargs):
+            connecting.set()
+            while service._connections:  # until the client's connection is lost
+                await asyncio.sleep(0.01)
+            return await connect(*args, **kwargs)
+
+        monkeypatch.setattr(service._loop, "create_connection", once_the_client_is_gone)
+        with socket.create_server(("127.0.0.1", 0)) as echo:
+            echo.settimeout(5)
+            sock = socket.create_connection(service.listen_address, timeout=5)
+            sock.sendall(b"CONNECT 127.0.0.1:%d HTTP/1.1\r\n\r\n" % echo.getsockname()[1])
+            assert connecting.wait(5)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a reset, before the 200
+            conn, _ = echo.accept()
+            with conn:
+                conn.settimeout(5)
+                assert conn.recv(1024) == b""  # the proxy closed the tunnel's origin end
+        assert control(service, "STATUS").startswith("OK mode=PASSIVE")
 
     def test_bracketed_ipv6_literal_is_relayed(self, service):
         echo = socket.create_server(("::1", 0), family=socket.AF_INET6)
