@@ -713,7 +713,7 @@ class TestExitCodes:
                    "--zone", "z.test") == 2
 
 
-def _serve(monkeypatch, *argv, during=lambda ready: None):
+def _serve_in_process(monkeypatch, *argv, during=lambda ready: None):
     """``main(argv)`` with the signal wait replaced by ``during``, which gets
     the ready line; (exit status, threads it started that are still alive)."""
     before = set(threading.enumerate())
@@ -751,15 +751,19 @@ class TestServe:
             seen["ready"] = ready
 
         try:
-            assert _serve(monkeypatch, *self.PROXY, "--out", out, during=during) == (0, [])
+            assert _serve_in_process(monkeypatch, *self.PROXY, "--out", out, during=during) == (0, [])
         finally:
             origin.close()
         manifest = seen["manifest"]
         assert (manifest["subcommand"], manifest["mode"]) == ("proxy", "passive")
         listen, control = manifest["listen"], manifest["control"]
-        assert seen["ready"] == f"proxy on {listen[0]}:{listen[1]} control {control[0]}:{control[1]} mode=passive"
-        assert seen["reply"].startswith(b"HTTP/1.1 200 OK\r\n") and seen["reply"].endswith(b"\r\n\r\nok")
-        assert [e.url for e in read_exchange_log(os.path.join(out, "exchanges.jsonl"))] == [origin.url()]
+        assert seen["ready"] == (
+            f"proxy on {listen[0]}:{listen[1]} control {control[0]}:{control[1]} mode=passive"
+        )
+        assert seen["reply"].startswith(b"HTTP/1.1 200 OK\r\n")
+        assert seen["reply"].endswith(b"\r\n\r\nok")
+        exchanges = read_exchange_log(os.path.join(out, "exchanges.jsonl"))
+        assert [exchange.url for exchange in exchanges] == [origin.url()]
         for address in (listen, control):
             socket.create_server(tuple(address)).close()  # the port is free again
 
@@ -772,7 +776,7 @@ class TestServe:
             reply = _udp_ask(tuple(manifest["listen"]), encode_query(7, "a.z.test"))
             seen["answer"], seen["ready"] = parse_answer_address(reply), ready
 
-        assert _serve(monkeypatch, *self.DNS, "--out", out, during=during) == (0, [])
+        assert _serve_in_process(monkeypatch, *self.DNS, "--out", out, during=during) == (0, [])
         listen = seen["manifest"]["listen"]
         assert seen["manifest"]["subcommand"] == "dns"
         assert seen["ready"] == f"dns responder on {listen[0]}:{listen[1]} zone=z.test"
@@ -801,7 +805,7 @@ class TestServe:
                 sock.sendto(encode_query(1, "lost.z.test"), address)  # no reply comes
             answers.append(parse_answer_address(_udp_ask(address, encode_query(2, "next.z.test"))))
 
-        assert _serve(monkeypatch, *self.DNS, "--out", out, during=during) == (0, [])
+        assert _serve_in_process(monkeypatch, *self.DNS, "--out", out, during=during) == (0, [])
         assert answers == ["192.0.2.7"]
         assert [r.name for r in read_query_log(os.path.join(out, "dns_queries.csv"))] == ["next.z.test"]
         err = capsys.readouterr().err
@@ -821,7 +825,7 @@ class TestServe:
             listen[sock.getsockname()[:2]] = sock.type
 
         monkeypatch.setattr(socket.socket, "bind", remember)
-        assert _serve(monkeypatch, *argv, "--out", str(out)) == (2, [])
+        assert _serve_in_process(monkeypatch, *argv, "--out", str(out)) == (2, [])
         monkeypatch.undo()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "manifest.json" in err
