@@ -6,9 +6,10 @@ with client-side DNS and object caching, and scripted restarts that clear
 caches and reload the cached start page (which is how a previously issued
 unique subdomain gets a second lookup). Everything is reproducible from
 (config, seed), and the ground-truth file records what the correlator is
-later expected to recover. A simulation's exchanges are held as columns
-(SimulatedExchanges) and handed to the log writer as rows of those
-columns, so neither the simulation nor the write builds a record.
+later expected to recover. A simulation's exchanges and tags are held as
+columns (SimulatedExchanges, SimulatedTags) and handed to the log writers
+as rows of those columns, so the simulation builds no exchange or tag
+record and writing the exchange log builds none either.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from array import array
 from bisect import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from itertools import accumulate, repeat, starmap
-from operator import eq
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice, repeat, starmap, tee
+from operator import add, eq
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from beaconlab.dnssim import (
@@ -32,7 +33,7 @@ from beaconlab.dnssim import (
 from beaconlab.httplog import (
     _NO_EXTRA, CsvLog, Headers, HttpExchange, collector_paused, finite_time, write_json
 )
-from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, Injector, Tag
+from beaconlab.inject import DEFAULT_STATIC_LABEL, DYNAMIC, STATIC, Injector, Tag
 
 T = TypeVar("T")
 
@@ -285,73 +286,25 @@ _exchange_id = "x%08d".__mod__
 _flow_id = "fl%08d".__mod__
 
 
-def _rows(positions, times, encrypted, urls, request_headers, response_headers, bodies):
-    """The rows (HttpExchange's fields in order) of the exchanges at
-    ``positions``, given their column values: one map over the columns,
-    with no generator frame per row."""
-    return zip(
-        map(_exchange_id, positions), times, map(_flow_id, positions),
-        map(_METHODS.__getitem__, encrypted), urls, request_headers, repeat(200),
-        response_headers, bodies, map(bool, encrypted), repeat(_NO_EXTRA),
-    )
+class _Columns(Sequence[T]):
+    """A read-only sequence of records held as columns: record ``i`` is
+    built from row ``i`` of the subclass's ``rows(start, stop)`` when it is
+    read, so a read returns a fresh, equal object. It equals any sequence
+    of equal records."""
 
+    __slots__ = ()
 
-class SimulatedExchanges(Sequence[HttpExchange]):
-    """The exchanges of one simulation, in order, held as columns.
+    # The records of an iterable of rows, as a C-level map.
+    _records: Callable[[Iterable[tuple]], Iterator[T]]
 
-    The simulator numbers exchanges by position, so exchange ``i`` is
-    ``HttpExchange(f"x{i:08d}", times[i], f"fl{i:08d}", method, urls[i],
-    request_headers[i], 200, response_headers[i], bodies[i], encrypted)``,
-    where ``encrypted[i]`` is 1 for a CONNECT and 0 for a GET. ``times`` is
-    an array of C doubles; the other columns hold references to the URL,
-    header tuples and body each record would hold, which the simulation
-    shares between exchanges. The simulation builds no record: each is
-    built from its row when it is read, so a read returns a fresh, equal
-    object. ``rows()`` gives the rows themselves, which the exchange-log
-    writer formats, so writing the log builds no record.
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]  # IndexError out of range
+        return next(self._records(self.rows(index, index + 1)))
 
-    A read-only sequence; it equals any sequence of equal exchanges.
-    """
-
-    __slots__ = ("times", "encrypted", "urls", "request_headers", "response_headers", "bodies")
-
-    def __init__(
-        self,
-        times: array[float],
-        encrypted: bytearray,
-        urls: list[str],
-        request_headers: list[Headers],
-        response_headers: list[Headers],
-        bodies: list[bytes],
-    ):
-        self.times = times
-        self.encrypted = encrypted
-        self.urls = urls
-        self.request_headers = request_headers
-        self.response_headers = response_headers
-        self.bodies = bodies
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def rows(self) -> Iterator[tuple]:
-        """Each exchange's row, in order: its HttpExchange fields, extra last."""
-        return _rows(
-            range(len(self.times)), self.times, self.encrypted, self.urls,
-            self.request_headers, self.response_headers, self.bodies,
-        )
-
-    def __getitem__(self, index: int) -> HttpExchange:
-        index = range(len(self.times))[index]  # IndexError out of range
-        at = slice(index, index + 1)
-        (row,) = _rows(
-            range(index, index + 1), self.times[at], self.encrypted[at], self.urls[at],
-            self.request_headers[at], self.response_headers[at], self.bodies[at],
-        )
-        return HttpExchange(*row)
-
-    def __iter__(self) -> Iterator[HttpExchange]:
-        return starmap(HttpExchange, self.rows())
+    def __iter__(self) -> Iterator[T]:
+        return self._records(self.rows())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -359,10 +312,109 @@ class SimulatedExchanges(Sequence[HttpExchange]):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
+def _cut(columns: tuple, start: int, stop: int | None) -> Sequence:
+    """Each column's slice [start:stop]; the columns themselves when that
+    is all of them, so that a whole read copies none."""
+    return columns if start == 0 and stop is None else [column[start:stop] for column in columns]
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class SimulatedExchanges(_Columns[HttpExchange]):
+    """The exchanges of one simulation, in order, held as columns.
+
+    The simulator numbers exchanges by position, so exchange ``i`` is
+    ``HttpExchange(f"x{i:08d}", times[i], f"fl{i:08d}", method, urls[i],
+    host_heads[hosts[i]] + ua_parts[i], 200, response_headers[i], bodies[i],
+    encrypted)``, where ``encrypted[i]`` is 1 for a CONNECT and 0 for a GET.
+    ``times`` is an array of C doubles. ``hosts`` holds a byte per
+    exchange, an index into ``host_heads``: each host's ``(("Host",
+    host),)``, and ``()`` for a CONNECT. ``ua_parts[i]`` is the client's
+    shared ``(("User-Agent", ua),)``, or ``()`` for a CONNECT or a client
+    without one. The other columns hold references to the URL, head and body each
+    record would hold, which the simulation shares between exchanges. The
+    simulation builds no record. ``rows()`` gives the rows themselves,
+    which the exchange-log writer formats, so writing the log builds no
+    record.
+    """
+
+    times: array[float]
+    encrypted: bytearray
+    urls: list[str]
+    hosts: bytearray
+    host_heads: Sequence[Headers]
+    ua_parts: list[Headers]
+    response_headers: list[Headers]
+    bodies: list[bytes]
+    _records = staticmethod(partial(starmap, HttpExchange))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """Each exchange's row, in order: its HttpExchange fields, extra last;
+        those of exchanges ``start`` to ``stop``. One map over the columns,
+        with no Python frame per row."""
+        times, encrypted, urls, hosts, ua_parts, response_headers, bodies = _cut((
+            self.times, self.encrypted, self.urls, self.hosts, self.ua_parts,
+            self.response_headers, self.bodies,
+        ), start, stop)
+        positions = range(len(self.times))[start:stop]
+        return zip(
+            map(_exchange_id, positions), times, map(_flow_id, positions),
+            map(_METHODS.__getitem__, encrypted), urls,
+            map(add, map(self.host_heads.__getitem__, hosts), ua_parts), repeat(200),
+            response_headers, bodies, map(bool, encrypted), repeat(_NO_EXTRA),
+        )
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class SimulatedTags(_Columns[Tag]):
+    """The tags of one simulation, in order, held as columns.
+
+    Injector.inject gives each page it tags two tags, which carry the
+    page's exchange id and time: the static tag, then the dynamic one.
+    Tagged page ``k`` is exchange ``p = positions[k]`` with dynamic label
+    ``labels[k]``, so tag ``2k`` is ``Tag("static", injector.static_label,
+    injector.static_url, f"x{p:08d}", times[p])`` and tag ``2k + 1`` is
+    ``Tag("dynamic", labels[k], injector.beacon_url(labels[k]),
+    f"x{p:08d}", times[p])``; ``times`` is the exchanges' time column.
+    Each tag is built when it is read, as SimulatedExchanges builds its
+    records.
+    """
+
+    positions: array[int]
+    labels: list[str]
+    times: array[float]
+    injector: Injector
+    _records = staticmethod(partial(map, partial(tuple.__new__, Tag)))
+
+    def __len__(self) -> int:
+        return 2 * len(self.positions)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """Each tag's fields, in order; those of tags ``start`` to ``stop``."""
+        first = start // 2  # the first page that has one of the tags
+        positions, labels = _cut(
+            (self.positions, self.labels), first, None if stop is None else (stop + 1) // 2
+        )
+        injector = self.injector
+        dynamic_url = injector.beacon_url("%s").__mod__  # a valid zone holds no "%"
+        # each page's id and time, once for each of its two tags
+        ids, at = tee(map(_exchange_id, positions)), tee(map(self.times.__getitem__, positions))
+        static = zip(
+            repeat(STATIC), repeat(injector.static_label), repeat(injector.static_url), ids[0], at[0]
+        )
+        dynamic = zip(repeat(DYNAMIC), labels, map(dynamic_url, labels), ids[1], at[1])
+        return islice(
+            chain.from_iterable(zip(static, dynamic)),
+            start - 2 * first, None if stop is None else stop - 2 * first,
+        )
+
+
 @dataclass
 class SimulationResult:
     exchanges: Sequence[HttpExchange]
-    tags: list[Tag]
+    tags: Sequence[Tag]
     dns_log: list[DnsQueryRecord]
     fetch_log: list[FetchRecord]
     ground_truth: dict
@@ -397,13 +449,20 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _client_visits(
-    rng: random.Random, config: ScenarioConfig, draw_mime: Callable[[random.Random], str]
-) -> list[tuple[float, bool, str | None]]:
-    """Visit plan for one client: (time, encrypted, mime or None).
+# Event codes: a client's start page, a restart, and a CONNECT; code
+# _FIRST_MIME + n is a plain-HTTP visit of the scenario's n-th media type.
+_HOME, _RESTART, _CONNECT, _FIRST_MIME = 0, 1, 2, 3
 
-    The first visit (the start page) must be plain-HTTP HTML for the
-    feedback model to apply, so flags are swapped with a later visit
+
+def _client_visits(
+    rng: random.Random, config: ScenarioConfig, draw_code: Callable[[random.Random], int], html: int
+) -> tuple[list[float], list[int]]:
+    """Visit plan for one client: each visit's time and event code, _CONNECT
+    for an encrypted visit, else a media type's code drawn by ``draw_code``.
+    ``html`` is the code of text/html.
+
+    The first visit (the start page, _HOME) must be plain-HTTP HTML for
+    the feedback model to apply, so codes are swapped with a later visit
     rather than redrawn, keeping the overall marginals at the configured
     mix.
     """
@@ -416,24 +475,21 @@ def _client_visits(
                 break
             times.append(t)
     encrypted = [rng.random() >= config.http_share for _ in times]
-    chosen = [draw_mime(rng) if not enc else None for enc in encrypted]
-    if encrypted[0]:
+    codes = [_CONNECT if enc else draw_code(rng) for enc in encrypted]
+    if codes[0] == _CONNECT:
         for j in range(1, len(times)):
-            if not encrypted[j]:
-                encrypted[0], encrypted[j] = encrypted[j], encrypted[0]
-                chosen[0], chosen[j] = chosen[j], chosen[0]
+            if codes[j] != _CONNECT:
+                codes[0], codes[j] = codes[j], codes[0]
                 break
         else:
-            encrypted[0] = False
-            chosen[0] = draw_mime(rng)
-    if chosen[0] != "text/html":
+            codes[0] = draw_code(rng)
+    if codes[0] != html:
         for j in range(1, len(times)):
-            if chosen[j] == "text/html":
-                chosen[0], chosen[j] = chosen[j], chosen[0]
+            if codes[j] == html:
+                codes[j] = codes[0]
                 break
-        else:
-            chosen[0] = "text/html"
-    return list(zip(times, encrypted, chosen))
+    codes[0] = _HOME
+    return times, codes
 
 
 _FILLER = b"abcdefghij nopqrs"
@@ -463,20 +519,22 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     Deterministic for a fixed config: identical runs produce identical
     logs. The oracle (which client saw what) goes only into ground_truth;
     no exchange names its client. Each plaintext response goes through
-    Injector.inject once, as its head and body; the exchanges are kept as
-    columns, and no HttpExchange is built. Runs with the cyclic collector
-    paused.
+    Injector.inject once, as its head and body; the exchanges and tags are
+    kept as columns, and no HttpExchange or Tag is kept. Runs with the
+    cyclic collector paused.
     """
     config.validate()
     rng = random.Random(config.seed)
     injector = Injector(zone=config.zone, static_label=config.static_label, seed=config.seed)
     resolver = WildcardResolver(config.zone_config())
     fetch_log: list[FetchRecord] = []
-    tags: list[Tag] = []
 
+    # mimes[code]: the media type of a plain-HTTP visit's event code
+    mimes = ["text/html", None, None, *config.mime_mix]
+    html = mimes.index("text/html", _FIRST_MIME) if "text/html" in config.mime_mix else -1
     if config.client_count:  # validate() leaves a total weight of 0 only without clients
         draw_spec = _one_of(config.ua_population, [spec.weight for spec in config.ua_population])
-        draw_mime = _one_of(list(config.mime_mix), config.mime_mix.values())
+        draw_code = _one_of(range(_FIRST_MIME, len(mimes)), config.mime_mix.values())
     non_fetching = round(config.client_count * config.non_fetching_share)
     non_fetching_ids = set(rng.sample(range(config.client_count), non_fetching))
     fetching_ids = [i for i in range(config.client_count) if i not in non_fetching_ids]
@@ -487,7 +545,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     }
 
     clients: list[_ClientState] = []
-    events: list[tuple[float, int, int, str, object]] = []
+    # The event schedule as columns: each event's time, client and code,
+    # appended client by client, each client's visits in order and its
+    # restart last.
+    event_times: array[float] = array("d")
+    event_clients: array[int] = array("I")
+    event_codes: array[int] = array("I")
     for i in range(config.client_count):
         spec = draw_spec(rng)
         state = _ClientState(
@@ -499,15 +562,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         )
         clients.append(state)
         visit_rng = random.Random(rng.randrange(2**62))
-        visits = _client_visits(visit_rng, config, draw_mime)
-        for seq, (t, enc, mime) in enumerate(visits):
-            events.append((t, i, seq, "visit", (enc, mime)))
-        for t in state.restart_schedule:
-            events.append((t, i, 10**9, "restart", None))
-        state.events_left = len(visits) + len(state.restart_schedule)
-    # (time, client, seq) is unique, so the rest is never compared. Popped
-    # from the end, in time order, so each event is released once handled.
-    events.sort(reverse=True)
+        visit_times, codes = _client_visits(visit_rng, config, draw_code, html)
+        event_times.extend(visit_times)
+        event_times.extend(state.restart_schedule)
+        event_codes.extend(codes)
+        event_codes.extend(repeat(_RESTART, len(state.restart_schedule)))
+        state.events_left = len(visit_times) + len(state.restart_schedule)
+        event_clients.extend(repeat(i, state.events_left))
 
     body_rng = random.Random(config.seed ^ 0x5EED)
     draw_bits = body_rng.getrandbits
@@ -517,8 +578,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     page_urls: list[list[str | None]] = [[None] * 500 for _ in sites]
     # Each distinct header pair, and each (Content-Type, Content-Length)
     # head, is built once and shared by every exchange that carries it.
-    host_pairs = {host: ("Host", host) for host in (HOME_HOST, *sites)}
-    ua_pairs = {spec.user_agent: ("User-Agent", spec.user_agent) for spec in config.ua_population}
+    # host_heads[h]: the request head of host h, the home host first, then
+    # each site's; the last, empty, is a CONNECT's.
+    host_heads = (*((("Host", host),) for host in (HOME_HOST, *sites)), ())
+    no_host = len(host_heads) - 1
+    ua_parts_of = {spec.user_agent: (("User-Agent", spec.user_agent),) for spec in config.ua_population}
+    ua_parts_of[""] = ()  # a client without one sends no User-Agent
     type_pairs = {mime: ("Content-Type", mime) for mime in (*config.mime_mix, HTML_CONTENT_TYPE)}
     length_pairs: dict[int, tuple[str, str]] = {}
     response_heads: dict[tuple[str, int], Headers] = {}
@@ -526,37 +591,45 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     times: array[float] = array("d")
     encrypted = bytearray()
     urls: list[str] = []
-    request_columns: list[Headers] = []
+    hosts = bytearray()
+    ua_parts: list[Headers] = []
     response_columns: list[Headers] = []
     bodies: list[bytes] = []
-    while events:
-        t, i, _seq, kind, payload = events.pop()
-        state = clients[i]
-        if kind == "restart":
+    # The columns of SimulatedTags: each tagged page's position and dynamic label.
+    tag_positions: array[int] = array("I")
+    tag_labels: list[str] = []
+    # Events in (time, client, visit order) order: the sort is stable, and
+    # they were appended in client and visit order. The order is held as an
+    # array, so that no int object per event is kept through the loop.
+    for k in array("I", sorted(range(len(event_times)), key=event_times.__getitem__)):
+        t = event_times[k]
+        state = clients[event_clients[k]]
+        code = event_codes[k]
+        if code == _RESTART:
             state.restart()
             if state.fetches_objects and state.cached_home_body is not None:
                 client_process_response(
                     state, state.cached_home_body, t, resolver, fetch_log, config.zone
                 )
-        elif payload[0]:  # encrypted: one CONNECT tunnel, with no headers or body
+        elif code == _CONNECT:  # one tunnel, with no headers or body
             times.append(t)
             encrypted.append(1)
             urls.append(tunnel_urls[_below(draw_bits, 40)])
-            request_columns.append(())
+            hosts.append(no_host)
+            ua_parts.append(())
             response_columns.append(())
             bodies.append(b"")
         else:
-            mime = payload[1]
-            is_home = _seq == 0
-            if is_home:
-                host, url = HOME_HOST, HOME_PAGE_URL
+            if code == _HOME:
+                host, url = 0, HOME_PAGE_URL
             else:
                 site = _below(draw_bits, 40)
-                host = sites[site]
+                host = site + 1
                 page = _below(draw_bits, 500)
                 url = page_urls[site][page]
                 if url is None:
-                    url = page_urls[site][page] = f"http://{host}/p{page}"
+                    url = page_urls[site][page] = f"http://{sites[site]}/p{page}"
+            mime = mimes[code]
             if mime == "text/html":
                 state.tagged_pages += 1
                 body = _html_body(body_rng)
@@ -564,8 +637,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             else:
                 body = _placeholder_body(body_rng)
                 content_type = mime
-            host_pair = host_pairs[host]
-            request_headers = (host_pair, ua_pairs[state.user_agent]) if state.user_agent else (host_pair,)
             size = len(body)
             response_headers = response_heads.get((content_type, size))
             if response_headers is None:
@@ -577,18 +648,24 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             response_headers, body, issued = injector.inject(
                 response_headers, body, _exchange_id(len(times)), t
             )
+            if issued:
+                # the tagged head is the type pair and the new length's: an
+                # equal head may be in the table already
+                response_headers = response_heads.setdefault((content_type, len(body)), response_headers)
+                _static, dynamic = issued
+                tag_positions.append(len(times))
+                tag_labels.append(dynamic.subdomain)
+                if code == _HOME:
+                    state.home_dynamic_subdomain = dynamic.subdomain
             times.append(t)
             encrypted.append(0)
             urls.append(url)
-            request_columns.append(request_headers)
+            hosts.append(host)
+            ua_parts.append(ua_parts_of[state.user_agent])
             response_columns.append(response_headers)
             bodies.append(body)
-            tags.extend(issued)
-            if is_home and state.cached_home_body is None:
+            if code == _HOME:
                 state.cached_home_body = body
-                for tag in issued:
-                    if tag.kind == DYNAMIC:
-                        state.home_dynamic_subdomain = tag.subdomain
             # beacons are written only by the injector, into the pages it tags
             if issued and state.fetches_objects:
                 client_process_response(state, body, t, resolver, fetch_log, config.zone)
@@ -620,9 +697,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     }
     return SimulationResult(
         exchanges=SimulatedExchanges(
-            times, encrypted, urls, request_columns, response_columns, bodies
+            times, encrypted, urls, hosts, host_heads, ua_parts, response_columns, bodies
         ),
-        tags=tags,
+        tags=SimulatedTags(tag_positions, tag_labels, times, injector),
         dns_log=resolver.log,
         fetch_log=fetch_log,
         ground_truth=ground_truth,

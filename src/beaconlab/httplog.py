@@ -781,11 +781,11 @@ def collector_paused() -> Iterator[None]:
 
     The offline builders make tens of thousands of long-lived records that
     hold no reference cycles: a calibrated simulation of 2,000 clients
-    keeps 92,264 tag, DNS and fetch records (its 73,869 exchanges are held
-    as columns). Reference counting frees them, and every generational
-    collection the growing heap would trigger rescans them and frees
-    nothing. A cycle made under the pause is collected by a later full
-    collection.
+    keeps 45,690 DNS and fetch records (its 73,869 exchanges and 46,574
+    tags are held as columns). Reference counting frees them, and every
+    generational collection the growing heap would trigger rescans them and
+    frees nothing. A cycle made under the pause is collected by a later
+    full collection.
 
     The pause is process-wide: another thread allocating meanwhile is not
     collected either, so a concurrent caller can only lose speed, never

@@ -993,8 +993,12 @@ class _Client(_Framer):
 
     def _tunnel_on(self, tunnel: asyncio.Transport, origin_end: _Pipe) -> None:
         """Log the CONNECT, whose origin connection is open, answer 200 and
-        hand this connection to a _Pipe that relays both ways."""
+        hand this connection to a _Pipe that relays both ways; a client that
+        is gone gets nothing, and the CONNECT is not logged."""
         self.deadline.cancel()
+        transport = self.transport
+        if transport.is_closing():
+            return tunnel.close()
         service = self.service
         exchange_id, flow_id = service._next_ids()
         logged = service._log_exchange(
@@ -1015,9 +1019,6 @@ class _Client(_Framer):
         if not logged:
             tunnel.close()
             return service._refuse(self.request, 503, "proxy stopped")
-        transport = self.transport
-        if transport.is_closing():
-            return tunnel.close()
         transport.write(b"HTTP/1.1 200 Connection Established\r\n\r\n")
         origin_end.peer = client_end = _Pipe(self.connection_lost, origin_end)
         client_end.transport = transport
@@ -1094,10 +1095,11 @@ class ProxyService:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        started = threading.Event()
-        threading.Thread(target=self._run, args=(started,), daemon=True).start()
-        started.wait()
-        if self._finished is None:
+        if not self._stopped:  # a stopped service's sockets are closed: no loop could serve them
+            started = threading.Event()
+            threading.Thread(target=self._run, args=(started,), daemon=True).start()
+            started.wait()
+        if self._stopped or self._finished is None:
             raise RuntimeError("the proxy's event loop did not start")
 
     def _run(self, started: threading.Event) -> None:
@@ -1276,7 +1278,10 @@ class ProxyService:
         request.client.relay((hostname, port), "\r\n".join(lines).encode("latin-1"), length)
 
     def _deliver(self, request: Request, status: int, upstream_headers: _Headers, body: bytes) -> None:
-        """Inject, log and deliver one upstream response."""
+        """Inject, log and deliver one upstream response; a response to a
+        client that is gone is neither injected nor logged."""
+        if request.client.transport.is_closing():
+            return request.client.finish(b"")
         method = request.method
         if status == 204:  # no Content-Length at all (RFC 7230 3.3.2)
             response_headers = _end_to_end(upstream_headers, _NOT_RELAYED)

@@ -35,7 +35,7 @@ from beaconlab.dnssim import WildcardResolver, ZoneConfig, normalize_name, url_h
 from beaconlab.httplog import (
     HttpExchange, exchange_views, mime_distribution, read_exchange_log, write_exchange_log
 )
-from beaconlab.inject import Injector
+from beaconlab.inject import Injector, Tag
 
 ZONE = "feedback.test"
 
@@ -121,7 +121,7 @@ class TestCollectorPause:
     def test_records_land_in_the_oldest_generation(self, collector):
         # a bare disable/enable leaves them young, for the next collections to rescan
         result = run_scenario(small_config())
-        first = result.tags[0]
+        first = result.dns_log[0]  # a record the result holds; its tags are built on read
         assert any(obj is first for obj in gc.get_objects(generation=2))
 
 
@@ -492,6 +492,9 @@ class TestLeanRecords:
             # injector's on a tagged page; and the page URL
             for value in exchange.request_headers + exchange.response_headers + (exchange.url,):
                 assert first.setdefault(value, value) is value
+            # and each response head, a tagged page's too
+            head = exchange.response_headers
+            assert first.setdefault(head, head) is head
         for values in ([e.request_headers[0] for e in plain], [e.url for e in plain]):
             assert len(values) > len(set(values)) > 1
         tagged = {tag.exchange_id for tag in result.tags}
@@ -509,6 +512,8 @@ class TestLeanRecords:
         # end, it retained 986 and peaked at 1,068 (Python 3.11.7). With one
         # HttpExchange kept per exchange it retained 938 and peaked at 985;
         # with the exchanges held as columns (SimulatedExchanges), 737 and 787.
+        # With the tags, request heads and event schedule held as columns
+        # too, and tagged pages' response heads shared, 549 and 621.
         config = calibrated_config(seed=3, client_count=200)
         tracemalloc.start()
         try:
@@ -517,8 +522,8 @@ class TestLeanRecords:
         finally:
             tracemalloc.stop()
         count = len(result.exchanges)
-        assert retained / count <= 775
-        assert peak / count <= 825
+        assert retained / count <= 585
+        assert peak / count <= 660
 
 
 # test_cli's churn-shaped pinned scenario: 3,000 clients, 300 restarts.
@@ -618,6 +623,57 @@ class TestSimulatedExchanges:
         path = str(tmp_path / "exchanges.jsonl")
         write_exchange_log(result.exchanges, path)
         assert read_exchange_log(path) == list(result.exchanges)
+
+
+class TestSimulatedTags:
+    """result.tags holds each tagged page's position and dynamic label, and
+    builds its two tags when read."""
+
+    @pytest.mark.parametrize("config", [small_config(), CHURN_SHAPED], ids=["small", "churn"])
+    def test_the_tags_the_injector_returned(self, monkeypatch, config):
+        returned = []
+
+        class Recording(Injector):
+            def inject(self, headers, body, exchange_id, timestamp):
+                result = super().inject(headers, body, exchange_id, timestamp)
+                returned.extend(result[2])
+                return result
+
+        monkeypatch.setattr("beaconlab.clientsim.Injector", Recording)
+        tags = run_scenario(config).tags
+        assert returned and list(tags) == returned
+        assert all(type(tag) is Tag for tag in tags)
+
+    def test_reads_by_index_and_slice_are_the_tags_iterated(self):
+        tags = run_scenario(small_config()).tags
+        records = list(tags)
+        count = len(records)
+        assert len(tags) == count > 4
+        assert [tags[i] for i in range(count)] == records
+        assert [tags[i] for i in range(-count, 0)] == records
+        for index in (
+            slice(None), slice(1, None), slice(3, 8), slice(2, 9), slice(-5, -1),
+            slice(None, None, 3), slice(None, None, -1), slice(5, 2), slice(count + 4, None),
+        ):
+            assert tags[index] == records[index]
+        for start, stop in ((0, None), (1, 4), (3, 8), (2, 2), (count - 1, count)):
+            assert list(tags.rows(start, stop)) == [tuple(tag) for tag in records[start:stop]]
+        for index in (count, -count - 1):
+            with pytest.raises(IndexError):
+                tags[index]
+
+    def test_equality(self):
+        a = run_scenario(small_config()).tags
+        assert a == run_scenario(small_config()).tags
+        records = list(a)
+        assert a == records and records == a
+        assert a == tuple(records)
+        assert a != records[:-1]
+        records[3] = records[3]._replace(subdomain="other")
+        assert a != records and records != a
+        assert a != 5
+        with pytest.raises(TypeError):
+            a[0] = records[0]
 
 
 class TestFetchLog:

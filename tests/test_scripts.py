@@ -189,3 +189,21 @@ def test_same_outputs_passes_the_same_tree_and_names_a_changed_file(tmp_path):
     differing = [line for line in done.stdout.splitlines() if line.startswith("differs: ")]
     assert "differs: " + os.path.join("calibrated-3", "sim", "ground_truth.json") in differing
     assert not any(line.endswith("exchanges.jsonl") for line in differing)
+
+
+def test_op_counts_repeat_exactly():
+    runs = [
+        subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "op_counts.py"), "--clients", "10"],
+            capture_output=True, text=True, timeout=60,
+        )
+        for _ in range(2)
+    ]
+    for done in runs:
+        assert done.returncode == 0, done.stdout + done.stderr
+    assert runs[0].stdout == runs[1].stdout
+    counts = dict(line.rsplit(None, 1) for line in runs[0].stdout.splitlines()[1:])
+    assert list(counts) == ["run_scenario", "simulate_writes", "simulate", "analyze"]
+    numbers = {stage: int(count.replace(",", "")) for stage, count in counts.items()}
+    assert numbers["simulate"] == numbers["run_scenario"] + numbers["simulate_writes"]
+    assert min(numbers.values()) > 0
