@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the Python bytecode instructions that simulate and analyze run.
+"""Count the bytecode instructions simulate and analyze run, and run_scenario's bytes.
 
     python scripts/op_counts.py                 # this checkout's src/
     python scripts/op_counts.py REV             # REV's src/ too, e.g. HEAD~1
@@ -15,7 +15,13 @@ together. An instruction is one ``opcode`` event of ``sys.settrace`` with
 much Python a stage runs, not how long it takes; unlike a time, it repeats
 exactly.
 
-Each tree runs in a child process of its own with only its src/ on the
+Then ``run_scenario`` runs again, untraced, in a second child process with
+``tracemalloc`` on: its retained bytes (those traced when it returns) and
+its peak, each per exchange, as ``test_bytes_per_exchange`` measures them.
+A line tracer would inflate the peak, which is why that child traces no
+line; the figures repeat exactly too.
+
+Each tree runs in child processes of its own with only its src/ on the
 path and PYTHONHASHSEED=0, so set and dict orders repeat too. REV's src/
 is extracted as scripts/same_outputs.py extracts it; with REV, each row
 also gives the change from REV to this checkout (uncommitted edits
@@ -35,6 +41,7 @@ import tempfile
 from same_outputs import ROOT, RunFailed, extract
 
 STAGES = ("run_scenario", "simulate_writes", "simulate", "analyze")
+MEMORY = ("retained", "peak")
 
 
 def counted(fn, *args) -> tuple[object, int]:
@@ -90,22 +97,58 @@ def child(clients: int) -> dict[str, int]:
             "simulate": simulated + written, "analyze": analyzed}
 
 
-def run_tree(src: str, clients: int) -> dict[str, int]:
-    """Each stage's count with the beaconlab in ``src``, in a child process."""
-    done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", str(clients)],
-        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"),
-        capture_output=True, text=True,
-    )
-    if done.returncode != 0:
-        raise RunFailed(f"the run of {src} exited {done.returncode}: {done.stderr[-2000:]}")
-    return json.loads(done.stdout)
+def memory_child(clients: int) -> dict[str, float]:
+    """The body of a tree's untraced child: run_scenario's retained and peak
+    tracemalloc bytes, each per exchange."""
+    import tracemalloc
+
+    from beaconlab import clientsim
+
+    config = clientsim.calibrated_config(seed=3, client_count=clients)
+    tracemalloc.start()
+    try:
+        result = clientsim.run_scenario(config)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = len(result.exchanges)
+    return {"retained": retained / count, "peak": peak / count}
+
+
+CHILDREN = {"--child": child, "--memory-child": memory_child}
+
+
+def run_tree(src: str, clients: int) -> dict[str, float]:
+    """Each stage's count and each memory figure with the beaconlab in
+    ``src``, from one child process of each kind."""
+    figures: dict[str, float] = {}
+    for flag in CHILDREN:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), flag, str(clients)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"),
+            capture_output=True, text=True,
+        )
+        if done.returncode != 0:
+            raise RunFailed(f"the run of {src} exited {done.returncode}: {done.stderr[-2000:]}")
+        figures.update(json.loads(done.stdout))
+    return figures
+
+
+def print_rows(names, ref: dict | None, new: dict, spec: str) -> None:
+    """One line per figure: this tree's, or with ``ref`` REV's, this tree's
+    and the change in %."""
+    for name in names:
+        if ref is None:
+            print(f"{name:<16} {new[name]:>14{spec}}")
+            continue
+        change = (new[name] - ref[name]) / ref[name] * 100 if ref[name] else 0.0
+        print(f"{name:<16} {ref[name]:>14{spec}} {new[name]:>14{spec}}  {change:+.2f} %")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--child"]:
-        print(json.dumps(child(int(argv[1]))))
+    if argv[:1] and argv[0] in CHILDREN:
+        print(json.dumps(CHILDREN[argv[0]](int(argv[1]))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("rev", nargs="?", help="a revision whose counts to compare with")
@@ -123,14 +166,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"Python bytecode instructions, calibrated seed 3, {args.clients} clients")
-    if ref is None:
-        for stage in STAGES:
-            print(f"{stage:<16} {new[stage]:>14,}")
-        return 0
-    print(f"{'stage':<16} {args.rev:>14} {'this tree':>14}  change")
-    for stage in STAGES:
-        change = (new[stage] - ref[stage]) / ref[stage] * 100 if ref[stage] else 0.0
-        print(f"{stage:<16} {ref[stage]:>14,} {new[stage]:>14,}  {change:+.2f} %")
+    if ref is not None:
+        print(f"{'stage':<16} {args.rev:>14} {'this tree':>14}  change")
+    print_rows(STAGES, ref, new, ",")
+    print("run_scenario's tracemalloc bytes per exchange, untraced")
+    print_rows(MEMORY, ref, new, ",.1f")
     return 0
 
 

@@ -7,9 +7,12 @@ caches and reload the cached start page (which is how a previously issued
 unique subdomain gets a second lookup). Everything is reproducible from
 (config, seed), and the ground-truth file records what the correlator is
 later expected to recover. A simulation's exchanges and tags are held as
-columns (SimulatedExchanges, SimulatedTags) and handed to the log writers
-as rows of those columns, so the simulation builds no exchange or tag
-record and writing the exchange log builds none either.
+columns (SimulatedExchanges, SimulatedTags), its DNS and fetch logs as
+their records' fields (SimulatedLog), and they are handed to the log
+writers as rows, so the simulation keeps no record and writing its logs
+builds none. Its
+bodies are held in one buffer, each tagged page as the injector received
+it, and spliced again when it is read.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ import math
 import random
 import re
 from array import array
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, repeat, starmap, tee
-from operator import add, eq
+from operator import add, call, eq
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from beaconlab.dnssim import (
@@ -212,9 +215,10 @@ read_fetch_log = FETCH_LOG.read
 
 @dataclass(slots=True)
 class _ClientState:
-    """One simulated browser. Caches are cleared at restart, the cached
-    copy of the start page survives (it is what gets reloaded). After the
-    browser's last event its caches are dropped (None)."""
+    """One simulated browser. Caches are cleared at restart; the cached
+    start page survives, and a restart reloads it: ``home_position`` is its
+    exchange's position. After the browser's last event its caches are
+    dropped (None)."""
 
     client_id: str
     source: str
@@ -223,7 +227,7 @@ class _ClientState:
     restart_schedule: tuple[float, ...]
     dns_cache: set[str] | None = field(default_factory=set)
     object_cache: set[str] | None = field(default_factory=set)
-    cached_home_body: bytes | None = None
+    home_position: int | None = None
     home_dynamic_subdomain: str | None = None
     tagged_pages: int = 0  # plain-HTTP HTML pages delivered: each one tagged
     lifetimes: int = 1
@@ -257,7 +261,7 @@ def client_process_response(
     body: bytes,
     now: float,
     resolver: WildcardResolver,
-    fetch_log: list[FetchRecord],
+    fetch_log: list[FetchRecord] | SimulatedLog[FetchRecord],
     zone: str,
 ) -> None:
     """Resolve and fetch the beacon objects a browser would pull from a page.
@@ -324,17 +328,20 @@ class SimulatedExchanges(_Columns[HttpExchange]):
 
     The simulator numbers exchanges by position, so exchange ``i`` is
     ``HttpExchange(f"x{i:08d}", times[i], f"fl{i:08d}", method, urls[i],
-    host_heads[hosts[i]] + ua_parts[i], 200, response_headers[i], bodies[i],
+    host_heads[hosts[i]] + ua_parts[i], 200, response_headers[i], body,
     encrypted)``, where ``encrypted[i]`` is 1 for a CONNECT and 0 for a GET.
     ``times`` is an array of C doubles. ``hosts`` holds a byte per
     exchange, an index into ``host_heads``: each host's ``(("Host",
     host),)``, and ``()`` for a CONNECT. ``ua_parts[i]`` is the client's
     shared ``(("User-Agent", ua),)``, or ``()`` for a CONNECT or a client
-    without one. The other columns hold references to the URL, head and body each
-    record would hold, which the simulation shares between exchanges. The
-    simulation builds no record. ``rows()`` gives the rows themselves,
-    which the exchange-log writer formats, so writing the log builds no
-    record.
+    without one. The URL and head columns hold references, which the
+    simulation shares between exchanges. Every body is held in the one
+    buffer ``bodies``: exchange ``i``'s is ``bodies[body_offsets[i]:
+    body_offsets[i + 1]]``, and for a page ``tags`` lists, the page as the
+    injector received it, spliced again with its dynamic label
+    (Injector.spliced) when it is read. The simulation builds no record.
+    ``rows()`` gives the rows themselves, which the exchange-log writer
+    formats, so writing the log builds no record.
     """
 
     times: array[float]
@@ -344,7 +351,9 @@ class SimulatedExchanges(_Columns[HttpExchange]):
     host_heads: Sequence[Headers]
     ua_parts: list[Headers]
     response_headers: list[Headers]
-    bodies: list[bytes]
+    bodies: bytearray
+    body_offsets: array[int]
+    tags: SimulatedTags
     _records = staticmethod(partial(starmap, HttpExchange))
 
     def __len__(self) -> int:
@@ -353,18 +362,50 @@ class SimulatedExchanges(_Columns[HttpExchange]):
     def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
         """Each exchange's row, in order: its HttpExchange fields, extra last;
         those of exchanges ``start`` to ``stop``. One map over the columns,
-        with no Python frame per row."""
-        times, encrypted, urls, hosts, ua_parts, response_headers, bodies = _cut((
+        with a Python frame for a tagged page's body only."""
+        times, encrypted, urls, hosts, ua_parts, response_headers = _cut((
             self.times, self.encrypted, self.urls, self.hosts, self.ua_parts,
-            self.response_headers, self.bodies,
+            self.response_headers,
         ), start, stop)
         positions = range(len(self.times))[start:stop]
         return zip(
             map(_exchange_id, positions), times, map(_flow_id, positions),
             map(_METHODS.__getitem__, encrypted), urls,
             map(add, map(self.host_heads.__getitem__, hosts), ua_parts), repeat(200),
-            response_headers, bodies, map(bool, encrypted), repeat(_NO_EXTRA),
+            response_headers, self._bodies(positions.start, positions.stop),
+            map(bool, encrypted), repeat(_NO_EXTRA),
         )
+
+    def _bodies(self, start: int, stop: int) -> Iterator[bytes]:
+        """The bodies of exchanges ``start`` to ``stop``, with a Python frame
+        for a tagged page only. ``stored()`` gives the next body as it is
+        held: bytes of a memoryview slice of the buffer, through one
+        C-level map. A flag per exchange picks what gives its body:
+        ``stored`` itself, or for a tagged page the map that takes the next
+        stored body and splices it with the page's label."""
+        stop = max(start, stop)
+        tags = self.tags
+        first, last = bisect_left(tags.positions, start), bisect_left(tags.positions, stop)
+        tagged = bytearray(stop - start)  # 1 at each tagged page
+        for position in tags.positions[first:last]:
+            tagged[position - start] = 1
+        view, offsets = memoryview(self.bodies), self.body_offsets
+        slices = map(slice, offsets[start:stop], offsets[start + 1:stop + 1])
+        stored = map(bytes, map(view.__getitem__, slices)).__next__
+        # iter(stored, None) never stops: no body is None
+        pages = map(tags.injector.spliced, iter(stored, None), tags.labels[first:last])
+        return map(call, map((stored, pages.__next__).__getitem__, tagged))
+
+    def body(self, i: int) -> bytes:
+        """The body of exchange ``i`` (an int >= 0) as it was delivered. It
+        reads no memoryview, so the buffer may still grow."""
+        offsets = self.body_offsets
+        body = self.bodies[offsets[i]:offsets[i + 1]]
+        positions = self.tags.positions
+        k = bisect_left(positions, i)
+        if k < len(positions) and positions[k] == i:
+            return self.tags.injector.spliced(body, self.tags.labels[k])
+        return bytes(body)
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -379,13 +420,14 @@ class SimulatedTags(_Columns[Tag]):
     ``Tag("dynamic", labels[k], injector.beacon_url(labels[k]),
     f"x{p:08d}", times[p])``; ``times`` is the exchanges' time column.
     Each tag is built when it is read, as SimulatedExchanges builds its
-    records.
+    records. A row holds a Tag's ``fields``, in order.
     """
 
     positions: array[int]
     labels: list[str]
     times: array[float]
     injector: Injector
+    fields = Tag._fields
     _records = staticmethod(partial(map, partial(tuple.__new__, Tag)))
 
     def __len__(self) -> int:
@@ -411,12 +453,42 @@ class SimulatedTags(_Columns[Tag]):
         )
 
 
+class SimulatedLog(_Columns[T]):
+    """A log of one NamedTuple type, held as its records' fields: ``values``
+    holds each record's ``fields`` in turn, so record ``i`` is made of
+    ``values[i * w:(i + 1) * w]`` for ``w = len(fields)``. ``append(record)``
+    is the sink WildcardResolver and client_process_response append to; it
+    keeps the fields and no record, and each record is built when it is
+    read."""
+
+    __slots__ = ("fields", "values", "_records")
+
+    def __init__(self, record_type: type[T]):
+        self.fields = record_type._fields
+        self.values: list = []
+        self._records = partial(map, partial(tuple.__new__, record_type))
+
+    def append(self, record: T) -> None:
+        self.values.extend(record)
+
+    def __len__(self) -> int:
+        return len(self.values) // len(self.fields)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """Each record's fields, in order; those of records ``start`` to ``stop``."""
+        width = len(self.fields)
+        values = self.values
+        if start or stop is not None:
+            values = values[start * width:None if stop is None else stop * width]
+        return zip(*[iter(values)] * width)  # the values ``width`` at a time
+
+
 @dataclass
 class SimulationResult:
     exchanges: Sequence[HttpExchange]
     tags: Sequence[Tag]
-    dns_log: list[DnsQueryRecord]
-    fetch_log: list[FetchRecord]
+    dns_log: Sequence[DnsQueryRecord]
+    fetch_log: Sequence[FetchRecord]
     ground_truth: dict
     config: ScenarioConfig
 
@@ -519,15 +591,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     Deterministic for a fixed config: identical runs produce identical
     logs. The oracle (which client saw what) goes only into ground_truth;
     no exchange names its client. Each plaintext response goes through
-    Injector.inject once, as its head and body; the exchanges and tags are
-    kept as columns, and no HttpExchange or Tag is kept. Runs with the
-    cyclic collector paused.
+    Injector.inject once, as its head and body. The exchanges and tags are
+    kept as columns and the DNS and fetch logs as their records' fields,
+    so no record is kept; a tagged page is kept as the injector received
+    it, with its dynamic label. Runs with the cyclic collector paused.
     """
     config.validate()
     rng = random.Random(config.seed)
     injector = Injector(zone=config.zone, static_label=config.static_label, seed=config.seed)
-    resolver = WildcardResolver(config.zone_config())
-    fetch_log: list[FetchRecord] = []
+    resolver = WildcardResolver(config.zone_config(), SimulatedLog(DnsQueryRecord))
+    fetch_log = SimulatedLog(FetchRecord)
 
     # mimes[code]: the media type of a plain-HTTP visit's event code
     mimes = ["text/html", None, None, *config.mime_mix]
@@ -594,10 +667,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     hosts = bytearray()
     ua_parts: list[Headers] = []
     response_columns: list[Headers] = []
-    bodies: list[bytes] = []
+    bodies = bytearray()
+    body_offsets: array[int] = array("Q", (0,))
     # The columns of SimulatedTags: each tagged page's position and dynamic label.
     tag_positions: array[int] = array("I")
     tag_labels: list[str] = []
+    tags = SimulatedTags(tag_positions, tag_labels, times, injector)
+    exchanges = SimulatedExchanges(
+        times, encrypted, urls, hosts, host_heads, ua_parts, response_columns, bodies, body_offsets,
+        tags,
+    )
     # Events in (time, client, visit order) order: the sort is stable, and
     # they were appended in client and visit order. The order is held as an
     # array, so that no int object per event is kept through the loop.
@@ -607,9 +686,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         code = event_codes[k]
         if code == _RESTART:
             state.restart()
-            if state.fetches_objects and state.cached_home_body is not None:
+            if state.fetches_objects and state.home_position is not None:
                 client_process_response(
-                    state, state.cached_home_body, t, resolver, fetch_log, config.zone
+                    state, exchanges.body(state.home_position), t, resolver, fetch_log, config.zone
                 )
         elif code == _CONNECT:  # one tunnel, with no headers or body
             times.append(t)
@@ -618,7 +697,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             hosts.append(no_host)
             ua_parts.append(())
             response_columns.append(())
-            bodies.append(b"")
+            body_offsets.append(len(bodies))
         else:
             if code == _HOME:
                 host, url = 0, HOME_PAGE_URL
@@ -644,6 +723,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
                 response_headers = response_heads[content_type, size] = (
                     type_pairs[content_type], length_pair
                 )
+            bodies += body  # a tagged page as the injector receives it
+            body_offsets.append(len(bodies))
             # through the injector as the live proxy hands it a response
             response_headers, body, issued = injector.inject(
                 response_headers, body, _exchange_id(len(times)), t
@@ -663,9 +744,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
             hosts.append(host)
             ua_parts.append(ua_parts_of[state.user_agent])
             response_columns.append(response_headers)
-            bodies.append(body)
             if code == _HOME:
-                state.cached_home_body = body
+                state.home_position = len(times) - 1
             # beacons are written only by the injector, into the pages it tags
             if issued and state.fetches_objects:
                 client_process_response(state, body, t, resolver, fetch_log, config.zone)
@@ -696,10 +776,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
         ],
     }
     return SimulationResult(
-        exchanges=SimulatedExchanges(
-            times, encrypted, urls, hosts, host_heads, ua_parts, response_columns, bodies
-        ),
-        tags=SimulatedTags(tag_positions, tag_labels, times, injector),
+        exchanges=exchanges,
+        tags=tags,
         dns_log=resolver.log,
         fetch_log=fetch_log,
         ground_truth=ground_truth,

@@ -114,8 +114,11 @@ def is_valid_name(name: str) -> bool:
 class WildcardResolver:
     """Authoritative resolver for one zone with an append-only query log.
 
-    The log is a list unless a sink is given, such as a QUERY_LOG appender,
-    which writes and flushes each record before resolve returns.
+    The log is a list unless a sink is given: any object whose
+    ``append(record)`` takes each DnsQueryRecord, such as a QUERY_LOG
+    appender, which writes and flushes each record before resolve returns,
+    or a simulation's log (clientsim.SimulatedLog), which keeps its fields
+    and no record.
     """
 
     def __init__(

@@ -86,9 +86,12 @@ class Injector:
         # that responses of one length share it (_with_content_length).
         self._length_pairs: dict[tuple[str, int], tuple[str, str]] = {}
         # The beacon block is both image elements between the sentinel
-        # comments. Every block differs only in its dynamic URL, so the
-        # ASCII bytes around that URL are built once ("\n" is in no URL here).
-        block = MARKER_BEGIN + _image_element(self.static_url) + _image_element("\n") + MARKER_END
+        # comments. Every block differs only in its dynamic label, so the
+        # ASCII bytes around that label are built once ("\n" is in no label).
+        block = (
+            MARKER_BEGIN + _image_element(self.static_url) + _image_element(self.beacon_url("\n"))
+            + MARKER_END
+        )
         before, _, after = block.partition("\n")
         self._block_before = before.encode("ascii")
         self._block_after = after.encode("ascii")
@@ -116,21 +119,29 @@ class Injector:
         if length_fields is None:
             return headers, body, []
         dynamic_label = self.generate_subdomain()
-        dynamic_url = self.beacon_url(dynamic_label)
-        # Before the last closing body tag; malformed pages get the block
-        # appended after the final byte instead.
-        at = _last_body_close(body)
-        if at < 0:
-            at = len(body)
-        new_body = b"".join((
-            body[:at], self._block_before, dynamic_url.encode("ascii"), self._block_after, body[at:]
-        ))
+        new_body = self.spliced(body, dynamic_label)
         headers = _with_content_length(headers, length_fields, len(new_body), self._length_pairs)
         tags = [
             _new_tag(Tag, (STATIC, self.static_label, self.static_url, exchange_id, timestamp)),
-            _new_tag(Tag, (DYNAMIC, dynamic_label, dynamic_url, exchange_id, timestamp)),
+            _new_tag(Tag, (
+                DYNAMIC, dynamic_label, self.beacon_url(dynamic_label), exchange_id, timestamp
+            )),
         ]
         return headers, new_body, tags
+
+    def spliced(self, body: bytes | bytearray, label: str) -> bytes:
+        """``body`` with the beacon block of dynamic label ``label``: the body
+        inject returns for a page it tags with that label, so a caller that
+        keeps the page as inject received it and the label gets the same
+        bytes back (bytes, also from a bytearray). The block goes before the
+        last closing body tag; a malformed page gets it after its final byte
+        instead."""
+        at = _last_body_close(body)
+        if at < 0:
+            at = len(body)
+        return b"".join((
+            body[:at], self._block_before, label.encode("ascii"), self._block_after, body[at:]
+        ))
 
 
 def _length_fields_if_taggable(headers: Headers, body: bytes) -> list[int] | None:
@@ -162,14 +173,19 @@ def _length_fields_if_taggable(headers: Headers, body: bytes) -> list[int] | Non
     return length_fields
 
 
-def _last_body_close(body: bytes) -> int:
+def _last_body_close(body: bytes | bytearray) -> int:
     """Where the last closing body tag (any case) starts, -1 if there is none.
 
-    Usually the last "</body" is the tag; only when it is not are the
-    bytes before it searched, all in one scan."""
+    Usually the last "</body" is the tag, most often as "</body>", which
+    needs no regex; only when it is not are the bytes before it searched,
+    all in one scan."""
     lowered = body.lower()
     at = lowered.rfind(b"</body")
-    if at >= 0 and _BODY_CLOSE_RE.match(lowered, at) is None:
+    if (
+        at >= 0
+        and not lowered.startswith(b"</body>", at)
+        and _BODY_CLOSE_RE.match(lowered, at) is None
+    ):
         closes = list(_BODY_CLOSE_RE.finditer(lowered, 0, at))
         at = closes[-1].start() if closes else -1
     return at

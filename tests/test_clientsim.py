@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beaconlab.clientsim import (
+    FETCH_LOG,
     ConfigError,
+    FetchRecord,
     ScenarioConfig,
+    SimulatedLog,
     UaSpec,
     _ClientState,
     _beacons,
@@ -31,11 +34,11 @@ from beaconlab.clientsim import (
     read_fetch_log,
 )
 from beaconlab.correlate import build_report, write_report
-from beaconlab.dnssim import WildcardResolver, ZoneConfig, normalize_name, url_host
+from beaconlab.dnssim import QUERY_LOG, WildcardResolver, ZoneConfig, normalize_name, url_host
 from beaconlab.httplog import (
     HttpExchange, exchange_views, mime_distribution, read_exchange_log, write_exchange_log
 )
-from beaconlab.inject import Injector, Tag
+from beaconlab.inject import TAG_LOG, Injector, Tag
 
 ZONE = "feedback.test"
 
@@ -121,8 +124,8 @@ class TestCollectorPause:
     def test_records_land_in_the_oldest_generation(self, collector):
         # a bare disable/enable leaves them young, for the next collections to rescan
         result = run_scenario(small_config())
-        first = result.dns_log[0]  # a record the result holds; its tags are built on read
-        assert any(obj is first for obj in gc.get_objects(generation=2))
+        urls = result.exchanges.urls  # a list the result holds; its records are built on read
+        assert any(obj is urls for obj in gc.get_objects(generation=2))
 
 
 class TestConfig:
@@ -513,7 +516,10 @@ class TestLeanRecords:
         # HttpExchange kept per exchange it retained 938 and peaked at 985;
         # with the exchanges held as columns (SimulatedExchanges), 737 and 787.
         # With the tags, request heads and event schedule held as columns
-        # too, and tagged pages' response heads shared, 549 and 621.
+        # too, and tagged pages' response heads shared, 549 and 621. With
+        # the bodies in one buffer, each tagged page as the injector
+        # received it, and the DNS and fetch logs held as their records'
+        # fields, 411 and 481.
         config = calibrated_config(seed=3, client_count=200)
         tracemalloc.start()
         try:
@@ -522,8 +528,8 @@ class TestLeanRecords:
         finally:
             tracemalloc.stop()
         count = len(result.exchanges)
-        assert retained / count <= 585
-        assert peak / count <= 660
+        assert retained / count <= 430
+        assert peak / count <= 505
 
 
 # test_cli's churn-shaped pinned scenario: 3,000 clients, 300 restarts.
@@ -623,6 +629,149 @@ class TestSimulatedExchanges:
         path = str(tmp_path / "exchanges.jsonl")
         write_exchange_log(result.exchanges, path)
         assert read_exchange_log(path) == list(result.exchanges)
+
+
+class TestSimulatedBodies:
+    """result.exchanges holds every body in one buffer, a tagged page as the
+    injector received it, and splices the page again when it is read."""
+
+    @pytest.mark.parametrize("config", [small_config(), CHURN_SHAPED], ids=["small", "churn"])
+    def test_the_bodies_the_injector_returned(self, monkeypatch, config):
+        returned = []
+        reloaded = []
+
+        class Recording(Injector):
+            def inject(self, headers, body, exchange_id, timestamp):
+                result = super().inject(headers, body, exchange_id, timestamp)
+                returned.append(result[1])
+                return result
+
+        def recording_process(state, body, now, *args):
+            reloaded.append(body)
+            return client_process_response(state, body, now, *args)
+
+        monkeypatch.setattr("beaconlab.clientsim.Injector", Recording)
+        monkeypatch.setattr("beaconlab.clientsim.client_process_response", recording_process)
+        result = run_scenario(config)
+        exchanges = result.exchanges
+        assert [e.response_body for e in exchanges if not e.is_encrypted] == returned
+        assert [row[8] for row in exchanges.rows() if not row[9]] == returned
+        tagged = [exchanges[int(tag.exchange_id[1:])].response_body for tag in result.tags]
+        assert all(b"<!--bx:begin-->" in body for body in tagged)
+        # what a restart reloads is a start page as the injector returned it
+        restarts = sum(len(c["restart_times"]) for c in result.ground_truth["clients"])
+        assert restarts and set(reloaded) <= set(returned)
+        assert exchanges.body(0) == returned[0]
+        assert exchanges.body(len(exchanges) - 1) == exchanges[-1].response_body
+
+    def test_tagged_pages_are_kept_as_the_injector_received_them(self):
+        exchanges = run_scenario(small_config()).exchanges
+        stored = len(exchanges.bodies)
+        delivered = sum(len(e.response_body) for e in exchanges)
+        assert stored == exchanges.body_offsets[-1] < delivered
+        assert len(exchanges.body_offsets) == len(exchanges) + 1
+        assert b"<!--bx:" not in exchanges.bodies
+
+    def test_bodies_by_index_slice_and_rows(self):
+        exchanges = run_scenario(small_config()).exchanges
+        bodies = [e.response_body for e in exchanges]
+        count = len(bodies)
+        assert [exchanges[i].response_body for i in range(-count, 0)] == bodies
+        for start, stop in (
+            (0, None), (1, 4), (3, 30), (7, 7), (9, 2), (count - 1, count), (count, None),
+        ):
+            assert [row[8] for row in exchanges.rows(start, stop)] == bodies[start:stop]
+        assert [e.response_body for e in exchanges[5:40:3]] == bodies[5:40:3]
+
+
+class TestSimulatedLogs:
+    """result.dns_log and result.fetch_log hold their records' fields and
+    build each record when it is read."""
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        """Each log of a simulation with restarts, and the records appended to it."""
+        appended = []
+
+        class Recording(SimulatedLog):
+            __slots__ = ("records",)
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.records = []
+                appended.append(self.records)
+
+            def append(self, record):
+                self.records.append(record)
+                super().append(record)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("beaconlab.clientsim.SimulatedLog", Recording)
+            result = run_scenario(small_config(restart_count=4))
+        dns_records, fetch_records = appended
+        return [(result.dns_log, dns_records), (result.fetch_log, fetch_records)]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["dns", "fetch"])
+    def test_the_records_appended(self, logs, which):
+        log, records = logs[which]
+        count = len(records)
+        assert count > 4 and len(log) == count
+        assert list(log) == records
+        assert [type(record) for record in log] == [type(record) for record in records]
+        assert [log[i] for i in range(count)] == records
+        assert [log[i] for i in range(-count, 0)] == records
+        for index in (
+            slice(None), slice(1, None), slice(3, 8), slice(-5, -1), slice(None, None, 3),
+            slice(None, None, -1), slice(5, 2), slice(count + 4, None),
+        ):
+            assert log[index] == records[index]
+        for start, stop in ((0, None), (1, 4), (3, 8), (2, 2), (count - 1, count)):
+            assert list(log.rows(start, stop)) == [tuple(record) for record in records[start:stop]]
+        for index in (count, -count - 1):
+            with pytest.raises(IndexError):
+                log[index]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["dns", "fetch"])
+    def test_equality(self, logs, which):
+        log, records = logs[which]
+        assert log == records and records == log
+        assert log == tuple(records)
+        assert log != records[:-1]
+        changed = list(records)
+        changed[2] = changed[2]._replace(source="10.9.9.9")
+        assert log != changed and changed != log
+        assert log != 5
+
+    def test_values(self, logs):
+        # each record's fields in turn, and no record
+        for log, records in logs:
+            assert log.fields == type(records[0])._fields
+            assert log.values == [value for record in records for value in record]
+
+    @pytest.mark.parametrize("config", [small_config(), CHURN_SHAPED], ids=["small", "churn"])
+    def test_csv_logs_are_written_from_columns(self, tmp_path, monkeypatch, config):
+        # tags.csv, dns_queries.csv and fetches.csv: the bytes their records
+        # write, with no record's to_row called
+        result = run_scenario(config)
+        logs = [(TAG_LOG, result.tags), (QUERY_LOG, result.dns_log), (FETCH_LOG, result.fetch_log)]
+        expected = []
+        for layout, log in logs:
+            path = tmp_path / "records.csv"
+            layout.write(list(log), str(path))
+            expected.append(path.read_bytes())
+        for layout, _ in logs:
+            monkeypatch.setattr(layout, "to_row", None)
+        for (layout, log), records_bytes in zip(logs, expected):
+            path = tmp_path / "columns.csv"
+            layout.write(log, str(path))
+            assert path.read_bytes() == records_bytes
+            assert layout.read(str(path)) == log
+
+    def test_an_empty_log(self):
+        log = SimulatedLog(FetchRecord)
+        assert len(log) == 0 and log == [] and list(log.rows()) == []
+        log.append(FetchRecord(1.5, "10.0.0.1", "http://a.test/p.gif"))
+        assert log == (FetchRecord(1.5, "10.0.0.1", "http://a.test/p.gif"),)
 
 
 class TestSimulatedTags:

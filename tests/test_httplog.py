@@ -1317,9 +1317,42 @@ def _written_and_appended(layout, records, tmp) -> tuple[bytes, bytes]:
         return fh_w.read(), fh_a.read()
 
 
+class _WithRows(list):
+    """Records that also give their rows, each record's ``fields`` in order,
+    as the logs clientsim holds without records give theirs."""
+
+    def __init__(self, records, fields):
+        super().__init__(records)
+        self.fields = fields
+
+    def rows(self):
+        return map(tuple, self)
+
+
+def _written_from_rows(layout, records, tmp, fields) -> bytes:
+    """The bytes CsvLog.write writes for ``records`` given with their rows."""
+    path = os.path.join(tmp, "r.csv")
+    layout.write(_WithRows(records, fields), path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+# The fields of each layout's records, in order: the header's, or another
+# order, or none that a row could name (a layout with its own to_row, which
+# reads no rows).
+ROW_FIELDS = {
+    "tags": Tag._fields,
+    "dns": DnsQueryRecord._fields,
+    "fetch": FetchRecord._fields,
+    "ua": (),
+    "vuln_db": (),
+}
+
+
 class TestCsvWriterBytes:
     """CsvLog writes every row as csv.writer writes it: rows it can join
-    by commas as they are, and the ones csv.writer quotes."""
+    by commas as they are, and the ones csv.writer quotes; from records and
+    from a sequence's rows alike."""
 
     @pytest.mark.parametrize("name", LAYOUTS)
     @settings(max_examples=100, deadline=None)
@@ -1330,6 +1363,7 @@ class TestCsvWriterBytes:
         with tempfile.TemporaryDirectory() as tmp:
             expected = _csv_writer_bytes(layout, records)
             assert _written_and_appended(layout, records, tmp) == (expected, expected)
+            assert _written_from_rows(layout, records, tmp, ROW_FIELDS[name]) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1345,11 +1379,15 @@ class TestCsvWriterBytes:
     def test_fields_of_any_type(self, width, fields):
         # rows of the header's width and shorter ones; None, bool and a
         # float whose repr is not float's among the fields
-        layout = httplog.CsvLog([f"c{i}" for i in range(width)], list, tuple)
+        header = [f"c{i}" for i in range(width)]
+        layout = httplog.CsvLog(header, list, tuple)
         records = [fields[i:i + width] for i in range(0, len(fields), width)]
         with tempfile.TemporaryDirectory() as tmp:
             expected = _csv_writer_bytes(layout, records)
             assert _written_and_appended(layout, records, tmp) == (expected, expected)
+            # the same rows read from the sequence, with the default to_row
+            rows_layout = httplog.CsvLog(header, list)
+            assert _written_from_rows(rows_layout, records, tmp, tuple(header)) == expected
 
     def test_a_single_empty_field_is_quoted(self, tmp_path):
         layout = httplog.CsvLog(["only"], list, tuple)
@@ -1357,6 +1395,8 @@ class TestCsvWriterBytes:
         expected = _csv_writer_bytes(layout, records)
         assert expected == b'only\r\n""\r\na\r\n""\r\n'
         assert _written_and_appended(layout, records, str(tmp_path)) == (expected, expected)
+        rows_layout = httplog.CsvLog(["only"], list)
+        assert _written_from_rows(rows_layout, records, str(tmp_path), ("only",)) == expected
 
     def test_rows_quoted_across_write_batches(self, tmp_path):
         count = 3 * httplog._LINES_PER_WRITE + 5
@@ -1366,6 +1406,18 @@ class TestCsvWriterBytes:
         ]
         expected = _csv_writer_bytes(TAG_LOG, records)
         assert _written_and_appended(TAG_LOG, records, str(tmp_path)) == (expected, expected)
+        assert _written_from_rows(TAG_LOG, records, str(tmp_path), Tag._fields) == expected
+
+    def test_a_whole_number_of_batches(self, tmp_path):
+        # the last batch is full, so the writer reads one more, empty batch
+        records = [
+            DnsQueryRecord(f"n{i}.z.test", "10.0.0.1", i / 3)
+            for i in range(2 * httplog._LINES_PER_WRITE)
+        ]
+        expected = _csv_writer_bytes(QUERY_LOG, records)
+        assert _written_and_appended(QUERY_LOG, records, str(tmp_path)) == (expected, expected)
+        fields = DnsQueryRecord._fields
+        assert _written_from_rows(QUERY_LOG, records, str(tmp_path), fields) == expected
 
 
 # Cells each layout's from_row parses, or nearly so, and cells that break a

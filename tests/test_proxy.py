@@ -1709,6 +1709,33 @@ class TestFlowControl:
         assert ends[0].transport.calls == []
         assert ends[1].transport.calls == [("pause_reading",), ("resume_reading",)]
 
+    @pytest.mark.parametrize("peer_ended", [False, True], ids=["open", "peer_ended"])
+    def test_eof_passed_to_an_end_that_cannot_half_close(self, peer_ended):
+        # the other end's half-close fails, as on a socket already reset:
+        # the EOF is still taken, and the tunnel closes as after any EOF
+        class _NoHalfClose(_RecordingTransport):
+            def write_eof(self):
+                self.calls.append(("write_eof",))
+                raise ConnectionResetError("reset by peer")
+
+        ends = [proxy._Pipe(), proxy._Pipe()]
+        ends[0].connection_made(_RecordingTransport())
+        ends[1].connection_made(_NoHalfClose())
+        ends[0].peer, ends[1].peer = ends[1], ends[0]
+        ends[1].ended = peer_ended
+
+        async def eof():
+            taken = ends[0].eof_received()
+            if ends[0].deadline is not None:
+                ends[0].deadline.cancel()
+            return taken
+
+        assert asyncio.run(eof()) is True
+        assert ends[0].ended
+        assert ends[1].transport.calls[-1] == ("write_eof",)
+        assert ends[0].transport.closed is peer_ended
+        assert (ends[0].deadline is None) is peer_ended
+
     @pytest.mark.parametrize("eof", [False, True], ids=["open", "eof"])
     def test_bytes_sent_before_the_200_reach_the_origin(self, eof):
         service = _TunnelService()

@@ -201,9 +201,15 @@ def test_op_counts_repeat_exactly():
     ]
     for done in runs:
         assert done.returncode == 0, done.stdout + done.stderr
-    assert runs[0].stdout == runs[1].stdout
-    counts = dict(line.rsplit(None, 1) for line in runs[0].stdout.splitlines()[1:])
+    assert runs[0].stdout == runs[1].stdout  # the memory figures too
+    lines = runs[0].stdout.splitlines()
+    counts = dict(line.rsplit(None, 1) for line in lines[1:5])
     assert list(counts) == ["run_scenario", "simulate_writes", "simulate", "analyze"]
     numbers = {stage: int(count.replace(",", "")) for stage, count in counts.items()}
     assert numbers["simulate"] == numbers["run_scenario"] + numbers["simulate_writes"]
     assert min(numbers.values()) > 0
+    assert lines[5] == "run_scenario's tracemalloc bytes per exchange, untraced"
+    memory = dict(line.rsplit(None, 1) for line in lines[6:])
+    assert list(memory) == ["retained", "peak"]
+    retained, peak = (float(figure.replace(",", "")) for figure in memory.values())
+    assert 0 < retained <= peak
